@@ -25,6 +25,7 @@ paper's title promises, reproduced in the class split.
 from __future__ import annotations
 
 import dataclasses
+from types import MethodType
 
 from repro.cache.cache import CacheLine
 from repro.cache.mshr import MshrEntry
@@ -103,9 +104,13 @@ class TokenNodeBase(ProtocolNode):
             # No subclass override: bind the transient fast path as a
             # closure over locals — GETS/GETM snoops are the single most
             # frequent message, and this skips every attribute load.
+            # ``post`` is the stock one even on a restored jittered
+            # kernel: the table is first built before any overlay can
+            # move the simulator's class, and a restore must rebuild
+            # what the original run used.
             def transient(
                 msg,
-                post=self.sim.post,
+                post=MethodType(Simulator.post, self.sim),
                 snoop_delay=self._snoop_delay,
                 home_delay=self._home_delay,
                 cache_respond=self._cache_respond,
@@ -142,12 +147,13 @@ class TokenNodeBase(ProtocolNode):
         """Re-resolve the dispatch table's bound methods.
 
         The table is hoisted in ``__init__`` for speed, so a later
-        ``__class__`` swap (lineage recorder installation) does not
-        reroute the token/persistent entries through the new class on
-        its own.  Installers that swap after construction call this to
-        rebind them.  The GETS/GETM entry is left alone: when the
-        transient fast-path closure is in place the subclass did not
-        override ``_handle_transient``, and no installer does either.
+        ``__class__`` swap (onto an overlay's hooked class,
+        :func:`repro.overlay.arm_object`) does not reroute the
+        token/persistent entries through the new class on its own; the
+        overlay calls this to rebind them.  The GETS/GETM entry is left
+        alone: when the transient fast-path closure is in place the
+        subclass did not override ``_handle_transient``, and no hooked
+        class does either.
         """
         self._dispatch["TOKEN_DATA"] = self._handle_tokens
         self._dispatch["TOKEN_ONLY"] = self._handle_tokens

@@ -4,19 +4,13 @@ The paper's decoupling claim — correctness comes from token counting
 and persistent requests, not from the fabric behaving — is only tested
 if the fabric actually misbehaves.  This package schedules and installs
 link flaps, bandwidth degradation, corruption-detection drops, and node
-pause/resume windows onto a built system, with the same zero-cost
-``__class__``-swap install the perturbation layer uses; see
+pause/resume windows onto a built system through the shared overlay
+layer (:mod:`repro.overlay`) the perturbation layer also uses; see
 :mod:`repro.faults.plan` for the schedule vocabulary and
 :mod:`repro.faults.inject` for the semantics.
 """
 
-from repro.faults.inject import (
-    FaultInjector,
-    FaultyLink,
-    FaultyTorus,
-    FaultyTree,
-    PauseGate,
-)
+from repro.faults.inject import FaultInjector, PauseGate
 from repro.faults.plan import (
     FAULT_KINDS,
     LOSS_FAULT_KINDS,
@@ -32,9 +26,6 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "FaultInjector",
-    "FaultyLink",
-    "FaultyTorus",
-    "FaultyTree",
     "PauseGate",
     "generate_plan",
     "link_count",

@@ -1,16 +1,13 @@
 """Install a :class:`~repro.faults.plan.FaultPlan` onto a built system.
 
-Install mechanics mirror :class:`repro.testing.perturb.Perturber`:
-``Link`` reserves a ``_fault`` slot its base implementation never reads;
-:meth:`FaultInjector.install` fills the slot and reassigns ``__class__``
-to :class:`FaultyLink` (``__slots__ = ()``, identical layout).  When any
-link fault is armed the interconnect itself is reassigned to
-:class:`FaultyTorus` / :class:`FaultyTree`, which route every hop —
-including the torus's batched multicast and unlimited-bandwidth
-broadcast fast path — through a per-hop drop check, exactly as
-``JitteredTorus`` re-routes for jitter.  A fault-free system therefore
-runs byte-for-byte the same code as before this package existed (the
-determinism goldens pin this).
+Every fault arms the shared overlay layer (:mod:`repro.overlay`): link
+flaps and degrades are link hooks (a drop check, a flap hold, a degrade
+stretch) on the targeted links only, and corruption and pauses are
+delivery hooks.  Their state lives in module-level classes, so faults
+compose with jitter, tracing and lineage in any install order, and a
+faulted system pickles (snapshots and forks) like a stock one.  A
+fault-free system runs byte-for-byte the same code as before this
+package existed (the determinism goldens pin this).
 
 Fault semantics
 ---------------
@@ -28,7 +25,8 @@ Fault semantics
 * **Corrupt** — a receiver-side wrapper discards transient requests
   with the event's probability while its window is open (seeded
   per-node RNG streams, consumed in delivery order).
-* **Pause** — a :class:`PauseGate` wraps the node's delivery handler:
+* **Pause** — a :class:`PauseGate` is the innermost delivery hook, so
+  it also holds duplicates the drop/dup perturbation re-delivers:
   messages arriving inside a pause window buffer in arrival order and
   are flushed when the window closes (the flush is scheduled at
   install, so it fires before any same-timestamp arrival).  The gates'
@@ -42,15 +40,13 @@ from __future__ import annotations
 
 from repro.coherence.messages import TRANSIENT_REQUEST_MTYPES
 from repro.faults.plan import FaultPlan
-from repro.interconnect.link import Link
-from repro.interconnect.torus import TorusInterconnect
-from repro.interconnect.tree import ORDERED_VNET, OrderedTreeInterconnect
+from repro.overlay import DeliveryHook, arm_delivery, arm_link
 from repro.sim.rng import derive_rng
 from repro.system.grid import is_token_protocol
 
 
 class LinkFaultState:
-    """Per-link fault windows, prebound for the occupy path.
+    """One link's fault windows; its methods are the link's fault hooks.
 
     ``down`` is a sorted tuple of merged ``(start, end)`` outages;
     ``degraded`` a sorted tuple of ``(start, end, factor)``;
@@ -69,247 +65,133 @@ class LinkFaultState:
         self.stats = stats
         self.recorder = recorder
 
+    def arm(self, network, link) -> None:
+        """Arm the hooks these windows need on ``link``."""
+        hooks = {}
+        if self.down:
+            hooks["hold"] = self.hold
+            if self.drop_mode:
+                hooks["drop"] = self.drops
+        if self.degraded:
+            hooks["stretch"] = self.stretch
+        arm_link(network, link, **hooks)
 
-class FaultyLink(Link):
-    """Link honouring flap (queue or drop) and degrade windows.
-
-    ``occupy`` keeps the base contract — claim the slot, account the
-    crossing, return the arrival time — but pushes the serialization
-    start past outages and stretches it through degrade windows.
-    :meth:`drops` is the *pre*-occupy question the faulty interconnects
-    ask for droppable messages; a dropped message never occupies the
-    link (nothing was serialized) and never records traffic.
-    """
-
-    __slots__ = ()
-
-    def occupy(self, size_bytes, category):
-        state = self._fault
-        sim = self.sim
-        now = sim._now
-        free = self._free_at
-        start = now if now >= free else free
-        for begin, end in state.down:
-            if begin <= start < end:
-                state.stats["flap_queued"] += 1
-                start = end
-        if self.bandwidth is not None:
-            serialization = size_bytes / self.bandwidth
-        else:
-            serialization = 0.0
-        for begin, end, factor in state.degraded:
-            if begin <= start < end:
-                state.stats["degraded_crossings"] += 1
-                serialization *= factor
-                break
-        busy_until = start + serialization
-        self._free_at = busy_until
-        self._crossings += 1
-        record = self._record
-        if record is not None:
-            record(category, size_bytes)
-        return busy_until + self.latency
-
-    def drops(self, msg) -> bool:
+    def drops(self, link, msg) -> bool:
         """True if a droppable message entering now is lost to a flap.
 
         The whole crossing interval — queueing behind ``_free_at``,
         serialization, propagation — is checked against the outage
         windows, so this also catches "in flight when the link goes
-        down", not just "sent while down".
+        down", not just "sent while down".  A dropped message never
+        occupies the link (nothing was serialized) and records no
+        traffic.
         """
-        state = self._fault
-        if not state.drop_mode or not state.down:
-            return False
         if msg.mtype not in TRANSIENT_REQUEST_MTYPES:
             return False
-        now = self.sim._now
-        free = self._free_at
+        now = link.sim._now
+        free = link._free_at
         start = now if now >= free else free
-        if self.bandwidth is not None:
-            serialization = msg.size_bytes / self.bandwidth
+        if link.bandwidth is not None:
+            serialization = msg.size_bytes / link.bandwidth
         else:
             serialization = 0.0
-        end = start + serialization + self.latency
-        for begin, outage_end in state.down:
+        end = start + serialization + link.latency
+        for begin, outage_end in self.down:
             if start < outage_end and end > begin:
-                state.stats["flap_dropped"] += 1
-                if state.recorder is not None:
-                    state.recorder.request_dropped(
+                self.stats["flap_dropped"] += 1
+                if self.recorder is not None:
+                    self.recorder.request_dropped(
                         msg.block, msg.requester, -1, now
                     )
                 return True
         return False
 
+    def hold(self, start: float) -> float:
+        """Serialization cannot start inside an outage: queue past it."""
+        for begin, end in self.down:
+            if begin <= start < end:
+                self.stats["flap_queued"] += 1
+                start = end
+        return start
 
-class FaultyTorus(TorusInterconnect):
-    """Torus routing every hop through the faulty per-link path.
+    def stretch(self, start: float, serialization: float) -> float:
+        """Serialization starting inside a degrade window takes longer."""
+        for begin, end, factor in self.degraded:
+            if begin <= start < end:
+                self.stats["degraded_crossings"] += 1
+                return serialization * factor
+        return serialization
 
-    Like :class:`~repro.testing.perturb.JitteredTorus`, the batched
-    multicast (which inlines ``Link.occupy``) and the
-    unlimited-bandwidth broadcast fast path (which precomputes subtree
-    arrivals) are replaced by per-hop ``occupy`` + ``post_at`` fan-out —
-    otherwise broadcast hops would never see the fault windows.  Each
-    hop first asks the link whether it drops the message; a dropped hop
-    posts nothing, so the whole subtree behind it is lost (the
-    downstream copies were never created — exactly a flapped fabric).
+
+class Corruption(DeliveryHook):
+    """Delivery hook discarding transient requests inside corrupt windows.
+
+    ``windows`` holds ``(start, end, prob)``; one roll per transient
+    request delivered inside the first window that covers it.
     """
 
-    def _forward_unicast(self, msg, plan, hop):
-        link, next_node = plan[hop]
-        if link.drops(msg):
-            return
-        arrival = link.occupy(msg.size_bytes, msg.category)
-        if hop + 1 == len(plan):
-            self.sim.post_at(arrival, self._deliver, next_node, msg)
-        else:
-            self.sim.post_at(arrival, self._forward_unicast, msg, plan, hop + 1)
+    stage = "corrupt"
+    __slots__ = ("sim", "node_id", "random", "windows", "stats", "recorder")
 
-    def _fanout_multicast(self, msg, at_node, plan):
-        post_at = self.sim.post_at
-        arrive = self._multicast_arrive
-        size = msg.size_bytes
-        category = msg.category
-        for link, child in plan[at_node]:
-            if link.drops(msg):
-                continue
-            post_at(link.occupy(size, category), arrive, msg, child, plan)
+    def __init__(self, sim, node_id, random, windows, stats, recorder) -> None:
+        self.sim = sim
+        self.node_id = node_id
+        self.random = random
+        self.windows = windows
+        self.stats = stats
+        self.recorder = recorder
 
-    def _broadcast_unlimited(self, msg):
-        # Precomputed subtree arrivals assume healthy links; fall back
-        # to hop-by-hop fan-out (occupy handles bandwidth=None).
-        self._fanout_multicast(msg, msg.src, self._multicast_plans(msg.src))
-
-
-class FaultyTree(OrderedTreeInterconnect):
-    """Tree whose four stages each consult the faulty per-link path.
-
-    Only token protocols may lose messages, and they never use the
-    ordered vnet, so the root's total-order stamping is untouched: an
-    ordered broadcast can be delayed by backpressure but never dropped.
-    """
-
-    # -- unicast ------------------------------------------------------
-
-    def send(self, msg):
-        if msg.is_broadcast():
-            raise ValueError("use broadcast() for broadcast messages")
-        if msg.vnet == ORDERED_VNET:
-            raise ValueError(
-                "ordered vnet carries only broadcasts (total-order contract)"
-            )
-        if msg.src == msg.dst:
-            self.sim.post(0.0, self._deliver, msg.dst, msg)
-            return
-        link = self._up[msg.src]
-        if link.drops(msg):
-            return
-        arrival = link.occupy(msg.size_bytes, msg.category)
-        self.sim.post_at(arrival, self._unicast_at_in_switch, msg)
-
-    def _unicast_at_in_switch(self, msg):
-        link = self._in_root[msg.src // self.fanout]
-        if link.drops(msg):
-            return
-        arrival = link.occupy(msg.size_bytes, msg.category)
-        self.sim.post_at(arrival, self._unicast_at_root, msg)
-
-    def _unicast_at_root(self, msg):
-        link = self._root_out[msg.dst // self.fanout]
-        if link.drops(msg):
-            return
-        arrival = link.occupy(msg.size_bytes, msg.category)
-        self.sim.post_at(arrival, self._unicast_at_out_switch, msg)
-
-    def _unicast_at_out_switch(self, msg):
-        link = self._down[msg.dst]
-        if link.drops(msg):
-            return
-        arrival = link.occupy(msg.size_bytes, msg.category)
-        self.sim.post_at(arrival, self._deliver, msg.dst, msg)
-
-    # -- broadcast ----------------------------------------------------
-
-    def broadcast(self, msg, include_self=False):
-        if msg.vnet == ORDERED_VNET:
-            include_self = True
-        link = self._up[msg.src]
-        if link.drops(msg):
-            return
-        arrival = link.occupy(msg.size_bytes, msg.category)
-        self.sim.post_at(arrival, self._broadcast_at_in_switch, msg, include_self)
-
-    def _broadcast_at_in_switch(self, msg, include_self):
-        link = self._in_root[msg.src // self.fanout]
-        if link.drops(msg):
-            return
-        arrival = link.occupy(msg.size_bytes, msg.category)
-        self.sim.post_at(arrival, self._broadcast_at_root, msg, include_self)
-
-    def _broadcast_at_root(self, msg, include_self):
-        if msg.vnet == ORDERED_VNET:
-            msg.ordered_seq = self._next_order_seq
-            self._next_order_seq += 1
-        sim = self.sim
-        size = msg.size_bytes
-        category = msg.category
-        at_out = self._broadcast_at_out_switch
-        for group, link in enumerate(self._root_out):
-            if link.drops(msg):
-                continue
-            arrival = link.occupy(size, category)
-            sim.post_at(arrival, at_out, msg, group, include_self)
-
-    def _broadcast_at_out_switch(self, msg, group, include_self):
-        sim = self.sim
-        size = msg.size_bytes
-        category = msg.category
-        arrive = self._arrive_at_node
-        src = msg.src
-        for node, down in self._members[group]:
-            if node == src and not include_self:
-                continue
-            if down.drops(msg):
-                continue
-            arrival = down.occupy(size, category)
-            sim.post_at(arrival, arrive, node, msg)
+    def deliver(self, msg) -> None:
+        if msg.mtype in TRANSIENT_REQUEST_MTYPES:
+            now = self.sim._now
+            for begin, end, prob in self.windows:
+                if begin <= now < end:
+                    if self.random() < prob:
+                        self.stats["corrupt_dropped"] += 1
+                        if self.recorder is not None:
+                            self.recorder.request_dropped(
+                                msg.block, msg.requester, self.node_id, now
+                            )
+                        return
+                    break
+        self.inner(msg)
 
 
-class PauseGate:
+class PauseGate(DeliveryHook):
     """Delivery gate for one paused node.
 
     Messages arriving inside a pause window buffer in arrival order;
     :meth:`flush` (scheduled at each window's end during install, so it
-    precedes same-timestamp arrivals) drains them through the wrapped
-    handler in that order.  A nonempty buffer after the run is a
-    recovery-oracle violation.
+    precedes same-timestamp arrivals) drains them into the node in that
+    order.  A nonempty buffer after the run is a recovery-oracle
+    violation.
     """
 
-    __slots__ = ("sim", "node_id", "handler", "windows", "buffer", "stats")
+    stage = "pause"
+    __slots__ = ("sim", "node_id", "windows", "buffer", "stats")
 
-    def __init__(self, sim, node_id, handler, windows, stats) -> None:
+    def __init__(self, sim, node_id, windows, stats) -> None:
         self.sim = sim
         self.node_id = node_id
-        self.handler = handler
         self.windows = tuple(windows)
         self.buffer: list = []
         self.stats = stats
 
-    def __call__(self, msg) -> None:
+    def deliver(self, msg) -> None:
         now = self.sim._now
         for begin, end in self.windows:
             if begin <= now < end:
                 self.stats["paused_deliveries"] += 1
                 self.buffer.append(msg)
                 return
-        self.handler(msg)
+        self.inner(msg)
 
     def flush(self) -> None:
         pending = self.buffer
         self.buffer = []
-        handler = self.handler
+        inner = self.inner
         for msg in pending:
-            handler(msg)
+            inner(msg)
 
 
 def _merge_windows(windows):
@@ -366,18 +248,8 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def _install_link_faults(self, system, events, token: bool) -> None:
-        links = system.network.all_links()
-        for link in links:
-            if type(link) is not Link:
-                # A JitteredLink (or other subclass) already owns the
-                # link's class; both layers swap __class__, so they
-                # cannot share a link.  (Kernel jitter, drop/dup, and
-                # escalation perturbations compose with faults freely.)
-                raise ValueError(
-                    "link faults cannot be combined with link-level "
-                    f"perturbations ({type(link).__name__} already "
-                    "installed); use kernel jitter instead"
-                )
+        network = system.network
+        links = network.all_links()
         for event in events:
             if event.target >= len(links):
                 raise ValueError(
@@ -385,7 +257,6 @@ class FaultInjector:
                     f"this {system.config.interconnect} has "
                     f"{len(links)} links"
                 )
-        stats = self.stats
         for index, link in enumerate(links):
             down = _merge_windows(
                 (e.start_ns, e.end_ns)
@@ -397,30 +268,22 @@ class FaultInjector:
                 for e in events
                 if e.kind == "link_degrade" and e.target == index
             )
-            link._fault = LinkFaultState(
-                down, degraded, token, stats, self.recorder
-            )
-            link.__class__ = FaultyLink
-        if type(system.network) is TorusInterconnect:
-            system.network.__class__ = FaultyTorus
-        elif type(system.network) is OrderedTreeInterconnect:
-            system.network.__class__ = FaultyTree
-        else:
-            raise ValueError(
-                "link faults need a stock interconnect to take over, "
-                f"not {type(system.network).__name__}"
-            )
+            if down or degraded:
+                LinkFaultState(
+                    down, degraded, token, self.stats, self.recorder
+                ).arm(network, link)
 
     def _install_pauses(self, system, events) -> None:
-        handlers = system.network._handlers
+        network = system.network
         sim = system.sim
-        bad = [e.target for e in events if e.target >= len(handlers)]
+        n_nodes = len(network._handlers)
+        bad = [e.target for e in events if e.target >= n_nodes]
         if bad:
             raise ValueError(
                 f"node_pause targets {bad} out of range for "
-                f"{len(handlers)} nodes"
+                f"{n_nodes} nodes"
             )
-        for node_id in range(len(handlers)):
+        for node_id in range(n_nodes):
             windows = _merge_windows(
                 (e.start_ns, e.end_ns)
                 for e in events
@@ -428,20 +291,15 @@ class FaultInjector:
             )
             if not windows:
                 continue
-            gate = PauseGate(
-                sim, node_id, handlers[node_id], windows, self.stats
-            )
-            handlers[node_id] = gate
+            gate = PauseGate(sim, node_id, windows, self.stats)
+            arm_delivery(network, node_id, gate)
             self.gates.append(gate)
             for _begin, end in windows:
                 sim.post_at(end, gate.flush)
 
     def _install_corruption(self, system, events) -> None:
-        handlers = system.network._handlers
-        sim = system.sim
-        stats = self.stats
-        seed = self.plan.seed
-        for node_id, handler in enumerate(handlers):
+        network = system.network
+        for node_id in range(len(network._handlers)):
             windows = tuple(
                 (e.start_ns, e.end_ns, e.prob)
                 for e in events
@@ -449,33 +307,11 @@ class FaultInjector:
             )
             if not windows:
                 continue
-            rng = derive_rng(seed, "faults", "corrupt", node_id)
-
-            def wrapped(
-                msg,
-                _orig=handler,
-                _random=rng.random,
-                _windows=windows,
-                _sim=sim,
-                _stats=stats,
-                _recorder=self.recorder,
-                _node=node_id,
-            ):
-                if msg.mtype in TRANSIENT_REQUEST_MTYPES:
-                    now = _sim._now
-                    for begin, end, prob in _windows:
-                        if begin <= now < end:
-                            if _random() < prob:
-                                _stats["corrupt_dropped"] += 1
-                                if _recorder is not None:
-                                    _recorder.request_dropped(
-                                        msg.block, msg.requester, _node, now
-                                    )
-                                return
-                            break
-                _orig(msg)
-
-            handlers[node_id] = wrapped
+            rng = derive_rng(self.plan.seed, "faults", "corrupt", node_id)
+            arm_delivery(network, node_id, Corruption(
+                system.sim, node_id, rng.random, windows, self.stats,
+                self.recorder,
+            ))
 
     # ------------------------------------------------------------------
 

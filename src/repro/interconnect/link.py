@@ -37,19 +37,10 @@ class Link:
         "_free_at",
         "_crossings",
         "_record",
-        # Reserved for the adversarial-testing perturbation layer
-        # (repro.testing.perturb).  Never touched by this class; it
-        # exists so a jittering subclass with ``__slots__ = ()`` can be
-        # installed on a live link by ``__class__`` reassignment.
-        "_perturb",
-        # Reserved for the fault-injection layer (repro.faults), same
-        # contract: the base class never reads it, a faulty subclass
-        # with ``__slots__ = ()`` does.
-        "_fault",
-        # Reserved for the observability layer (repro.observe), same
-        # contract: only a traced subclass with ``__slots__ = ()``
-        # reads it.
-        "_observe",
+        # The overlay layer's hook chain (repro.overlay).  Never touched
+        # by this class: arming a hook fills the slot and moves the link
+        # onto ``HookedLink`` (``__slots__ = ()``, identical layout).
+        "_hooks",
     )
 
     def __init__(
@@ -123,3 +114,7 @@ class Link:
         if record is not None:
             record(category, size_bytes)
         return busy_until + self.latency
+
+    def drops(self, msg) -> bool:
+        """Whether a hook drops ``msg`` before it crosses: a stock link never does."""
+        return False

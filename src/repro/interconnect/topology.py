@@ -45,6 +45,12 @@ class Interconnect(abc.ABC):
         # Indexed by node id; None until attached.  A list keeps delivery
         # — the single busiest operation in the simulator — to one index.
         self._handlers: list[MessageHandler | None] = [None] * n_nodes
+        # Set by repro.overlay.arm_link.  Once any link is hooked, fast
+        # paths that inline ``Link.occupy`` give way to per-hop
+        # crossings; once any link has a drop hook, every hop first asks
+        # its link whether it drops the message.
+        self._hooked = False
+        self._dropping = False
 
     def attach(self, node_id: int, handler: MessageHandler) -> None:
         """Register the message handler for ``node_id``."""

@@ -21,6 +21,13 @@ precomputed at broadcast time and every delivery is posted up front —
 serialization is zero, so no intermediate fan-out state can affect the
 timestamps; see :meth:`_broadcast_unlimited` for the (tie-breaking only)
 caveat on seq assignment.
+
+Both fast paths inline ``Link.occupy``, so they serve stock links only.
+Once an overlay arms a hook on any link (:mod:`repro.overlay`),
+broadcast takes the per-hop reference fan-out instead, which (like
+unicast) crosses every hop through ``occupy`` and so runs the link's
+hooks; once any link can drop, every hop first asks its link whether it
+drops the message.
 """
 
 from __future__ import annotations
@@ -168,6 +175,8 @@ class TorusInterconnect(Interconnect):
         self, msg: Message, plan: tuple[tuple[Link, int], ...], hop: int
     ) -> None:
         link, next_node = plan[hop]
+        if self._dropping and link.drops(msg):
+            return
         arrival = link.occupy(msg.size_bytes, msg.category)
         if hop + 1 == len(plan):
             self.sim.post_at(arrival, self._deliver, next_node, msg)
@@ -234,7 +243,7 @@ class TorusInterconnect(Interconnect):
         plan = self._multicast_plans(msg.src)
         if include_self:
             self.sim.post(0.0, self._deliver, msg.src, msg)
-        if self.link_bandwidth is None:
+        if self.link_bandwidth is None and not self._hooked:
             self._broadcast_unlimited(msg)
         else:
             self._fanout_multicast(msg, msg.src, plan)
@@ -245,10 +254,6 @@ class TorusInterconnect(Interconnect):
         at_node: int,
         plan: tuple[tuple[tuple[Link, int], ...], ...],
     ) -> None:
-        # Batched fan-out: claim every child link's serialization slot
-        # inline (same float ops as Link.occupy, serialization hoisted —
-        # all torus links share one bandwidth) and account the traffic in
-        # a single batched call.
         hops = plan[at_node]
         if not hops:
             return
@@ -256,6 +261,19 @@ class TorusInterconnect(Interconnect):
         post_at = sim.post_at
         arrive = self._multicast_arrive
         size = msg.size_bytes
+        if self._hooked:
+            # Per-hop reference fan-out: a dropped hop posts nothing, so
+            # the whole subtree behind it loses the message.
+            category = msg.category
+            dropping = self._dropping
+            for link, child in hops:
+                if not (dropping and link.drops(msg)):
+                    post_at(link.occupy(size, category), arrive, msg, child, plan)
+            return
+        # Batched fan-out: claim every child link's serialization slot
+        # inline (same float ops as Link.occupy, serialization hoisted —
+        # all torus links share one bandwidth) and account the traffic in
+        # a single batched call.
         now = sim._now
         serialization = size / self.link_bandwidth
         latency = self.link_latency

@@ -13,6 +13,12 @@ observes those broadcasts in exactly root order.  A per-node reorder stage
 additionally *enforces* sequence order at delivery, so protocol code may
 rely on the total order unconditionally.  This is the ordering property
 traditional snooping requires (Section 2) and the one the torus lacks.
+
+Every stage crosses its link through ``Link.occupy``, so link hooks
+(:mod:`repro.overlay`) see every hop.  Once any link can drop, each
+stage first asks its link whether it drops the message; only token
+protocols may lose messages, and they never use the ordered vnet, so an
+ordered broadcast can be delayed but never dropped.
 """
 
 from __future__ import annotations
@@ -90,21 +96,31 @@ class OrderedTreeInterconnect(Interconnect):
             # Node-local traffic never leaves the integrated node.
             self.sim.post(0.0, self._deliver, msg.dst, msg)
             return
-        arrival = self._up[msg.src].occupy(msg.size_bytes, msg.category)
+        link = self._up[msg.src]
+        if self._dropping and link.drops(msg):
+            return
+        arrival = link.occupy(msg.size_bytes, msg.category)
         self.sim.post_at(arrival, self._unicast_at_in_switch, msg)
 
     def _unicast_at_in_switch(self, msg: Message) -> None:
         link = self._in_root[msg.src // self.fanout]
+        if self._dropping and link.drops(msg):
+            return
         arrival = link.occupy(msg.size_bytes, msg.category)
         self.sim.post_at(arrival, self._unicast_at_root, msg)
 
     def _unicast_at_root(self, msg: Message) -> None:
         link = self._root_out[msg.dst // self.fanout]
+        if self._dropping and link.drops(msg):
+            return
         arrival = link.occupy(msg.size_bytes, msg.category)
         self.sim.post_at(arrival, self._unicast_at_out_switch, msg)
 
     def _unicast_at_out_switch(self, msg: Message) -> None:
-        arrival = self._down[msg.dst].occupy(msg.size_bytes, msg.category)
+        link = self._down[msg.dst]
+        if self._dropping and link.drops(msg):
+            return
+        arrival = link.occupy(msg.size_bytes, msg.category)
         self.sim.post_at(arrival, self._deliver, msg.dst, msg)
 
     # ------------------------------------------------------------------
@@ -121,11 +137,16 @@ class OrderedTreeInterconnect(Interconnect):
         """
         if msg.vnet == ORDERED_VNET:
             include_self = True
-        arrival = self._up[msg.src].occupy(msg.size_bytes, msg.category)
+        link = self._up[msg.src]
+        if self._dropping and link.drops(msg):
+            return
+        arrival = link.occupy(msg.size_bytes, msg.category)
         self.sim.post_at(arrival, self._broadcast_at_in_switch, msg, include_self)
 
     def _broadcast_at_in_switch(self, msg: Message, include_self: bool) -> None:
         link = self._in_root[msg.src // self.fanout]
+        if self._dropping and link.drops(msg):
+            return
         arrival = link.occupy(msg.size_bytes, msg.category)
         self.sim.post_at(arrival, self._broadcast_at_root, msg, include_self)
 
@@ -137,7 +158,10 @@ class OrderedTreeInterconnect(Interconnect):
         size = msg.size_bytes
         category = msg.category
         at_out = self._broadcast_at_out_switch
+        dropping = self._dropping
         for group, link in enumerate(self._root_out):
+            if dropping and link.drops(msg):
+                continue
             arrival = link.occupy(size, category)
             sim.post_at(arrival, at_out, msg, group, include_self)
 
@@ -150,8 +174,11 @@ class OrderedTreeInterconnect(Interconnect):
         category = msg.category
         arrive = self._arrive_at_node
         src = msg.src
+        dropping = self._dropping
         for node, down in self._members[group]:
             if node == src and not include_self:
+                continue
+            if dropping and down.drops(msg):
                 continue
             arrival = down.occupy(size, category)
             sim.post_at(arrival, arrive, node, msg)

@@ -10,7 +10,7 @@ block and time.
 * :mod:`repro.lineage.record` — the recorder (append-only event log +
   live position model);
 * :mod:`repro.lineage.contract` — the token outcome contract oracle;
-* :mod:`repro.lineage.hooks` — zero-cost ``__class__``-swap install;
+* :mod:`repro.lineage.hooks` — install through the overlay layer;
 * :mod:`repro.lineage.store` — indexed on-disk store;
 * :mod:`repro.lineage.query` — custody queries
   (``python -m repro.lineage "where was block 0x40's owner token at
@@ -18,7 +18,7 @@ block and time.
 """
 
 from .contract import LineageContractError, check_outcome_contract
-from .hooks import install_recorder, is_installed, lineage_class
+from .hooks import install_recorder, is_installed
 from .record import EVENT_FIELDS, TERMINAL_KINDS, LineageRecorder
 from .store import LineageStore
 
@@ -30,6 +30,5 @@ __all__ = [
     "check_outcome_contract",
     "install_recorder",
     "is_installed",
-    "lineage_class",
     "LineageStore",
 ]

@@ -1,148 +1,23 @@
-"""Zero-cost custody hooks, installed by ``__class__`` swap.
+"""Custody hooks, armed through the overlay layer (:mod:`repro.overlay`).
 
-Same trick as ``force_escalation`` perturbation and ``faults/inject.py``:
-a recorder-enabled system swaps each node's class to a dynamically
-created ``Lineage<Protocol>Node`` whose methods record the custody
-event, then fall through into the untouched protocol code.  A system
-that never installs the recorder runs byte-identical code — no flag
-checks anywhere on the hot path.
-
-Two wrinkles the other swaps don't hit:
-
-* CPython only allows ``__class__`` assignment onto a *single-base*
-  subclass (a mixin base — even slot-less — changes the layout
-  fingerprint), so the hook methods are generated per protocol class
-  with the overridden method captured in a closure, exactly what a
-  mixin's ``super()`` call would have resolved to.
-* ``TokenNodeBase.__init__`` hoists a message-dispatch dict of *bound
-  methods* (``self._dispatch``), so a post-init class swap does not by
-  itself reroute TOKEN_DATA/TOKEN_ONLY/PACT through the hooks.  The
-  installer therefore calls :meth:`TokenNodeBase._rebind_dispatch`
-  after each swap to re-resolve those entries against the new class
-  (the GETS/GETM fast-path closure is left alone — the hooks do not
-  override transient handling).
+Installing the recorder moves every node onto its ``Hooked<Protocol>``
+class and hands it the recorder as ``_lineage``; the hook methods record
+each custody event (mint, send, receive, merge, transaction done,
+persistent-request and reissue landmarks), then fall through into the
+untouched protocol code.  A system that never installs the recorder
+runs byte-identical code — no flag checks anywhere on the hot path —
+and an armed system still pickles, so lineage runs snapshot and fork.
 """
 
 from __future__ import annotations
 
+from repro.overlay import arm_object
+
 from .record import LineageRecorder
-
-#: Token-carrying message types (the custody-relevant traffic).
-_TOKEN_MTYPES = ("TOKEN_DATA", "TOKEN_ONLY")
-
-
-def _make_hook_namespace(cls: type) -> dict:
-    """Hook methods for a ``Lineage<cls>`` subclass.
-
-    Each captures ``cls``'s implementation as a default argument — the
-    method a mixin-style ``super()`` would have dispatched to — records
-    the custody event on ``self._lineage``, and falls through.
-    """
-
-    def send_msg(self, msg, _base=cls.send_msg):
-        if msg.mtype in _TOKEN_MTYPES:
-            self._lineage.sent(
-                msg.block, self.node_id, msg.dst, msg.tokens,
-                msg.owner_token, msg.msg_id, self.sim.now,
-            )
-        _base(self, msg)
-
-    def _handle_tokens(self, msg, _base=cls._handle_tokens):
-        self._lineage.received(
-            msg.block, self.node_id, msg.tokens, msg.owner_token,
-            msg.msg_id, self.sim.now,
-        )
-        _base(self, msg)
-
-    def _absorb_into_cache(self, msg, _base=cls._absorb_into_cache):
-        self._lineage.merged(
-            msg.block, self.node_id, "cache", msg.tokens, msg.owner_token,
-            self.sim.now,
-        )
-        _base(self, msg)
-
-    def _absorb_into_memory(self, msg, _base=cls._absorb_into_memory):
-        self._lineage.merged(
-            msg.block, self.node_id, "memory", msg.tokens, msg.owner_token,
-            self.sim.now,
-        )
-        _base(self, msg)
-
-    def _memory_state(self, block, _base=cls._memory_state):
-        fresh = block not in self._memory
-        mem = _base(self, block)
-        if fresh:
-            self._lineage.mint(block, self.node_id, self.sim.now)
-        return mem
-
-    def _complete_token_transaction(
-        self, entry, _base=cls._complete_token_transaction
-    ):
-        self._lineage.transaction_complete(
-            entry.block, self.node_id, self.sim.now
-        )
-        _base(self, entry)
-
-    def invoke_persistent_request(
-        self, entry, _base=cls.invoke_persistent_request
-    ):
-        fresh = entry.block not in self._my_persistent
-        _base(self, entry)
-        if fresh and entry.block in self._my_persistent:
-            self._lineage.note(
-                entry.block, "persistent-request", self.node_id, self.sim.now
-            )
-
-    def _handle_activation(self, msg, _base=cls._handle_activation):
-        if msg.requester == self.node_id:
-            self._lineage.note(
-                msg.block, "persistent-activate", self.node_id,
-                self.sim.now, peer=msg.src,
-            )
-        _base(self, msg)
-
-    namespace = {
-        "_lineage_hooked": True,
-        "send_msg": send_msg,
-        "_handle_tokens": _handle_tokens,
-        "_absorb_into_cache": _absorb_into_cache,
-        "_absorb_into_memory": _absorb_into_memory,
-        "_memory_state": _memory_state,
-        "_complete_token_transaction": _complete_token_transaction,
-        "invoke_persistent_request": invoke_persistent_request,
-        "_handle_activation": _handle_activation,
-    }
-
-    base_transient = getattr(cls, "_send_transient", None)
-    if base_transient is not None:
-        # TokenB-family only: mark reissue broadcasts as custody-chain
-        # landmarks (the query CLI shows them around a time window).
-        def _send_transient(self, entry, category, _base=base_transient):
-            if category == "reissue":
-                self._lineage.note(
-                    entry.block, "reissue", self.node_id, self.sim.now
-                )
-            _base(self, entry, category)
-
-        namespace["_send_transient"] = _send_transient
-
-    return namespace
-
-
-_LINEAGE_CLASSES: dict[type, type] = {}
-
-
-def lineage_class(cls: type) -> type:
-    """The cached ``Lineage<cls>`` dynamic subclass."""
-    sub = _LINEAGE_CLASSES.get(cls)
-    if sub is None:
-        sub = type(f"Lineage{cls.__name__}", (cls,), _make_hook_namespace(cls))
-        _LINEAGE_CLASSES[cls] = sub
-    return sub
 
 
 def install_recorder(system, recorder: LineageRecorder | None = None):
-    """Swap every node of ``system`` onto the lineage hooks.
+    """Arm every node of ``system`` with the custody hooks.
 
     Returns the shared recorder (created if not supplied) and publishes
     it as ``system.lineage``.  Token protocols only — custody chains are
@@ -160,9 +35,7 @@ def install_recorder(system, recorder: LineageRecorder | None = None):
             n_nodes=system.config.n_procs,
         )
     for node in system.nodes:
-        node._lineage = recorder
-        node.__class__ = lineage_class(type(node))
-        node._rebind_dispatch()
+        arm_object(node, _lineage=recorder)
     system.lineage = recorder
     return recorder
 
@@ -171,4 +44,4 @@ def is_installed(system) -> bool:
     return isinstance(getattr(system, "lineage", None), LineageRecorder)
 
 
-__all__ = ["lineage_class", "install_recorder", "is_installed"]
+__all__ = ["install_recorder", "is_installed"]

@@ -1,9 +1,9 @@
 """Opt-in observability: timeline tracing, histograms, self-profiling.
 
-The layer follows the repo's zero-cost instrumentation contract
-(:mod:`repro.lineage.hooks`, :mod:`repro.faults.inject`): a system that
-never calls :func:`install_tracing` executes pristine classes with no
-flag checks anywhere, and an armed run is *observationally identical* —
+The layer arms the shared overlay hooks (:mod:`repro.overlay`) under
+the repo's zero-cost instrumentation contract: a system that never
+calls :func:`install_tracing` executes pristine classes with no flag
+checks anywhere, and an armed run is *observationally identical* —
 same events, same timestamps, same results — because every hook records
 synchronously inside existing events and then falls through.
 

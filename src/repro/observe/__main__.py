@@ -58,17 +58,18 @@ def _scenario(args, protocol: str):
     )
 
 
+def _armed(scenario):
+    """The scenario's system with every overlay but tracing installed."""
+    import dataclasses
+
+    from repro.testing.explore import _armed_system
+
+    return _armed_system(dataclasses.replace(scenario, observe=False))[0]
+
+
 def _traced_run(scenario, epoch_ns=None):
     """Build, arm, and run; returns (result, recorder)."""
-    from repro.faults import FaultInjector
-    from repro.system.builder import build_system
-    from repro.testing.explore import _build_config, _generate_streams
-
-    config = _build_config(scenario)
-    streams = _generate_streams(scenario, config)
-    system = build_system(config, streams, workload_name=scenario.workload)
-    if scenario.faults.any_active():
-        FaultInjector(scenario.faults).install(system)
+    system = _armed(scenario)
     recorder = install_tracing(
         system,
         epoch_ns=epoch_ns,
@@ -120,17 +121,10 @@ def cmd_diff(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from repro.faults import FaultInjector
     from repro.sim.kernel import install_profiler
-    from repro.testing.explore import _build_config, _generate_streams
-    from repro.system.builder import build_system
 
     scenario = _scenario(args, args.protocol)
-    config = _build_config(scenario)
-    streams = _generate_streams(scenario, config)
-    system = build_system(config, streams, workload_name=scenario.workload)
-    if scenario.faults.any_active():
-        FaultInjector(scenario.faults).install(system)
+    system = _armed(scenario)
     profile = install_profiler(system.sim)
     result = system.run(max_events=scenario.max_events)
     print(f"{scenario.label()}: runtime {result.runtime_ns:.0f} ns")

@@ -1,19 +1,9 @@
-"""Zero-cost tracing hooks, installed by ``__class__`` swap.
+"""Tracing hooks, armed through the overlay layer (:mod:`repro.overlay`).
 
-Same discipline as :mod:`repro.lineage.hooks` and
-:mod:`repro.faults.inject`: each hooked object is swapped onto a
-dynamically created *single-base* subclass whose methods record into the
-shared :class:`~repro.observe.trace.TraceRecorder` and fall through into
-the implementation they displaced (captured as a default argument — what
-a mixin's ``super()`` would have resolved to).  A system that never
-installs tracing executes pristine classes.
-
-Tracing composes on top of every other layer and therefore installs
-**last**: the subclasses are derived from each object's *current* class,
-so a FaultyLink or a force-escalation node keeps its behaviour and
-merely gains recording.  (The fault injector, by contrast, demands stock
-classes at its own install time — install order is faults/perturbations
-first, tracing last.)
+Tracing composes with every other overlay in any install order: it adds
+recorders to the same hook points the perturbation, fault and lineage
+layers use, so a jittered, faulted or lineage-recording system gains
+recording without losing behaviour, and stays picklable.
 
 What gets hooked, and why it cannot perturb the run:
 
@@ -21,276 +11,49 @@ What gets hooked, and why it cannot perturb the run:
   ``send_msg`` / ``broadcast_msg`` (send instants + flow origins), and
   on token protocols ``invoke_persistent_request`` /
   ``_handle_activation`` / ``_send_transient`` (escalation marks).
-  Every hook records synchronously, then calls the captured base.
-  ``TokenNodeBase`` hoists a bound-method dispatch table, so the
-  installer re-binds it after the swap.
+  Every hook records synchronously, then calls the node's own method.
 * **Sequencers** — ``_miss_complete`` records the exact per-miss
   latency into the recorder's histogram before completing the op.
-* **Links** — ``occupy`` records the serialization-slot span it just
-  claimed (timestamps read back from the base call's effects).
-* **Stock torus** — the batched multicast fan-out and the unlimited-
-  bandwidth broadcast bypass ``Link.occupy`` by design, so a stock
-  :class:`~repro.interconnect.torus.TorusInterconnect` is swapped onto
-  a traced subclass replicating both fast paths instruction-for-
-  instruction (same posts, same float arithmetic, same traffic batch
-  call) with recording added.  The faulty torus and both trees route
-  every hop through ``occupy``, so traced links already cover them.
-* **Delivery** — handlers in ``network._handlers`` are bound at node
-  construction, so a class swap cannot reroute them; like the fault
-  layer's pause gates, the installer wraps the current handler entries
-  (on top of any gate) to record delivery instants, sample kernel queue
-  depth, and drive the epoch time-series sampler.  The wrapper runs
-  inside the existing delivery event — no kernel events are added
-  anywhere, which is why an armed run's ``events_fired`` and results
-  are bit-identical to an unarmed one (pinned by the determinism
-  suite).
+* **Links** — an ``on_hop`` link hook records the serialization-slot
+  span each crossing claimed.  Hooked links move the interconnect onto
+  its per-hop reference fan-out, which posts the same events at the same
+  times as the batched fast paths it replaces (the determinism goldens
+  pin this), so every crossing is seen.
+* **Delivery** — the outermost delivery hook records delivery instants,
+  samples kernel queue depth, and drives the epoch time-series sampler,
+  all inside the existing delivery event.
+
+No hook posts a kernel event, which is why an armed run's
+``events_fired`` and results are bit-identical to an unarmed one.
 """
 
 from __future__ import annotations
 
 from repro.observe.trace import TraceRecorder
-
-_TRACED_NODE_CLASSES: dict[type, type] = {}
-_TRACED_SEQ_CLASSES: dict[type, type] = {}
-_TRACED_LINK_CLASSES: dict[type, type] = {}
-_TRACED_TORUS_CLASSES: dict[type, type] = {}
+from repro.overlay import DeliveryHook, arm_delivery, arm_link, arm_object
 
 
-# ----------------------------------------------------------------------
-# Node hooks
-# ----------------------------------------------------------------------
+class TraceDelivery(DeliveryHook):
+    """Outermost delivery hook: records each message as it arrives."""
 
+    stage = "trace"
+    __slots__ = ("sim", "node_id", "delivered", "record_depth", "sample_clock")
 
-def _make_node_namespace(cls: type) -> dict:
-    def start_miss(self, block, for_write, on_complete, _base=cls.start_miss):
-        if self.mshrs.get(block) is None:
-            self._observe.miss_started(
-                self.sim.now, self.node_id, block, for_write
-            )
-        return _base(self, block, for_write, on_complete)
+    def __init__(self, sim, node_id: int, recorder: TraceRecorder) -> None:
+        self.sim = sim
+        self.node_id = node_id
+        self.delivered = recorder.delivered
+        self.record_depth = recorder.queue_depth.record
+        self.sample_clock = recorder.sample_clock if recorder.epoch_ns else None
 
-    def _finish_mshr(self, entry, _base=cls._finish_mshr):
-        self._observe.miss_finished(self.sim.now, self.node_id, entry.block)
-        _base(self, entry)
-
-    def send_msg(self, msg, _base=cls.send_msg):
-        self._observe.sent(self.sim.now, self.node_id, msg)
-        _base(self, msg)
-
-    def broadcast_msg(self, msg, include_self=False, _base=cls.broadcast_msg):
-        self._observe.sent(self.sim.now, self.node_id, msg)
-        _base(self, msg, include_self)
-
-    namespace = {
-        "_observe_hooked": True,
-        "start_miss": start_miss,
-        "_finish_mshr": _finish_mshr,
-        "send_msg": send_msg,
-        "broadcast_msg": broadcast_msg,
-    }
-
-    base_invoke = getattr(cls, "invoke_persistent_request", None)
-    if base_invoke is not None:
-        # Token protocols: landmark instants on the starvation path.
-        def invoke_persistent_request(self, entry, _base=base_invoke):
-            fresh = entry.block not in self._my_persistent
-            _base(self, entry)
-            if fresh and entry.block in self._my_persistent:
-                self._observe.mark(
-                    self.sim.now, self.node_id, "persistent-request",
-                    entry.block,
-                )
-
-        namespace["invoke_persistent_request"] = invoke_persistent_request
-
-    base_activation = getattr(cls, "_handle_activation", None)
-    if base_activation is not None:
-        def _handle_activation(self, msg, _base=base_activation):
-            if msg.requester == self.node_id:
-                self._observe.mark(
-                    self.sim.now, self.node_id, "persistent-activate",
-                    msg.block,
-                )
-            _base(self, msg)
-
-        namespace["_handle_activation"] = _handle_activation
-
-    base_transient = getattr(cls, "_send_transient", None)
-    if base_transient is not None:
-        def _send_transient(self, entry, category, _base=base_transient):
-            if category == "reissue":
-                self._observe.mark(
-                    self.sim.now, self.node_id, "reissue", entry.block
-                )
-            _base(self, entry, category)
-
-        namespace["_send_transient"] = _send_transient
-
-    return namespace
-
-
-def traced_node_class(cls: type) -> type:
-    sub = _TRACED_NODE_CLASSES.get(cls)
-    if sub is None:
-        sub = type(f"Traced{cls.__name__}", (cls,), _make_node_namespace(cls))
-        _TRACED_NODE_CLASSES[cls] = sub
-    return sub
-
-
-# ----------------------------------------------------------------------
-# Sequencer hook (exact miss latency)
-# ----------------------------------------------------------------------
-
-
-def _make_sequencer_namespace(cls: type) -> dict:
-    def _miss_complete(
-        self, op, block, version, issue_version, started,
-        _base=cls._miss_complete,
-    ):
-        self._observe.miss_latency.record(self.sim.now - started)
-        _base(self, op, block, version, issue_version, started)
-
-    return {"_observe_hooked": True, "_miss_complete": _miss_complete}
-
-
-def traced_sequencer_class(cls: type) -> type:
-    sub = _TRACED_SEQ_CLASSES.get(cls)
-    if sub is None:
-        sub = type(
-            f"Traced{cls.__name__}", (cls,), _make_sequencer_namespace(cls)
-        )
-        _TRACED_SEQ_CLASSES[cls] = sub
-    return sub
-
-
-# ----------------------------------------------------------------------
-# Link hook (serialization-slot spans)
-# ----------------------------------------------------------------------
-
-
-def _make_link_namespace(cls: type) -> dict:
-    def occupy(self, size_bytes, category, _base=cls.occupy):
-        # Read the slot state before the base claims it, so the span is
-        # reconstructed from the exact values the base computed (a
-        # faulty/jittered base may stretch or queue the crossing; its
-        # _free_at after the call is the truth either way).
-        now = self.sim._now
-        free_before = self._free_at
-        arrival = _base(self, size_bytes, category)
-        start = now if now >= free_before else free_before
-        self._observe.hop(start, self._free_at, self.name, category,
-                          size_bytes)
-        return arrival
-
-    # ``Link`` is slotted; a dynamic subclass must stay layout-compatible
-    # for live ``__class__`` reassignment, so no __dict__ here.
-    return {"__slots__": (), "_observe_hooked": True, "occupy": occupy}
-
-
-def traced_link_class(cls: type) -> type:
-    sub = _TRACED_LINK_CLASSES.get(cls)
-    if sub is None:
-        sub = type(f"Traced{cls.__name__}", (cls,), _make_link_namespace(cls))
-        _TRACED_LINK_CLASSES[cls] = sub
-    return sub
-
-
-# ----------------------------------------------------------------------
-# Stock-torus fast paths (they bypass Link.occupy by design)
-# ----------------------------------------------------------------------
-
-
-def _make_torus_namespace(cls: type) -> dict:
-    def _fanout_multicast(self, msg, at_node, plan,
-                          _base=cls._fanout_multicast):
-        # Replicates the base batched fan-out exactly (same posts, same
-        # float arithmetic, same batched traffic call) while recording
-        # each claimed serialization slot; ``_base`` is kept only so the
-        # displaced implementation stays reachable for audits.
-        del _base
-        hops = plan[at_node]
-        if not hops:
-            return
+    def deliver(self, msg) -> None:
         sim = self.sim
-        post_at = sim.post_at
-        arrive = self._multicast_arrive
-        size = msg.size_bytes
         now = sim._now
-        serialization = size / self.link_bandwidth
-        latency = self.link_latency
-        category = msg.category
-        record_hop = self._observe.hop
-        for link, child in hops:
-            free = link._free_at
-            start = now if now >= free else free
-            busy_until = start + serialization
-            link._free_at = busy_until
-            link._crossings += 1
-            record_hop(start, busy_until, link.name, category, size)
-            post_at(busy_until + latency, arrive, msg, child, plan)
-        self.traffic.record_crossings(category, size, len(hops))
-
-    def _broadcast_unlimited(self, msg, _base=cls._broadcast_unlimited):
-        # Same contract: identical posts and arrival-chain arithmetic as
-        # the base, plus zero-duration hop records (serialization is
-        # zero with unlimited bandwidth, so a slot is never held).
-        del _base
-        flat, max_depth = self._flat_plan[msg.src]
-        sim = self.sim
-        post_at = sim.post_at
-        deliver = self._deliver
-        latency = self.link_latency
-        arrivals = []
-        a = sim._now
-        origin = a
-        for _ in range(max_depth):
-            hop = a + latency
-            a = a + (hop - a)
-            arrivals.append(a)
-        size = msg.size_bytes
-        category = msg.category
-        record_hop = self._observe.hop
-        for depth, node, link in flat:
-            link._crossings += 1
-            start = origin if depth == 1 else arrivals[depth - 2]
-            record_hop(start, start, link.name, category, size)
-            post_at(arrivals[depth - 1], deliver, node, msg)
-        self.traffic.record_crossings(category, size, len(flat))
-
-    return {
-        "_observe_hooked": True,
-        "_fanout_multicast": _fanout_multicast,
-        "_broadcast_unlimited": _broadcast_unlimited,
-    }
-
-
-def traced_torus_class(cls: type) -> type:
-    sub = _TRACED_TORUS_CLASSES.get(cls)
-    if sub is None:
-        sub = type(f"Traced{cls.__name__}", (cls,), _make_torus_namespace(cls))
-        _TRACED_TORUS_CLASSES[cls] = sub
-    return sub
-
-
-# ----------------------------------------------------------------------
-# Delivery wrapping + installation
-# ----------------------------------------------------------------------
-
-
-def _traced_handler(sim, recorder, node_id, handler):
-    delivered = recorder.delivered
-    record_depth = recorder.queue_depth.record
-    sample_clock = recorder.sample_clock if recorder.epoch_ns else None
-
-    def traced_delivery(msg):
-        now = sim._now
-        delivered(now, node_id, msg)
-        record_depth(sim.pending_events)
-        if sample_clock is not None:
-            sample_clock(now)
-        handler(msg)
-
-    return traced_delivery
+        self.delivered(now, self.node_id, msg)
+        self.record_depth(sim.pending_events)
+        if self.sample_clock is not None:
+            self.sample_clock(now)
+        self.inner(msg)
 
 
 def install_tracing(
@@ -301,12 +64,9 @@ def install_tracing(
 ) -> TraceRecorder:
     """Arm ``system`` with timeline tracing; returns the recorder.
 
-    Must be the *last* layer installed (after mutants, perturbations,
-    and fault injection — those layers verify stock classes at their
-    own install time and would refuse traced ones).  ``epoch_ns`` arms
-    the time-series sampler; ``fault_plan`` copies the scheduled fault
-    windows onto the trace for rendering.  Publishes the recorder as
-    ``system.observe``.
+    ``epoch_ns`` arms the time-series sampler; ``fault_plan`` copies the
+    scheduled fault windows onto the trace for rendering.  Publishes the
+    recorder as ``system.observe``.
     """
     if system.observe is not None:
         raise ValueError("tracing is already installed on this system")
@@ -316,30 +76,13 @@ def install_tracing(
     if fault_plan is not None:
         recorder.note_fault_windows(fault_plan)
 
-    for node in system.nodes:
-        node._observe = recorder
-        node.__class__ = traced_node_class(type(node))
-        if hasattr(node, "_rebind_dispatch"):
-            node._rebind_dispatch()
-    for sequencer in system.sequencers:
-        sequencer._observe = recorder
-        sequencer.__class__ = traced_sequencer_class(type(sequencer))
+    for obj in (*system.nodes, *system.sequencers):
+        arm_object(obj, _observe=recorder)
     network = system.network
     for link in network.all_links():
-        link._observe = recorder
-        link.__class__ = traced_link_class(type(link))
-
-    from repro.interconnect.torus import TorusInterconnect
-
-    if type(network) is TorusInterconnect:
-        network._observe = recorder
-        network.__class__ = traced_torus_class(TorusInterconnect)
-
-    sim = system.sim
-    handlers = network._handlers
-    for node_id, handler in enumerate(handlers):
-        if handler is not None:
-            handlers[node_id] = _traced_handler(sim, recorder, node_id, handler)
+        arm_link(network, link, on_hop=recorder.hop)
+    for node_id in range(len(network._handlers)):
+        arm_delivery(network, node_id, TraceDelivery(system.sim, node_id, recorder))
 
     system.observe = recorder
     return recorder
@@ -349,11 +92,4 @@ def is_installed(system) -> bool:
     return isinstance(getattr(system, "observe", None), TraceRecorder)
 
 
-__all__ = [
-    "install_tracing",
-    "is_installed",
-    "traced_node_class",
-    "traced_sequencer_class",
-    "traced_link_class",
-    "traced_torus_class",
-]
+__all__ = ["install_tracing", "is_installed"]

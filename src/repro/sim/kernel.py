@@ -37,6 +37,7 @@ Example:
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from time import perf_counter
 from typing import Any, Callable
 
 from repro.sim.events import Event
@@ -76,8 +77,8 @@ class Simulator:
         # perturbing subclass with ``__slots__ = ()`` be installed by
         # ``__class__`` reassignment on a live simulator.
         "_perturb",
-        # Reserved for the self-profiling layer (install_profiler below),
-        # same contract: only ProfilingSimulator reads it.
+        # The self-profiler (install_profiler below): None, or the
+        # KernelProfile that the bounded run loop times dispatches into.
         "_profile",
     )
 
@@ -92,6 +93,7 @@ class Simulator:
         self._events_fired: int = 0
         self._running = False
         self._cancelled_pending = 0
+        self._profile = None
 
     @property
     def now(self) -> float:
@@ -184,6 +186,7 @@ class Simulator:
         keys, so subsequent pops are identical to the uncompacted heap's.
         """
         heap = self._heap
+        before = len(heap)
         heap[:] = [
             entry
             for entry in heap
@@ -191,6 +194,10 @@ class Simulator:
         ]
         heapify(heap)
         self._cancelled_pending = 0
+        profile = self._profile
+        if profile is not None:
+            profile.compactions += 1
+            profile.compacted_entries += before - len(heap)
 
     # ------------------------------------------------------------------
     # Execution
@@ -203,14 +210,20 @@ class Simulator:
             until: If given, stop once the next event would fire after this
                 time (the clock is advanced to ``until``).
             max_events: Safety valve for tests; raise if exceeded.
+
+        An installed profiler (:func:`install_profiler`) runs on the
+        bounded loop, which times each dispatch; the unbounded hot loop
+        carries no profiling checks.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
         heap = self._heap
         fired = self._events_fired
+        profile = self._profile
+        run_started = perf_counter() if profile is not None else 0.0
         try:
-            if until is None and max_events is None:
+            if until is None and max_events is None and profile is None:
                 # Hot loop: no bound checks, locals only.
                 while heap:
                     time, _seq, callback, args = heappop(heap)
@@ -229,6 +242,9 @@ class Simulator:
                     fired += 1
                     callback(*args)
                 return
+            if profile is not None:
+                categories = profile.categories
+                sample_depth = profile.heap_depth.record
             while heap:
                 if until is not None and heap[0][0] > until:
                     self._now = until
@@ -250,12 +266,26 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events} at t={self._now}"
                     )
+                if profile is None:
+                    callback(*args)
+                    continue
+                if not fired % _PROFILE_SAMPLE_EVERY:
+                    sample_depth(len(heap))
+                category = _callback_category(callback)
+                cell = categories.get(category)
+                if cell is None:
+                    cell = categories[category] = [0, 0.0]
+                started = perf_counter()
                 callback(*args)
+                cell[1] += perf_counter() - started
+                cell[0] += 1
             if until is not None and until > self._now:
                 self._now = until
         finally:
             self._events_fired = fired
             self._running = False
+            if profile is not None:
+                profile.wall_s += perf_counter() - run_started
 
     def step(self) -> bool:
         """Fire exactly one (non-cancelled) event.
@@ -283,7 +313,7 @@ class Simulator:
 
 
 # ----------------------------------------------------------------------
-# Self-profiling (opt-in, installed by __class__ swap)
+# Self-profiling (opt-in: install_profiler)
 # ----------------------------------------------------------------------
 
 #: Heap depth is sampled once per this many fired events.
@@ -312,9 +342,8 @@ class KernelProfile:
     :data:`_PROFILE_SAMPLE_EVERY` events into a :class:`Histogram`
     (imported lazily — :mod:`repro.sim.stats` has no kernel
     dependency), and every compaction records how many entries it
-    dropped.  This is the measurement the PDES partitioning work needs:
-    which callbacks dominate, and how deep the shared heap actually
-    runs.
+    dropped: which callbacks dominate, and how deep the shared heap
+    actually runs.
     """
 
     __slots__ = (
@@ -364,91 +393,19 @@ class KernelProfile:
         return "\n".join(lines)
 
 
-class ProfilingSimulator(Simulator):
-    """Simulator whose run loop attributes wall time per callback.
-
-    Not the hot loop: every pop pays two ``perf_counter`` reads and a
-    category lookup, which is exactly the overhead
-    ``bench_observe_overhead.py`` measures.  Outputs are untouched —
-    events fire in the same order at the same times, and the profiler
-    adds no kernel events — so a profiled run's results are
-    bit-identical to an unprofiled one.
-    """
-
-    __slots__ = ()
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        from time import perf_counter
-
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
-        profile = self._profile
-        categories = profile.categories
-        sample_depth = profile.heap_depth.record
-        heap = self._heap
-        fired = self._events_fired
-        run_started = perf_counter()
-        try:
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    self._now = until
-                    return
-                entry = heappop(heap)
-                args = entry[3]
-                if args is not None:
-                    callback = entry[2]
-                else:
-                    event = entry[2]
-                    if event.cancelled:
-                        self._cancelled_pending -= 1
-                        continue
-                    event._sim = None  # fired: late cancels don't count
-                    callback, args = event.callback, event.args
-                self._now = entry[0]
-                fired += 1
-                if max_events is not None and fired > max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} at t={self._now}"
-                    )
-                if not fired % _PROFILE_SAMPLE_EVERY:
-                    sample_depth(len(heap))
-                category = _callback_category(callback)
-                entry = categories.get(category)
-                if entry is None:
-                    entry = categories[category] = [0, 0.0]
-                started = perf_counter()
-                callback(*args)
-                entry[1] += perf_counter() - started
-                entry[0] += 1
-            if until is not None and until > self._now:
-                self._now = until
-        finally:
-            self._events_fired = fired
-            self._running = False
-            profile.wall_s += perf_counter() - run_started
-
-    def _compact(self) -> None:
-        profile = self._profile
-        before = len(self._heap)
-        Simulator._compact(self)
-        profile.compactions += 1
-        profile.compacted_entries += before - len(self._heap)
-
-
 def install_profiler(sim: Simulator) -> KernelProfile:
-    """Swap ``sim`` onto the profiling run loop; returns the profile.
+    """Arm ``sim`` with per-callback timing; returns the profile.
 
-    Requires a stock :class:`Simulator`: layers that take over the
-    kernel by ``__class__`` swap (e.g. the perturbation layer) cannot
-    share the object, mirroring the fault injector's link rule.
+    Profiling is a slot the run loop reads, not a class, so it composes
+    with any other overlay (kernel jitter included).  Outputs are
+    untouched — events fire in the same order at the same times, and
+    the profiler adds no kernel events — so a profiled run's results are
+    bit-identical to an unprofiled one.  Every dispatch pays two
+    ``perf_counter`` reads and a category lookup, which is the overhead
+    ``bench_observe_overhead.py`` measures.
     """
-    if type(sim) is not Simulator:
-        raise ValueError(
-            "profiler needs a stock Simulator to take over, not "
-            f"{type(sim).__name__}"
-        )
+    if sim._profile is not None:
+        raise ValueError("a profiler is already installed on this simulator")
     profile = KernelProfile()
     sim._profile = profile
-    sim.__class__ = ProfilingSimulator
     return profile

@@ -19,24 +19,15 @@ is deliberately closure-free — the one historical exception, the
 sequencer's miss-completion continuation, is a ``functools.partial``
 for exactly this reason.
 
+Every overlay arms the system through :mod:`repro.overlay`, whose hooks
+are module-level classes and whose hooked node classes resolve by name,
+so jitter, faults, tracing and lineage all ride along in the pickle.
 What cannot be captured is *refused up front* with
-:class:`SnapshotUnsupportedError` naming the offending overlay.  The
-refusal boundary is the set of overlays that install locally-defined
-functions or dynamically-created classes:
-
-* the token-lineage recorder (``repro.lineage``) — dynamic recorder
-  subclasses plus network-handler closures;
-* timeline tracing (``repro.observe``) — dynamically subclassed traced
-  classes;
-* perturbation drop/dup wrappers and forced-escalation wrappers
-  (``repro.testing.perturb``) — per-handler closures (plain kernel and
-  link *jitter* is fully supported: its hooks are bound RNG methods);
-* fault-plan message corruption (``repro.faults``) — a handler closure
-  (link flaps, degrades, and node pauses are supported: their state
-  lives in module-level classes);
-* closure-based mutants (``repro.testing.mutants``) — instance-method
-  patches capturing enclosing state (the module-function mutants in
-  ``PICKLABLE_MUTANTS`` are supported).
+:class:`SnapshotUnsupportedError`, by a generic check rather than by
+overlay: locally-defined functions (closure-based mutants in
+``repro.testing.mutants``; the module-function mutants in
+``PICKLABLE_MUTANTS`` are fine), classes that do not resolve by name,
+and generator operation streams.
 """
 
 from __future__ import annotations
@@ -69,10 +60,10 @@ def _gc_paused():
 class SnapshotUnsupportedError(RuntimeError):
     """The system carries state the snapshot layer cannot serialize.
 
-    Raised *before* any pickling is attempted when a known-unpicklable
-    overlay is detected, and as a wrapper if pickling itself fails on
+    Raised *before* any pickling is attempted when known-unpicklable
+    state is detected, and as a wrapper if pickling itself fails on
     something the pre-checks did not anticipate.  The message names the
-    offending overlay so a scenario author knows which arm to drop.
+    offending object so a scenario author knows which arm to drop.
     """
 
 
@@ -92,9 +83,8 @@ def _is_local_function(obj) -> bool:
 def _resolves_to_itself(cls: type) -> bool:
     """Whether ``cls`` is importable by its qualified name.
 
-    Dynamically created classes (``type(...)`` — the lineage/observe
-    ``__class__``-swap caches) are not attributes of their module, so
-    pickle cannot reference them.
+    Classes built with ``type(...)`` and never published in their
+    module cannot be pickled by reference.
     """
     obj = sys.modules.get(cls.__module__)
     for part in cls.__qualname__.split("."):
@@ -106,36 +96,23 @@ def _resolves_to_itself(cls: type) -> bool:
 
 def _unsupported_reasons(system) -> list[str]:
     """Every reason this system cannot be snapshotted (empty = fine)."""
-    reasons: list[str] = []
-    if getattr(system, "lineage", None) is not None:
-        reasons.append(
-            "token-lineage recorder is armed (dynamic recorder classes "
-            "and handler closures do not pickle)"
-        )
-    if getattr(system, "observe", None) is not None:
-        reasons.append(
-            "timeline tracing is armed (dynamically subclassed traced "
-            "classes do not pickle)"
-        )
+    from repro.overlay import delivery_chain
 
-    for label, obj in (
-        ("simulator", system.sim),
-        ("interconnect", system.network),
-    ):
-        if not _resolves_to_itself(type(obj)):
+    reasons: list[str] = []
+    for obj in (system.sim, system.network, *system.nodes,
+                *system.sequencers, system.lineage, system.observe):
+        if obj is not None and not _resolves_to_itself(type(obj)):
             reasons.append(
-                f"{label} class {type(obj).__name__} is dynamically "
-                "created and cannot be pickled by reference"
+                f"{type(obj).__name__} is a dynamically created class "
+                "and cannot be pickled by reference"
             )
 
-    handlers = system.network._handlers
-    values = handlers.values() if isinstance(handlers, dict) else handlers
-    for handler in values:
+    for node_id in range(len(system.network._handlers)):
+        hooks, handler = delivery_chain(system.network, node_id)
         if _is_local_function(handler):
             reasons.append(
-                "a network delivery handler is a locally-defined "
-                "function (perturbation drop/dup wrappers, fault-plan "
-                "corruption, or a closure-based mutant)"
+                f"node {node_id}'s delivery handler is a locally-defined "
+                "function (a closure-based mutant)"
             )
             break
 
@@ -148,8 +125,8 @@ def _unsupported_reasons(system) -> list[str]:
         if locals_found:
             reasons.append(
                 f"node {node.node_id} carries locally-defined function "
-                f"attribute(s) {', '.join(locals_found)} (forced-"
-                "escalation perturbation or a closure-based mutant)"
+                f"attribute(s) {', '.join(locals_found)} (a closure-based "
+                "mutant)"
             )
             break
 
@@ -191,7 +168,7 @@ class SimulatorSnapshot:
         :meth:`System.drain` strides, or at warmup completion).
 
         Raises :class:`SnapshotUnsupportedError` when the system carries
-        an overlay the serializer cannot round-trip.
+        state the serializer cannot round-trip.
         """
         reasons = _unsupported_reasons(system)
         if reasons:

@@ -6,10 +6,8 @@ package proves it mechanically:
 
 * :mod:`repro.testing.perturb` — a deterministic, seeded perturbation
   layer that jitters the event schedule and the links, duplicates and
-  drops transient requests, and forces persistent-request escalation.
-  Installing a perturber swaps in subclasses on the live simulator and
-  links; with no perturber installed the hooks are a reserved slot the
-  hot path never reads.
+  drops transient requests, and forces persistent-request escalation,
+  through the shared overlay layer (:mod:`repro.overlay`).
 * :mod:`repro.testing.explore` — the schedule explorer: seeds ×
   protocols × topologies × adversarial workloads, every oracle armed
   (strict data-value checking for token protocols, token conservation,

@@ -261,9 +261,10 @@ def run_scenario(scenario: Scenario) -> ScenarioOutcome:
 def _armed_system(scenario: Scenario):
     """Build the scenario's system with every overlay installed.
 
-    Returns ``(system, expected_ops, recorder, perturber, injector,
-    trace)`` ready for :meth:`System.run` (or a stepped drain — the
-    shrinker's checkpointed runner snapshots between strides).
+    Returns ``(system, expected_ops, perturber, injector)`` ready for
+    :meth:`System.run` (or a stepped drain — the shrinker's checkpointed
+    runner snapshots between strides).  The lineage and trace recorders
+    ride on the system as ``system.lineage`` and ``system.observe``.
     """
     if scenario.workload not in EXPLORER_WORKLOADS:
         raise ValueError(f"unknown workload {scenario.workload!r}")
@@ -271,46 +272,35 @@ def _armed_system(scenario: Scenario):
     streams = _generate_streams(scenario, config)
     expected_ops = sum(len(ops) for ops in streams.values())
     system = build_system(config, streams, workload_name=scenario.workload)
-    recorder = None
     if scenario.lineage:
-        # Install first: mutants may deliberately sabotage the recorder,
-        # and the fault injector reports request drops into it.
+        # Before the mutant (it may sabotage the recorder) and the fault
+        # injector (it reports request drops into the recorder).  The
+        # overlays themselves compose in any order.
         from repro.lineage import install_recorder
 
-        recorder = install_recorder(system)
+        install_recorder(system)
     if scenario.mutant is not None:
         MUTANTS[scenario.mutant].install(system)
     perturber = Perturber(scenario.perturb)
     if scenario.perturb.any_active():
         perturber.install(system)
-    injector = FaultInjector(scenario.faults, recorder=recorder)
+    injector = FaultInjector(scenario.faults, recorder=system.lineage)
     if scenario.faults.any_active():
         injector.install(system)
-    trace = None
     if scenario.observe:
-        # Tracing composes on top of every other layer (its subclasses
-        # derive from whatever class each object currently has), so it
-        # installs strictly last.
         from repro.observe import install_tracing
 
-        trace = install_tracing(
+        install_tracing(
             system,
             fault_plan=(
                 scenario.faults if scenario.faults.any_active() else None
             ),
         )
-    return system, expected_ops, recorder, perturber, injector, trace
+    return system, expected_ops, perturber, injector
 
 
 def _finish_scenario(
-    scenario: Scenario,
-    system,
-    expected_ops: int,
-    recorder,
-    perturber,
-    injector,
-    trace,
-    run,
+    scenario: Scenario, system, expected_ops: int, perturber, injector, run
 ):
     """Execute ``run()`` and fold oracles + stats into an outcome.
 
@@ -318,8 +308,10 @@ def _finish_scenario(
     :class:`SimulationResult` — ``system.run(...)`` on the straight
     path, or a restore-and-continue closure on the shrinker's
     checkpointed path.  Shared so both paths judge a scenario with
-    byte-identical oracle and accounting logic.
+    byte-identical oracle and accounting logic.  Returns the outcome
+    and the lineage recorder (None unless armed).
     """
+    recorder, trace = system.lineage, system.observe
     try:
         result = run()
         _post_run_oracles(system, result, expected_ops)
@@ -368,12 +360,10 @@ def run_scenario_recorded(scenario: Scenario):
     log itself (to write a :class:`~repro.lineage.LineageStore`), not
     just the aggregated outcome.
     """
-    system, expected_ops, recorder, perturber, injector, trace = (
-        _armed_system(scenario)
-    )
+    system, expected_ops, perturber, injector = _armed_system(scenario)
     return _finish_scenario(
-        scenario, system, expected_ops, recorder, perturber, injector,
-        trace, run=lambda: system.run(max_events=scenario.max_events),
+        scenario, system, expected_ops, perturber, injector,
+        run=lambda: system.run(max_events=scenario.max_events),
     )
 
 

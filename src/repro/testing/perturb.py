@@ -8,17 +8,15 @@ protocols have no obligations).
 
 Install mechanics
 -----------------
-``Simulator`` and ``Link`` are ``__slots__`` classes on the simulation
-hot path, so the perturbation hooks must cost nothing when absent.  Both
-classes reserve one ``_perturb`` slot that the base implementation never
-reads; :meth:`Perturber.install` fills the slot and reassigns the
-instance's ``__class__`` to a subclass (with ``__slots__ = ()``, so the
-layouts are identical) whose overridden methods consult it.  A jittered
-torus additionally becomes a :class:`JitteredTorus` so its batched
-multicast (which inlines ``Link.occupy`` for speed) is routed back
-through the per-hop ``occupy`` path the jitter hooks.  An uninstalled
-system therefore runs byte-for-byte the same code as before this module
-existed.
+Kernel jitter moves the simulator onto :class:`PerturbedSimulator`, a
+``__slots__ = ()`` subclass whose posts consult the reserved
+``_perturb`` slot.  Everything else arms the shared overlay layer
+(:mod:`repro.overlay`): link jitter is a link ``delay`` hook, drop/dup
+is a delivery hook, and forced escalation is a node hook.  The hooks are
+module-level classes holding bound RNG methods, so they compose with
+faults, tracing and lineage in any install order, and a perturbed system
+pickles (snapshots and forks) like a stock one.  An uninstalled system
+runs byte-for-byte the same code as before this module existed.
 
 Every random draw comes from ``derive_rng`` streams scoped under the
 spec's seed and consumed in event order, so a perturbed simulation is
@@ -43,9 +41,7 @@ import dataclasses
 from heapq import heappush
 
 from repro.coherence.messages import TRANSIENT_REQUEST_MTYPES
-from repro.interconnect.link import Link
-from repro.interconnect.topology import Interconnect
-from repro.interconnect.torus import TorusInterconnect
+from repro.overlay import DeliveryHook, arm_delivery, arm_link, arm_object
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.rng import derive_rng
 from repro.system.grid import is_token_protocol
@@ -174,71 +170,79 @@ class PerturbedSimulator(Simulator):
         )
 
 
-class JitteredLink(Link):
-    """Link whose crossings take a seeded-random extra while.
+class LinkJitter:
+    """Each crossing takes a seeded-random extra while (:meth:`delay`).
 
-    ``_perturb`` holds ``(rng.random, fifo_jitter_ns, reorder_jitter_ns)``.
     FIFO jitter widens the serialization slot (and therefore pushes
     ``_free_at``), so send order still equals arrival order; reorder
     jitter stretches only the propagation leg, so two messages on the
-    same link may arrive out of send order.
+    same link may arrive out of send order.  Both draws happen on every
+    crossing, FIFO first.
     """
 
-    __slots__ = ()
+    __slots__ = ("random", "fifo_ns", "reorder_ns")
 
-    def occupy(self, size_bytes, category):
-        random, fifo_jitter, reorder_jitter = self._perturb
-        sim = self.sim
-        now = sim._now
-        free = self._free_at
-        start = now if now >= free else free
-        if self.bandwidth is not None:
-            serialization = size_bytes / self.bandwidth
-        else:
-            serialization = 0.0
-        busy_until = start + serialization + random() * fifo_jitter
-        self._free_at = busy_until
-        self._crossings += 1
-        record = self._record
-        if record is not None:
-            record(category, size_bytes)
-        return busy_until + self.latency + random() * reorder_jitter
+    def __init__(self, random, fifo_ns: float, reorder_ns: float) -> None:
+        self.random = random
+        self.fifo_ns = fifo_ns
+        self.reorder_ns = reorder_ns
+
+    def delay(self, link, busy_until: float) -> float:
+        random = self.random
+        busy_until = busy_until + random() * self.fifo_ns
+        link._free_at = busy_until
+        return busy_until + link.latency + random() * self.reorder_ns
 
 
-class JitteredTorus(TorusInterconnect):
-    """Torus whose multicast fan-out goes through ``Link.occupy``.
+class DropDup(DeliveryHook):
+    """Delivery hook that drops or duplicates transient requests.
 
-    The production torus batches broadcast fan-out by inlining
-    ``Link.occupy``'s float ops (and, under unlimited bandwidth,
-    precomputing whole-subtree arrivals), so an installed
-    :class:`JitteredLink` would silently never see broadcast hops —
-    exactly the transient requests, probes, and persistent broadcasts
-    the perturbation targets.  This subclass restores the reference
-    per-hop ``occupy`` + ``post_at`` semantics for multicast (traffic is
-    then recorded per crossing by ``occupy`` itself, matching unicast),
-    at batched-fan-out's cost — fine for the testing harness, never on
-    the unperturbed hot path.
+    One roll per delivered GETS/GETM copy: below ``drop`` the copy is
+    lost; below ``drop + dup`` it is also re-delivered ``delay`` ns
+    later, into the rest of the chain (so a pause gate holds it too).
     """
 
-    def _fanout_multicast(self, msg, at_node, plan):
-        post_at = self.sim.post_at
-        arrive = self._multicast_arrive
-        size = msg.size_bytes
-        category = msg.category
-        for link, child in plan[at_node]:
-            post_at(link.occupy(size, category), arrive, msg, child, plan)
+    stage = "drop_dup"
+    __slots__ = ("sim", "random", "drop", "dup", "delay", "stats")
 
-    def _broadcast_unlimited(self, msg):
-        # Precomputed subtree arrivals assume un-jittered links; fall
-        # back to hop-by-hop fan-out (occupy handles bandwidth=None).
-        self._fanout_multicast(msg, msg.src, self._multicast_plans(msg.src))
+    def __init__(self, sim, random, drop, dup, delay, stats) -> None:
+        self.sim = sim
+        self.random = random
+        self.drop = drop
+        self.dup = dup
+        self.delay = delay
+        self.stats = stats
+
+    def deliver(self, msg) -> None:
+        if msg.mtype in _TRANSIENT_MTYPES:
+            roll = self.random()
+            if roll < self.drop:
+                self.stats["dropped_requests"] += 1
+                return
+            if roll < self.drop + self.dup:
+                self.stats["duplicated_requests"] += 1
+                self.sim.post(self.delay, self.inner, msg)
+        self.inner(msg)
 
 
-def iter_links(network):
-    """Every directed link of a built interconnect."""
-    if not isinstance(network, Interconnect):
-        raise TypeError(f"unknown interconnect type {type(network).__name__}")
-    return network.all_links()
+class ForcedEscalation:
+    """Escalates some misses onto the persistent path right after issue.
+
+    :meth:`after_issue` is the node's ``_escalation`` hook.
+    """
+
+    __slots__ = ("random", "prob", "delay", "stats")
+
+    def __init__(self, random, prob, delay, stats) -> None:
+        self.random = random
+        self.prob = prob
+        self.delay = delay
+        self.stats = stats
+
+    def after_issue(self, node, entry) -> None:
+        if self.random() < self.prob:
+            self.stats["forced_escalations"] += 1
+            node.sim.post(self.delay, node.force_escalation, entry.block)
 
 
 class Perturber:
@@ -264,87 +268,36 @@ class Perturber:
                 f"protocols, not {system.config.protocol!r} (baseline "
                 "protocols assume ordered, lossless request delivery)"
             )
+        seed = spec.seed
+        sim = system.sim
+        network = system.network
 
         if spec.kernel_jitter_ns > 0:
-            rng = derive_rng(spec.seed, "perturb", "kernel")
-            system.sim._perturb = (rng.random, spec.kernel_jitter_ns)
-            system.sim.__class__ = PerturbedSimulator
+            rng = derive_rng(seed, "perturb", "kernel")
+            sim._perturb = (rng.random, spec.kernel_jitter_ns)
+            sim.__class__ = PerturbedSimulator
 
         if spec.link_jitter_ns > 0 or spec.reorder_jitter_ns > 0:
-            for link in iter_links(system.network):
-                rng = derive_rng(spec.seed, "perturb", "link", link.name)
-                link._perturb = (
-                    rng.random,
-                    spec.link_jitter_ns,
-                    spec.reorder_jitter_ns,
-                )
-                link.__class__ = JitteredLink
-            if isinstance(system.network, TorusInterconnect):
-                # Route the torus's batched multicast back through
-                # Link.occupy so broadcast hops are jittered too (the
-                # tree's fan-out already goes through occupy).
-                system.network.__class__ = JitteredTorus
+            for link in network.all_links():
+                rng = derive_rng(seed, "perturb", "link", link.name)
+                arm_link(network, link, delay=LinkJitter(
+                    rng.random, spec.link_jitter_ns, spec.reorder_jitter_ns
+                ).delay)
 
         if spec.drop_request_prob > 0 or spec.dup_request_prob > 0:
-            self._wrap_handlers(system)
+            for node_id in range(len(network._handlers)):
+                rng = derive_rng(seed, "perturb", "delivery", node_id)
+                arm_delivery(network, node_id, DropDup(
+                    sim, rng.random, spec.drop_request_prob,
+                    spec.dup_request_prob, spec.dup_delay_ns, self.stats,
+                ))
 
         if spec.force_escalation_prob > 0:
-            self._wrap_issue(system)
+            for node in system.nodes:
+                rng = derive_rng(seed, "perturb", "escalate", node.node_id)
+                arm_object(node, _escalation=ForcedEscalation(
+                    rng.random, spec.force_escalation_prob,
+                    spec.force_escalation_delay_ns, self.stats,
+                ).after_issue)
 
         self.installed = True
-
-    # ------------------------------------------------------------------
-
-    def _wrap_handlers(self, system) -> None:
-        """Intercept message delivery to drop/duplicate transient requests."""
-        spec = self.spec
-        handlers = system.network._handlers
-        sim = system.sim
-        stats = self.stats
-        for node_id, handler in enumerate(handlers):
-            rng = derive_rng(spec.seed, "perturb", "delivery", node_id)
-
-            def wrapped(
-                msg,
-                _orig=handler,
-                _random=rng.random,
-                _drop=spec.drop_request_prob,
-                _dup=spec.dup_request_prob,
-                _delay=spec.dup_delay_ns,
-                _sim=sim,
-                _stats=stats,
-            ):
-                if msg.mtype in _TRANSIENT_MTYPES:
-                    roll = _random()
-                    if roll < _drop:
-                        _stats["dropped_requests"] += 1
-                        return
-                    if roll < _drop + _dup:
-                        _stats["duplicated_requests"] += 1
-                        _sim.post(_delay, _orig, msg)
-                _orig(msg)
-
-            handlers[node_id] = wrapped
-
-    def _wrap_issue(self, system) -> None:
-        """Randomly force misses onto the persistent-request path."""
-        spec = self.spec
-        stats = self.stats
-        for node in system.nodes:
-            rng = derive_rng(spec.seed, "perturb", "escalate", node.node_id)
-
-            def issue(
-                entry,
-                _orig=node._issue_transaction,
-                _node=node,
-                _random=rng.random,
-                _prob=spec.force_escalation_prob,
-                _delay=spec.force_escalation_delay_ns,
-                _stats=stats,
-            ):
-                _orig(entry)
-                if _random() < _prob:
-                    _stats["forced_escalations"] += 1
-                    _node.sim.post(_delay, _node.force_escalation, entry.block)
-
-            node._issue_transaction = issue

@@ -71,11 +71,10 @@ def checkpointable(scenario: Scenario) -> bool:
 
     Three independent gates, all required:
 
-    * the armed system must be picklable — which rules out the lineage
-      recorder and trace overlays, non-:data:`PICKLABLE_MUTANTS`
-      mutants, drop/dup/escalation perturbations, and ``corrupt``
-      faults (each installs local-function closures that
-      :class:`SimulatorSnapshot` refuses);
+    * the armed system must be picklable — every overlay is (jitter,
+      drop/dup, escalation, faults, lineage, tracing), so only
+      closure-based mutants outside :data:`PICKLABLE_MUTANTS` rule it
+      out;
     * the workload must be prefix-stable (flat adversarial generators
       only), or a checkpoint's consumed prefix would not match the
       reduced candidate's stream;
@@ -83,22 +82,9 @@ def checkpointable(scenario: Scenario) -> bool:
       enforced per-candidate, since any other change (fewer procs, a
       zeroed perturbation) alters the simulation from t=0.
     """
-    if scenario.lineage or scenario.observe:
-        return False
     if scenario.mutant is not None and scenario.mutant not in PICKLABLE_MUTANTS:
         return False
-    if scenario.workload not in _PREFIX_STABLE_WORKLOADS:
-        return False
-    perturb = scenario.perturb
-    if (
-        perturb.drop_request_prob
-        or perturb.dup_request_prob
-        or perturb.force_escalation_prob
-    ):
-        return False
-    if "corrupt" in scenario.faults.kinds():
-        return False
-    return True
+    return scenario.workload in _PREFIX_STABLE_WORKLOADS
 
 
 class _PrefixCheckpoints:
@@ -140,9 +126,7 @@ class _PrefixCheckpoints:
     def baseline_run(self) -> ScenarioOutcome:
         """Run the original scenario, capturing checkpoints en route."""
         scenario = self.scenario
-        system, expected_ops, recorder, perturber, injector, trace = (
-            _armed_system(scenario)
-        )
+        system, expected_ops, perturber, injector = _armed_system(scenario)
         # Captured alongside the system in one pickle, so the restored
         # overlays alias the restored stats dicts (_finish_scenario
         # reads both off the resumed run).
@@ -186,8 +170,7 @@ class _PrefixCheckpoints:
             return system.finish()
 
         outcome, _ = _finish_scenario(
-            scenario, system, expected_ops, recorder, perturber, injector,
-            trace, run,
+            scenario, system, expected_ops, perturber, injector, run
         )
         self.tally["checkpoints"] = len(self.entries)
         self.tally["events_simulated"] += outcome.events_fired
@@ -238,8 +221,8 @@ class _PrefixCheckpoints:
             return system.finish()
 
         outcome, _ = _finish_scenario(
-            candidate, system, expected_ops, None,
-            extras["perturber"], extras["injector"], None, run,
+            candidate, system, expected_ops,
+            extras["perturber"], extras["injector"], run,
         )
         warm = snap.meta["events_fired"]
         self.tally["resumed_runs"] += 1

@@ -7,8 +7,8 @@ observes without perturbing the simulation.
 
 import pytest
 
-from repro.lineage import install_recorder, is_installed, lineage_class
-from repro.lineage.hooks import _make_hook_namespace
+from repro.lineage import install_recorder, is_installed
+from repro.overlay import _hook_namespace, hooked_class
 from repro.system.builder import build_system
 from repro.testing.explore import (
     Scenario,
@@ -36,15 +36,16 @@ def test_install_swaps_classes_and_sets_recorder():
     assert is_installed(system)
     assert system.lineage is recorder
     for node in system.nodes:
-        assert type(node).__name__.startswith("Lineage")
+        assert type(node).__name__.startswith("Hooked")
         assert node._lineage is recorder
 
 
 def test_lineage_class_is_cached_single_base():
     system = _token_system()
     cls = type(system.nodes[0])
-    generated = lineage_class(cls)
-    assert lineage_class(cls) is generated
+    generated = hooked_class(cls)
+    assert hooked_class(cls) is generated
+    assert hooked_class(generated) is generated
     assert generated.__bases__ == (cls,)
 
 
@@ -53,8 +54,8 @@ def test_uninstalled_run_uses_pristine_classes():
     shipped ones — no wrapper, no subclass, no per-message overhead."""
     system = _token_system()
     for node in system.nodes:
-        assert "Lineage" not in type(node).__name__
-        assert not hasattr(type(node), "_lineage_hooked")
+        assert type(node).__module__ != "repro.overlay"
+        assert "Hooked" not in type(node).__name__
 
 
 def test_install_rejects_ledgerless_protocols():
@@ -76,7 +77,7 @@ def test_dispatch_rebinds_to_hooked_methods():
 
 def test_hook_namespace_covers_custody_surface():
     system = _token_system()
-    namespace = _make_hook_namespace(type(system.nodes[0]))
+    namespace = _hook_namespace(type(system.nodes[0]))
     for name in ("send_msg", "_handle_tokens", "_memory_state",
                  "_complete_token_transaction"):
         assert name in namespace

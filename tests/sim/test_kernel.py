@@ -386,15 +386,36 @@ def test_profiled_run_fires_identically():
     assert run(False) == run(True)
 
 
-def test_profiler_requires_stock_simulator():
+def test_profiler_composes_with_kernel_jitter():
+    """Profiling is a slot the run loop reads, not a class: it arms a
+    jittered simulator too, and changes nothing the run produces."""
     import pytest as _pytest
 
     from repro.sim.kernel import install_profiler
+    from repro.testing.perturb import PerturbedSimulator, Perturber, PerturbSpec
+    from repro.testing.explore import Scenario, _build_config, _generate_streams
+    from repro.system.builder import build_system
 
-    sim = Simulator()
-    install_profiler(sim)
-    with _pytest.raises(ValueError):
-        install_profiler(sim)  # already swapped
+    scenario = Scenario(seed=2, protocol="tokenb", interconnect="torus",
+                        workload="false_sharing", ops_per_proc=20)
+
+    def run(profiled):
+        config = _build_config(scenario)
+        system = build_system(config, _generate_streams(scenario, config))
+        Perturber(PerturbSpec(seed=2, kernel_jitter_ns=12.0)).install(system)
+        assert type(system.sim) is PerturbedSimulator
+        profile = install_profiler(system.sim) if profiled else None
+        if profiled:
+            with _pytest.raises(ValueError, match="already installed"):
+                install_profiler(system.sim)
+        result = system.run()
+        return profile, (result.events_fired, result.runtime_ns,
+                         result.traffic_bytes)
+
+    profile, profiled = run(True)
+    assert profiled == run(False)[1]
+    assert profile.events == profiled[0]
+    assert any(name.startswith("TokenBNode.") for name in profile.categories)
 
 
 def test_profiler_table_renders():

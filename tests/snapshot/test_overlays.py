@@ -1,29 +1,29 @@
 """Snapshot behavior under every explorer overlay combination.
 
-Each overlay the adversarial harness can arm falls on one side of a
-documented boundary:
-
-* **supported** — jitter perturbations, link-flap / link-degrade /
-  node-pause fault plans, and the module-function mutants in
-  ``PICKLABLE_MUTANTS``: a mid-run capture/restore continues
-  bit-identically (the forked outcome equals the uninterrupted one,
-  violation or not);
-* **refused** — lineage, tracing, drop/dup/escalation perturbations,
-  corrupt faults, closure-based mutants, and generator op streams:
-  ``SimulatorSnapshot.capture`` raises :class:`SnapshotUnsupportedError`
-  naming the offending overlay, *before* any pickling is attempted.
+Every overlay the adversarial harness can arm — jitter, drop/dup,
+forced escalation, link flap / degrade, corruption, node pause, lineage
+and tracing — hooks the system through :mod:`repro.overlay`, so a
+mid-run capture/restore continues bit-identically: the forked outcome
+equals the uninterrupted one, violation or not.  Only closure-based
+mutants and generator op streams are refused:
+``SimulatorSnapshot.capture`` raises :class:`SnapshotUnsupportedError`
+naming the offender, *before* any pickling is attempted.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.faults import FAULT_KINDS, generate_plan, link_count
 from repro.snapshot import SimulatorSnapshot, SnapshotUnsupportedError
 from repro.testing.explore import (
+    FAULT_EVENTS_PER_KIND,
+    FAULT_HORIZON_NS,
     Scenario,
     _armed_system,
     _finish_scenario,
     make_fault_scenario,
+    make_scenario,
     run_scenario,
 )
 from repro.testing.mutants import MUTANTS, PICKLABLE_MUTANTS
@@ -36,10 +36,7 @@ def _forked_outcome(scenario: Scenario, pause_events: int):
     Returns the restored run's :class:`ScenarioOutcome`, judged by the
     same oracle path as :func:`run_scenario`.
     """
-    system, expected_ops, recorder, perturber, injector, trace = (
-        _armed_system(scenario)
-    )
-    assert recorder is None and trace is None
+    system, expected_ops, perturber, injector = _armed_system(scenario)
     system.start()
     while system.sim.events_fired < pause_events and system.sim.step():
         pass
@@ -53,8 +50,8 @@ def _forked_outcome(scenario: Scenario, pause_events: int):
         return restored.finish()
 
     outcome, _ = _finish_scenario(
-        scenario, restored, expected_ops, None,
-        extras["perturber"], extras["injector"], None, run,
+        scenario, restored, expected_ops,
+        extras["perturber"], extras["injector"], run,
     )
     return outcome
 
@@ -66,7 +63,7 @@ def _assert_fork_transparent(scenario: Scenario) -> None:
 
 
 # ----------------------------------------------------------------------
-# Supported overlays: capture mid-run, restored continuation identical
+# Every overlay: capture mid-run, restored continuation identical
 # ----------------------------------------------------------------------
 
 
@@ -130,68 +127,85 @@ def test_jitter_plus_fault_combination_forks_transparently():
         make_fault_scenario(
             2, "tokend", "torus", "link_flap", workload="false_sharing"
         ),
-        # Link-level jitter is illegal next to link faults (both swap the
-        # link's class); kernel jitter is the documented composition.
-        perturb=PerturbSpec(kernel_jitter_ns=12.0),
+        perturb=PerturbSpec(kernel_jitter_ns=12.0, link_jitter_ns=6.0,
+                            reorder_jitter_ns=10.0),
         lineage=False, observe=False,
     )
     _assert_fork_transparent(scenario)
 
 
-# ----------------------------------------------------------------------
-# Refused overlays: capture names the offender, before pickling
-# ----------------------------------------------------------------------
+def _bare(**fields) -> Scenario:
+    return Scenario(seed=0, protocol="tokenb", interconnect="torus",
+                    workload="false_sharing", **fields)
 
 
-def _assert_refused(scenario: Scenario, needle: str) -> None:
-    system = _armed_system(scenario)[0]
-    with pytest.raises(SnapshotUnsupportedError, match=needle):
-        SimulatorSnapshot.capture(system)
+def test_lineage_recorder_forks_transparently():
+    """The forked run's custody chain carries the warmup's events, so
+    the outcome contract and the lineage counters match the cold run."""
+    _assert_fork_transparent(_bare(lineage=True))
 
 
-def test_lineage_recorder_is_refused():
-    _assert_refused(
-        Scenario(seed=0, protocol="tokenb", interconnect="torus",
-                 workload="false_sharing", lineage=True),
-        "lineage",
-    )
-
-
-def test_timeline_tracing_is_refused():
-    _assert_refused(
-        Scenario(seed=0, protocol="tokenb", interconnect="torus",
-                 workload="false_sharing", observe=True),
-        "tracing",
-    )
+def test_timeline_tracing_forks_transparently():
+    _assert_fork_transparent(_bare(observe=True))
 
 
 @pytest.mark.parametrize("field", ["drop_request_prob", "dup_request_prob"])
-def test_loss_perturbations_are_refused(field):
-    _assert_refused(
-        Scenario(seed=0, protocol="tokenb", interconnect="torus",
-                 workload="false_sharing",
-                 perturb=PerturbSpec(**{field: 0.1})),
-        "delivery handler",
+def test_loss_perturbations_fork_transparently(field):
+    _assert_fork_transparent(_bare(perturb=PerturbSpec(**{field: 0.1})))
+
+
+def test_forced_escalation_forks_transparently():
+    _assert_fork_transparent(
+        _bare(perturb=PerturbSpec(force_escalation_prob=0.1))
     )
 
 
-def test_forced_escalation_is_refused():
-    _assert_refused(
-        Scenario(seed=0, protocol="tokenb", interconnect="torus",
-                 workload="false_sharing",
-                 perturb=PerturbSpec(force_escalation_prob=0.1)),
-        "locally-defined function",
-    )
-
-
-def test_corrupt_faults_are_refused():
+def test_corrupt_faults_fork_transparently():
     scenario = dataclasses.replace(
         make_fault_scenario(
             0, "tokenb", "torus", "corrupt", workload="false_sharing"
         ),
         lineage=False, observe=False,
     )
-    _assert_refused(scenario, "delivery handler")
+    _assert_fork_transparent(scenario)
+
+
+@pytest.mark.parametrize("interconnect,seed", [("torus", 2), ("tree", 3)])
+def test_every_overlay_composes_in_one_scenario(interconnect, seed):
+    """Link, reorder and kernel jitter, drop/dup, forced escalation,
+    every fault class, lineage and tracing, all armed at once: the
+    oracles hold, every layer visibly acts, the observers change
+    nothing, and the run forks transparently."""
+    plan = generate_plan(
+        seed, FAULT_KINDS, n_links=link_count(interconnect, 4), n_nodes=4,
+        horizon_ns=FAULT_HORIZON_NS, events_per_kind=FAULT_EVENTS_PER_KIND,
+    )
+    scenario = dataclasses.replace(
+        make_scenario(seed, "tokenb", interconnect, "false_sharing"),
+        faults=plan,
+    )
+    assert scenario.lineage and scenario.observe
+    assert len(scenario.perturb.active_fields()) == 6
+    outcome = run_scenario(scenario)
+    assert outcome.ok, outcome.violation_message
+    assert all(outcome.perturb_stats.values())
+    assert all(outcome.fault_stats.values())
+    assert outcome.lineage_stats["lineage_events"] > 0
+    assert outcome.telemetry["hops"] > 0
+
+    unobserved = run_scenario(
+        dataclasses.replace(scenario, lineage=False, observe=False)
+    )
+    assert dataclasses.replace(outcome, lineage_stats={}, telemetry={}) == (
+        unobserved
+    )
+    forked = _forked_outcome(scenario, outcome.events_fired // 2)
+    assert forked == outcome
+
+
+# ----------------------------------------------------------------------
+# Refused: closures and generators, by a generic check
+# ----------------------------------------------------------------------
 
 
 def test_closure_mutants_are_refused():

@@ -1,8 +1,10 @@
 """Fault-injection tests: schedule legality, install mechanics, the
-per-class semantics (flap/degrade/corrupt/pause), recovery, and the
-guarantee that a fault-free system runs the exact shipped classes."""
+per-class semantics (flap/degrade/corrupt/pause), recovery, composition
+with the other overlays, and the guarantee that a fault-free system
+runs the exact shipped classes."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,9 +16,6 @@ from repro.faults import (
     FaultEvent,
     FaultInjector,
     FaultPlan,
-    FaultyLink,
-    FaultyTorus,
-    FaultyTree,
     generate_plan,
     link_count,
 )
@@ -34,7 +33,8 @@ from repro.testing.explore import (
     make_fault_scenario,
     run_scenario,
 )
-from repro.testing.perturb import PerturbSpec, Perturber, iter_links
+from repro.overlay import HookedLink
+from repro.testing.perturb import LinkJitter, PerturbSpec, Perturber
 from repro.workloads.adversarial import false_sharing_streams
 
 
@@ -184,31 +184,35 @@ def test_grid_skips_illegal_protocol_class_pairs():
 
 
 # ----------------------------------------------------------------------
-# Install mechanics: zero-cost when absent, class swap when armed
+# Install mechanics: zero-cost when absent, hooked links when armed
 # ----------------------------------------------------------------------
 
 
 def test_faultfree_system_uses_base_classes():
     system = _build()
     assert type(system.network) is TorusInterconnect
-    for link in iter_links(system.network):
+    assert not system.network._hooked
+    for link in system.network.all_links():
         assert type(link) is Link
 
 
 def test_install_swaps_classes_in_place():
-    for interconnect, network_cls in (
-        ("torus", FaultyTorus), ("tree", FaultyTree),
-    ):
+    """Only the targeted link is hooked, but the whole network leaves
+    its fast paths so that every hop asks whether it drops."""
+    for interconnect in ("torus", "tree"):
         system = _build("tokenb", interconnect)
         FaultInjector(FaultPlan(events=(_flap(),))).install(system)
-        assert type(system.network) is network_cls
-        for link in iter_links(system.network):
-            assert type(link) is FaultyLink
+        assert system.network._hooked
+        links = system.network.all_links()
+        assert type(links[0]) is HookedLink
+        assert links[0]._hooks.drop is not None
+        for link in links[1:]:
+            assert type(link) is Link
 
 
 def test_faulty_subclasses_add_no_instance_layout():
     """``__class__`` reassignment requires identical slot layouts."""
-    assert FaultyLink.__slots__ == ()
+    assert HookedLink.__slots__ == ()
 
 
 def test_injector_installs_once():
@@ -219,13 +223,30 @@ def test_injector_installs_once():
         injector.install(system)
 
 
-def test_link_faults_refuse_jittered_links():
-    """Link jitter and link faults both claim the link's __class__;
-    combining them must raise, not silently drop one layer."""
-    system = _build()
-    Perturber(PerturbSpec(link_jitter_ns=2.0)).install(system)
-    with pytest.raises(ValueError, match="cannot be combined"):
-        FaultInjector(FaultPlan(events=(_flap(),))).install(system)
+def test_link_faults_compose_with_jittered_links():
+    """Link jitter and link faults arm different stages of one link's
+    hook chain: both hold, in either install order, and the run stays
+    clean."""
+    events = (_flap(target=0, start=50.0, duration=100.0),
+              FaultEvent("link_degrade", 150.0, 600.0, target=0, factor=4.0))
+    outcomes = []
+    for faults_first in (False, True):
+        system = _build()
+        perturber = Perturber(PerturbSpec(link_jitter_ns=2.0))
+        injector = FaultInjector(FaultPlan(events=events))
+        for layer in ((injector, perturber) if faults_first
+                      else (perturber, injector)):
+            layer.install(system)
+        hooks = system.network.all_links()[0]._hooks
+        assert isinstance(hooks.delay.__self__, LinkJitter)
+        assert hooks.drop is not None and hooks.hold is not None
+        assert hooks.stretch is not None
+        result = system.run()
+        assert result.total_ops == 4 * 24
+        outcomes.append((result.events_fired, result.runtime_ns,
+                         dict(injector.stats)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][2]["degraded_crossings"] > 0
 
 
 def test_kernel_perturbations_compose_with_faults():
@@ -258,8 +279,7 @@ def test_out_of_range_targets_raise():
 def _faulty_link(sim, down=(), degraded=(), drop_mode=True, bandwidth=3.2):
     stats = {"flap_dropped": 0, "flap_queued": 0, "degraded_crossings": 0}
     link = Link(sim, "test-link", latency=10.0, bandwidth=bandwidth)
-    link._fault = LinkFaultState(down, degraded, drop_mode, stats)
-    link.__class__ = FaultyLink
+    LinkFaultState(down, degraded, drop_mode, stats).arm(SimpleNamespace(), link)
     return link, stats
 
 
@@ -348,6 +368,32 @@ def test_pause_buffers_then_drains():
     # The run cannot have finished before the window closed: the flush
     # event itself keeps the simulator alive through it.
     assert system.sim.now >= plan.last_end_ns()
+
+
+def test_pause_gate_holds_duplicated_requests():
+    """A request the drop/dup perturbation duplicates is re-delivered
+    into the rest of the delivery chain, so a paused node's gate holds
+    the duplicate too: the node processes nothing inside its window."""
+    system = _build()
+    handlers = system.network._handlers
+    node_handler = handlers[1]
+    processed = []
+
+    def recording(msg):
+        processed.append(system.sim.now)
+        node_handler(msg)
+
+    handlers[1] = recording
+    Perturber(PerturbSpec(seed=3, dup_request_prob=0.5)).install(system)
+    injector = FaultInjector(FaultPlan(events=(
+        FaultEvent("node_pause", 50.0, 2950.0, target=1),
+    )))
+    injector.install(system)
+    result = system.run()
+    assert [t for t in processed if 50.0 <= t < 3000.0] == []
+    assert injector.stats["paused_deliveries"] == 37
+    assert injector.undrained_nodes() == []
+    assert result.total_ops == 4 * 24
 
 
 @pytest.mark.parametrize("fault_class", FAULT_KINDS)

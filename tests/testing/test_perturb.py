@@ -8,13 +8,12 @@ from repro.interconnect.link import Link
 from repro.sim.kernel import Simulator
 from repro.system.builder import build_system
 from repro.testing.explore import Scenario, run_scenario
+from repro.overlay import HookedLink
 from repro.testing.perturb import (
-    JitteredLink,
-    JitteredTorus,
+    LinkJitter,
     PerturbedSimulator,
     Perturber,
     PerturbSpec,
-    iter_links,
 )
 from repro.workloads.adversarial import false_sharing_streams
 
@@ -101,7 +100,8 @@ def test_unperturbed_system_uses_base_classes():
     classes — the perturbation layer exists only as a reserved slot."""
     system = _build()
     assert type(system.sim) is Simulator
-    for link in iter_links(system.network):
+    assert not system.network._hooked
+    for link in system.network.all_links():
         assert type(link) is Link
 
 
@@ -111,8 +111,10 @@ def test_install_swaps_classes_in_place():
                        reorder_jitter_ns=1.0)
     Perturber(spec).install(system)
     assert type(system.sim) is PerturbedSimulator
-    for link in iter_links(system.network):
-        assert type(link) is JitteredLink
+    assert system.network._hooked
+    for link in system.network.all_links():
+        assert type(link) is HookedLink
+        assert isinstance(link._hooks.delay.__self__, LinkJitter)
 
 
 @pytest.mark.parametrize("protocol,interconnect", [
@@ -124,25 +126,25 @@ def test_every_link_crossing_goes_through_jittered_occupy(
     monkeypatch, protocol, interconnect
 ):
     """Broadcast hops must not bypass the jitter: the production torus
-    inlines Link.occupy in its batched multicast, so the perturber swaps
-    in JitteredTorus.  Count occupy calls against recorded crossings —
-    any inlined (unjittered) hop would break the equality."""
+    inlines Link.occupy in its batched multicast, so a hooked network
+    takes the per-hop fan-out instead.  Count occupy calls against
+    recorded crossings — any inlined (unjittered) hop would break the
+    equality."""
     calls = [0]
-    base_occupy = JitteredLink.occupy
+    base_occupy = HookedLink.occupy
 
     def counting_occupy(self, size_bytes, category):
         calls[0] += 1
         return base_occupy(self, size_bytes, category)
 
-    monkeypatch.setattr(JitteredLink, "occupy", counting_occupy)
+    monkeypatch.setattr(HookedLink, "occupy", counting_occupy)
     system = _build(protocol, interconnect)
     Perturber(PerturbSpec(link_jitter_ns=2.0)).install(system)
-    if interconnect == "torus":
-        assert type(system.network) is JitteredTorus
+    assert system.network._hooked
     result = system.run()
     assert result.total_ops == 4 * 24
     crossings = sum(
-        link._crossings for link in iter_links(system.network)
+        link._crossings for link in system.network.all_links()
     )
     assert crossings > 0
     assert calls[0] == crossings
@@ -152,7 +154,7 @@ def test_perturbed_subclasses_add_no_instance_layout():
     """``__class__`` reassignment on a live object requires identical
     slot layouts; pin that the subclasses declare no new slots."""
     assert PerturbedSimulator.__slots__ == ()
-    assert JitteredLink.__slots__ == ()
+    assert HookedLink.__slots__ == ()
 
 
 def test_empty_spec_is_never_installed_by_the_explorer():

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from repro.testing.explore import Scenario, run_scenario
+from repro.testing.explore import Scenario, make_fault_scenario, run_scenario
 from repro.testing.perturb import PerturbSpec
 from repro.testing.shrink import load_repro, replay, shrink, write_repro
 
@@ -130,14 +130,20 @@ def test_checkpointable_classifies_the_boundary():
     from repro.testing.shrink import checkpointable
 
     assert checkpointable(_checkpointable_violation())
-    # Each refused overlay flips the verdict.
     base = _checkpointable_violation()
-    assert not checkpointable(dataclasses.replace(base, lineage=True))
-    assert not checkpointable(dataclasses.replace(base, observe=True))
+    # Every overlay pickles, so none of them flips the verdict...
+    for armed in (
+        dataclasses.replace(base, lineage=True, observe=True),
+        dataclasses.replace(base, perturb=PerturbSpec(
+            drop_request_prob=0.1, dup_request_prob=0.1,
+            force_escalation_prob=0.1,
+        )),
+        make_fault_scenario(3, "tokenb", "torus", "corrupt",
+                            workload="writeback_churn"),
+    ):
+        assert checkpointable(armed)
+    # ...only a closure-based mutant or a prefix-unstable workload does.
     assert not checkpointable(dataclasses.replace(base, mutant="stale-probe"))
-    assert not checkpointable(
-        dataclasses.replace(base, perturb=PerturbSpec(drop_request_prob=0.1))
-    )
     assert not checkpointable(dataclasses.replace(base, workload="phase_shift"))
 
 
@@ -175,8 +181,12 @@ def test_checkpointed_shrink_simulates_fewer_events():
 def test_unsupported_scenarios_degrade_to_cold_shrinking():
     """Outside the snapshot boundary, checkpoints=True is a transparent
     no-op: identical result, zero resumed runs."""
-    original = _forced_violation()  # no-escalation deadlock, cold-only...
-    original = dataclasses.replace(original, lineage=True)  # ...plus lineage
+    original = Scenario(  # a closure-based mutant: cold-only
+        seed=3, protocol="tokenb", interconnect="torus",
+        workload="false_sharing", ops_per_proc=24,
+        perturb=PerturbSpec(seed=3, link_jitter_ns=6.0),
+        mutant="stale-probe", lineage=True,
+    )
     warm_stats: dict = {}
     shrunk, outcome = shrink(original, checkpoints=True, stats=warm_stats)
     assert not outcome.ok
