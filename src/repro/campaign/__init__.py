@@ -13,28 +13,23 @@ differential conformance harness all declare
 * results live in JSON-lines shards with per-record flushes and atomic
   compaction, so the store survives kills and its bytes are independent
   of resume history;
-* ``python -m repro.campaign run|status|report`` drives it from the
-  command line (see :mod:`repro.campaign.cli`).
+* ``python -m repro.campaign run|status|report|compact`` drives it
+  from the command line (see :mod:`repro.campaign.cli`).
 
-Execution is three decoupled layers sharing that one code path:
+Execution is one path, :func:`run_campaign` → scheduler → transport →
+store:
 
 * **scheduler** (:mod:`repro.campaign.scheduler`) —
   :class:`CampaignScheduler` diffs a spec against the store, drives a
   transport, retries when the transport breaks mid-run, and beats the
   heartbeat; it never knows how scenarios execute;
 * **transports** (:mod:`repro.campaign.transports`) — ``submit(batch)``
-  yielding completions: in-process serial, local process pool, or a
-  socket fleet that ``python -m repro.campaign worker`` processes pull
-  batches from.  A store produced through any transport is
-  byte-identical, post-compaction, to a serial run;
-* **service** (:mod:`repro.campaign.service`) — a persistent daemon
-  (``python -m repro.campaign serve``) owning shared stores: spec
-  submissions over a line-JSON socket, content-hash dedup of identical
-  submissions, a bounded queue with explicit backpressure, heartbeat
-  streaming to subscribers, and idle-time store compaction.
+  yielding completions, either in-process serial or over a local
+  process pool.  A pool-produced store is byte-identical,
+  post-compaction, to a serial run.
 
-:func:`run_campaign` remains the one-call convenience wrapper over the
-scheduler with a local transport.
+:func:`run_campaign` picks the transport from ``jobs`` and runs the
+scheduler over it.
 """
 
 from repro.campaign.runner import HeartbeatWriter, RunReport, run_campaign
@@ -49,9 +44,7 @@ from repro.campaign.store import CampaignStore, StoreBusyError, make_record
 from repro.campaign.transports import (
     ProcessPoolTransport,
     SerialTransport,
-    SocketFleetTransport,
     TransportBroken,
-    fleet_worker,
 )
 
 __all__ = [
@@ -63,11 +56,9 @@ __all__ = [
     "RunReport",
     "ScenarioCase",
     "SerialTransport",
-    "SocketFleetTransport",
     "StoreBusyError",
     "TransportBroken",
     "code_fingerprint",
-    "fleet_worker",
     "make_record",
     "run_campaign",
     "union_cases",

@@ -10,9 +10,6 @@
     python -m repro.campaign report --spec predict --format csv
     python -m repro.campaign compact --spec figures
     python -m repro.campaign compact --spec figures --prune-stale
-    python -m repro.campaign serve --address 127.0.0.1:7741
-    python -m repro.campaign submit --address 127.0.0.1:7741 --spec smoke
-    python -m repro.campaign worker --address 127.0.0.1:7742
 
 ``report`` renders figure-style text by default; ``--format
 csv|markdown|json`` exports one row per scenario instead (simulate:
@@ -26,15 +23,10 @@ in-flight scenarios, and the rerun executes only what the store is
 missing (``--expect-cached`` turns "nothing should execute" into an
 exit-code assertion, which CI uses to prove store round-trips).  Specs
 are named presets (:data:`repro.campaign.presets.SPEC_BUILDERS`) or a
-JSON file holding a serialized :class:`CampaignSpec`.
-
-``serve`` starts the persistent campaign service
-(:mod:`repro.campaign.service`): ``submit`` sends it a spec over the
-line-JSON socket and streams the same beats ``status --watch`` tails;
-identical concurrent submissions are deduplicated into one run, and
-submissions past the queue bound get an explicit backpressure exit
-(:data:`EXIT_BUSY`).  ``worker`` attaches a pull-based fleet worker to
-a campaign serving batches over a socket transport.
+JSON file holding a serialized :class:`CampaignSpec`.  ``--jobs 1``
+runs in-process; more fans out over a local process pool.  Several
+``run`` processes may share one store at once: the store's writer lock
+keeps their appends and compactions from interleaving.
 """
 
 from __future__ import annotations
@@ -52,8 +44,6 @@ from repro.campaign.store import CampaignStore
 #: run exit codes beyond 0/1 (violations) — distinct so CI can assert.
 EXIT_EXECUTOR_FAILURE = 2
 EXIT_NOT_CACHED = 3
-#: submit: the service answered with explicit backpressure.
-EXIT_BUSY = 4
 
 
 def resolve_spec(name: str, args) -> CampaignSpec:
@@ -127,7 +117,6 @@ def cmd_run(args) -> int:
         store,
         jobs=args.jobs,
         progress=progress,
-        max_tasks_per_child=args.max_tasks_per_child,
         heartbeat=heartbeat,
     )
     print(
@@ -239,7 +228,7 @@ def _watch_heartbeat(path: Path, interval: float) -> int:
 
 
 def _beat_line(beat: dict) -> str:
-    """One watcher line for a heartbeat payload (file or socket beat)."""
+    """One watcher line for a heartbeat payload."""
     eta = beat.get("eta_s")
     per_s = beat.get("throughput_per_s", 0.0)
     shards = beat.get("shards", {})
@@ -250,116 +239,6 @@ def _beat_line(beat: dict) -> str:
         f"{beat['failures']} failures, "
         f"eta {'-' if eta is None else f'{eta:.0f}s'}"
     )
-
-
-# ----------------------------------------------------------------------
-# Service commands
-# ----------------------------------------------------------------------
-
-
-def cmd_serve(args) -> int:
-    """Run the persistent campaign service until stopped.
-
-    The daemon exits on a client ``shutdown`` request (after draining
-    the queue and compacting every store it dirtied) or on Ctrl-C.
-    """
-    from repro.campaign.service import CampaignService
-
-    service = CampaignService(
-        address=args.address,
-        queue_limit=args.queue_limit,
-        jobs=args.jobs,
-        fleet=args.fleet,
-    )
-    service.start()
-    print(f"campaign service listening on {service.address}", flush=True)
-    if args.fleet:
-        print(f"fleet workers attach at {service.fleet_address}", flush=True)
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        service.stop()
-        return 130
-    return 0
-
-
-def cmd_submit(args) -> int:
-    """Submit a campaign to a running service; watch it to completion.
-
-    Exit codes mirror ``run`` (:data:`EXIT_EXECUTOR_FAILURE`,
-    :data:`EXIT_NOT_CACHED`) plus :data:`EXIT_BUSY` when the daemon
-    answers with backpressure.
-    """
-    from repro.campaign.service import (
-        ServiceBusy,
-        ServiceRejected,
-        submit_spec,
-    )
-
-    spec = resolve_spec(args.spec, args)
-    on_beat = None
-    if not args.quiet and not args.no_watch:
-        seen: list[str] = []
-
-        def on_beat(message):
-            line = _beat_line(message)
-            if not seen or seen[-1] != line:
-                seen[:] = [line]
-                print(line, flush=True)
-
-    try:
-        outcome = submit_spec(
-            args.address,
-            spec,
-            store=args.store,
-            jobs=args.jobs,
-            watch=not args.no_watch,
-            on_beat=on_beat,
-        )
-    except ServiceBusy as exc:
-        print(
-            f"service busy: {exc} "
-            f"(queue {exc.queue_depth}/{exc.queue_limit})"
-        )
-        return EXIT_BUSY
-    except ServiceRejected as exc:
-        print(f"submission rejected: {exc}")
-        return 1
-    accepted = outcome["accepted"]
-    dedup = " [deduplicated]" if accepted.get("deduped") else ""
-    print(
-        f"run {accepted['run_id']}: {accepted['total']} scenarios "
-        f"-> {accepted['store']}{dedup}"
-    )
-    report = outcome["report"]
-    if report is None:
-        return 0
-    print(
-        f"campaign {spec.name!r}: {report['total']} scenarios, "
-        f"{report['executed']} executed, {report['cached']} cached, "
-        f"{len(report['failures'])} failures, {report['elapsed_s']}s"
-    )
-    for failure in report["failures"][:5]:
-        print(f"  failure {failure['key'][:12]}: {failure['error']}")
-    if report["failures"]:
-        return EXIT_EXECUTOR_FAILURE
-    if args.expect_cached and report["executed"]:
-        print(f"--expect-cached: {report['executed']} scenarios executed")
-        return EXIT_NOT_CACHED
-    return 0
-
-
-def cmd_worker(args) -> int:
-    """Attach one fleet worker to a campaign's socket transport."""
-    from repro.campaign.transports import fleet_worker
-
-    executed = fleet_worker(
-        args.address,
-        max_batches=args.max_batches,
-        stop_when_idle=args.stop_when_idle,
-    )
-    print(f"fleet worker executed {executed} scenarios")
-    return 0
 
 
 def cmd_report(args) -> int:
@@ -757,9 +636,6 @@ def _parse_args(argv):
             cmd.add_argument("--jobs", type=int, default=None,
                              help="worker processes (default: all cores; "
                                   "1 = serial in-process)")
-            cmd.add_argument("--max-tasks-per-child", type=int, default=None,
-                             help="recycle workers after N scenarios "
-                                  "(bounds per-worker memory)")
             cmd.add_argument("--expect-cached", action="store_true",
                              help="exit nonzero if anything executed")
             cmd.add_argument("-q", "--quiet", action="store_true")
@@ -782,54 +658,6 @@ def _parse_args(argv):
             cmd.add_argument("--prune-stale", action="store_true",
                              help="also drop records recorded under a "
                                   "different code fingerprint")
-
-    serve = sub.add_parser("serve",
-                           help="run the persistent campaign service")
-    serve.set_defaults(fn=cmd_serve)
-    serve.add_argument("--address", default="127.0.0.1:0",
-                       help="host:port (TCP) or a unix socket path; "
-                            "port 0 picks an ephemeral port")
-    serve.add_argument("--queue-limit", type=int, default=8,
-                       help="queued runs beyond which submissions get "
-                            "an explicit backpressure response")
-    serve.add_argument("--jobs", type=int, default=1,
-                       help="default per-run parallelism (submissions "
-                            "may override)")
-    serve.add_argument("--fleet", default=None,
-                       help="also serve pull-based fleet workers at "
-                            "this address (runs then execute on the "
-                            "fleet instead of a local pool)")
-
-    submit = sub.add_parser("submit",
-                            help="submit a campaign to a running service")
-    submit.set_defaults(fn=cmd_submit)
-    submit.add_argument("--address", required=True,
-                        help="the service's listen address")
-    submit.add_argument("--spec", required=True,
-                        help="preset name or spec JSON file")
-    submit.add_argument("--store", default=None,
-                        help="store directory (default: the spec's)")
-    submit.add_argument("--seeds", type=int, default=8)
-    submit.add_argument("--seed-base", type=int, default=0)
-    submit.add_argument("--smoke", action="store_true")
-    submit.add_argument("--jobs", type=int, default=None,
-                        help="override the service's per-run parallelism")
-    submit.add_argument("--no-watch", action="store_true",
-                        help="return after acknowledgement instead of "
-                             "streaming progress to completion")
-    submit.add_argument("--expect-cached", action="store_true",
-                        help="exit nonzero if anything executed")
-    submit.add_argument("-q", "--quiet", action="store_true")
-
-    worker = sub.add_parser("worker",
-                            help="attach a fleet worker to a campaign")
-    worker.set_defaults(fn=cmd_worker)
-    worker.add_argument("--address", required=True,
-                        help="the fleet transport's listen address")
-    worker.add_argument("--max-batches", type=int, default=None,
-                        help="exit after pulling N batches")
-    worker.add_argument("--stop-when-idle", action="store_true",
-                        help="exit when the campaign has no queued work")
     return parser.parse_args(argv)
 
 

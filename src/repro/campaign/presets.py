@@ -502,14 +502,10 @@ def figures_spec() -> CampaignSpec:
         ablations_spec(),
         predict_spec(),
     ]
-    seen: dict[str, dict] = {}
-    for part in parts:
-        for case in part.cases():
-            seen.setdefault(case.key, case.params)
     return CampaignSpec(
         name="figures",
         kind="simulate",
-        grid=list(seen.values()),
+        grid=[case.params for case in union_cases(parts)],
         default_store=_default_store("benchmarks/.bench_cache"),
     )
 
@@ -684,7 +680,7 @@ def smoke_spec() -> CampaignSpec:
     )
 
 
-#: Named specs the CLI and the service resolve (callables taking
+#: Named specs ``python -m repro.campaign`` resolves (callables taking
 #: optional kwargs).
 SPEC_BUILDERS = {
     "figures": figures_spec,
@@ -715,10 +711,8 @@ def build_spec(
 ) -> CampaignSpec:
     """Build a named preset, routing only the options it understands.
 
-    The one place that knows which presets take seed/smoke options —
-    shared by ``campaign run``'s spec resolution and ``campaign
-    submit``'s, so the CLI and the service construct identical specs
-    (and therefore identical content-addressed run ids).  Raises
+    The one place that knows which presets take seed/smoke options;
+    every CLI subcommand resolves its ``--spec`` through it.  Raises
     :class:`KeyError` for unknown names.
     """
     builder = SPEC_BUILDERS[name]
@@ -730,8 +724,3 @@ def build_spec(
     elif name in ("workloads", "snapshots"):
         kwargs = dict(smoke=smoke)
     return builder(**kwargs)
-
-
-def union_spec_cases(*names):
-    """Cases of several named specs, deduplicated (CLI convenience)."""
-    return union_cases([SPEC_BUILDERS[name]() for name in names])

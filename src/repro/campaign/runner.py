@@ -1,15 +1,11 @@
-"""``run_campaign`` — the one-call compatibility face of the split.
+"""``run_campaign`` — the one-call face of the scheduler.
 
-The monolithic runner this module used to hold is now two layers:
-:class:`~repro.campaign.scheduler.CampaignScheduler` (store diffing,
-retry, resume, heartbeats) and :mod:`~repro.campaign.transports`
-(serial / local pool / socket fleet execution).  Every historical call
-site — the benches, the explorer's ``--jobs`` mode, the differential
-harness, ``fork_family`` campaigns, and the CLI — keeps calling
-:func:`run_campaign` with the same signature and gets byte-identical
-stores; the function now just picks a transport and delegates.  New
-code that wants a different execution strategy (a persistent daemon, a
-remote fleet) composes the layers directly.
+:class:`~repro.campaign.scheduler.CampaignScheduler` does the store
+diffing, retries, resume and heartbeats; :mod:`~repro.campaign.transports`
+executes cases serially in-process or over a local process pool.  Every
+call site — the benches, the explorer's ``--jobs`` mode, the
+differential harness, ``fork_family`` campaigns, and the CLI — calls
+:func:`run_campaign`, which picks the transport and delegates.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ def run_campaign(
     store: CampaignStore,
     jobs: int | None = 1,
     progress: ProgressFn | None = None,
-    max_tasks_per_child: int | None = None,
     compact: bool = True,
     heartbeat: "str | os.PathLike | None" = None,
 ) -> RunReport:
@@ -56,9 +51,7 @@ def run_campaign(
     if jobs == 1:
         transport = SerialTransport(store)
     else:
-        transport = ProcessPoolTransport(
-            store, jobs, max_tasks_per_child=max_tasks_per_child
-        )
+        transport = ProcessPoolTransport(store, jobs)
     try:
         return scheduler.run(cases, transport)
     finally:

@@ -1,14 +1,12 @@
 """The campaign scheduler: store diffing, retries, heartbeats — no I/O
 strategy of its own.
 
-:class:`CampaignScheduler` is the transport-agnostic half of what used
-to be one monolithic ``run_campaign``: it consumes a
+:class:`CampaignScheduler` consumes a
 :class:`~repro.campaign.spec.CampaignSpec` (or explicit case list),
-diffs it against the store, submits the missing cases to whatever
-:mod:`~repro.campaign.transports` transport it is handed, and turns the
-stream of completions into progress callbacks, heartbeat beats, and a
-:class:`RunReport`.  Contract (unchanged from the monolith — the
-equivalence tests pin it):
+diffs it against the store, submits the missing cases to a serial or
+process-pool transport (:mod:`~repro.campaign.transports`), and turns
+the stream of completions into progress callbacks, heartbeat beats, and
+a :class:`RunReport`.  Contract (the equivalence tests pin it):
 
 * **Incremental**: only cases missing from the store execute; a
   completed campaign re-runs as a 100% store hit.
@@ -25,8 +23,8 @@ equivalence tests pin it):
   :data:`_TRANSPORT_RETRIES` restarts the stragglers surface as
   ordinary per-case failures.
 * **Durability before acknowledgement**: transports publish each record
-  to the store before yielding its completion, so a beat (and a
-  subscriber update downstream) never claims work a crash could lose.
+  to the store before yielding its completion, so a beat never claims
+  work a crash could lose.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import tempfile
 import time
 from pathlib import Path
 from typing import Callable, Sequence
@@ -69,26 +68,24 @@ class RunReport:
 class HeartbeatWriter:
     """Atomic progress beacon for ``campaign status --watch``.
 
-    One JSON object per beat, written tmp-then-:func:`os.replace` so a
-    concurrent reader never sees a torn file.  Beats happen on every
-    completion plus once at start and once at the end (``finished``
-    flips true), so a watcher polling the file sees monotone progress
-    and a definitive terminal state even for a 100%-cached run.
-
-    ``path`` may be ``None`` for a file-less beacon; each beat payload
-    is also handed to ``sink`` when given — the campaign service streams
-    exactly these payloads to its subscribers, so a socket watcher and
-    a file watcher read the same format.
+    One JSON object per beat, written to a temp file that then
+    atomically replaces ``path`` (:func:`os.replace`), so a concurrent
+    reader never sees a torn file.  Each beat gets its own temp file
+    (:func:`tempfile.mkstemp`, as in store compaction): two runs against
+    one store share the default ``heartbeat.json``, and a shared temp
+    name would let one run's beat rename the other's file away
+    mid-replace.  Beats happen on every completion plus once at start
+    and once at the end (``finished`` flips true), so a watcher polling
+    the file sees monotone progress and a definitive terminal state
+    even for a 100%-cached run.
     """
 
-    def __init__(self, path, total: int, cached: int, jobs: int,
-                 sink: Callable[[dict], None] | None = None) -> None:
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path, total: int, cached: int, jobs: int) -> None:
+        self.path = Path(path)
         self.total = total
         self.cached = cached
         self.jobs = jobs
         self.failures = 0
-        self.sink = sink
         self._streams: dict[str, int] = {}
         self._started = time.time()
         self._t0 = time.perf_counter()
@@ -124,13 +121,18 @@ class HeartbeatWriter:
             },
             "finished": finished,
         }
-        if self.path is not None:
-            tmp = self.path.with_suffix(".tmp")
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(payload))
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(json.dumps(payload))
             os.replace(tmp, self.path)
-        if self.sink is not None:
-            self.sink(payload)
+        except OSError:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
 
 def _available_cpus() -> int:
@@ -156,10 +158,9 @@ def resolve_jobs(jobs: int | None, n_cases: int) -> int:
 class CampaignScheduler:
     """Drive a campaign to completion over any transport.
 
-    One scheduler may run many campaigns against its store (the service
-    daemon does); each :meth:`run` is independent.  ``heartbeat`` names
-    the beacon file (``None`` disables it); ``heartbeat_sink``
-    additionally receives every beat payload in-process.
+    One scheduler may run many campaigns against its store; each
+    :meth:`run` is independent.  ``heartbeat`` names the beacon file
+    (``None`` disables it).
     """
 
     def __init__(
@@ -168,15 +169,11 @@ class CampaignScheduler:
         progress: ProgressFn | None = None,
         compact: bool = True,
         heartbeat: "str | os.PathLike | None" = None,
-        heartbeat_sink: Callable[[dict], None] | None = None,
-        retries: int | None = None,
     ):
         self.store = store
         self.progress = progress
         self.compact = compact
         self.heartbeat = heartbeat
-        self.heartbeat_sink = heartbeat_sink
-        self.retries = _TRANSPORT_RETRIES if retries is None else retries
 
     # ------------------------------------------------------------------
 
@@ -215,16 +212,15 @@ class CampaignScheduler:
         done = total - len(missing)
         failures: list[dict] = []
         beacon = None
-        if self.heartbeat is not None or self.heartbeat_sink is not None:
+        if self.heartbeat is not None:
             beacon = HeartbeatWriter(
-                self.heartbeat, total, done,
-                getattr(transport, "lanes", 1), sink=self.heartbeat_sink,
+                self.heartbeat, total, done, getattr(transport, "lanes", 1)
             )
             beacon.beat(done)
 
         remaining = list(missing)
         broken_reason = "TransportBroken"
-        for _attempt in range(self.retries + 1):
+        for _attempt in range(_TRANSPORT_RETRIES + 1):
             if not remaining:
                 break
             try:
@@ -263,7 +259,8 @@ class CampaignScheduler:
                     "key": case.key,
                     "error": (
                         f"{broken_reason} and the transport was restarted "
-                        f"{self.retries} times without finishing this case"
+                        f"{_TRANSPORT_RETRIES} times without finishing this "
+                        "case"
                     ),
                 }
                 for case in remaining
@@ -278,8 +275,8 @@ class CampaignScheduler:
                 # the transport's pending shards into the parent's index.
                 self.store.compact()
             except StoreBusyError:
-                # Another writer (a concurrent CLI run, a daemon) holds
-                # the store's writer lock: leave its pending files alone
+                # Another writer (a concurrent CLI run) holds the
+                # store's writer lock: leave its pending files alone
                 # and just fold the records into this process's index.
                 self.store.load()
         elif missing and getattr(transport, "out_of_process", False):

@@ -47,9 +47,11 @@ DEFAULT_SHARDS = 16
 class StoreBusyError(RuntimeError):
     """Compaction refused: another live writer holds the store's lock.
 
-    Rewriting shards out from under a concurrent appender (a daemon run
-    and a CLI ``run`` sharing one store) risks torn interleavings; the
-    caller should retry after the writer finishes, or skip compaction.
+    Rewriting shards out from under a concurrent appender (a
+    ``compact`` or a finishing ``run`` while another ``run`` or its
+    pool workers still append to the same store) risks torn
+    interleavings; the caller should retry after the writer finishes,
+    or skip compaction.
     """
 
 
@@ -239,7 +241,7 @@ class CampaignStore:
 
         Every appender holds a shared lock on one well-known file;
         :meth:`compact` takes the same lock exclusively, so compaction
-        and appends serialize — a daemon and a concurrent CLI ``run``
+        and appends serialize — two concurrent CLI ``run`` processes
         against one store cannot interleave torn shard rewrites.  If a
         compaction is mid-flight the acquire blocks until it finishes
         (compaction is bounded and atomic).  Degrades to a no-op where

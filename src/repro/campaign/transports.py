@@ -11,28 +11,22 @@ runs (store diffing, retry budgets, heartbeats); a transport decides
     completion — that ordering is what makes a crash resumable (a
     yielded case is on disk; an unyielded one reads as missing).
 ``shutdown()``
-    Release workers/sockets.  A transport must survive ``submit`` being
-    called again after a :class:`TransportBroken` — that is how the
-    scheduler retries.
+    Release workers.  A transport must survive ``submit`` being called
+    again after a :class:`TransportBroken` — that is how the scheduler
+    retries.
 
-Three implementations share that contract:
+Two implementations share that contract:
 
 :class:`SerialTransport`
     In-process, batch order — the debugging path and the one that keeps
     the explorer's on-violation shrink/repro flow deterministic.
 :class:`ProcessPoolTransport`
-    The local ``ProcessPoolExecutor`` fan-out, absorbing the worker
-    bootstrap (store binding + fork-context prewarm) that used to live
-    inline in ``run_campaign``.  A worker dying mid-case raises
-    :class:`TransportBroken`; the pool is rebuilt on the next submit.
-:class:`SocketFleetTransport`
-    Remote workers connect over TCP or a Unix socket, authenticate
-    against the source fingerprint, and *pull* batches; results travel
-    back over the wire and are appended to the store parent-side.  A
-    worker disconnecting mid-batch has its leased cases requeued, so a
-    flaky fleet degrades to slower, never to lost work.
+    The local ``ProcessPoolExecutor`` fan-out, with the worker
+    bootstrap (store binding + fork-context prewarm).  A worker dying
+    mid-case raises :class:`TransportBroken`; the pool is rebuilt on
+    the next submit.
 
-Because every transport publishes identical records through the same
+Because both publish identical records through the same
 content-addressed store, the final (compacted) store bytes are a pure
 function of (spec, code version) — independent of which transport ran
 which case.  ``tests/campaign/test_scheduler.py`` pins that equivalence.
@@ -40,19 +34,14 @@ which case.  ``tests/campaign/test_scheduler.py`` pins that equivalence.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import os
-import queue
-import threading
-import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Iterator, Sequence
 
-from repro.campaign import wire
 from repro.campaign.executors import execute_case
-from repro.campaign.spec import ScenarioCase, code_fingerprint
+from repro.campaign.spec import ScenarioCase
 from repro.campaign.store import CampaignStore, make_record
 
 
@@ -89,10 +78,10 @@ class SerialTransport:
     #: Results are written by this process: no reload needed afterwards.
     out_of_process = False
     lanes = 1
+    stream = "serial"
 
-    def __init__(self, store: CampaignStore, stream: str = "serial"):
+    def __init__(self, store: CampaignStore):
         self.store = store
-        self.stream = stream
 
     def submit(
         self, batch: Sequence[ScenarioCase]
@@ -165,28 +154,21 @@ class ProcessPoolTransport:
 
     Workers append results straight to their own store stream and hand
     back only ``(key, ok, error, stream)`` triples, so execution never
-    accumulates payloads in worker RAM; ``max_tasks_per_child`` (spawn
-    context) additionally recycles worker processes for leak isolation.
-    The pool lives for one ``submit`` call: workers hold the store's
-    shared writer lock while alive, so tearing the pool down before
-    returning is what lets the scheduler's end-of-run compaction take
-    the exclusive lock (and unlink the workers' pending files).  A
-    fresh pool is built lazily on the next submit — fork-context
-    children inherit the parent's imports either way, so the prewarm
-    effect is per-run, not per-pool-lifetime.
+    accumulates payloads in worker RAM.  The pool lives for one
+    ``submit`` call: workers hold the store's shared writer lock while
+    alive, so tearing the pool down before returning is what lets the
+    scheduler's end-of-run compaction take the exclusive lock (and
+    unlink the workers' pending files).  A fresh pool is built lazily
+    on the next submit — fork-context children inherit the parent's
+    imports either way, so the prewarm effect is per-run, not
+    per-pool-lifetime.
     """
 
     out_of_process = True
 
-    def __init__(
-        self,
-        store: CampaignStore,
-        jobs: int,
-        max_tasks_per_child: int | None = None,
-    ):
+    def __init__(self, store: CampaignStore, jobs: int):
         self.store = store
         self.lanes = max(1, jobs)
-        self.max_tasks_per_child = max_tasks_per_child
         self._pool: ProcessPoolExecutor | None = None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -195,19 +177,11 @@ class ProcessPoolTransport:
             # from the environment, so make ``repro`` importable
             # unconditionally — harmless under fork, required elsewhere.
             _ensure_child_import_path()
-            pool_kwargs: dict = dict(
+            self._pool = ProcessPoolExecutor(
                 max_workers=self.lanes,
                 initializer=_worker_init,
                 initargs=(str(self.store.root), self.store.n_shards),
             )
-            if self.max_tasks_per_child is not None:
-                # Worker recycling needs a fresh interpreter per batch;
-                # the fork context does not support it.
-                import multiprocessing
-
-                pool_kwargs["mp_context"] = multiprocessing.get_context("spawn")
-                pool_kwargs["max_tasks_per_child"] = self.max_tasks_per_child
-            self._pool = ProcessPoolExecutor(**pool_kwargs)
         return self._pool
 
     def submit(
@@ -247,262 +221,3 @@ class ProcessPoolTransport:
             # scheduler reloads the store to compute what is missing.
             self._pool.shutdown(wait=True)
             self._pool = None
-
-
-# ----------------------------------------------------------------------
-# Socket fleet
-# ----------------------------------------------------------------------
-
-
-class SocketFleetTransport:
-    """Serve batches to remote workers over TCP or a Unix socket.
-
-    Workers (:func:`fleet_worker`, ``python -m repro.campaign worker``)
-    connect, present their source fingerprint, and pull batches of
-    ``batch_size`` cases; mismatched fingerprints are rejected at hello
-    (a fleet worker built from different sources would poison the
-    content-addressed store with records other checkouts can't verify).
-    Results come back over the wire and are appended parent-side under a
-    per-worker store stream, so the durability story is exactly the
-    local pool's: one pending file per worker, flushed per record.
-
-    A worker disconnecting mid-batch has its leased cases requeued for
-    the next puller.  If *no* worker makes progress for
-    ``worker_timeout`` seconds the batch raises :class:`TransportBroken`
-    so the scheduler can retry (and eventually surface the stall as
-    per-case failures) instead of hanging forever.
-    """
-
-    out_of_process = True
-
-    def __init__(
-        self,
-        store: CampaignStore,
-        address: str = "127.0.0.1:0",
-        batch_size: int = 4,
-        fingerprint: str | None = None,
-        worker_timeout: float | None = None,
-    ):
-        self.store = store
-        self.batch_size = max(1, batch_size)
-        self.fingerprint = (
-            fingerprint if fingerprint is not None else code_fingerprint()
-        )
-        self.worker_timeout = worker_timeout
-        self.lanes = 1  # grows as workers attach
-        self._server = wire.listen(address)
-        self.address = wire.bound_address(self._server)
-        self._lock = threading.Lock()
-        self._work: collections.deque[ScenarioCase] = collections.deque()
-        self._by_key: dict[str, ScenarioCase] = {}
-        self._completions: queue.Queue[CaseCompletion] = queue.Queue()
-        self._closing = False
-        self._workers_seen = 0
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="fleet-accept", daemon=True
-        )
-        self._accept_thread.start()
-
-    # -- parent side ---------------------------------------------------
-
-    def submit(
-        self, batch: Sequence[ScenarioCase]
-    ) -> Iterator[CaseCompletion]:
-        # Drain completions stranded by a previous timed-out batch (a
-        # worker may have published one in the instant the timeout
-        # fired); they were already counted as unfinished and must not
-        # be credited to this batch.
-        while True:
-            try:
-                self._completions.get_nowait()
-            except queue.Empty:
-                break
-        with self._lock:
-            for case in batch:
-                self._by_key[case.key] = case
-            self._work.extend(batch)
-        pending = len(batch)
-        while pending:
-            try:
-                completion = self._completions.get(timeout=self.worker_timeout)
-            except queue.Empty:
-                with self._lock:
-                    self._work.clear()
-                    self._by_key.clear()
-                raise TransportBroken(
-                    "SocketFleetTransport: no worker progress within "
-                    f"{self.worker_timeout}s ({self._workers_seen} workers "
-                    "ever connected)"
-                ) from None
-            pending -= 1
-            yield completion
-
-    def shutdown(self) -> None:
-        self._closing = True
-        try:
-            self._server.close()
-        except OSError:
-            pass
-
-    # -- per-connection service ----------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._closing:
-            try:
-                conn, _addr = self._server.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve_worker, args=(conn,), daemon=True
-            ).start()
-
-    def _serve_worker(self, conn) -> None:
-        stream = wire.MessageStream(conn)
-        lease: list[ScenarioCase] = []
-        try:
-            hello = stream.read()
-            if not hello or hello.get("type") != "hello":
-                stream.send({"type": "reject", "reason": "expected hello"})
-                return
-            if hello.get("fingerprint") != self.fingerprint:
-                stream.send(
-                    {
-                        "type": "reject",
-                        "reason": "source fingerprint mismatch: worker "
-                        f"{hello.get('fingerprint')!r} != campaign "
-                        f"{self.fingerprint!r}",
-                    }
-                )
-                return
-            with self._lock:
-                self._workers_seen += 1
-                worker_id = self._workers_seen
-                self.lanes = max(self.lanes, self._workers_seen)
-            store_stream = f"fleet-{worker_id}-{hello.get('worker', 'anon')}"
-            stream.send({"type": "welcome", "batch_size": self.batch_size})
-            for message in stream:
-                if message.get("type") == "pull":
-                    with self._lock:
-                        lease = [
-                            self._work.popleft()
-                            for _ in range(
-                                min(self.batch_size, len(self._work))
-                            )
-                        ]
-                    if self._closing:
-                        stream.send({"type": "bye"})
-                        return
-                    if not lease:
-                        stream.send({"type": "idle"})
-                        continue
-                    stream.send(
-                        {
-                            "type": "batch",
-                            "cases": [
-                                {
-                                    "kind": case.kind,
-                                    "params": case.params,
-                                    "fingerprint": case.fingerprint,
-                                }
-                                for case in lease
-                            ],
-                        }
-                    )
-                elif message.get("type") == "results":
-                    for row in message.get("results", ()):
-                        with self._lock:
-                            case = self._by_key.pop(row.get("key"), None)
-                        if case is None:
-                            continue  # duplicate/unknown: already settled
-                        lease = [c for c in lease if c.key != case.key]
-                        if row.get("ok"):
-                            # Publish before yielding the completion —
-                            # the scheduler's durability contract.
-                            with self._lock:
-                                self.store.append(
-                                    make_record(case, row.get("result")),
-                                    stream=store_stream,
-                                )
-                        self._completions.put(
-                            CaseCompletion(
-                                case,
-                                bool(row.get("ok")),
-                                row.get("error"),
-                                store_stream,
-                            )
-                        )
-        finally:
-            if lease:
-                # The worker died holding cases: put them back for the
-                # next puller so a flaky fleet loses time, not work.
-                with self._lock:
-                    requeue = [c for c in lease if c.key in self._by_key]
-                    self._work.extendleft(reversed(requeue))
-            stream.close()
-
-
-def fleet_worker(
-    address: str,
-    max_batches: int | None = None,
-    idle_poll_s: float = 0.05,
-    stop_when_idle: bool = False,
-) -> int:
-    """Pull-and-execute loop for one fleet worker; returns cases run.
-
-    Connects to a :class:`SocketFleetTransport`, authenticates with this
-    checkout's source fingerprint, then pulls batches until the server
-    says ``bye`` (or ``idle`` arrives with ``stop_when_idle``).  Used
-    in-process by tests and as the body of
-    ``python -m repro.campaign worker``.
-    """
-    sock = wire.connect(address)
-    stream = wire.MessageStream(sock)
-    executed = 0
-    batches = 0
-    try:
-        stream.send(
-            {
-                "type": "hello",
-                "fingerprint": code_fingerprint(),
-                "worker": f"{os.getpid()}",
-            }
-        )
-        welcome = stream.read()
-        if not welcome or welcome.get("type") != "welcome":
-            reason = (welcome or {}).get("reason", "connection closed")
-            raise ConnectionError(f"fleet worker rejected: {reason}")
-        while max_batches is None or batches < max_batches:
-            stream.send({"type": "pull"})
-            message = stream.read()
-            if message is None or message.get("type") == "bye":
-                break
-            if message.get("type") == "idle":
-                if stop_when_idle:
-                    break
-                time.sleep(idle_poll_s)
-                continue
-            batches += 1
-            results = []
-            for doc in message.get("cases", ()):
-                case = ScenarioCase(
-                    doc["kind"], doc["params"], fingerprint=doc["fingerprint"]
-                )
-                try:
-                    result = execute_case(case)
-                except Exception as exc:  # noqa: BLE001
-                    results.append(
-                        {
-                            "key": case.key,
-                            "ok": False,
-                            "error": f"{type(exc).__name__}: {exc}",
-                        }
-                    )
-                else:
-                    executed += 1
-                    results.append(
-                        {"key": case.key, "ok": True, "result": result}
-                    )
-            stream.send({"type": "results", "results": results})
-    finally:
-        stream.close()
-    return executed

@@ -1,17 +1,20 @@
 """Scheduler/transport split: equivalence, retries, beats, job sizing."""
 
 import dataclasses
-import threading
+import json
+import os
 
-from repro.campaign.scheduler import CampaignScheduler, resolve_jobs
+from repro.campaign.scheduler import (
+    CampaignScheduler,
+    HeartbeatWriter,
+    resolve_jobs,
+)
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore
 from repro.campaign.transports import (
     ProcessPoolTransport,
     SerialTransport,
-    SocketFleetTransport,
     TransportBroken,
-    fleet_worker,
 )
 from repro.workloads import COMMERCIAL_WORKLOADS
 
@@ -40,9 +43,9 @@ def _store_bytes(root):
 
 
 def test_every_transport_produces_byte_identical_compacted_stores(tmp_path):
-    """The split's core claim: serial, local pool, and socket fleet all
-    publish identical records through the same store, so the compacted
-    bytes are a pure function of the spec — independent of transport."""
+    """The split's core claim: serial and local pool publish identical
+    records through the same store, so the compacted bytes are a pure
+    function of the spec — independent of transport."""
     spec = _tiny_spec(4)
     cases = spec.cases()
 
@@ -60,24 +63,9 @@ def test_every_transport_produces_byte_identical_compacted_stores(tmp_path):
         pool.shutdown()
     assert report.ok and report.executed == 4
 
-    fleet_store = CampaignStore(tmp_path / "fleet")
-    fleet = SocketFleetTransport(fleet_store, batch_size=2)
-    worker = threading.Thread(
-        target=fleet_worker, args=(fleet.address,), daemon=True
-    )
-    worker.start()
-    try:
-        report = CampaignScheduler(fleet_store).run(cases, fleet)
-    finally:
-        fleet.shutdown()
-    worker.join(timeout=10)
-    assert report.ok and report.executed == 4
-
-    serial_bytes = _store_bytes(tmp_path / "serial")
-    assert _store_bytes(tmp_path / "pool") == serial_bytes
-    assert _store_bytes(tmp_path / "fleet") == serial_bytes
+    assert _store_bytes(tmp_path / "pool") == _store_bytes(tmp_path / "serial")
     # Everything folded: no pending files survive compaction anywhere.
-    for name in ("serial", "pool", "fleet"):
+    for name in ("serial", "pool"):
         assert not list((tmp_path / name).glob("pending-*.jsonl"))
 
 
@@ -90,23 +78,30 @@ def test_scheduler_pending_diffs_spec_against_store(tmp_path):
     assert len(scheduler.pending(spec)) == 2
 
 
-def test_heartbeat_sink_streams_beacon_payloads_without_a_file(tmp_path):
-    """The service's subscriber stream is the heartbeat format: a sink
-    receives every beat payload (including the terminal one) even with
-    no beacon file configured."""
-    spec = _tiny_spec(2)
-    store = CampaignStore(tmp_path)
-    beats = []
-    scheduler = CampaignScheduler(store, heartbeat_sink=beats.append)
-    report = scheduler.run(spec, SerialTransport(store))
-    assert report.ok
-    # Initial beat + one per completion + terminal.
-    assert len(beats) == 4
-    assert beats[0]["completed"] == 0 and not beats[0]["finished"]
-    assert beats[-1]["finished"] is True
-    assert beats[-1]["completed"] == beats[-1]["total"] == 2
-    assert all("throughput_per_s" in beat for beat in beats)
-    assert not (tmp_path / "heartbeat.json").exists()
+def test_concurrent_heartbeats_on_one_path_do_not_collide(
+    tmp_path, monkeypatch
+):
+    """Two runs sharing a store share its default ``heartbeat.json``.
+    Force the bad interleaving — run B beats between run A's temp-file
+    write and A's rename — and A's beat must still land: each beat
+    writes through its own temp file, so B cannot rename A's away."""
+    path = tmp_path / "heartbeat.json"
+    run_a = HeartbeatWriter(path, total=4, cached=0, jobs=1)
+    run_b = HeartbeatWriter(path, total=9, cached=0, jobs=1)
+    real_replace = os.replace
+    injected = []
+
+    def replace_with_b_beating_first(src, dst):
+        if not injected:
+            injected.append(src)
+            run_b.beat(1)  # B's whole beat, inside A's os.replace
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_with_b_beating_first)
+    run_a.beat(2)
+    assert injected, "the interleaving was never forced"
+    assert json.loads(path.read_text())["total"] == 4  # A's rename was last
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 class _AlwaysBroken:
@@ -127,12 +122,16 @@ class _AlwaysBroken:
         pass
 
 
-def test_retries_are_configurable_and_stragglers_name_the_reason(tmp_path):
+def test_retries_are_configurable_and_stragglers_name_the_reason(
+    tmp_path, monkeypatch
+):
+    from repro.campaign import scheduler
+
+    monkeypatch.setattr(scheduler, "_TRANSPORT_RETRIES", 1)
     spec = _tiny_spec(2)
     store = CampaignStore(tmp_path)
     transport = _AlwaysBroken()
-    scheduler = CampaignScheduler(store, compact=False, retries=1)
-    report = scheduler.run(spec, transport)
+    report = CampaignScheduler(store, compact=False).run(spec, transport)
     assert transport.submits == 2  # first try + one retry
     assert len(report.failures) == 2
     assert all(
@@ -145,8 +144,6 @@ def test_retries_are_configurable_and_stragglers_name_the_reason(tmp_path):
 def test_resolve_jobs_respects_cpu_affinity(monkeypatch):
     """Auto job sizing uses the process's *usable* CPUs (cgroup/taskset
     affinity), not the machine-wide count."""
-    import os
-
     from repro.campaign import scheduler
 
     if hasattr(os, "sched_getaffinity"):

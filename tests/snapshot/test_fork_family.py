@@ -5,7 +5,9 @@ resumes the snapshot under each divergent tail.  The contract: every
 forked tail's result equals the cold path's (fresh system, full warmup
 replay, same tail) byte for byte — across all 13 legal
 protocol × interconnect pairs — and stays pinned to the recorded golden
-digests so engine refactors cannot silently move fork outputs.
+digests so engine refactors cannot silently move fork outputs.  On a
+warmup-dominated family, forking must also execute at least 3x fewer
+events than cold replay.
 
 Regenerate the golden after an *intentional* engine change with::
 
@@ -103,6 +105,38 @@ def test_fork_equals_cold_and_matches_golden(protocol, interconnect):
     observed = {name: _digest(_observed(result))
                 for name, result in forked.items()}
     assert observed == golden
+
+
+#: The fork economics floor: a family's tails forked from one warmup
+#: execute at least this many times fewer events than replaying the
+#: warmup cold for every tail.
+MIN_EVENTS_RATIO = 3.0
+
+#: 160:1 warmup:tail over 4 tails, the regime forking exists for.
+RATIO_FAMILY_SHAPE = dict(warmup_ops=1600, tail_ops=10, n_tails=4)
+RATIO_GRID = [("tokenb", "torus"), ("directory", "torus"), ("tokenm", "torus")]
+
+
+@pytest.mark.parametrize(
+    "protocol,interconnect",
+    RATIO_GRID,
+    ids=[f"{p}-{i}" for p, i in RATIO_GRID],
+)
+def test_fork_events_ratio_floor(protocol, interconnect):
+    """Events are deterministic, so this floor is immune to wall-clock
+    noise.  Cold replays every tail from scratch (Σ tail events_fired;
+    fork == cold is pinned above); the fork runs the warmup once plus
+    each tail's increment past the checkpoint."""
+    config = SystemConfig(
+        protocol=protocol, interconnect=interconnect, n_procs=8, seed=7
+    )
+    forked, stats = fork_family(config, demo_family(**RATIO_FAMILY_SHAPE))
+    warmup = stats["warmup_events"]
+    events_cold = sum(result.events_fired for result in forked.values())
+    events_fork = warmup + sum(
+        result.events_fired - warmup for result in forked.values()
+    )
+    assert events_cold / events_fork >= MIN_EVENTS_RATIO
 
 
 def test_golden_covers_the_full_grid():
