@@ -18,24 +18,19 @@ each on the OLTP model:
 if __package__ in (None, ""):
     import _bootstrap  # noqa: F401
 
-from benchmarks.common import declared_spec, ensure, pct_faster, run
-from repro import OLTP, SystemConfig
-
-#: The data points this bench declares (run via the campaign runner).
-CAMPAIGN_SPEC = declared_spec("ablations")
+from benchmarks.common import lookup
+from repro.analysis.report import speedup
 
 
-def _run(bandwidth=3.2, **overrides):
-    return run(OLTP, "tokenb", "torus", bandwidth=bandwidth, **overrides)
+def _collect(benchmark, knob: str) -> dict:
+    """One knob's results from the ``ablations`` preset, keyed by value."""
+    return benchmark.pedantic(lookup, ("ablations",), rounds=1, iterations=1)[knob]
 
 
 def bench_ablation_migratory(benchmark):
-    def collect():
-        ensure(CAMPAIGN_SPEC)
-        return _run(), _run(migratory_optimization=False)
-
-    with_opt, without_opt = benchmark.pedantic(collect, rounds=1, iterations=1)
-    gain = pct_faster(without_opt, with_opt)
+    results = _collect(benchmark, "migratory")
+    with_opt, without_opt = results["on"], results["off"]
+    gain = speedup(without_opt, with_opt)
     print(f"\nmigratory optimization: +{gain:.1f}% runtime "
           f"({with_opt.cycles_per_transaction:.0f} vs "
           f"{without_opt.cycles_per_transaction:.0f} cyc/txn); "
@@ -45,14 +40,7 @@ def bench_ablation_migratory(benchmark):
 
 
 def bench_ablation_reissue_timeout(benchmark):
-    def collect():
-        ensure(CAMPAIGN_SPEC)
-        return {
-            mult: _run(reissue_timeout_multiplier=mult)
-            for mult in (0.5, 2.0, 8.0)
-        }
-
-    results = benchmark.pedantic(collect, rounds=1, iterations=1)
+    results = _collect(benchmark, "reissue_timeout")
     print()
     for mult, result in results.items():
         classes = result.miss_classification()
@@ -74,19 +62,14 @@ def bench_ablation_reissue_timeout(benchmark):
 
 
 def bench_ablation_token_count(benchmark):
-    def collect():
-        ensure(CAMPAIGN_SPEC)
-        return {t: _run(tokens_per_block=t) for t in (16, 64, 256)}
-
-    results = benchmark.pedantic(collect, rounds=1, iterations=1)
+    results = _collect(benchmark, "token_count")
     print()
     base = results[16].cycles_per_transaction
     for tokens, result in results.items():
-        config = SystemConfig(n_procs=16, tokens_per_block=tokens)
         print(
             f"T={tokens:3d}: {result.cycles_per_transaction:7.0f} cyc/txn "
             f"({result.cycles_per_transaction / base:.3f}x), "
-            f"token state {config.token_state_bits()} bits/block"
+            f"token state {result.config.token_state_bits()} bits/block"
         )
     # Performance is insensitive to T (storage cost is the only axis).
     for result in results.values():
@@ -94,14 +77,7 @@ def bench_ablation_token_count(benchmark):
 
 
 def bench_ablation_bandwidth(benchmark):
-    def collect():
-        ensure(CAMPAIGN_SPEC)
-        return {
-            bw: _run(bandwidth=bw)
-            for bw in (0.8, 1.6, 3.2, 6.4, None)
-        }
-
-    results = benchmark.pedantic(collect, rounds=1, iterations=1)
+    results = _collect(benchmark, "bandwidth")
     print()
     ordered = [results[bw].cycles_per_transaction for bw in (0.8, 1.6, 3.2, 6.4, None)]
     for bw, cpt in zip((0.8, 1.6, 3.2, 6.4, None), ordered):

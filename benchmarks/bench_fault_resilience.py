@@ -11,7 +11,8 @@ the recovery oracles) next to their fault-free twins, and records to
 ``BENCH_faults.json`` (override with ``REPRO_BENCH_FAULTS_OUT``):
 
 * **time-to-recovery** — how long past the last fault window the run
-  still needed (:attr:`ScenarioOutcome.recovery_ns`);
+  still needed (:attr:`ScenarioOutcome.recovery_ns`), over the
+  ``fired`` runs only: those that passed and on which a fault fired;
 * **slowdown** — faulted vs clean runtime and traffic;
 * **escalations** — persistent/reissued request deltas, the paper's
   own fallback machinery absorbing the damage;
@@ -47,6 +48,7 @@ from pathlib import Path
 from repro.faults import FAULT_KINDS, FaultPlan
 from repro.testing.explore import (
     fault_classes_for,
+    has_recovery,
     make_fault_scenario,
     run_scenario,
 )
@@ -102,14 +104,20 @@ def collect() -> dict:
 
 
 def _aggregate(runs: list) -> dict:
-    """Fold (faulted, clean) outcome pairs into one report cell."""
+    """Fold (faulted, clean) outcome pairs into one report cell.
+
+    TTR folds only the ``fired`` runs (:func:`has_recovery`); a cell
+    with none reports a null mean and max.
+    """
     n = len(runs)
     violations = [f for f, _ in runs if not f.ok]
     fault_stats: dict[str, int] = {}
     for faulted, _ in runs:
         for stat, value in faulted.fault_stats.items():
             fault_stats[stat] = fault_stats.get(stat, 0) + value
-    recoveries = [f.recovery_ns for f, _ in runs]
+    recoveries = [
+        f.recovery_ns for f, _ in runs if has_recovery(f.ok, f.fault_stats)
+    ]
     faulted_rt = [f.runtime_ns for f, _ in runs]
     clean_rt = [c.runtime_ns for _, c in runs]
     return {
@@ -118,9 +126,11 @@ def _aggregate(runs: list) -> dict:
         "violation_types": sorted(
             {f.violation_type for f in violations if f.violation_type}
         ),
+        "fired": len(recoveries),
         "recovery_ns": {
-            "mean": round(sum(recoveries) / n, 1),
-            "max": round(max(recoveries), 1),
+            "mean": round(sum(recoveries) / len(recoveries), 1)
+            if recoveries else None,
+            "max": round(max(recoveries), 1) if recoveries else None,
         },
         "runtime_ns": {
             "clean_mean": round(sum(clean_rt) / n, 1),
@@ -216,12 +226,15 @@ def bench_fault_resilience(benchmark):
     print()
     for protocol, by_class in data["cells"].items():
         for fault_class, cell in by_class.items():
-            rec = cell["recovery_ns"]
+            rec = {
+                stat: "-" if value is None else f"{value:.1f}"
+                for stat, value in cell["recovery_ns"].items()
+            }
             esc = cell["escalations"]
             print(
                 f"  {protocol:<10} {fault_class:<13} "
-                f"viol={cell['violations']} "
-                f"ttr mean={rec['mean']:7.1f} max={rec['max']:7.1f} "
+                f"viol={cell['violations']} fired={cell['fired']} "
+                f"ttr mean={rec['mean']:>7} max={rec['max']:>7} "
                 f"slowdown={cell['runtime_ns']['slowdown']:5.3f} "
                 f"persist={esc['persistent_faulted']:3d} "
                 f"reissue={esc['reissued_faulted']:3d}"

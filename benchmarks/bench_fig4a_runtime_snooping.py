@@ -18,27 +18,13 @@ if __package__ in (None, ""):
 
 import pytest
 
-from benchmarks.common import declared_spec, ensure, pct_faster, run, workloads
+from benchmarks.common import lookup
 from repro import SystemConfig
-from repro.analysis.report import format_runtime_bars
-
-#: The data points this bench declares (run via the campaign runner).
-CAMPAIGN_SPEC = declared_spec("fig4a")
+from repro.analysis.report import format_runtime_bars, speedup
 
 
 def _collect():
-    ensure(CAMPAIGN_SPEC)
-    data = {}
-    for name, spec in workloads().items():
-        data[name] = {
-            "TokenB / tree": run(spec, "tokenb", "tree"),
-            "Snooping / tree": run(spec, "snooping", "tree"),
-            "TokenB / torus": run(spec, "tokenb", "torus"),
-            "TokenB / tree (unlim bw)": run(spec, "tokenb", "tree", None),
-            "Snooping / tree (unlim bw)": run(spec, "snooping", "tree", None),
-            "TokenB / torus (unlim bw)": run(spec, "tokenb", "torus", None),
-        }
-    return data
+    return lookup("fig4a")
 
 
 def bench_fig4a(benchmark):
@@ -51,16 +37,16 @@ def bench_fig4a(benchmark):
     for name, variants in data.items():
         # TokenB exploits the unordered torus: substantially faster than
         # snooping on the tree (paper: 26-65% limited / 15-28% unlimited).
-        limited = pct_faster(variants["Snooping / tree"], variants["TokenB / torus"])
+        limited = speedup(variants["Snooping / tree"], variants["TokenB / torus"])
         assert limited > 15.0, f"{name}: torus TokenB only {limited:.0f}% faster"
-        unlimited = pct_faster(
+        unlimited = speedup(
             variants["Snooping / tree (unlim bw)"],
             variants["TokenB / torus (unlim bw)"],
         )
         assert unlimited > 0.0, f"{name}: unlimited-bw win vanished"
         # Same interconnect: the two are close, snooping at worst mildly
         # ahead (paper: 1-5%); TokenB must not lag catastrophically.
-        same_tree = pct_faster(variants["TokenB / tree"], variants["Snooping / tree"])
+        same_tree = speedup(variants["TokenB / tree"], variants["Snooping / tree"])
         assert -10.0 < same_tree < 15.0, (
             f"{name}: tree-vs-tree gap {same_tree:.0f}% out of range"
         )

@@ -11,22 +11,12 @@ and dataless-token overheads.
 if __package__ in (None, ""):
     import _bootstrap  # noqa: F401
 
-from benchmarks.common import declared_spec, ensure, run, workloads
+from benchmarks.common import lookup
 from repro.analysis.report import format_traffic_bars
-
-#: The data points this bench declares (run via the campaign runner).
-CAMPAIGN_SPEC = declared_spec("fig4b")
 
 
 def _collect():
-    ensure(CAMPAIGN_SPEC)
-    return {
-        name: {
-            "TokenB / tree": run(spec, "tokenb", "tree"),
-            "Snooping / tree": run(spec, "snooping", "tree"),
-        }
-        for name, spec in workloads().items()
-    }
+    return lookup("fig4b")
 
 
 def bench_fig4b(benchmark):

@@ -20,29 +20,12 @@ Paper claims reproduced as shape assertions:
 if __package__ in (None, ""):
     import _bootstrap  # noqa: F401
 
-from benchmarks.common import declared_spec, ensure, pct_faster, run, workloads
-from repro.analysis.report import format_runtime_bars
-
-#: The data points this bench declares (run via the campaign runner).
-CAMPAIGN_SPEC = declared_spec("fig5a")
+from benchmarks.common import lookup
+from repro.analysis.report import format_runtime_bars, speedup
 
 
 def _collect():
-    ensure(CAMPAIGN_SPEC)
-    data = {}
-    for name, spec in workloads().items():
-        data[name] = {
-            "TokenB": run(spec, "tokenb", "torus"),
-            "Hammer": run(spec, "hammer", "torus"),
-            "Directory (DRAM)": run(spec, "directory", "torus"),
-            "Directory (perfect)": run(
-                spec, "directory", "torus", directory_latency=0.0
-            ),
-            "TokenB (unlim bw)": run(spec, "tokenb", "torus", None),
-            "Hammer (unlim bw)": run(spec, "hammer", "torus", None),
-            "Directory (unlim bw)": run(spec, "directory", "torus", None),
-        }
-    return data
+    return lookup("fig5a")
 
 
 def bench_fig5a(benchmark):
@@ -53,27 +36,27 @@ def bench_fig5a(benchmark):
     print(format_runtime_bars(data, baseline="TokenB"))
 
     for name, variants in data.items():
-        vs_directory = pct_faster(variants["Directory (DRAM)"], variants["TokenB"])
+        vs_directory = speedup(variants["Directory (DRAM)"], variants["TokenB"])
         assert vs_directory > 10.0, (
             f"{name}: TokenB only {vs_directory:.0f}% faster than Directory"
         )
-        vs_hammer = pct_faster(variants["Hammer"], variants["TokenB"])
+        vs_hammer = speedup(variants["Hammer"], variants["TokenB"])
         assert vs_hammer > 5.0, (
             f"{name}: TokenB only {vs_hammer:.0f}% faster than Hammer"
         )
-        vs_perfect = pct_faster(
+        vs_perfect = speedup(
             variants["Directory (perfect)"], variants["TokenB"]
         )
         assert vs_perfect > 0.0, (
             f"{name}: perfect directory caught TokenB ({vs_perfect:.0f}%)"
         )
         # Perfect directory beats Hammer (paper: 2-9%).
-        perfect_vs_hammer = pct_faster(
+        perfect_vs_hammer = speedup(
             variants["Hammer"], variants["Directory (perfect)"]
         )
         assert perfect_vs_hammer > 0.0
         # Hammer and DRAM-directory are in the same league.
-        hammer_vs_dir = pct_faster(variants["Directory (DRAM)"], variants["Hammer"])
+        hammer_vs_dir = speedup(variants["Directory (DRAM)"], variants["Hammer"])
         assert -15.0 < hammer_vs_dir < 25.0
 if __name__ == "__main__":
     import pytest

@@ -15,23 +15,12 @@ Paper claims reproduced as shape assertions:
 if __package__ in (None, ""):
     import _bootstrap  # noqa: F401
 
-from benchmarks.common import declared_spec, ensure, run, workloads
+from benchmarks.common import lookup
 from repro.analysis.report import format_traffic_bars
-
-#: The data points this bench declares (run via the campaign runner).
-CAMPAIGN_SPEC = declared_spec("fig5b")
 
 
 def _collect():
-    ensure(CAMPAIGN_SPEC)
-    return {
-        name: {
-            "TokenB": run(spec, "tokenb", "torus"),
-            "Hammer": run(spec, "hammer", "torus"),
-            "Directory": run(spec, "directory", "torus"),
-        }
-        for name, spec in workloads().items()
-    }
+    return lookup("fig5b")
 
 
 def bench_fig5b(benchmark):

@@ -34,63 +34,31 @@ import platform
 import sys
 from pathlib import Path
 
-from benchmarks.common import declared_spec, ensure, run, workloads
+from benchmarks.common import lookup
 from repro.analysis.report import format_runtime_bars, format_traffic_bars
+from repro.campaign.presets import PREDICT_CONSTRAINED_BW, constrained, series
 from repro.predict.predictors import prediction_rates
-
-#: The data points this bench declares (run via the campaign runner).
-CAMPAIGN_SPEC = declared_spec("predict")
-
-#: Label -> (protocol, config overrides), full-bandwidth variants.
-VARIANTS = {
-    "TokenB": ("tokenb", {}),
-    "TokenD": ("tokend", {}),
-    "Directory": ("directory", {}),
-    "TokenM (owner)": ("tokenm", {"predictor": "owner"}),
-    "TokenM (bcast-if-shared)": ("tokenm", {"predictor": "broadcast-if-shared"}),
-    "TokenM (group)": ("tokenm", {"predictor": "group"}),
-    "TokenM (hybrid)": ("tokenm", {"predictor": "group",
-                                   "bandwidth_adaptive": True}),
-}
-
-#: Constrained-bandwidth variants (the hybrid's adaptation claim).
-CONSTRAINED_BW = 0.8
-CONSTRAINED_VARIANTS = {
-    "TokenB": ("tokenb", {}),
-    "TokenM (group)": ("tokenm", {"predictor": "group"}),
-    "TokenM (hybrid)": ("tokenm", {"predictor": "group",
-                                   "bandwidth_adaptive": True}),
-}
+from repro.workloads import COMMERCIAL_WORKLOADS
 
 
 def _smoke() -> bool:
     return os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 
 
-def _workload_names() -> list[str]:
-    names = list(workloads())
-    return names[:1] if _smoke() else names
-
-
 def collect() -> dict:
-    if not _smoke():
-        ensure(CAMPAIGN_SPEC)
-    specs = workloads()
-    data = {}
-    for name in _workload_names():
-        spec = specs[name]
-        data[name] = {
-            label: run(spec, protocol, "torus", **overrides)
-            for label, (protocol, overrides) in VARIANTS.items()
-        }
-    constrained = {}
-    for name in _workload_names():
-        spec = specs[name]
-        constrained[name] = {
-            label: run(spec, protocol, "torus", CONSTRAINED_BW, **overrides)
-            for label, (protocol, overrides) in CONSTRAINED_VARIANTS.items()
-        }
-    return {"full": data, "constrained": constrained}
+    """The ``predict`` preset (its first workload only when smoking),
+    split into full- and constrained-bandwidth results."""
+    names = list(COMMERCIAL_WORKLOADS)[: 1 if _smoke() else None]
+    predict = series("predict")
+    data = lookup({
+        group: predict[group]
+        for name in names
+        for group in (name, constrained(name))
+    })
+    return {
+        "full": {name: data[name] for name in names},
+        "constrained": {name: data[constrained(name)] for name in names},
+    }
 
 
 def _result_row(result) -> dict:
@@ -119,7 +87,7 @@ def write_report(data: dict) -> Path:
     report = {
         "bench": "predict_tradeoff",
         "smoke": _smoke(),
-        "constrained_bandwidth_bytes_per_ns": CONSTRAINED_BW,
+        "constrained_bandwidth_bytes_per_ns": PREDICT_CONSTRAINED_BW,
         "environment": {
             "python": sys.version.split()[0],
             "platform": platform.platform(),
@@ -166,7 +134,7 @@ def check_claims(data: dict) -> None:
         # Constrained links: the hybrid switches modes and sheds traffic.
         assert hybrid.counters.get("hybrid_multicast", 0) > 0, (
             f"{name}: hybrid never switched to multicast at "
-            f"{CONSTRAINED_BW} B/ns"
+            f"{PREDICT_CONSTRAINED_BW} B/ns"
         )
         assert hybrid.bytes_per_miss < tokenb.bytes_per_miss
 

@@ -13,29 +13,11 @@ traffic measurement, no queueing).
 if __package__ in (None, ""):
     import _bootstrap  # noqa: F401
 
-from benchmarks.common import declared_spec, ensure, run
-from repro.workloads.microbench import contended_sharing_spec
-
-#: The data points this bench declares (run via the campaign runner).
-CAMPAIGN_SPEC = declared_spec("q5")
+from benchmarks.common import lookup
 
 
 def _collect():
-    ensure(CAMPAIGN_SPEC)
-    spec = contended_sharing_spec(ops_per_proc=150)
-    data = {}
-    for n_procs in (16, 32, 64):
-        data[n_procs] = {
-            "tokenb": run(
-                spec, "tokenb", "torus", bandwidth=None, n_procs=n_procs,
-                ops_per_proc=150,
-            ),
-            "directory": run(
-                spec, "directory", "torus", bandwidth=None, n_procs=n_procs,
-                ops_per_proc=150,
-            ),
-        }
-    return data
+    return lookup("q5")
 
 
 def bench_q5_scalability(benchmark):

@@ -19,24 +19,12 @@ the decoupling claim made measurable.
 if __package__ in (None, ""):
     import _bootstrap  # noqa: F401
 
-from benchmarks.common import declared_spec, ensure, run, workloads
+from benchmarks.common import lookup
 from repro.analysis.report import format_runtime_bars, format_traffic_bars
-
-#: The data points this bench declares (run via the campaign runner).
-CAMPAIGN_SPEC = declared_spec("section7")
 
 
 def _collect():
-    ensure(CAMPAIGN_SPEC)
-    spec = workloads()["oltp"]
-    return {
-        "oltp": {
-            "TokenB": run(spec, "tokenb", "torus"),
-            "TokenD": run(spec, "tokend", "torus"),
-            "TokenM": run(spec, "tokenm", "torus"),
-            "Directory": run(spec, "directory", "torus"),
-        }
-    }
+    return lookup("section7")
 
 
 def bench_section7_extensions(benchmark):

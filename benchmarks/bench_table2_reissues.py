@@ -18,18 +18,14 @@ reissue, and well under 1% fall back to persistent requests.
 if __package__ in (None, ""):
     import _bootstrap  # noqa: F401
 
-from benchmarks.common import declared_spec, ensure, run, workloads
+from benchmarks.common import lookup
 from repro.analysis.report import format_table2
-
-#: The data points this bench declares (run via the campaign runner).
-CAMPAIGN_SPEC = declared_spec("table2")
 
 
 def _collect():
-    ensure(CAMPAIGN_SPEC)
     return {
-        name: run(spec, "tokenb", "torus")
-        for name, spec in workloads().items()
+        name: variants["TokenB / torus"]
+        for name, variants in lookup("table2").items()
     }
 
 

@@ -40,69 +40,50 @@ import platform
 import sys
 from pathlib import Path
 
-from benchmarks.common import declared_spec, ensure, run_program
-from repro.campaign.presets import (
-    WORKLOADS_PHASE_BW,
-    WORKLOADS_PHASE_PROTOCOLS,
-    WORKLOADS_PROGRAM_PROTOCOLS,
-)
-from repro.system.grid import protocol_grid
+from benchmarks.common import lookup
+from repro.campaign.presets import WORKLOADS_PHASE_BW, program_case_params
 from repro.workloads.programs import CAMPAIGN_PROGRAMS
-
-#: The data points this bench declares (run via the campaign runner).
-CAMPAIGN_SPEC = declared_spec("workloads")
 
 
 def _smoke() -> bool:
     return os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 
 
-def _programs():
-    if _smoke():
-        return {
-            "scan_vs_contend": CAMPAIGN_PROGRAMS["scan_vs_contend"].scaled(120)
+def _smoke_series() -> dict:
+    """The CI slice, in the ``workloads`` preset's shape: one program
+    scaled to 120 ops, then its isolated phases, on TokenB and
+    Directory at 8 processors."""
+    program = CAMPAIGN_PROGRAMS["scan_vs_contend"].scaled(120)
+    protocols = ("tokenb", "directory")
+    series = {
+        program.name: {
+            f"{protocol}/torus": program_case_params(
+                program, protocol, "torus", n_procs=8
+            )
+            for protocol in protocols
         }
-    return CAMPAIGN_PROGRAMS
-
-
-def _phase_protocols() -> tuple[str, ...]:
-    return ("tokenb", "directory") if _smoke() else WORKLOADS_PHASE_PROTOCOLS
-
-
-def _n_procs() -> int:
-    return 8 if _smoke() else 16
+    }
+    for index in range(len(program.phases)):
+        isolated = program.isolate_phase(index)
+        series[isolated.name] = {
+            protocol: program_case_params(
+                isolated, protocol, "torus", WORKLOADS_PHASE_BW, n_procs=8
+            )
+            for protocol in protocols
+        }
+    return series
 
 
 def collect() -> dict:
-    if not _smoke():
-        ensure(CAMPAIGN_SPEC)
-    programs = _programs()
-    program_results = {}
-    for name, program in programs.items():
-        pairs = (
-            [("tokenb", "torus"), ("directory", "torus")]
-            if _smoke()
-            else list(protocol_grid(WORKLOADS_PROGRAM_PROTOCOLS))
-        )
-        program_results[name] = {
-            f"{protocol}/{interconnect}": run_program(
-                program, protocol, interconnect, n_procs=_n_procs()
-            )
-            for protocol, interconnect in pairs
-        }
-    phase_results = {}
-    for name, program in programs.items():
-        phase_results[name] = {}
-        for index in range(len(program.phases)):
-            isolated = program.isolate_phase(index)
-            phase_results[name][isolated.name] = {
-                protocol: run_program(
-                    isolated, protocol, "torus", WORKLOADS_PHASE_BW,
-                    n_procs=_n_procs(),
-                )
-                for protocol in _phase_protocols()
-            }
-    return {"programs": program_results, "phases": phase_results}
+    """Program results, then per-program phase results (the preset's
+    ``program@phase`` groups folded under their program)."""
+    data = lookup(_smoke_series() if _smoke() else "workloads")
+    programs = {name: results for name, results in data.items() if "@" not in name}
+    phases = {name: {} for name in programs}
+    for group, results in data.items():
+        if "@" in group:
+            phases[group.split("@")[0]][group] = results
+    return {"programs": programs, "phases": phases}
 
 
 def _ranking(results_by_protocol: dict) -> list[str]:

@@ -1,24 +1,24 @@
 """Shared plumbing for the benchmark harnesses.
 
-Every harness regenerates one of the paper's tables or figures, and
-every harness now declares its data points as a
-:class:`repro.campaign.CampaignSpec` (see
-:mod:`repro.campaign.presets`).  Execution and caching all live in the
-campaign subsystem:
+Every harness regenerates one of the paper's tables or figures from a
+labelled series, ``{group: {label: params}}``, that
+:mod:`repro.campaign.presets` declares — the one place a data point
+lives.  Execution and caching all live in the campaign subsystem:
 
-* :func:`run` fetches one configuration from the campaign store
-  (``benchmarks/.bench_cache``, override with ``REPRO_BENCH_CACHE``),
-  computing and recording it on a miss — sound because simulations are
-  bit-deterministic (the determinism regression suite pins this), and
-  invalidated automatically when the simulator's source changes (the
-  store keys include a code fingerprint);
-* :func:`ensure` runs a bench's declared spec through the campaign
-  runner, fanning misses out over a prewarmed worker pool — the cold
-  path for a whole-suite run;
-* an in-process memo keeps repeat lookups free within one process.
+* :func:`lookup` reads a series back as ``{group: {label:
+  SimulationResult}}``, with the same keys: it runs whatever the store
+  lacks through :func:`ensure`, then fetches every point with
+  :func:`repro.analysis.report.series_results` (the fetch
+  ``campaign report`` renders figures with).  Results are sound to
+  serve from disk because simulations are bit-deterministic (the
+  determinism regression suite pins this), and they invalidate
+  automatically when the simulator's source changes (the store keys
+  include a code fingerprint);
+* :func:`ensure` runs a spec through the campaign runner, fanning
+  misses out over a worker pool — the cold path for a whole-suite run;
+* :func:`prewarm` ensures the union figure campaign.
 
-Set ``REPRO_BENCH_PARALLEL=0`` to keep everything serial and
-``REPRO_BENCH_CACHE=none`` to disable the on-disk store.
+The store is ``benchmarks/.bench_cache``; ``REPRO_BENCH_CACHE`` moves it.
 
 The harness is not trying to match the paper's absolute cycle counts —
 the substrate here is a synthetic-workload simulator, not Simics+TFsim
@@ -34,193 +34,50 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.campaign import CampaignSpec, CampaignStore, make_record, run_campaign
-from repro.campaign.executors import (
-    execute_case,
-    result_from_payload,
-)
-from repro.campaign.presets import (  # noqa: F401 — re-exported for benches
-    OPS_PER_PROC,
-    program_case_params,
-    simulate_case_params,
-)
-from repro.campaign.presets import figures_spec
-from repro.campaign.spec import ScenarioCase
-from repro.system.simulator import SimulationResult
-from repro.workloads.synthetic import WorkloadSpec
+from repro.analysis.report import series_results
+from repro.campaign import CampaignSpec, CampaignStore, presets, run_campaign
 
-_memo: dict[str, SimulationResult] = {}
 _store: CampaignStore | None = None
 
 
-def _store_dir() -> Path | None:
-    configured = os.environ.get("REPRO_BENCH_CACHE")
-    if configured == "none":
-        return None
-    if configured:
-        return Path(configured)
-    return Path(__file__).resolve().parent / ".bench_cache"
-
-
-def store() -> CampaignStore | None:
-    """The benchmark suite's campaign store (``None`` when disabled)."""
+def store() -> CampaignStore:
+    """The benchmark suite's campaign store."""
     global _store
-    directory = _store_dir()
-    if directory is None:
-        return None
+    directory = Path(
+        os.environ.get("REPRO_BENCH_CACHE")
+        or Path(__file__).resolve().parent / ".bench_cache"
+    )
     if _store is None or _store.root != directory:
         _store = CampaignStore(directory)
     return _store
-
-
-def _parallel_enabled() -> bool:
-    return os.environ.get("REPRO_BENCH_PARALLEL", "1") != "0"
-
-
-def case(
-    workload: WorkloadSpec,
-    protocol: str,
-    interconnect: str,
-    bandwidth: float | None = 3.2,
-    directory_latency: float = 80.0,
-    n_procs: int = 16,
-    ops_per_proc: int = OPS_PER_PROC,
-    **config_overrides,
-) -> ScenarioCase:
-    """The content-addressed case for one figure data point."""
-    return ScenarioCase(
-        "simulate",
-        simulate_case_params(
-            workload,
-            protocol,
-            interconnect,
-            bandwidth,
-            directory_latency,
-            n_procs,
-            ops_per_proc,
-            **config_overrides,
-        ),
-    )
-
-
-def run(
-    workload: WorkloadSpec,
-    protocol: str,
-    interconnect: str,
-    bandwidth: float | None = 3.2,
-    directory_latency: float = 80.0,
-    n_procs: int = 16,
-    ops_per_proc: int = OPS_PER_PROC,
-    **config_overrides,
-) -> SimulationResult:
-    """Simulate one configuration (memoized in-process and in the store)."""
-    this = case(
-        workload,
-        protocol,
-        interconnect,
-        bandwidth,
-        directory_latency,
-        n_procs,
-        ops_per_proc,
-        **config_overrides,
-    )
-    return _run_case(this)
-
-
-def run_program(
-    program,
-    protocol: str,
-    interconnect: str,
-    bandwidth: float | None = 3.2,
-    directory_latency: float = 80.0,
-    n_procs: int = 16,
-    **config_overrides,
-) -> SimulationResult:
-    """Simulate one phase-structured program (memoized like :func:`run`)."""
-    this = ScenarioCase(
-        "simulate",
-        program_case_params(
-            program,
-            protocol,
-            interconnect,
-            bandwidth,
-            directory_latency,
-            n_procs,
-            **config_overrides,
-        ),
-    )
-    return _run_case(this)
-
-
-def _run_case(this: ScenarioCase) -> SimulationResult:
-    result = _memo.get(this.key)
-    if result is not None:
-        return result
-    backing = store()
-    payload = backing.result_for(this) if backing is not None else None
-    result = None
-    if payload is not None:
-        try:
-            result = result_from_payload(payload)
-        except (TypeError, ValueError, KeyError):
-            # Schema-mismatched record (possible when the code
-            # fingerprint is pinned via REPRO_CAMPAIGN_FINGERPRINT
-            # across a schema change): treat as a miss and overwrite.
-            result = None
-    if result is None:
-        payload = execute_case(this)
-        if backing is not None:
-            backing.append(make_record(this, payload), stream="serial")
-        result = result_from_payload(payload)
-    _memo[this.key] = result
-    return result
 
 
 def ensure(spec: CampaignSpec, max_workers: int | None = None) -> int:
     """Fill the store for ``spec`` via the campaign runner.
 
     Misses fan out over the runner's worker pool; returns the number of
-    scenarios actually simulated.  No-op (0) when the store is disabled
-    — :func:`run` then computes serially on demand — and serial when
-    ``REPRO_BENCH_PARALLEL=0``.
+    scenarios actually simulated.
     """
     backing = store()
-    if backing is None:
-        return 0
-    jobs = max_workers if _parallel_enabled() else 1
-    report = run_campaign(spec, backing, jobs=jobs)
+    report = run_campaign(spec, backing, jobs=max_workers)
     backing.close()
     return report.executed
 
 
 def prewarm(max_workers: int | None = None) -> int:
     """Fill the store for the whole figure suite (the union campaign)."""
-    if not _parallel_enabled():
-        return 0
-    return ensure(figures_spec(), max_workers=max_workers)
+    return ensure(presets.figures_spec(), max_workers=max_workers)
 
 
-def declared_spec(name: str) -> CampaignSpec:
-    """The campaign spec a bench declares, resolved from the presets.
+def lookup(series: str | dict) -> dict:
+    """``{group: {label: SimulationResult}}`` for a labelled series.
 
-    The one home for the ``CAMPAIGN_SPEC = <preset>_spec()`` boilerplate
-    every figure bench used to restate (a preset import plus a builder
-    call per module): benches write
-    ``CAMPAIGN_SPEC = declared_spec("fig4a")``.
+    ``series`` names a preset (:data:`repro.campaign.presets.SERIES`) or
+    is a series dict itself (a bench's own slice).  Whatever the store
+    lacks is simulated first.
     """
-    from repro.campaign.presets import SPEC_BUILDERS
-
-    return SPEC_BUILDERS[name]()
-
-
-def workloads() -> dict[str, WorkloadSpec]:
-    from repro import COMMERCIAL_WORKLOADS
-
-    return COMMERCIAL_WORKLOADS
-
-
-def pct_faster(slower: SimulationResult, faster: SimulationResult) -> float:
-    """Paper convention: "faster is N% faster than slower"."""
-    return (
-        slower.cycles_per_transaction / faster.cycles_per_transaction - 1.0
-    ) * 100.0
+    name = "bench"
+    if isinstance(series, str):
+        name, series = series, presets.series(series)
+    ensure(presets.series_spec(name, series))
+    return series_results(store(), series, name)

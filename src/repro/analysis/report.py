@@ -5,9 +5,11 @@ objects and renders the corresponding table or figure series as text, so
 the benchmark harnesses regenerate recognizable artifacts (Table 2 rows,
 Figure 4/5 bar values) rather than raw dictionaries.
 
-:func:`render_figures_from_store` is the campaign-side entry point: it
-renders the same tables straight from a
-:class:`~repro.campaign.store.CampaignStore`, so
+:func:`series_results` is the campaign-side entry point: it reads a
+labelled series (:mod:`repro.campaign.presets`) back from a
+:class:`~repro.campaign.store.CampaignStore` as ``{group: {label:
+SimulationResult}}`` — the one fetch the benches' lookup and
+:func:`render_figures_from_store` share, so
 ``python -m repro.campaign report --spec figures`` regenerates every
 figure from recorded results without re-simulating anything.
 """
@@ -114,7 +116,43 @@ def traffic_ratio(a: SimulationResult, b: SimulationResult) -> float:
 
 
 class MissingResults(KeyError):
-    """A figure's scenarios are not all present in the store."""
+    """A series' scenarios are not all present in the store."""
+
+
+def series_results(store, series: dict, name: str) -> dict:
+    """Read a labelled series back from a campaign store.
+
+    ``series`` is ``{group: {label: params}}`` (a
+    :mod:`repro.campaign.presets` series); the result keeps its groups
+    and labels, each mapped to its :class:`SimulationResult`.  Raises
+    :class:`MissingResults` naming the first absent scenario (``name``
+    says whose) — this never simulates.
+    """
+    from repro.campaign.executors import result_from_payload
+    from repro.campaign.spec import ScenarioCase
+
+    def fetch(params: dict) -> SimulationResult:
+        record = store.get(ScenarioCase("simulate", params).key)
+        if record is None:
+            workload = params.get("workload") or params["program"]
+            raise MissingResults(
+                f"{name}: store {store.root} holds no result for "
+                f"{params['config'].get('protocol')}/"
+                f"{params['config'].get('interconnect')} on "
+                f"{workload.get('name')}"
+            )
+        try:
+            return result_from_payload(record["result"])
+        except (TypeError, ValueError, KeyError) as exc:
+            raise MissingResults(
+                f"{name}: record in {store.root} does not match the "
+                f"current result schema ({exc}); re-run the campaign"
+            ) from None
+
+    return {
+        group: {label: fetch(params) for label, params in labels.items()}
+        for group, labels in series.items()
+    }
 
 
 def render_figures_from_store(store, series=None, only=None) -> str | None:
@@ -122,14 +160,10 @@ def render_figures_from_store(store, series=None, only=None) -> str | None:
 
     ``series`` defaults to :func:`repro.campaign.presets.figure_series`;
     ``only`` optionally restricts to a tuple of figure names (an empty
-    tuple renders nothing and returns ``None``, letting callers fall
-    back to a generic listing).  Raises :class:`MissingResults` naming
-    the first absent scenario if the store is incomplete — the renderer
-    never simulates.
+    tuple renders nothing and returns ``None``).  Raises
+    :class:`MissingResults` naming the first absent scenario if the
+    store is incomplete — the renderer never simulates.
     """
-    from repro.campaign.executors import result_from_payload
-    from repro.campaign.spec import ScenarioCase
-
     if series is None:
         from repro.campaign.presets import figure_series
 
@@ -139,32 +173,9 @@ def render_figures_from_store(store, series=None, only=None) -> str | None:
     if not series:
         return None
 
-    def fetch(figure: str, params: dict) -> SimulationResult:
-        record = store.get(ScenarioCase("simulate", params).key)
-        if record is None:
-            raise MissingResults(
-                f"{figure}: store {store.root} holds no result for "
-                f"{params['config'].get('protocol')}/"
-                f"{params['config'].get('interconnect')} on "
-                f"{params['workload'].get('name')}"
-            )
-        try:
-            return result_from_payload(record["result"])
-        except (TypeError, ValueError, KeyError) as exc:
-            raise MissingResults(
-                f"{figure}: record in {store.root} does not match the "
-                f"current result schema ({exc}); re-run the campaign"
-            ) from None
-
     sections = []
     for section in series:
-        data = {
-            workload: {
-                label: fetch(section["figure"], params)
-                for label, params in variants.items()
-            }
-            for workload, variants in section["data"].items()
-        }
+        data = series_results(store, section["data"], section["figure"])
         if section["render"] == "runtime":
             body = format_runtime_bars(data, baseline=section["baseline"])
         elif section["render"] == "traffic":

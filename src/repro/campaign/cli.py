@@ -11,12 +11,18 @@
     python -m repro.campaign compact --spec figures
     python -m repro.campaign compact --spec figures --prune-stale
 
-``report`` renders figure-style text by default; ``--format
-csv|markdown|json`` exports one row per scenario instead (simulate:
-runtime/traffic per configuration; explore: oracle outcomes;
-differential: agreement).  ``status --watch`` tails the heartbeat file
-``run`` rewrites after every completed scenario (per-shard throughput,
-completion counts, ETA) and exits when the run reports finished.
+``report`` renders every export from one column table per executor
+kind (:data:`TABLES`): ``--format csv|markdown|json`` gives one row per
+scenario (simulate: runtime/traffic per configuration; explore: oracle
+outcomes; differential: agreement) or per forked tail (fork_family:
+warmup and tail event counts).  Plain ``report`` renders the figures
+for figure presets, the explorer's summaries for explore specs (the
+faults and lineage presets group theirs by protocol), and the same
+table as an aligned listing otherwise.
+
+``status --watch`` tails the heartbeat file ``run`` rewrites after
+every completed scenario (per-shard throughput, completion counts, ETA)
+and exits when the run reports finished.
 
 ``run`` is incremental: killing it mid-campaign loses nothing but the
 in-flight scenarios, and the rerun executes only what the store is
@@ -35,6 +41,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Any, NamedTuple
 
 from repro.campaign import presets
 from repro.campaign.runner import run_campaign
@@ -252,36 +259,15 @@ def cmd_report(args) -> int:
             f"{store.root}; run:  python -m repro.campaign run --spec {args.spec}"
         )
         return 1
-    if args.format != "text":
+    if args.format == "text":
+        text = _text_report(spec, cases, store)
+    else:
         headers, rows = _report_table(spec.kind, cases, store)
-        render = {
+        text = {
             "csv": _format_csv,
             "markdown": _format_markdown,
             "json": _format_json,
-        }[args.format]
-        text = render(headers, rows)
-        print(text)
-        if args.out:
-            Path(args.out).write_text(text + "\n")
-            print(f"report -> {args.out}")
-        return 0
-    if spec.kind == "simulate":
-        from repro.analysis.report import render_figures_from_store
-
-        text = render_figures_from_store(store, only=_series_subset(spec.name))
-        if text is None:
-            text = _generic_simulate_report(cases, store)
-    elif spec.kind == "explore":
-        if spec.name == "faults":
-            text = _resilience_report(cases, store)
-        elif spec.name == "lineage":
-            text = _lineage_report(cases, store)
-        else:
-            text = _explore_report(cases, store)
-    elif spec.kind == "fork_family":
-        text = _fork_family_report(cases, store)
-    else:
-        text = _differential_report(cases, store)
+        }[args.format](headers, rows)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -289,270 +275,180 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _series_subset(name: str):
-    known = {s["figure"] for s in presets.figure_series()}
-    if name == "figures":
-        return None  # every section
-    return (name,) if name in known else ()
+# ----------------------------------------------------------------------
+# Reports: one column table per executor kind
+# ----------------------------------------------------------------------
 
 
-def _generic_simulate_report(cases, store: CampaignStore) -> str:
+class Row(NamedTuple):
+    """One report row: a scenario's params and stored result (rebuilt
+    as a :class:`~repro.system.simulator.SimulationResult` for
+    ``simulate``), plus the tail name and payload for ``fork_family``,
+    which reports one row per tail."""
+
+    params: dict
+    result: Any
+    tail: str = ""
+    payload: dict | None = None
+
+
+def _param(name: str):
+    return lambda row: row.params.get(name)
+
+
+def _stat(name: str, default=None):
+    return lambda row: row.result.get(name, default)
+
+
+def _config(name: str):
+    return lambda row: getattr(row.result.config, name)
+
+
+def _tokenm_variant(row: Row) -> str:
+    config = row.result.config
+    if config.protocol != "tokenm":
+        return ""
+    return config.predictor + ("+hybrid" if config.bandwidth_adaptive else "")
+
+
+def _recovery(row: Row):
+    """TTR only where the run had one (:func:`has_recovery`)."""
+    from repro.testing.explore import has_recovery
+
+    result = row.result
+    if not has_recovery(result.get("ok", True), result.get("fault_stats", {})):
+        return ""
+    return round(result.get("recovery_ns", 0.0), 1)
+
+
+def _mismatches(row: Row) -> str:
+    return "; ".join(
+        f"{protocol}: {', '.join(diffs)}"
+        for protocol, diffs in row.result.get("mismatches", {}).items()
+        if diffs
+    )
+
+
+#: Every executor kind's report columns, in order: ``(header, value of
+#: one Row)``.  csv, markdown, json and the plain-text listing all
+#: render from these.
+TABLES = {
+    "simulate": [
+        ("workload", lambda row: row.result.workload_name),
+        ("protocol", _config("protocol")),
+        ("interconnect", _config("interconnect")),
+        ("n_procs", _config("n_procs")),
+        ("cycles_per_transaction",
+         lambda row: round(row.result.cycles_per_transaction, 2)),
+        ("bytes_per_miss", lambda row: round(row.result.bytes_per_miss, 2)),
+        ("runtime_ns", lambda row: round(row.result.runtime_ns, 1)),
+        ("total_ops", lambda row: row.result.total_ops),
+        ("bandwidth",
+         lambda row: row.result.config.link_bandwidth_bytes_per_ns or "unlimited"),
+        ("variant", _tokenm_variant),
+    ],
+    "explore": [
+        ("protocol", _param("protocol")),
+        ("interconnect", _param("interconnect")),
+        ("workload", _param("workload")),
+        ("seed", _param("seed")),
+        ("ok", _stat("ok")),
+        ("violation_type", lambda row: row.result.get("violation_type") or ""),
+        ("persistent_requests", _stat("persistent_requests", 0)),
+        ("reissued_requests", _stat("reissued_requests", 0)),
+        ("events_fired", _stat("events_fired", 0)),
+        ("fault_classes", lambda row: _fault_classes_of(row.params)),
+        ("fault_fired",
+         lambda row: any(row.result.get("fault_stats", {}).values())),
+        ("recovery_ns", _recovery),
+    ],
+    "differential": [
+        ("workload", _stat("workload")),
+        ("seed", _stat("seed")),
+        ("reference", _stat("reference")),
+        ("agreed", _stat("agreed")),
+        ("mismatches", _mismatches),
+    ],
+    "fork_family": [
+        ("family", _stat("family", "")),
+        ("protocol", lambda row: row.params["config"].get("protocol", "")),
+        ("interconnect", lambda row: row.params["config"].get("interconnect", "")),
+        ("tail", lambda row: row.tail),
+        ("warmup_events", _stat("warmup_events", 0)),
+        ("tail_events", lambda row: (
+            row.payload["events_fired"] - row.result.get("warmup_events", 0)
+        )),
+        ("runtime_ns", lambda row: round(row.payload["runtime_ns"], 1)),
+    ],
+}
+
+
+def _rows(kind: str, cases, store: CampaignStore) -> list[Row]:
     from repro.campaign.executors import result_from_payload
 
-    lines = [
-        f"{'workload':<22} {'protocol':<10} {'ic':<6} {'procs':>5} "
-        f"{'cyc/txn':>10} {'B/miss':>8}"
-    ]
-    for case in cases:
-        result = result_from_payload(store.get(case.key)["result"])
-        lines.append(
-            f"{result.workload_name:<22} {result.config.protocol:<10} "
-            f"{result.config.interconnect:<6} {result.config.n_procs:>5} "
-            f"{result.cycles_per_transaction:>10.1f} "
-            f"{result.bytes_per_miss:>8.1f}"
-        )
-    return "\n".join(lines)
-
-
-def _explore_report(cases, store: CampaignStore) -> str:
-    from repro.testing.explore import Scenario, ScenarioOutcome, summarize
-
-    # Both lists derive from the same deduplicated cases, so duplicate
-    # grid entries cannot misalign scenarios and outcomes.
-    scenarios = [Scenario.from_dict(case.params) for case in cases]
-    outcomes = [ScenarioOutcome(**store.get(case.key)["result"]) for case in cases]
-    report = summarize(scenarios, outcomes)
-    return json.dumps(report, indent=2, sort_keys=True)
-
-
-def _fault_classes_of(params: dict) -> str:
-    """The fault classes a scenario document schedules, as a label."""
-    kinds = sorted(
-        {event["kind"] for event in params.get("faults", {}).get("events", ())}
-    )
-    return "+".join(kinds) if kinds else "none"
-
-
-def _resilience_report(cases, store: CampaignStore) -> str:
-    """Per (fault class, protocol/topology): recovery time and escalations.
-
-    Time-to-recovery is how long past the last fault window the system
-    still needed to finish; escalations are the persistent requests the
-    safety net fired — the paper's prediction is that token protocols
-    lean on exactly that machinery to ride out the fault, so the counts
-    should rise with fault pressure while violations stay at zero.
-
-    TTR is aggregated only over scenarios where a fault actually fired
-    (some fault-stats counter is nonzero): a scheduled window the
-    traffic never crossed recovers from nothing, and folding its 0.0
-    into the mean skewed every group's TTR low.  ``fired`` reports the
-    per-group sample size so a thin mean is visibly thin.
-    """
-    groups: dict[tuple[str, str], dict] = {}
+    rows = []
     for case in cases:
         result = store.get(case.key)["result"]
-        params = case.params
-        key = (
-            _fault_classes_of(params),
-            f"{params.get('protocol')}/{params.get('interconnect')}",
-        )
-        group = groups.setdefault(
-            key,
-            {"runs": 0, "violations": 0, "recovery": [],
-             "persistent": 0, "reissued": 0},
-        )
-        group["runs"] += 1
-        if not result.get("ok", True):
-            group["violations"] += 1
-        if any(result.get("fault_stats", {}).values()):
-            group["recovery"].append(result.get("recovery_ns", 0.0))
-        group["persistent"] += result.get("persistent_requests", 0)
-        group["reissued"] += result.get("reissued_requests", 0)
-    lines = [
-        f"{'fault class':<14} {'protocol':<17} {'runs':>4} {'viol':>4} "
-        f"{'fired':>5} {'ttr mean':>9} {'ttr max':>9} {'persist':>7} "
-        f"{'reissue':>7}"
-    ]
-    total_runs = total_violations = 0
-    for key in sorted(groups):
-        group = groups[key]
-        recovery = group["recovery"]
-        total_runs += group["runs"]
-        total_violations += group["violations"]
-        if recovery:
-            ttr_mean = f"{sum(recovery) / len(recovery):>9.1f}"
-            ttr_max = f"{max(recovery):>9.1f}"
-        else:
-            ttr_mean = f"{'-':>9}"
-            ttr_max = f"{'-':>9}"
-        lines.append(
-            f"{key[0]:<14} {key[1]:<17} {group['runs']:>4} "
-            f"{group['violations']:>4} {len(recovery):>5} "
-            f"{ttr_mean} {ttr_max} "
-            f"{group['persistent']:>7} {group['reissued']:>7}"
-        )
-    lines.append(
-        f"{total_runs} runs, {total_violations} violations "
-        "(ttr in ns after the last fault window, aggregated over the "
-        "'fired' scenarios only; persist/reissue are summed escalation "
-        "counts)"
-    )
-    return "\n".join(lines)
-
-
-def _lineage_report(cases, store: CampaignStore) -> str:
-    """Per protocol/topology: custody volume and terminal outcomes.
-
-    Every scenario in the lineage campaign runs with the token outcome
-    contract armed, so ``viol`` staying at zero means every custody
-    chain in the whole campaign reached exactly one terminal state —
-    including the corruption-dropped request chains, which must show up
-    under ``absorbed`` rather than dangling.
-    """
-    groups: dict[str, dict] = {}
-    for case in cases:
-        result = store.get(case.key)["result"]
-        params = case.params
-        key = f"{params.get('protocol')}/{params.get('interconnect')}"
-        group = groups.setdefault(
-            key,
-            {"runs": 0, "violations": 0, "events": 0, "transfers": 0,
-             "blocks": 0, "terminals": 0, "absorbed": 0},
-        )
-        group["runs"] += 1
-        if not result.get("ok", True):
-            group["violations"] += 1
-        stats = result.get("lineage_stats", {})
-        group["events"] += stats.get("lineage_events", 0)
-        group["transfers"] += stats.get("lineage_transfers", 0)
-        group["blocks"] += stats.get("lineage_blocks", 0)
-        group["terminals"] += stats.get("lineage_terminals", 0)
-        group["absorbed"] += stats.get("lineage_absorbed_reissues", 0)
-    lines = [
-        f"{'protocol':<17} {'runs':>4} {'viol':>4} {'events':>9} "
-        f"{'xfers':>8} {'blocks':>6} {'terminals':>9} {'absorbed':>8}"
-    ]
-    total_runs = total_violations = 0
-    for key in sorted(groups):
-        group = groups[key]
-        total_runs += group["runs"]
-        total_violations += group["violations"]
-        lines.append(
-            f"{key:<17} {group['runs']:>4} {group['violations']:>4} "
-            f"{group['events']:>9} {group['transfers']:>8} "
-            f"{group['blocks']:>6} {group['terminals']:>9} "
-            f"{group['absorbed']:>8}"
-        )
-    lines.append(
-        f"{total_runs} runs, {total_violations} violations (terminals = "
-        "quiesce + absorbed-by-reissue custody-chain outcomes; absorbed = "
-        "fault-dropped request chains terminated by a completed "
-        "transaction)"
-    )
-    return "\n".join(lines)
-
-
-def _fork_family_report(cases, store: CampaignStore) -> str:
-    """Per family/config: shared warmup cost and per-tail increments."""
-    lines = [
-        f"{'family':<10} {'protocol':<10} {'ic':<6} {'tail':<10} "
-        f"{'warmup ev':>9} {'tail ev':>8} {'runtime_ns':>11}"
-    ]
-    for case in cases:
-        result = store.get(case.key)["result"]
-        params = case.params
-        config = params.get("config", {})
-        warmup_events = result.get("warmup_events", 0)
-        for tail, payload in sorted(result.get("tails", {}).items()):
-            lines.append(
-                f"{result.get('family', ''):<10} "
-                f"{config.get('protocol', ''):<10} "
-                f"{config.get('interconnect', ''):<6} {tail:<10} "
-                f"{warmup_events:>9} "
-                f"{payload['events_fired'] - warmup_events:>8} "
-                f"{payload['runtime_ns']:>11.1f}"
+        if kind == "simulate":
+            rows.append(Row(case.params, result_from_payload(result)))
+        elif kind == "fork_family":
+            rows.extend(
+                Row(case.params, result, tail, payload)
+                for tail, payload in sorted(result.get("tails", {}).items())
             )
-    lines.append(
-        f"{len(cases)} families (tail ev = events beyond the shared "
-        "warmup checkpoint)"
-    )
-    return "\n".join(lines)
+        else:
+            rows.append(Row(case.params, result))
+    return rows
 
 
 def _report_table(kind: str, cases, store: CampaignStore):
-    """``(headers, rows)`` of a campaign's results, for csv/markdown."""
-    rows = []
-    if kind == "simulate":
-        from repro.campaign.executors import result_from_payload
+    """``(headers, rows)`` of a campaign's results: its kind's table."""
+    columns = TABLES[kind]
+    return [header for header, _ in columns], [
+        [value(row) for _, value in columns] for row in _rows(kind, cases, store)
+    ]
 
-        headers = [
-            "workload", "protocol", "interconnect", "n_procs",
-            "cycles_per_transaction", "bytes_per_miss", "runtime_ns",
-            "total_ops", "bandwidth", "variant",
-        ]
-        for case in cases:
-            result = result_from_payload(store.get(case.key)["result"])
-            config = result.config
-            variant = ""
-            if config.protocol == "tokenm":
-                variant = config.predictor + (
-                    "+hybrid" if config.bandwidth_adaptive else ""
-                )
-            rows.append([
-                result.workload_name,
-                config.protocol,
-                config.interconnect,
-                config.n_procs,
-                round(result.cycles_per_transaction, 2),
-                round(result.bytes_per_miss, 2),
-                round(result.runtime_ns, 1),
-                result.total_ops,
-                config.link_bandwidth_bytes_per_ns or "unlimited",
-                variant,
-            ])
-    elif kind == "explore":
-        headers = [
-            "protocol", "interconnect", "workload", "seed", "ok",
-            "violation_type", "persistent_requests", "reissued_requests",
-            "events_fired", "fault_classes", "fault_fired", "recovery_ns",
-        ]
-        for case in cases:
-            result = store.get(case.key)["result"]
-            params = case.params
-            # Same fix as the resilience table: a recovery time is only
-            # a measurement when a fault actually fired; emitting a
-            # default 0.0 for unfired scenarios poisoned downstream
-            # aggregation of the CSV.
-            fired = bool(any(result.get("fault_stats", {}).values()))
-            rows.append([
-                params.get("protocol"),
-                params.get("interconnect"),
-                params.get("workload"),
-                params.get("seed"),
-                result.get("ok"),
-                result.get("violation_type") or "",
-                result.get("persistent_requests", 0),
-                result.get("reissued_requests", 0),
-                result.get("events_fired", 0),
-                _fault_classes_of(params),
-                fired,
-                round(result.get("recovery_ns", 0.0), 1) if fired else "",
-            ])
-    elif kind == "differential":
-        headers = ["workload", "seed", "reference", "agreed", "mismatches"]
-        for case in cases:
-            result = store.get(case.key)["result"]
-            bad = {k: v for k, v in result.get("mismatches", {}).items() if v}
-            rows.append([
-                result.get("workload"),
-                result.get("seed"),
-                result.get("reference"),
-                result.get("agreed"),
-                "; ".join(f"{k}: {', '.join(v)}" for k, v in bad.items()),
-            ])
+
+def _text_report(spec: CampaignSpec, cases, store: CampaignStore) -> str:
+    """Figures for figure presets, the explorer's summaries for explore
+    specs, else the kind's table as an aligned listing."""
+    if spec.kind == "simulate" and (
+        spec.name == "figures" or spec.name in presets.FIGURES
+    ):
+        from repro.analysis.report import render_figures_from_store
+
+        only = None if spec.name == "figures" else (spec.name,)
+        return render_figures_from_store(store, only=only)
+    if spec.kind == "explore":
+        summary = {"faults": _resilience_report, "lineage": _lineage_report}
+        return summary.get(spec.name, _explore_report)(cases, store)
+    headers, rows = _report_table(spec.kind, cases, store)
+    if spec.kind == "differential":
+        agreed = headers.index("agreed")
+        disagreed = sum(not row[agreed] for row in rows)
+        footer = f"{len(rows)} comparisons, {disagreed} disagreements"
     else:
-        raise SystemExit(f"no tabular report for campaign kind {kind!r}")
-    return headers, rows
+        footer = f"{len(rows)} rows"
+    return f"{_format_text(headers, rows)}\n{footer}"
+
+
+def _format_text(headers, rows) -> str:
+    """Aligned columns: numbers right-aligned, everything else left."""
+    def numeric(value) -> bool:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    widths = [
+        max(len(str(line[i])) for line in (headers, *rows))
+        for i in range(len(headers))
+    ]
+    lines = [
+        "  ".join(
+            str(value).rjust(width) if numeric(value) else str(value).ljust(width)
+            for value, width in zip(line, widths)
+        ).rstrip()
+        for line in (headers, *rows)
+    ]
+    return "\n".join(lines)
 
 
 def _format_csv(headers, rows) -> str:
@@ -567,7 +463,7 @@ def _format_csv(headers, rows) -> str:
 
 
 def _format_json(headers, rows) -> str:
-    """One object per scenario, keys in header order.
+    """One object per row, keys in header order.
 
     Key order is the header order (insertion order survives
     ``json.dumps`` without ``sort_keys``), so the emitted bytes are a
@@ -593,19 +489,132 @@ def _format_markdown(headers, rows) -> str:
     return "\n".join(lines)
 
 
-def _differential_report(cases, store: CampaignStore) -> str:
-    lines = []
-    disagreed = 0
+# ----------------------------------------------------------------------
+# Explore summaries: the explorer's, and the faults and lineage groupings
+# ----------------------------------------------------------------------
+
+
+def _explore_report(cases, store: CampaignStore) -> str:
+    from repro.testing.explore import Scenario, ScenarioOutcome, summarize
+
+    # Both lists derive from the same deduplicated cases, so duplicate
+    # grid entries cannot misalign scenarios and outcomes.
+    scenarios = [Scenario.from_dict(case.params) for case in cases]
+    outcomes = [ScenarioOutcome(**store.get(case.key)["result"]) for case in cases]
+    report = summarize(scenarios, outcomes)
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+def _fault_classes_of(params: dict) -> str:
+    """The fault classes a scenario document schedules, as a label."""
+    kinds = sorted(
+        {event["kind"] for event in params.get("faults", {}).get("events", ())}
+    )
+    return "+".join(kinds) if kinds else "none"
+
+
+def _pair(params: dict) -> str:
+    return f"{params.get('protocol')}/{params.get('interconnect')}"
+
+
+def _grouped(cases, store: CampaignStore, key) -> dict:
+    """Stored results grouped by ``key(params)``, groups in sorted order."""
+    groups: dict = {}
     for case in cases:
-        result = store.get(case.key)["result"]
-        status = "agreed" if result["agreed"] else "MISMATCH"
-        disagreed += 0 if result["agreed"] else 1
-        lines.append(
-            f"{result['workload']:<20} seed={result['seed']:<4} "
-            f"ref={result['reference']:<16} {status}"
+        groups.setdefault(key(case.params), []).append(
+            store.get(case.key)["result"]
         )
+    return dict(sorted(groups.items()))
+
+
+def _violations(results) -> int:
+    return sum(not result.get("ok", True) for result in results)
+
+
+def _resilience_report(cases, store: CampaignStore) -> str:
+    """Per (fault class, protocol/topology): recovery time and escalations.
+
+    Time-to-recovery is how long past the last fault window the system
+    still needed to finish; escalations are the persistent requests the
+    safety net fired — the paper's prediction is that token protocols
+    lean on exactly that machinery to ride out the fault, so the counts
+    should rise with fault pressure while violations stay at zero.
+
+    TTR is aggregated only over the runs that have one
+    (:func:`~repro.testing.explore.has_recovery`: the run passed and a
+    fault actually fired): a scheduled window the traffic never crossed
+    recovers from nothing, and a violating run's default 0.0 is no
+    measurement.  ``fired`` reports the per-group sample size so a thin
+    mean is visibly thin.
+    """
+    from repro.testing.explore import has_recovery
+
+    lines = [
+        f"{'fault class':<14} {'protocol':<17} {'runs':>4} {'viol':>4} "
+        f"{'fired':>5} {'ttr mean':>9} {'ttr max':>9} {'persist':>7} "
+        f"{'reissue':>7}"
+    ]
+    groups = _grouped(
+        cases, store, lambda params: (_fault_classes_of(params), _pair(params))
+    )
+    for (fault_class, pair), results in groups.items():
+        recovery = [
+            result.get("recovery_ns", 0.0)
+            for result in results
+            if has_recovery(result.get("ok", True), result.get("fault_stats", {}))
+        ]
+        if recovery:
+            ttr_mean = f"{sum(recovery) / len(recovery):>9.1f}"
+            ttr_max = f"{max(recovery):>9.1f}"
+        else:
+            ttr_mean = ttr_max = f"{'-':>9}"
+        persistent = sum(r.get("persistent_requests", 0) for r in results)
+        reissued = sum(r.get("reissued_requests", 0) for r in results)
+        lines.append(
+            f"{fault_class:<14} {pair:<17} {len(results):>4} "
+            f"{_violations(results):>4} {len(recovery):>5} "
+            f"{ttr_mean} {ttr_max} {persistent:>7} {reissued:>7}"
+        )
+    everything = [result for results in groups.values() for result in results]
     lines.append(
-        f"{len(lines)} comparisons, {disagreed} disagreements"
+        f"{len(everything)} runs, {_violations(everything)} violations "
+        "(ttr in ns after the last fault window, aggregated over the "
+        "'fired' scenarios only; persist/reissue are summed escalation "
+        "counts)"
+    )
+    return "\n".join(lines)
+
+
+def _lineage_report(cases, store: CampaignStore) -> str:
+    """Per protocol/topology: custody volume and terminal outcomes.
+
+    Every scenario in the lineage campaign runs with the token outcome
+    contract armed, so ``viol`` staying at zero means every custody
+    chain in the whole campaign reached exactly one terminal state —
+    including the corruption-dropped request chains, which must show up
+    under ``absorbed`` rather than dangling.
+    """
+    lines = [
+        f"{'protocol':<17} {'runs':>4} {'viol':>4} {'events':>9} "
+        f"{'xfers':>8} {'blocks':>6} {'terminals':>9} {'absorbed':>8}"
+    ]
+    groups = _grouped(cases, store, _pair)
+    for pair, results in groups.items():
+        def total(stat: str) -> int:
+            return sum(r.get("lineage_stats", {}).get(stat, 0) for r in results)
+
+        lines.append(
+            f"{pair:<17} {len(results):>4} {_violations(results):>4} "
+            f"{total('lineage_events'):>9} {total('lineage_transfers'):>8} "
+            f"{total('lineage_blocks'):>6} {total('lineage_terminals'):>9} "
+            f"{total('lineage_absorbed_reissues'):>8}"
+        )
+    everything = [result for results in groups.values() for result in results]
+    lines.append(
+        f"{len(everything)} runs, {_violations(everything)} violations "
+        "(terminals = quiesce + absorbed-by-reissue custody-chain outcomes; "
+        "absorbed = fault-dropped request chains terminated by a completed "
+        "transaction)"
     )
     return "\n".join(lines)
 
@@ -652,8 +661,9 @@ def _parse_args(argv):
                              help="also write the report to this file")
             cmd.add_argument("--format", default="text",
                              choices=("text", "csv", "markdown", "json"),
-                             help="text renders the figures; csv/markdown/"
-                                  "json export one row per scenario")
+                             help="text renders figures, summaries or a "
+                                  "listing; csv/markdown/json export the "
+                                  "kind's column table")
         if name == "compact":
             cmd.add_argument("--prune-stale", action="store_true",
                              help="also drop records recorded under a "

@@ -1,33 +1,40 @@
-"""The repo's declared campaigns.
+"""The repo's declared campaigns: the one place a sweep's data points live.
 
-Every sweep that used to carry its own loop lives here as a
-:class:`~repro.campaign.spec.CampaignSpec`:
+Every ``simulate`` preset is a **labelled series**, ``{group: {label:
+params}}`` — the shape the paper's figures have (workload → variant)
+and the shape everything downstream reads:
 
-* the **figure campaigns** — one spec per figure/table benchmark, plus
-  :func:`figures_spec`, their deduplicated union (what the bench-suite
-  prewarm and the CI store cache cover).  :func:`figure_series` is the
-  same data keyed for rendering, consumed by
-  :func:`repro.analysis.report.render_figures_from_store`;
-* the **explorer campaign** — seeds × canonical protocol/topology grid
-  × adversarial workloads (``python -m repro.testing.explore --jobs``);
-* the **differential campaign** — cross-protocol conformance points;
-* the **smoke campaign** — a minutes-scale grid CI runs twice to prove
-  the second pass is a 100% store hit.
+* :func:`series` builds one by name (:data:`SERIES`); the campaign
+  CLI flattens it into a spec's grid (groups, then labels, in order);
+* :func:`figure_series` adds each figure's title and renderer
+  (:data:`FIGURES`) for :func:`repro.analysis.report.render_figures_from_store`;
+* the benches read results back with the same keys through
+  ``benchmarks/common.py``'s lookup, so no bench restates a grid.
 
-The figure case documents reproduce ``benchmarks/common.py``'s historic
-parameterization exactly (same workloads, same ``SystemConfig`` fields),
-so the migrated benches compute byte-identical results.
+:func:`figures_spec` is the union of the figure-suite series (what the
+bench prewarm and the CI store cache cover).  The other kinds are
+builders: the explorer (seeds × canonical protocol/topology grid ×
+adversarial workloads), faults, lineage, differential and snapshots
+presets.  :data:`SPEC_BUILDERS` names every preset, and
+:func:`build_spec` hands each builder the CLI options its signature
+takes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 from pathlib import Path
 
-from repro.campaign.spec import CampaignSpec, union_cases
+from repro.campaign.spec import CampaignSpec
 
 #: Stream length per processor for the commercial-workload benches.
 OPS_PER_PROC = 400
+
+#: The store every bench-read preset shares, so the CLI and the benches
+#: serve each other's results.
+BENCH_STORE = "benchmarks/.bench_cache"
 
 
 def _default_store(relative: str) -> str:
@@ -70,264 +77,6 @@ def simulate_case_params(
     }
 
 
-def _commercial_workloads():
-    from repro.workloads import COMMERCIAL_WORKLOADS
-
-    return COMMERCIAL_WORKLOADS
-
-
-# ----------------------------------------------------------------------
-# Figure series: figure -> renderer + {workload: {variant label: params}}
-# ----------------------------------------------------------------------
-
-
-def figure_series() -> list[dict]:
-    """Render-ready descriptors for every figure/table the suite draws."""
-    specs = _commercial_workloads()
-    fig4a = {
-        name: {
-            "TokenB / tree": simulate_case_params(spec, "tokenb", "tree"),
-            "Snooping / tree": simulate_case_params(spec, "snooping", "tree"),
-            "TokenB / torus": simulate_case_params(spec, "tokenb", "torus"),
-            "TokenB / tree (unlim bw)": simulate_case_params(
-                spec, "tokenb", "tree", None
-            ),
-            "Snooping / tree (unlim bw)": simulate_case_params(
-                spec, "snooping", "tree", None
-            ),
-            "TokenB / torus (unlim bw)": simulate_case_params(
-                spec, "tokenb", "torus", None
-            ),
-        }
-        for name, spec in specs.items()
-    }
-    fig4b = {
-        name: {
-            "TokenB / tree": simulate_case_params(spec, "tokenb", "tree"),
-            "Snooping / tree": simulate_case_params(spec, "snooping", "tree"),
-        }
-        for name, spec in specs.items()
-    }
-    fig5a = {
-        name: {
-            "TokenB": simulate_case_params(spec, "tokenb", "torus"),
-            "Hammer": simulate_case_params(spec, "hammer", "torus"),
-            "Directory (DRAM)": simulate_case_params(spec, "directory", "torus"),
-            "Directory (perfect)": simulate_case_params(
-                spec, "directory", "torus", directory_latency=0.0
-            ),
-            "TokenB (unlim bw)": simulate_case_params(spec, "tokenb", "torus", None),
-            "Hammer (unlim bw)": simulate_case_params(spec, "hammer", "torus", None),
-            "Directory (unlim bw)": simulate_case_params(
-                spec, "directory", "torus", None
-            ),
-        }
-        for name, spec in specs.items()
-    }
-    fig5b = {
-        name: {
-            "TokenB": simulate_case_params(spec, "tokenb", "torus"),
-            "Hammer": simulate_case_params(spec, "hammer", "torus"),
-            "Directory": simulate_case_params(spec, "directory", "torus"),
-        }
-        for name, spec in specs.items()
-    }
-    table2 = {
-        name: {"TokenB / torus": simulate_case_params(spec, "tokenb", "torus")}
-        for name, spec in specs.items()
-    }
-    oltp = specs["oltp"]
-    section7 = {
-        "oltp": {
-            "TokenB": simulate_case_params(oltp, "tokenb", "torus"),
-            "TokenD": simulate_case_params(oltp, "tokend", "torus"),
-            "TokenM": simulate_case_params(oltp, "tokenm", "torus"),
-            "Directory": simulate_case_params(oltp, "directory", "torus"),
-        }
-    }
-    return [
-        {
-            "figure": "fig4a",
-            "title": "Figure 4a — Runtime: snooping v. token coherence",
-            "render": "runtime",
-            "baseline": "Snooping / tree",
-            "data": fig4a,
-        },
-        {
-            "figure": "fig4b",
-            "title": "Figure 4b — Traffic: snooping v. token coherence",
-            "render": "traffic",
-            "baseline": "Snooping / tree",
-            "data": fig4b,
-        },
-        {
-            "figure": "fig5a",
-            "title": "Figure 5a — Runtime: directory v. token coherence",
-            "render": "runtime",
-            "baseline": "TokenB",
-            "data": fig5a,
-        },
-        {
-            "figure": "fig5b",
-            "title": "Figure 5b — Traffic: directory v. token coherence",
-            "render": "traffic",
-            "baseline": "TokenB",
-            "data": fig5b,
-        },
-        {
-            "figure": "table2",
-            "title": "Table 2 — Overhead due to reissued requests (TokenB, torus)",
-            "render": "table2",
-            "data": table2,
-        },
-        {
-            "figure": "section7",
-            "title": "Section 7 — extension performance protocols (OLTP, torus)",
-            "render": "runtime",
-            "baseline": "TokenB",
-            "data": section7,
-        },
-    ]
-
-
-def _series_spec(name: str, figures: tuple[str, ...]) -> CampaignSpec:
-    grid = [
-        params
-        for section in figure_series()
-        if section["figure"] in figures
-        for variants in section["data"].values()
-        for params in variants.values()
-    ]
-    # Every figure-family spec shares the benchmark suite's store, so
-    # the CLI and the benches serve each other's results.
-    return CampaignSpec(
-        name=name,
-        kind="simulate",
-        grid=grid,
-        default_store=_default_store("benchmarks/.bench_cache"),
-    )
-
-
-def fig4a_spec() -> CampaignSpec:
-    return _series_spec("fig4a", ("fig4a",))
-
-
-def fig4b_spec() -> CampaignSpec:
-    return _series_spec("fig4b", ("fig4b",))
-
-
-def fig5a_spec() -> CampaignSpec:
-    return _series_spec("fig5a", ("fig5a",))
-
-
-def fig5b_spec() -> CampaignSpec:
-    return _series_spec("fig5b", ("fig5b",))
-
-
-def table2_spec() -> CampaignSpec:
-    return _series_spec("table2", ("table2",))
-
-
-def section7_spec() -> CampaignSpec:
-    return _series_spec("section7", ("section7",))
-
-
-def q5_spec() -> CampaignSpec:
-    """Question 5 broadcast-scalability points (contended microbench)."""
-    from repro.workloads.microbench import contended_sharing_spec
-
-    contended = contended_sharing_spec(ops_per_proc=150)
-    grid = [
-        simulate_case_params(
-            contended, protocol, "torus", None, n_procs=n, ops_per_proc=150
-        )
-        for n in (16, 32, 64)
-        for protocol in ("tokenb", "directory")
-    ]
-    return CampaignSpec(
-        name="q5",
-        kind="simulate",
-        grid=grid,
-        default_store=_default_store("benchmarks/.bench_cache"),
-    )
-
-
-def ablations_spec() -> CampaignSpec:
-    """Section 4.2 ablation points (OLTP, TokenB/torus variants)."""
-    from repro.workloads import COMMERCIAL_WORKLOADS
-
-    oltp = COMMERCIAL_WORKLOADS["oltp"]
-    grid = [simulate_case_params(oltp, "tokenb", "torus")]
-    grid.append(
-        simulate_case_params(
-            oltp, "tokenb", "torus", migratory_optimization=False
-        )
-    )
-    grid.extend(
-        simulate_case_params(
-            oltp, "tokenb", "torus", reissue_timeout_multiplier=mult
-        )
-        for mult in (0.5, 2.0, 8.0)
-    )
-    grid.extend(
-        simulate_case_params(oltp, "tokenb", "torus", tokens_per_block=t)
-        for t in (16, 64, 256)
-    )
-    grid.extend(
-        simulate_case_params(oltp, "tokenb", "torus", bandwidth=bw)
-        for bw in (0.8, 1.6, 3.2, 6.4, None)
-    )
-    return CampaignSpec(
-        name="ablations",
-        kind="simulate",
-        grid=grid,
-        default_store=_default_store("benchmarks/.bench_cache"),
-    )
-
-
-def predict_spec() -> CampaignSpec:
-    """Destination-set prediction tradeoff grid (fig-4/5 workloads).
-
-    Every commercial workload × {TokenB, TokenD, Directory, TokenM with
-    each predictor, TokenM group + bandwidth-adaptive hybrid}, all on
-    the torus — the traffic-vs-latency sweep behind
-    ``benchmarks/bench_predict_tradeoff.py`` / ``BENCH_predict.json``.
-    The hybrid's adaptation claim needs a constrained-bandwidth point,
-    so TokenB / TokenM / hybrid repeat at 0.8 B/ns.
-    """
-    from repro.config import PREDICTORS
-
-    grid = []
-    for spec in _commercial_workloads().values():
-        grid.append(simulate_case_params(spec, "tokenb", "torus"))
-        grid.append(simulate_case_params(spec, "tokend", "torus"))
-        grid.append(simulate_case_params(spec, "directory", "torus"))
-        grid.extend(
-            simulate_case_params(spec, "tokenm", "torus", predictor=predictor)
-            for predictor in PREDICTORS
-        )
-        grid.append(
-            simulate_case_params(
-                spec, "tokenm", "torus",
-                predictor="group", bandwidth_adaptive=True,
-            )
-        )
-        for protocol, extra in (
-            ("tokenb", {}),
-            ("tokenm", {"predictor": "group"}),
-            ("tokenm", {"predictor": "group", "bandwidth_adaptive": True}),
-        ):
-            grid.append(
-                simulate_case_params(spec, protocol, "torus", 0.8, **extra)
-            )
-    return CampaignSpec(
-        name="predict",
-        kind="simulate",
-        grid=grid,
-        default_store=_default_store("benchmarks/.bench_cache"),
-    )
-
-
 def program_case_params(
     program,
     protocol: str,
@@ -354,83 +103,6 @@ def program_case_params(
     return {"program": program.to_dict(), "config": config}
 
 
-#: Constrained-bandwidth point the per-phase ranking comparison runs at
-#: (broadcast's fan-out only costs runtime once links can saturate).
-WORKLOADS_PHASE_BW = 0.8
-
-#: Protocols the per-phase ranking flip is measured over.
-WORKLOADS_PHASE_PROTOCOLS = ("tokenb", "directory", "hammer")
-
-#: Protocols the program-level sweep covers (the performance grid; the
-#: null protocol has no performance story to rank).
-WORKLOADS_PROGRAM_PROTOCOLS = (
-    "tokenb", "snooping", "directory", "hammer", "tokend", "tokenm"
-)
-
-
-def workloads_spec(smoke: bool = False) -> CampaignSpec:
-    """Phase-structured workload programs × protocols × topologies.
-
-    The full sweep runs every :data:`CAMPAIGN_PROGRAMS` program over
-    the canonical performance-protocol grid (both topologies where
-    legal), plus each program's phases in isolation at
-    :data:`WORKLOADS_PHASE_BW` so ``bench_workload_suite.py`` can show
-    protocol rankings flipping between phases of one program.
-
-    ``smoke=True`` is the CI slice: every program scaled to 80 ops over
-    the default-interconnect pairs — minutes-scale, run twice with
-    ``--expect-cached`` to prove program scenarios resume from the
-    store like any other kind.
-    """
-    from repro.system.grid import interconnect_for, protocol_grid
-    from repro.workloads.programs import CAMPAIGN_PROGRAMS
-
-    grid: list[dict] = []
-    if smoke:
-        for program in CAMPAIGN_PROGRAMS.values():
-            small = program.scaled(80)
-            grid.extend(
-                program_case_params(
-                    small, protocol, interconnect_for(protocol), n_procs=8
-                )
-                for protocol in ("tokenb", "snooping", "directory",
-                                 "tokend", "tokenm")
-            )
-        # The CI smoke slice keeps its own store (mirrors the smoke
-        # campaign job and its actions/cache path).
-        return CampaignSpec(
-            name="workloads",
-            kind="simulate",
-            grid=grid,
-            default_store=_default_store("campaigns/workloads"),
-        )
-    for program in CAMPAIGN_PROGRAMS.values():
-        grid.extend(
-            program_case_params(program, protocol, interconnect)
-            for protocol, interconnect in protocol_grid(
-                WORKLOADS_PROGRAM_PROTOCOLS
-            )
-        )
-    for program in CAMPAIGN_PROGRAMS.values():
-        for index in range(len(program.phases)):
-            isolated = program.isolate_phase(index)
-            grid.extend(
-                program_case_params(
-                    isolated, protocol, "torus", WORKLOADS_PHASE_BW
-                )
-                for protocol in WORKLOADS_PHASE_PROTOCOLS
-            )
-    # The full grid shares the benchmark suite's store (like every other
-    # bench-declared spec), so CLI runs and bench_workload_suite.py
-    # serve each other's results.
-    return CampaignSpec(
-        name="workloads",
-        kind="simulate",
-        grid=grid,
-        default_store=_default_store("benchmarks/.bench_cache"),
-    )
-
-
 def family_case_params(
     family,
     protocol: str,
@@ -452,6 +124,364 @@ def family_case_params(
     return {"family": family.to_dict(), "config": config}
 
 
+def _commercial_workloads():
+    from repro.workloads import COMMERCIAL_WORKLOADS
+
+    return COMMERCIAL_WORKLOADS
+
+
+def _variants(workload, variants: dict) -> dict:
+    """``{label: params}`` of one workload under a variant table.
+
+    A variant table maps a label to ``(protocol, interconnect,
+    overrides)``, the overrides being :func:`simulate_case_params`
+    keywords.
+    """
+    return {
+        label: simulate_case_params(workload, protocol, interconnect, **overrides)
+        for label, (protocol, interconnect, overrides) in variants.items()
+    }
+
+
+# ----------------------------------------------------------------------
+# Labelled series: {group: {label: params}}
+# ----------------------------------------------------------------------
+
+_UNLIMITED = {"bandwidth": None}
+
+#: Every figure/table the suite draws: its title, renderer, baseline
+#: label, the workloads it covers (every commercial one unless listed)
+#: and its variant table.
+FIGURES = {
+    "fig4a": {
+        "title": "Figure 4a — Runtime: snooping v. token coherence",
+        "render": "runtime",
+        "baseline": "Snooping / tree",
+        "variants": {
+            "TokenB / tree": ("tokenb", "tree", {}),
+            "Snooping / tree": ("snooping", "tree", {}),
+            "TokenB / torus": ("tokenb", "torus", {}),
+            "TokenB / tree (unlim bw)": ("tokenb", "tree", _UNLIMITED),
+            "Snooping / tree (unlim bw)": ("snooping", "tree", _UNLIMITED),
+            "TokenB / torus (unlim bw)": ("tokenb", "torus", _UNLIMITED),
+        },
+    },
+    "fig4b": {
+        "title": "Figure 4b — Traffic: snooping v. token coherence",
+        "render": "traffic",
+        "baseline": "Snooping / tree",
+        "variants": {
+            "TokenB / tree": ("tokenb", "tree", {}),
+            "Snooping / tree": ("snooping", "tree", {}),
+        },
+    },
+    "fig5a": {
+        "title": "Figure 5a — Runtime: directory v. token coherence",
+        "render": "runtime",
+        "baseline": "TokenB",
+        "variants": {
+            "TokenB": ("tokenb", "torus", {}),
+            "Hammer": ("hammer", "torus", {}),
+            "Directory (DRAM)": ("directory", "torus", {}),
+            "Directory (perfect)": (
+                "directory", "torus", {"directory_latency": 0.0}
+            ),
+            "TokenB (unlim bw)": ("tokenb", "torus", _UNLIMITED),
+            "Hammer (unlim bw)": ("hammer", "torus", _UNLIMITED),
+            "Directory (unlim bw)": ("directory", "torus", _UNLIMITED),
+        },
+    },
+    "fig5b": {
+        "title": "Figure 5b — Traffic: directory v. token coherence",
+        "render": "traffic",
+        "baseline": "TokenB",
+        "variants": {
+            "TokenB": ("tokenb", "torus", {}),
+            "Hammer": ("hammer", "torus", {}),
+            "Directory": ("directory", "torus", {}),
+        },
+    },
+    "table2": {
+        "title": "Table 2 — Overhead due to reissued requests (TokenB, torus)",
+        "render": "table2",
+        "variants": {"TokenB / torus": ("tokenb", "torus", {})},
+    },
+    "section7": {
+        "title": "Section 7 — extension performance protocols (OLTP, torus)",
+        "render": "runtime",
+        "baseline": "TokenB",
+        "workloads": ("oltp",),
+        "variants": {
+            "TokenB": ("tokenb", "torus", {}),
+            "TokenD": ("tokend", "torus", {}),
+            "TokenM": ("tokenm", "torus", {}),
+            "Directory": ("directory", "torus", {}),
+        },
+    },
+}
+
+
+def _figure(name: str) -> dict:
+    figure = FIGURES[name]
+    specs = _commercial_workloads()
+    return {
+        workload: _variants(specs[workload], figure["variants"])
+        for workload in figure.get("workloads", specs)
+    }
+
+
+def figure_series() -> list[dict]:
+    """Render-ready descriptors for every figure/table the suite draws."""
+    return [
+        {
+            "figure": name,
+            "title": figure["title"],
+            "render": figure["render"],
+            "baseline": figure.get("baseline"),
+            "data": _figure(name),
+        }
+        for name, figure in FIGURES.items()
+    ]
+
+
+def _q5() -> dict:
+    """Question 5 broadcast-scalability points (contended microbench):
+    ``{n_procs: {protocol: params}}``."""
+    from repro.workloads.microbench import contended_sharing_spec
+
+    contended = contended_sharing_spec(ops_per_proc=150)
+    return {
+        n: {
+            protocol: simulate_case_params(
+                contended, protocol, "torus", None, n_procs=n, ops_per_proc=150
+            )
+            for protocol in ("tokenb", "directory")
+        }
+        for n in (16, 32, 64)
+    }
+
+
+def _ablations() -> dict:
+    """Section 4.2 ablation points (OLTP, TokenB/torus variants), one
+    group per knob, labelled by its value."""
+    oltp = _commercial_workloads()["oltp"]
+
+    def point(**overrides):
+        return simulate_case_params(oltp, "tokenb", "torus", **overrides)
+
+    return {
+        "migratory": {"on": point(), "off": point(migratory_optimization=False)},
+        "reissue_timeout": {
+            mult: point(reissue_timeout_multiplier=mult) for mult in (0.5, 2.0, 8.0)
+        },
+        "token_count": {t: point(tokens_per_block=t) for t in (16, 64, 256)},
+        "bandwidth": {bw: point(bandwidth=bw) for bw in (0.8, 1.6, 3.2, 6.4, None)},
+    }
+
+
+#: Destination-set prediction variants at full link bandwidth.
+PREDICT_VARIANTS = {
+    "TokenB": ("tokenb", "torus", {}),
+    "TokenD": ("tokend", "torus", {}),
+    "Directory": ("directory", "torus", {}),
+    "TokenM (owner)": ("tokenm", "torus", {"predictor": "owner"}),
+    "TokenM (bcast-if-shared)": (
+        "tokenm", "torus", {"predictor": "broadcast-if-shared"}
+    ),
+    "TokenM (group)": ("tokenm", "torus", {"predictor": "group"}),
+    "TokenM (hybrid)": (
+        "tokenm", "torus", {"predictor": "group", "bandwidth_adaptive": True}
+    ),
+}
+
+#: The constrained link bandwidth the hybrid's adaptation claim needs.
+PREDICT_CONSTRAINED_BW = 0.8
+
+#: The variants that repeat at :data:`PREDICT_CONSTRAINED_BW`.
+PREDICT_CONSTRAINED_VARIANTS = {
+    label: (protocol, interconnect, {**overrides, "bandwidth": PREDICT_CONSTRAINED_BW})
+    for label, (protocol, interconnect, overrides) in PREDICT_VARIANTS.items()
+    if label in ("TokenB", "TokenM (group)", "TokenM (hybrid)")
+}
+
+
+def constrained(workload: str) -> str:
+    """The predict series group of ``workload`` at constrained bandwidth."""
+    return f"{workload} @ {PREDICT_CONSTRAINED_BW} B/ns"
+
+
+def _predict() -> dict:
+    """Destination-set prediction tradeoff grid (fig-4/5 workloads).
+
+    Every commercial workload × :data:`PREDICT_VARIANTS` on the torus —
+    the traffic-vs-latency sweep behind
+    ``benchmarks/bench_predict_tradeoff.py`` / ``BENCH_predict.json`` —
+    each followed by its :func:`constrained` group.
+    """
+    series = {}
+    for name, spec in _commercial_workloads().items():
+        series[name] = _variants(spec, PREDICT_VARIANTS)
+        series[constrained(name)] = _variants(spec, PREDICT_CONSTRAINED_VARIANTS)
+    return series
+
+
+#: Constrained-bandwidth point the per-phase ranking comparison runs at
+#: (broadcast's fan-out only costs runtime once links can saturate).
+WORKLOADS_PHASE_BW = 0.8
+
+#: Protocols the per-phase ranking flip is measured over.
+WORKLOADS_PHASE_PROTOCOLS = ("tokenb", "directory", "hammer")
+
+#: Protocols the program-level sweep covers (the performance grid; the
+#: null protocol has no performance story to rank).
+WORKLOADS_PROGRAM_PROTOCOLS = (
+    "tokenb", "snooping", "directory", "hammer", "tokend", "tokenm"
+)
+
+#: The default-interconnect protocols every CI smoke slice covers.
+SMOKE_PROTOCOLS = ("tokenb", "snooping", "directory", "tokend", "tokenm")
+
+
+def _workloads() -> dict:
+    """Phase-structured workload programs × protocols × topologies.
+
+    One group per :data:`CAMPAIGN_PROGRAMS` program over the canonical
+    performance-protocol grid (both topologies where legal, labelled
+    ``protocol/interconnect``), then one group per isolated phase
+    (named ``program@phase``) at :data:`WORKLOADS_PHASE_BW`, labelled by
+    protocol — so ``bench_workload_suite.py`` can show protocol rankings
+    flipping between phases of one program.
+    """
+    from repro.system.grid import protocol_grid
+    from repro.workloads.programs import CAMPAIGN_PROGRAMS
+
+    series = {
+        name: {
+            f"{protocol}/{interconnect}": program_case_params(
+                program, protocol, interconnect
+            )
+            for protocol, interconnect in protocol_grid(WORKLOADS_PROGRAM_PROTOCOLS)
+        }
+        for name, program in CAMPAIGN_PROGRAMS.items()
+    }
+    for program in CAMPAIGN_PROGRAMS.values():
+        for index in range(len(program.phases)):
+            isolated = program.isolate_phase(index)
+            series[isolated.name] = {
+                protocol: program_case_params(
+                    isolated, protocol, "torus", WORKLOADS_PHASE_BW
+                )
+                for protocol in WORKLOADS_PHASE_PROTOCOLS
+            }
+    return series
+
+
+#: Every bench-read ``simulate`` preset's labelled-series builder.
+SERIES = {
+    **{name: functools.partial(_figure, name) for name in FIGURES},
+    "q5": _q5,
+    "ablations": _ablations,
+    "predict": _predict,
+    "workloads": _workloads,
+}
+
+#: The presets :func:`figures_spec` unions (the bench prewarm set).
+FIGURE_SUITE = (*FIGURES, "q5", "ablations", "predict")
+
+
+def series(name: str) -> dict:
+    """The labelled series ``{group: {label: params}}`` of a preset."""
+    return SERIES[name]()
+
+
+def _grid(data: dict) -> list[dict]:
+    return [params for labels in data.values() for params in labels.values()]
+
+
+def series_spec(name: str, data: dict, store: str = BENCH_STORE) -> CampaignSpec:
+    """A labelled series as a ``simulate`` spec: groups, then labels, in
+    order (a point repeated under two labels is one case)."""
+    return CampaignSpec(
+        name=name,
+        kind="simulate",
+        grid=_grid(data),
+        default_store=_default_store(store),
+    )
+
+
+def _bench_spec(name: str) -> CampaignSpec:
+    return series_spec(name, series(name))
+
+
+def figures_spec() -> CampaignSpec:
+    """The union of every figure-suite preset (the bench prewarm set)."""
+    return CampaignSpec(
+        name="figures",
+        kind="simulate",
+        grid=[params for name in FIGURE_SUITE for params in _grid(series(name))],
+        default_store=_default_store(BENCH_STORE),
+    )
+
+
+def predict_spec() -> CampaignSpec:
+    """The destination-set prediction tradeoff preset (:func:`_predict`)."""
+    return _bench_spec("predict")
+
+
+def workloads_spec(smoke: bool = False) -> CampaignSpec:
+    """The workload-program preset (:func:`_workloads`).
+
+    ``smoke=True`` is the CI slice: every program scaled to 80 ops over
+    the :data:`SMOKE_PROTOCOLS` default-interconnect pairs at 8
+    processors — minutes-scale, run twice with ``--expect-cached`` to
+    prove program scenarios resume from the store like any other kind.
+    It keeps its own store (mirroring the smoke campaign job and its
+    actions/cache path).
+    """
+    if not smoke:
+        return _bench_spec("workloads")
+    from repro.system.grid import interconnect_for
+    from repro.workloads.programs import CAMPAIGN_PROGRAMS
+
+    slice_ = {
+        name: {
+            f"{protocol}/{interconnect_for(protocol)}": program_case_params(
+                program.scaled(80), protocol, interconnect_for(protocol), n_procs=8
+            )
+            for protocol in SMOKE_PROTOCOLS
+        }
+        for name, program in CAMPAIGN_PROGRAMS.items()
+    }
+    return series_spec("workloads", slice_, "campaigns/workloads")
+
+
+def smoke_spec() -> CampaignSpec:
+    """A small, fast grid campaign: CI runs it twice to prove resume."""
+    specs = _commercial_workloads()
+    pairs = (
+        ("tokenb", "torus"),
+        ("directory", "torus"),
+        ("snooping", "tree"),
+        ("tokend", "torus"),
+        ("tokenm", "torus"),
+    )
+    slice_ = {
+        name: {
+            f"{protocol}/{interconnect}": simulate_case_params(
+                specs[name], protocol, interconnect, n_procs=8, ops_per_proc=80
+            )
+            for protocol, interconnect in pairs
+        }
+        for name in ("apache", "oltp")
+    }
+    return series_spec("smoke", slice_, "campaigns/smoke")
+
+
+# ----------------------------------------------------------------------
+# Snapshot / explorer / faults / lineage / differential campaigns
+# ----------------------------------------------------------------------
+
+
 def snapshots_spec(smoke: bool = False) -> CampaignSpec:
     """Warmup-once scenario families across the full protocol grid.
 
@@ -460,9 +490,9 @@ def snapshots_spec(smoke: bool = False) -> CampaignSpec:
     from the warmup checkpoint; results are bit-identical to cold
     replays (the snapshot determinism goldens pin this), so records are
     content-addressed like any other kind.  ``smoke=True`` is the CI
-    slice: a 3-tail family over five default-interconnect pairs, run
-    twice with ``--expect-cached`` and a shared
-    ``REPRO_CHECKPOINT_STORE`` to prove checkpoint reuse across
+    slice: a 3-tail family over the :data:`SMOKE_PROTOCOLS`
+    default-interconnect pairs, run twice with ``--expect-cached`` and a
+    shared ``REPRO_CHECKPOINT_STORE`` to prove checkpoint reuse across
     processes.
     """
     from repro.snapshot.fork import demo_family
@@ -472,8 +502,7 @@ def snapshots_spec(smoke: bool = False) -> CampaignSpec:
         family = demo_family(warmup_ops=160, tail_ops=30, n_tails=3)
         grid = [
             family_case_params(family, protocol, interconnect_for(protocol))
-            for protocol in ("tokenb", "snooping", "directory",
-                             "tokend", "tokenm")
+            for protocol in SMOKE_PROTOCOLS
         ]
     else:
         family = demo_family(warmup_ops=240, tail_ops=40, n_tails=4)
@@ -487,32 +516,6 @@ def snapshots_spec(smoke: bool = False) -> CampaignSpec:
         grid=grid,
         default_store=_default_store("campaigns/snapshots"),
     )
-
-
-def figures_spec() -> CampaignSpec:
-    """The union of every figure-suite campaign (the bench prewarm set)."""
-    parts = [
-        fig4a_spec(),
-        fig4b_spec(),
-        fig5a_spec(),
-        fig5b_spec(),
-        table2_spec(),
-        section7_spec(),
-        q5_spec(),
-        ablations_spec(),
-        predict_spec(),
-    ]
-    return CampaignSpec(
-        name="figures",
-        kind="simulate",
-        grid=[case.params for case in union_cases(parts)],
-        default_store=_default_store("benchmarks/.bench_cache"),
-    )
-
-
-# ----------------------------------------------------------------------
-# Explorer / differential / smoke campaigns
-# ----------------------------------------------------------------------
 
 
 def explorer_spec(
@@ -656,50 +659,18 @@ def differential_spec(seeds: int = 4, seed_base: int = 0, workloads=None) -> Cam
     )
 
 
-def smoke_spec() -> CampaignSpec:
-    """A small, fast grid campaign: CI runs it twice to prove resume."""
-    specs = _commercial_workloads()
-    grid = [
-        simulate_case_params(
-            specs[name], protocol, interconnect, n_procs=8, ops_per_proc=80
-        )
-        for name in ("apache", "oltp")
-        for protocol, interconnect in (
-            ("tokenb", "torus"),
-            ("directory", "torus"),
-            ("snooping", "tree"),
-            ("tokend", "torus"),
-            ("tokenm", "torus"),
-        )
-    ]
-    return CampaignSpec(
-        name="smoke",
-        kind="simulate",
-        grid=grid,
-        default_store=_default_store("campaigns/smoke"),
-    )
-
-
-#: Named specs ``python -m repro.campaign`` resolves (callables taking
-#: optional kwargs).
+#: Every named preset ``python -m repro.campaign`` resolves: the
+#: bench-read series, then the builders.
 SPEC_BUILDERS = {
+    **{name: functools.partial(_bench_spec, name) for name in SERIES},
     "figures": figures_spec,
-    "fig4a": fig4a_spec,
-    "fig4b": fig4b_spec,
-    "fig5a": fig5a_spec,
-    "fig5b": fig5b_spec,
-    "table2": table2_spec,
-    "section7": section7_spec,
-    "q5": q5_spec,
-    "ablations": ablations_spec,
-    "predict": predict_spec,
+    "workloads": workloads_spec,
+    "smoke": smoke_spec,
+    "snapshots": snapshots_spec,
     "explorer": explorer_spec,
     "faults": faults_spec,
     "lineage": lineage_spec,
     "differential": differential_spec,
-    "smoke": smoke_spec,
-    "workloads": workloads_spec,
-    "snapshots": snapshots_spec,
 }
 
 
@@ -709,18 +680,14 @@ def build_spec(
     seed_base: int = 0,
     smoke: bool = False,
 ) -> CampaignSpec:
-    """Build a named preset, routing only the options it understands.
+    """Build a named preset, passing only the options its builder takes.
 
-    The one place that knows which presets take seed/smoke options;
-    every CLI subcommand resolves its ``--spec`` through it.  Raises
-    :class:`KeyError` for unknown names.
+    Every CLI subcommand resolves its ``--spec`` through here; a
+    builder's own signature says which of ``seeds``, ``seed_base`` and
+    ``smoke`` it understands.  Raises :class:`KeyError` for unknown
+    names.
     """
     builder = SPEC_BUILDERS[name]
-    kwargs: dict = {}
-    if name in ("explorer", "faults", "lineage"):
-        kwargs = dict(seeds=seeds, seed_base=seed_base, smoke=smoke)
-    elif name == "differential":
-        kwargs = dict(seeds=seeds, seed_base=seed_base)
-    elif name in ("workloads", "snapshots"):
-        kwargs = dict(smoke=smoke)
-    return builder(**kwargs)
+    accepted = inspect.signature(builder).parameters
+    options = {"seeds": seeds, "seed_base": seed_base, "smoke": smoke}
+    return builder(**{key: value for key, value in options.items() if key in accepted})

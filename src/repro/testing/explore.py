@@ -583,6 +583,19 @@ def smoke_scenarios(scenarios) -> list[Scenario]:
     ]
 
 
+def has_recovery(ok: bool, fault_stats: dict) -> bool:
+    """Whether a run measured a time-to-recovery.
+
+    Only a run that passed and on which some fault counter is nonzero
+    recovered from anything: a scheduled window the traffic never
+    crossed recovers from nothing, and a violating run keeps the
+    default ``recovery_ns=0.0``.  Every TTR aggregate — :func:`summarize`,
+    the campaign's faults report and explore export, the
+    fault-resilience bench — applies this one rule.
+    """
+    return bool(ok) and any(fault_stats.values())
+
+
 def summarize(scenarios, outcomes) -> dict:
     """Aggregate ``outcomes`` (parallel to ``scenarios``) into a report.
 
@@ -622,13 +635,7 @@ def summarize(scenarios, outcomes) -> dict:
             # Associative bucket-count merge: any sharding of the sweep
             # folds to the same distribution.
             miss_latency.merge(Histogram.from_dict(hist))
-        if (
-            outcome.ok
-            and scenario.faults.any_active()
-            and sum(outcome.fault_stats.values())
-        ):
-            # TTR is a measurement only where a fault actually fired
-            # (the resilience-report rule from the campaign CLI).
+        if has_recovery(outcome.ok, outcome.fault_stats):
             ttr.record(outcome.recovery_ns)
         if not outcome.ok:
             violations.append(
@@ -742,107 +749,6 @@ def explore_campaign(
 
 
 # ----------------------------------------------------------------------
-# Phased scenario families (warmup-fork sweep)
-# ----------------------------------------------------------------------
-
-
-def explore_families(
-    seeds,
-    protocols=ALL_PROTOCOLS,
-    smoke: bool = False,
-    checkpoint_dir=None,
-    progress=None,
-) -> dict:
-    """Sweep phased scenario families via warmup-fork.
-
-    For every (seed, protocol/topology) grid point the canonical
-    warmup-dominated family (:func:`repro.snapshot.fork.demo_family`)
-    runs with its warmup executed once and every divergent tail forked
-    from the snapshot (:func:`repro.snapshot.fork.fork_family`); each
-    tail result then faces the explorer's liveness and drainage oracles.
-    ``checkpoint_dir`` names an on-disk
-    :class:`~repro.snapshot.store.CheckpointStore`, so repeated sweeps
-    skip even the one warmup per family.
-
-    The stock grid is snapshot-clean by construction (no perturbations,
-    no lineage/observe arms), so a
-    :class:`~repro.snapshot.SnapshotUnsupportedError` here is itself a
-    reportable violation, not an expected refusal.
-    """
-    from repro.snapshot import CheckpointStore, demo_family, fork_family
-
-    started = time.perf_counter()
-    if smoke:
-        family = demo_family(warmup_ops=80, tail_ops=16, n_tails=3)
-    else:
-        family = demo_family(warmup_ops=240, tail_ops=40, n_tails=4)
-    store = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-    grid = [
-        (seed, protocol, interconnect)
-        for seed in seeds
-        for protocol, interconnect in protocol_grid(protocols)
-    ]
-    violations = []
-    totals = {"families": 0, "tails": 0, "events_fired": 0,
-              "warmup_events": 0, "checkpoint_hits": 0}
-    expected_ops_per_tail = {
-        name: (family.warmup.ops_per_proc + tail.ops_per_proc)
-        for name, tail in family.tails.items()
-    }
-    for index, (seed, protocol, interconnect) in enumerate(grid):
-        config = SystemConfig(
-            protocol=protocol,
-            interconnect=interconnect,
-            n_procs=4,
-            seed=seed,
-            **BASE_GEOMETRY,
-        )
-        label = f"seed={seed} {protocol}/{interconnect} family={family.name}"
-        try:
-            results, stats = fork_family(config, family, store=store)
-        except (AssertionError, RuntimeError) as exc:
-            violations.append({
-                "scenario": label,
-                "violation_type": type(exc).__name__,
-                "violation_message": str(exc),
-            })
-            if progress is not None:
-                progress(index, label, False)
-            continue
-        totals["families"] += 1
-        totals["tails"] += len(results)
-        totals["warmup_events"] += stats["warmup_events"]
-        totals["checkpoint_hits"] += 1 if stats["checkpoint_hit"] else 0
-        ok = True
-        for name, result in results.items():
-            totals["events_fired"] += result.events_fired
-            expected = expected_ops_per_tail[name] * config.n_procs
-            if result.total_ops != expected:
-                ok = False
-                violations.append({
-                    "scenario": f"{label} tail={name}",
-                    "violation_type": "OracleError",
-                    "violation_message": (
-                        f"liveness: {result.total_ops} of {expected} "
-                        "ops completed"
-                    ),
-                })
-        if progress is not None:
-            progress(index, label, ok)
-    return {
-        "grid_points": len(grid),
-        "family": family.name,
-        "tails_per_family": len(family.tails),
-        "violations": violations,
-        "violation_count": len(violations),
-        "totals": totals,
-        "elapsed_s": round(time.perf_counter() - started, 3),
-    }
-
-
-# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 
@@ -870,16 +776,6 @@ def _parse_args(argv):
                              "flaps, degraded links, corruption drops, "
                              "node pause/resume — the loss classes only "
                              "where legal) with recovery oracles armed")
-    parser.add_argument("--families", action="store_true",
-                        help="sweep phased scenario families instead: one "
-                             "shared warmup per grid point, every "
-                             "divergent tail forked from its snapshot "
-                             "(repro.snapshot), liveness oracles on each "
-                             "tail")
-    parser.add_argument("--checkpoints", default=None, metavar="DIR",
-                        help="--families: content-addressed warmup "
-                             "checkpoint store directory (reused across "
-                             "sweeps)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes via the campaign runner "
                              "(default 1 = the deterministic serial loop; "
@@ -919,31 +815,6 @@ def main(argv=None) -> int:
     )
     protocols = tuple(p for p in args.protocols.split(",") if p)
     workloads = tuple(w for w in args.workloads.split(",") if w)
-    if args.families:
-        def family_progress(index, label, ok):
-            if args.quiet:
-                return
-            print(f"[{index + 1:>4}] {label}: "
-                  f"{'ok' if ok else 'VIOLATION'}", flush=True)
-
-        report = explore_families(
-            seeds, protocols, smoke=args.smoke,
-            checkpoint_dir=args.checkpoints, progress=family_progress,
-        )
-        totals = report["totals"]
-        print(
-            f"\n{totals['families']} families x "
-            f"{report['tails_per_family']} tails, "
-            f"{report['violation_count']} violations, "
-            f"{report['elapsed_s']}s "
-            f"({totals['checkpoint_hits']} checkpoint hits, "
-            f"{totals['warmup_events']:,} warmup events shared)"
-        )
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-            print(f"report -> {args.out}")
-        return 1 if report["violation_count"] else 0
     if args.faults:
         scenarios = fault_scenario_grid(seeds, protocols)
     else:

@@ -41,7 +41,8 @@ def test_run_status_report_cycle(mini_spec_file, tmp_path, capsys):
 
     assert main(["report", "--spec", mini_spec_file, "--store", store]) == 0
     out = capsys.readouterr().out
-    assert "tokenb" in out and "directory" in out and "cyc/txn" in out
+    assert "tokenb" in out and "directory" in out
+    assert "cycles_per_transaction" in out
 
 
 def test_report_formats_csv_and_markdown(mini_spec_file, tmp_path, capsys):
@@ -192,6 +193,53 @@ def test_fork_family_spec_runs_caches_and_reports(tmp_path, capsys, monkeypatch)
     assert "tokenb" in out and "directory" in out
 
 
+def test_fork_family_exports_one_row_per_tail(tmp_path, capsys, monkeypatch):
+    """fork_family exports like every other kind: csv and json give one
+    row per tail, carrying the same warmup and tail event counts as the
+    text listing."""
+    from repro.campaign.presets import family_case_params
+    from repro.snapshot import demo_family
+
+    family = demo_family(warmup_ops=24, tail_ops=6, n_tails=2)
+    grid = [
+        family_case_params(family, protocol, "torus", n_procs=2, seed=0)
+        for protocol in ("tokenb", "directory")
+    ]
+    spec = tmp_path / "families.json"
+    spec.write_text(json.dumps(
+        {"name": "families", "kind": "fork_family", "grid": grid}
+    ))
+    store = str(tmp_path / "store")
+    monkeypatch.setenv("REPRO_CHECKPOINT_STORE", str(tmp_path / "checkpoints"))
+    assert main(["run", "--spec", str(spec), "--store", store,
+                 "--jobs", "1", "-q"]) == 0
+    capsys.readouterr()
+
+    def report(*extra) -> str:
+        assert main(["report", "--spec", str(spec), "--store", store,
+                     *extra]) == 0
+        return capsys.readouterr().out
+
+    listing = {}
+    for line in report().splitlines()[1:-1]:
+        _, protocol, _, tail, warmup, tail_events, _ = line.split()
+        listing[protocol, tail] = (int(warmup), int(tail_events))
+    assert len(listing) == 4  # two families x two tails
+
+    header, *lines = report("--format", "csv").strip().splitlines()
+    columns = header.split(",")
+    csv_rows = [dict(zip(columns, line.split(","))) for line in lines]
+    json_rows = json.loads(report("--format", "json"))
+    for rows in (csv_rows, json_rows):
+        assert {
+            (row["protocol"], row["tail"]): (
+                int(row["warmup_events"]), int(row["tail_events"])
+            )
+            for row in rows
+        } == listing
+        assert len(rows) == 4
+
+
 def test_explore_spec_violations_exit_nonzero(tmp_path, capsys):
     """Recorded oracle violations surface through the run exit code."""
     grid = [{
@@ -210,7 +258,7 @@ def test_explore_spec_violations_exit_nonzero(tmp_path, capsys):
                  "--jobs", "1", "-q", "--expect-cached"]) == 1
 
 
-def _fault_case(seed, fired, recovery, protocol="tokenb"):
+def _fault_case(seed, fired, recovery, protocol="tokenb", ok=True):
     """One synthetic explore record with a scheduled corrupt window."""
     from repro.campaign.spec import ScenarioCase
 
@@ -221,7 +269,7 @@ def _fault_case(seed, fired, recovery, protocol="tokenb"):
                                "duration": 100.0}]},
     }
     result = {
-        "ok": True,
+        "ok": ok,
         "fault_stats": {"corrupt_dropped": 3 if fired else 0},
         "recovery_ns": recovery,
         "persistent_requests": 1,
@@ -263,6 +311,38 @@ def test_resilience_ttr_aggregates_only_fired_faults(tmp_path):
     assert quiet_fields[4] == "0"
     assert quiet_fields[5] == "-" and quiet_fields[6] == "-"
     assert "'fired' scenarios only" in text
+
+
+def test_resilience_ttr_skips_fired_runs_that_failed_a_check(tmp_path):
+    """Regression: a violating run whose fault fired keeps the default
+    recovery_ns=0.0, which the resilience report and the explore csv
+    both folded into the TTR, pulling the mean down.  A run has a
+    recovery time only when it passed and a fault fired."""
+    from repro.campaign.cli import _report_table, _resilience_report
+    from repro.campaign.store import CampaignStore, make_record
+
+    store = CampaignStore(tmp_path / "store")
+    cases = []
+    for seed, ok, recovery in [(0, True, 200.0), (1, False, 0.0)]:
+        case, result = _fault_case(seed, True, recovery, ok=ok)
+        cases.append(case)
+        store.append(make_record(case, result))
+    store.close()
+
+    store = CampaignStore(tmp_path / "store")
+    [row] = [
+        line for line in _resilience_report(cases, store).splitlines()
+        if "tokenb" in line
+    ]
+    fields = row.split()
+    assert fields[:5] == ["corrupt", "tokenb/torus", "2", "1", "1"]
+    assert fields[5] == "200.0" and fields[6] == "200.0"
+
+    headers, rows = _report_table("explore", cases, store)
+    by_seed = {row[headers.index("seed")]: row for row in rows}
+    assert by_seed[0][headers.index("recovery_ns")] == 200.0
+    assert by_seed[1][headers.index("fault_fired")] is True
+    assert by_seed[1][headers.index("recovery_ns")] == ""
 
 
 def test_explore_csv_blanks_recovery_for_unfired_faults(tmp_path):

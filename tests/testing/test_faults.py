@@ -459,3 +459,36 @@ def test_intensity_scales_the_damage():
     )
     assert hot["duration_ns"] > base["duration_ns"]
     assert hot["prob"] > base["prob"]
+
+
+def test_fault_bench_cell_averages_ttr_over_fired_runs_only():
+    """Regression: the fault-resilience bench averaged ``recovery_ns``
+    over every run, so a cell where no fault ever fired (null-token
+    under corruption) still reported a mean and max TTR.  A cell folds
+    TTR only over runs that passed and on which a fault fired, counts
+    them as ``fired``, and reports a null mean and max when there are
+    none."""
+    import sys
+    from pathlib import Path
+
+    root = str(Path(__file__).resolve().parents[2])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from benchmarks.bench_fault_resilience import _aggregate
+    from repro.testing.explore import ScenarioOutcome
+
+    def outcome(dropped, recovery_ns):
+        return ScenarioOutcome(
+            ok=True, fault_stats={"corrupt_dropped": dropped},
+            runtime_ns=1000.0, recovery_ns=recovery_ns,
+            traffic_bytes={"data": 72},
+        )
+
+    clean = outcome(0, 0.0)
+    quiet = _aggregate([(outcome(0, 400.0), clean)])
+    assert quiet["fired"] == 0
+    assert quiet["recovery_ns"] == {"mean": None, "max": None}
+
+    mixed = _aggregate([(outcome(0, 400.0), clean), (outcome(3, 100.0), clean)])
+    assert mixed["fired"] == 1
+    assert mixed["recovery_ns"] == {"mean": 100.0, "max": 100.0}
