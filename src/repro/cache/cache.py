@@ -64,6 +64,11 @@ class SetAssociativeCache:
     The cache does not evict on its own: callers use :meth:`victim_for`
     to learn which line must be displaced, perform any protocol action
     (writeback, token return), remove it, and then :meth:`insert`.
+
+    Lines are indexed twice: one flat ``{block: line}`` dict answers
+    lookups, and a set's own ``{block: line}`` dict (its ways, in
+    insertion order) exists only while the set holds a line, so an
+    empty cache costs two dicts however many sets it has.
     """
 
     def __init__(self, n_sets: int, assoc: int) -> None:
@@ -71,8 +76,11 @@ class SetAssociativeCache:
             raise ValueError("n_sets and assoc must be >= 1")
         self.n_sets = n_sets
         self.assoc = assoc
-        self._sets: list[dict[int, CacheLine]] = [{} for _ in range(n_sets)]
+        self._lines: dict[int, CacheLine] = {}
+        self._sets: dict[int, dict[int, CacheLine]] = {}
         self._use_clock = 0
+        #: ``peek(block)``: the resident line or None, leaving LRU alone.
+        self.peek = self._lines.get
 
     @classmethod
     def from_geometry(
@@ -87,28 +95,31 @@ class SetAssociativeCache:
     def capacity_lines(self) -> int:
         return self.n_sets * self.assoc
 
-    def _set_for(self, block: int) -> dict[int, CacheLine]:
-        return self._sets[block % self.n_sets]
+    def lookup(self, block: int) -> CacheLine | None:
+        """Return the line for ``block`` if present (updating LRU).
 
-    def lookup(self, block: int, touch: bool = True) -> CacheLine | None:
-        """Return the line for ``block`` if present (updating LRU)."""
-        line = self._sets[block % self.n_sets].get(block)
-        if line is not None and touch:
+        ``peek(block)`` is the same lookup without the LRU update.
+        """
+        line = self._lines.get(block)
+        if line is not None:
             self._use_clock += 1
             line._last_use = self._use_clock
         return line
 
     def contains(self, block: int) -> bool:
-        return block in self._sets[block % self.n_sets]
+        return block in self._lines
 
     def set_has_room(self, block: int) -> bool:
         """True if ``block`` could be inserted without an eviction."""
-        target_set = self._set_for(block)
-        return block in target_set or len(target_set) < self.assoc
+        if block in self._lines:
+            return True
+        target_set = self._sets.get(block % self.n_sets)
+        return target_set is None or len(target_set) < self.assoc
 
     def lines_in_set(self, block: int) -> list[CacheLine]:
         """All resident lines in the set ``block`` maps to."""
-        return list(self._set_for(block).values())
+        target_set = self._sets.get(block % self.n_sets)
+        return [] if target_set is None else list(target_set.values())
 
     def victim_for(self, block: int) -> CacheLine | None:
         """Line that must be displaced before ``block`` can be inserted.
@@ -116,37 +127,48 @@ class SetAssociativeCache:
         Returns ``None`` if the set has a free way (or the block is
         already resident).
         """
-        target_set = self._set_for(block)
-        if block in target_set or len(target_set) < self.assoc:
+        if self.set_has_room(block):
             return None
+        target_set = self._sets[block % self.n_sets]
         return min(target_set.values(), key=lambda line: line._last_use)
 
     def insert(self, block: int) -> CacheLine:
         """Insert (or return existing) line; the set must have room."""
-        target_set = self._set_for(block)
-        line = target_set.get(block)
+        line = self._lines.get(block)
         if line is None:
-            if len(target_set) >= self.assoc:
+            index = block % self.n_sets
+            target_set = self._sets.get(index)
+            if target_set is None:
+                target_set = self._sets[index] = {}
+            elif len(target_set) >= self.assoc:
                 raise RuntimeError(
                     f"set full for block {block:#x}; evict victim_for() first"
                 )
             line = CacheLine(block)
             target_set[block] = line
+            self._lines[block] = line
         self._use_clock += 1
         line._last_use = self._use_clock
         return line
 
     def remove(self, block: int) -> CacheLine | None:
         """Remove and return the line for ``block`` (None if absent)."""
-        return self._set_for(block).pop(block, None)
+        line = self._lines.pop(block, None)
+        if line is not None:
+            index = block % self.n_sets
+            target_set = self._sets[index]
+            del target_set[block]
+            if not target_set:
+                del self._sets[index]
+        return line
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return len(self._lines)
 
     def lines(self) -> Iterator[CacheLine]:
-        """Iterate over all resident lines (order unspecified)."""
-        for target_set in self._sets:
-            yield from target_set.values()
+        """Iterate over all resident lines, set by set in index order."""
+        for index in sorted(self._sets):
+            yield from self._sets[index].values()
 
     def for_each(self, fn: Callable[[CacheLine], None]) -> None:
         for line in list(self.lines()):

@@ -38,9 +38,8 @@ class MshrTable:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._entries: dict[int, MshrEntry] = {}
-
-    def get(self, block: int) -> MshrEntry | None:
-        return self._entries.get(block)
+        #: ``get(block)``: the outstanding entry or None (a C-level lookup).
+        self.get = self._entries.get
 
     def allocate(self, block: int, for_write: bool, now: float) -> MshrEntry:
         if block in self._entries:

@@ -18,7 +18,8 @@ from typing import Any, Callable
 from repro.cache.cache import CacheLine, SetAssociativeCache
 from repro.cache.mshr import MshrEntry, MshrTable
 from repro.coherence.checker import CoherenceChecker
-from repro.coherence.messages import CoherenceMessage, control_message, data_message
+from repro.coherence.messages import CoherenceMessage
+from repro.interconnect.message import DATA_MESSAGE_BYTES
 from repro.interconnect.topology import Interconnect
 from repro.memory.address import AddressMap
 from repro.memory.dram import Dram
@@ -90,7 +91,7 @@ class ProtocolNode(abc.ABC):
                 f"permission (line={line})"
             )
         new_version = self.checker.record_store(
-            block, self.node_id, self.sim.now, line.version
+            block, self.node_id, self.sim._now, line.version
         )
         line.version = new_version
         line.dirty = True
@@ -108,7 +109,7 @@ class ProtocolNode(abc.ABC):
         if entry is not None:
             entry.waiters.append((for_write, on_complete))
             return entry
-        entry = self.mshrs.allocate(block, for_write, self.sim.now)
+        entry = self.mshrs.allocate(block, for_write, self.sim._now)
         entry.waiters.append((for_write, on_complete))
         self.counters.add("l2_miss")
         self.counters.add("miss_store" if for_write else "miss_load")
@@ -222,13 +223,21 @@ class ProtocolNode(abc.ABC):
     def broadcast_msg(self, msg: CoherenceMessage, include_self: bool = False) -> None:
         self.network.broadcast(msg, include_self=include_self)
 
-    def make_control(self, **kwargs) -> CoherenceMessage:
-        kwargs.setdefault("src", self.node_id)
-        return control_message(**kwargs)
+    def make_control(self, src: int | None = None, **fields) -> CoherenceMessage:
+        """An 8-byte control message from this node (or from ``src``)."""
+        return CoherenceMessage(src=self.node_id if src is None else src, **fields)
 
-    def make_data(self, **kwargs) -> CoherenceMessage:
-        kwargs.setdefault("src", self.node_id)
-        return data_message(**kwargs)
+    def make_data(
+        self, src: int | None = None, data_version: int | None = None,
+        size_bytes: int = DATA_MESSAGE_BYTES, **fields,
+    ) -> CoherenceMessage:
+        """A 72-byte data message from this node; needs ``data_version``."""
+        if data_version is None:
+            raise ValueError("data messages must carry a data_version")
+        return CoherenceMessage(
+            src=self.node_id if src is None else src, size_bytes=size_bytes,
+            data_version=data_version, **fields,
+        )
 
     # ------------------------------------------------------------------
     # Protocol-specific behaviour

@@ -25,7 +25,7 @@ paper's title promises, reproduced in the class split.
 from __future__ import annotations
 
 import dataclasses
-from types import MethodType
+from heapq import heappush
 
 from repro.cache.cache import CacheLine
 from repro.cache.mshr import MshrEntry
@@ -34,6 +34,7 @@ from repro.coherence.controller import ProtocolError, ProtocolNode
 from repro.coherence.messages import CoherenceMessage
 from repro.core.persistent import PersistentArbiter
 from repro.core.tokens import TokenInvariantError, TokenLedger
+from repro.interconnect.message import CONTROL_MESSAGE_BYTES, DATA_MESSAGE_BYTES
 from repro.interconnect.topology import Interconnect
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Counter, LatencyTracker
@@ -103,14 +104,15 @@ class TokenNodeBase(ProtocolNode):
         if type(self)._handle_transient is TokenNodeBase._handle_transient:
             # No subclass override: bind the transient fast path as a
             # closure over locals — GETS/GETM snoops are the single most
-            # frequent message, and this skips every attribute load.
-            # ``post`` is the stock one even on a restored jittered
-            # kernel: the table is first built before any overlay can
-            # move the simulator's class, and a restore must rebuild
-            # what the original run used.
+            # frequent message, and this skips every attribute load.  It
+            # pushes its posts inline with the stock ``post``'s arithmetic
+            # even on a restored jittered kernel: the table is first built
+            # before any overlay can move the simulator's class, and a
+            # restore must rebuild what the original run used.  The heap
+            # and the seq counter are read per call.
             def transient(
                 msg,
-                post=MethodType(Simulator.post, self.sim),
+                sim=self.sim,
                 snoop_delay=self._snoop_delay,
                 home_delay=self._home_delay,
                 cache_respond=self._cache_respond,
@@ -118,9 +120,15 @@ class TokenNodeBase(ProtocolNode):
                 home_mod=self._home_mod,
                 me=self.node_id,
             ):
-                post(snoop_delay, cache_respond, msg)
+                args = (msg,)
+                heap = sim._heap
+                now = sim._now
+                seq = sim._seq
+                heappush(heap, (now + snoop_delay, seq, cache_respond, args))
                 if msg.block % home_mod == me:
-                    post(home_delay, memory_respond, msg)
+                    seq += 1
+                    heappush(heap, (now + home_delay, seq, memory_respond, args))
+                sim._seq = seq + 1
 
         self._dispatch = {
             "GETS": transient,
@@ -169,7 +177,7 @@ class TokenNodeBase(ProtocolNode):
         """(tokens, owner-count) currently held by this node."""
         tokens = 0
         owners = 0
-        line = self.l2.lookup(block, False)
+        line = self.l2.peek(block)
         if line is not None:
             tokens += line.tokens
             owners += 1 if line.owner_token else 0
@@ -264,19 +272,20 @@ class TokenNodeBase(ProtocolNode):
             raise TokenInvariantError(
                 "owner token must travel with data (Invariant #4')"
             )
-        common = dict(
+        data = version is not None
+        msg = CoherenceMessage(
+            src=self.node_id,
             dst=dst,
+            size_bytes=DATA_MESSAGE_BYTES if data else CONTROL_MESSAGE_BYTES,
+            category=category,
+            vnet="response",
+            mtype="TOKEN_DATA" if data else "TOKEN_ONLY",
             block=block,
             tokens=tokens,
             owner_token=owner,
-            category=category,
-            vnet="response",
+            data_version=version,
             tag=1 if from_memory else 0,
         )
-        if version is not None:
-            msg = self.make_data(mtype="TOKEN_DATA", data_version=version, **common)
-        else:
-            msg = self.make_control(mtype="TOKEN_ONLY", **common)
         self.ledger.message_sent(block, tokens, owner)
         self.send_msg(msg)
 
@@ -379,7 +388,7 @@ class TokenNodeBase(ProtocolNode):
     def _after_token_gain(self, block: int) -> None:
         """Check whether an outstanding miss is now satisfied."""
         entry = self.mshrs.get(block)
-        line = self.l2.lookup(block, False)
+        line = self.l2.peek(block)
         if entry is None or line is None:
             return
         if entry.for_write:
@@ -394,7 +403,7 @@ class TokenNodeBase(ProtocolNode):
         if timer is not None:
             timer.cancel()
             entry.protocol["timer"] = None
-        self.miss_latency.record(self.sim.now - entry.issued_at)
+        self.miss_latency.record(self.sim._now - entry.issued_at)
         source = entry.protocol.get("data_source")
         if source:
             self.counters.add(f"data_from_{source}")
@@ -536,7 +545,7 @@ class TokenNodeBase(ProtocolNode):
     def _forward_held_tokens(self, entry: _TableEntry) -> None:
         """Send every token this node holds for the block to the initiator."""
         block = entry.block
-        line = self.l2.lookup(block, False)
+        line = self.l2.peek(block)
         if line is not None and line.tokens > 0:
             # A forwarded line may be mid-miss here; the MSHR (if any)
             # stays outstanding and will be satisfied later or escalate.

@@ -114,7 +114,7 @@ class TokenBNode(TokenNodeBase):
             return  # transaction already completed; stale timer
         if entry.protocol.get("persistent"):
             return  # the persistent mechanism will finish the job
-        elapsed = self.sim.now - entry.issued_at
+        elapsed = self.sim._now - entry.issued_at
         starving = (
             entry.protocol["reissues"] >= self.config.reissue_limit
             or elapsed
@@ -138,7 +138,7 @@ class TokenBNode(TokenNodeBase):
             return  # active persistent requests override policy
         if msg.requester == self.node_id:
             return
-        line = self.l2.lookup(block, False)
+        line = self.l2.peek(block)
         if line is None or line.tokens == 0:
             return  # state I ignores all requests
         if msg.mtype == "GETS":

@@ -95,9 +95,10 @@ class Link:
         """Claim the serialization slot and account one crossing.
 
         Returns the arrival time; scheduling the delivery is the caller's
-        job.  This is the batched-multicast building block: a fan-out stage
-        can occupy several links and post all deliveries itself without
-        going through per-link callback plumbing.
+        job.  This is the per-hop reference crossing, the one a hooked
+        link overrides.  On the stock path the interconnects repeat its
+        float ops inline (``Interconnect._cross`` and the torus's batched
+        fan-out), so the two give bit-identical arrival times.
         """
         sim = self.sim
         now = sim._now

@@ -45,7 +45,7 @@ class Message:
     vnet: str = "request"
     ordered_seq: int | None = dataclasses.field(default=None, compare=False)
     msg_id: int = dataclasses.field(
-        default_factory=lambda: next(_message_ids), compare=False
+        default_factory=_message_ids.__next__, compare=False
     )
 
     def is_broadcast(self) -> bool:

@@ -13,29 +13,36 @@ traditional snooping cannot run on it and why TokenB can.
 
 Hot-path notes: multicast fan-out is batched per node.  Each fan-out step
 resolves a precomputed, link-resolved spanning-tree plan (no per-hop dict
-lookups or closure plumbing) and posts its children's arrivals directly on
-the kernel's tuple heap.  The limited-bandwidth path preserves the exact
+lookups or closure plumbing) and pushes its children's arrivals directly
+on the kernel's tuple heap.  The limited-bandwidth path preserves the exact
 ``(time, seq)`` event ordering of the reference hop-by-hop implementation.
 With unlimited link bandwidth the whole subtree's arrival times are
 precomputed at broadcast time and every delivery is posted up front —
 serialization is zero, so no intermediate fan-out state can affect the
 timestamps; see :meth:`_broadcast_unlimited` for the (tie-breaking only)
-caveat on seq assignment.
+caveat on seq assignment.  A unicast crosses each hop through
+:meth:`Interconnect._cross`, and the last hop (like every unlimited
+broadcast delivery) posts the destination's handler itself.
 
-Both fast paths inline ``Link.occupy``, so they serve stock links only.
-Once an overlay arms a hook on any link (:mod:`repro.overlay`),
-broadcast takes the per-hop reference fan-out instead, which (like
-unicast) crosses every hop through ``occupy`` and so runs the link's
-hooks; once any link can drop, every hop first asks its link whether it
-drops the message.
+The batched fan-out and the unlimited path's heap pushes serve stock
+links on a stock kernel only.  Once an overlay arms a hook on any link
+(:mod:`repro.overlay`), broadcast takes the per-hop reference fan-out
+instead, which (like unicast) crosses every hop through ``Link.occupy``
+and ``Simulator.post_at`` and so runs the link's hooks; once any link
+can drop, every hop first asks its link whether it drops the message.
+On a jittered kernel every crossing and delivery goes through
+``post_at``, in the stock path's order, so the jitter sees each one: the
+limited-bandwidth fan-out takes the per-hop reference path, and the
+unlimited path posts its up-front deliveries one by one.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 
 from repro.interconnect.link import Link
-from repro.interconnect.message import Message
+from repro.interconnect.message import BROADCAST, Message
 from repro.interconnect.topology import Interconnect
 from repro.sim.kernel import Simulator
 from repro.sim.stats import TrafficMeter
@@ -87,8 +94,11 @@ class TorusInterconnect(Interconnect):
         # Unlimited-bandwidth fast path: flat BFS order of the whole
         # subtree as (depth, node, link) triples, plus the tree depth.
         self._flat_plan: dict[int, tuple[tuple[tuple[int, int, Link], ...], int]] = {}
-        # Unicast route plans: (src, dst) -> tuple of (link, next_node).
-        self._route_plan: dict[tuple[int, int], tuple[tuple[Link, int], ...]] = {}
+        # Unicast route plans: (src, dst) -> tuple of (link, next_node,
+        # last) hops.
+        self._route_plan: dict[
+            tuple[int, int], tuple[tuple[Link, int, bool], ...]
+        ] = {}
 
     # ------------------------------------------------------------------
     # Geometry
@@ -148,40 +158,40 @@ class TorusInterconnect(Interconnect):
     # Unicast
     # ------------------------------------------------------------------
 
-    def _unicast_plan(self, src: int, dst: int) -> tuple[tuple[Link, int], ...]:
-        plan = self._route_plan.get((src, dst))
-        if plan is None:
-            hops = []
-            at_node = src
-            for direction in self.route(src, dst):
-                next_node = self.neighbour(at_node, direction)
-                hops.append((self._links[(at_node, direction)], next_node))
-                at_node = next_node
-            plan = tuple(hops)
-            self._route_plan[(src, dst)] = plan
+    def _unicast_plan(self, src: int, dst: int) -> tuple[tuple[Link, int, bool], ...]:
+        """Build and cache the route's ``(link, next_node, last)`` hops."""
+        route = self.route(src, dst)
+        hops = []
+        at_node = src
+        for step, direction in enumerate(route, 1):
+            next_node = self.neighbour(at_node, direction)
+            link = self._links[(at_node, direction)]
+            hops.append((link, next_node, step == len(route)))
+            at_node = next_node
+        plan = self._route_plan[(src, dst)] = tuple(hops)
         return plan
 
     def send(self, msg: Message) -> None:
-        if msg.is_broadcast():
+        src, dst = msg.src, msg.dst
+        if dst == BROADCAST:
             raise ValueError("use broadcast() for broadcast messages")
-        plan = self._unicast_plan(msg.src, msg.dst)
+        plan = self._route_plan.get((src, dst))
+        if plan is None:
+            plan = self._unicast_plan(src, dst)
         if not plan:
             # Same node: deliver locally without touching the network.
-            self.sim.post(0.0, self._deliver, msg.dst, msg)
+            self.sim.post(0.0, self._handlers[dst], msg)
             return
         self._forward_unicast(msg, plan, 0)
 
     def _forward_unicast(
-        self, msg: Message, plan: tuple[tuple[Link, int], ...], hop: int
+        self, msg: Message, plan: tuple[tuple[Link, int, bool], ...], hop: int
     ) -> None:
-        link, next_node = plan[hop]
-        if self._dropping and link.drops(msg):
-            return
-        arrival = link.occupy(msg.size_bytes, msg.category)
-        if hop + 1 == len(plan):
-            self.sim.post_at(arrival, self._deliver, next_node, msg)
+        link, next_node, last = plan[hop]
+        if last:
+            self._cross(link, msg, self._handlers[next_node], (msg,))
         else:
-            self.sim.post_at(arrival, self._forward_unicast, msg, plan, hop + 1)
+            self._cross(link, msg, self._forward_unicast, (msg, plan, hop + 1))
 
     # ------------------------------------------------------------------
     # Broadcast (tree-based multicast)
@@ -242,7 +252,7 @@ class TorusInterconnect(Interconnect):
     def broadcast(self, msg: Message, include_self: bool = False) -> None:
         plan = self._multicast_plans(msg.src)
         if include_self:
-            self.sim.post(0.0, self._deliver, msg.src, msg)
+            self.sim.post(0.0, self._handlers[msg.src], msg)
         if self.link_bandwidth is None and not self._hooked:
             self._broadcast_unlimited(msg)
         else:
@@ -258,33 +268,40 @@ class TorusInterconnect(Interconnect):
         if not hops:
             return
         sim = self.sim
-        post_at = sim.post_at
         arrive = self._multicast_arrive
-        size = msg.size_bytes
-        if self._hooked:
+        if self._hooked or type(sim) is not Simulator:
             # Per-hop reference fan-out: a dropped hop posts nothing, so
             # the whole subtree behind it loses the message.
-            category = msg.category
-            dropping = self._dropping
             for link, child in hops:
-                if not (dropping and link.drops(msg)):
-                    post_at(link.occupy(size, category), arrive, msg, child, plan)
+                self._cross(link, msg, arrive, (msg, child, plan))
             return
-        # Batched fan-out: claim every child link's serialization slot
-        # inline (same float ops as Link.occupy, serialization hoisted —
-        # all torus links share one bandwidth) and account the traffic in
-        # a single batched call.
+        size = msg.size_bytes
+        # Batched fan-out: claim every child link's serialization slot and
+        # push each arrival inline (the float ops of Link.occupy and
+        # Simulator.post_at, serialization hoisted — all torus links share
+        # one bandwidth), then account the traffic once for all of them.
         now = sim._now
         serialization = size / self.link_bandwidth
         latency = self.link_latency
+        heap = sim._heap
+        first = seq = sim._seq
         for link, child in hops:
             free = link._free_at
             start = now if now >= free else free
             busy_until = start + serialization
             link._free_at = busy_until
             link._crossings += 1
-            post_at(busy_until + latency, arrive, msg, child, plan)
-        self.traffic.record_crossings(msg.category, size, len(hops))
+            heappush(
+                heap,
+                (now + (busy_until + latency - now), seq, arrive,
+                 (msg, child, plan)),
+            )
+            seq += 1
+        sim._seq = seq
+        crossings = seq - first
+        traffic = self.traffic
+        traffic._bytes[msg.category] += size * crossings
+        traffic._messages[msg.category] += crossings
 
     def _multicast_arrive(
         self,
@@ -294,10 +311,7 @@ class TorusInterconnect(Interconnect):
     ) -> None:
         # Deliver, then fan out to this node's subtree in one event
         # (this fires once per node per broadcast).
-        handler = self._handlers[node]
-        if handler is None:
-            raise RuntimeError(f"no handler attached to node {node}")
-        handler(msg)
+        self._handlers[node](msg)
         if plan[node]:
             self._fanout_multicast(msg, node, plan)
 
@@ -310,7 +324,9 @@ class TorusInterconnect(Interconnect):
         The arrival chain reproduces the hop-by-hop float arithmetic
         (each depth re-anchored by ``post_at``'s delay form at the
         previous depth's arrival) so timestamps are bit-identical to the
-        reference implementation.
+        reference implementation.  Each delivery is posted straight to
+        the node's handler: pushed inline on a stock kernel, through
+        ``post_at`` on a jittered one.
 
         Seq assignment differs from hop-by-hop fan-out: all deliveries
         draw seqs at broadcast time rather than as parents arrive, so if
@@ -322,21 +338,31 @@ class TorusInterconnect(Interconnect):
         """
         flat, max_depth = self._flat_plan[msg.src]
         sim = self.sim
-        post_at = sim.post_at
-        deliver = self._deliver
+        handlers = self._handlers
         latency = self.link_latency
+        now = a = sim._now
         arrivals = []
-        a = sim._now
         for _ in range(max_depth):
             hop = a + latency
             a = a + (hop - a)
             arrivals.append(a)
-        size = msg.size_bytes
-        category = msg.category
-        for depth, node, link in flat:
-            link._crossings += 1
-            post_at(arrivals[depth - 1], deliver, node, msg)
-        self.traffic.record_crossings(category, size, len(flat))
+        args = (msg,)
+        if type(sim) is Simulator:
+            # post_at's own arithmetic, once per depth.
+            times = [now + (arrival - now) for arrival in arrivals]
+            heap = sim._heap
+            seq = sim._seq
+            for depth, node, link in flat:
+                link._crossings += 1
+                heappush(heap, (times[depth - 1], seq, handlers[node], args))
+                seq += 1
+            sim._seq = seq
+        else:
+            post_at = sim.post_at
+            for depth, node, link in flat:
+                link._crossings += 1
+                post_at(arrivals[depth - 1], handlers[node], msg)
+        self.traffic.record_crossings(msg.category, msg.size_bytes, len(flat))
 
     def broadcast_crossings(self) -> int:
         """Link crossings per broadcast: the N-1 spanning-tree edges."""

@@ -14,8 +14,12 @@ additionally *enforces* sequence order at delivery, so protocol code may
 rely on the total order unconditionally.  This is the ordering property
 traditional snooping requires (Section 2) and the one the torus lacks.
 
-Every stage crosses its link through ``Link.occupy``, so link hooks
-(:mod:`repro.overlay`) see every hop.  Once any link can drop, each
+Every stage crosses its link through :meth:`Interconnect._cross`: one
+call on the stock path, ``Link.occupy`` and ``Simulator.post_at`` once a
+link is hooked (:mod:`repro.overlay`) or the kernel is jittered, so link
+hooks see every hop.  A unicast's last hop and an unordered broadcast's
+deliveries post the destination's handler directly; ordered broadcasts
+go through the per-node reorder stage.  Once any link can drop, each
 stage first asks its link whether it drops the message; only token
 protocols may lose messages, and they never use the ordered vnet, so an
 ordered broadcast can be delayed but never dropped.
@@ -94,34 +98,25 @@ class OrderedTreeInterconnect(Interconnect):
             )
         if msg.src == msg.dst:
             # Node-local traffic never leaves the integrated node.
-            self.sim.post(0.0, self._deliver, msg.dst, msg)
+            self.sim.post(0.0, self._handlers[msg.dst], msg)
             return
-        link = self._up[msg.src]
-        if self._dropping and link.drops(msg):
-            return
-        arrival = link.occupy(msg.size_bytes, msg.category)
-        self.sim.post_at(arrival, self._unicast_at_in_switch, msg)
+        self._cross(self._up[msg.src], msg, self._unicast_at_in_switch, (msg,))
 
     def _unicast_at_in_switch(self, msg: Message) -> None:
-        link = self._in_root[msg.src // self.fanout]
-        if self._dropping and link.drops(msg):
-            return
-        arrival = link.occupy(msg.size_bytes, msg.category)
-        self.sim.post_at(arrival, self._unicast_at_root, msg)
+        self._cross(
+            self._in_root[msg.src // self.fanout], msg, self._unicast_at_root,
+            (msg,),
+        )
 
     def _unicast_at_root(self, msg: Message) -> None:
-        link = self._root_out[msg.dst // self.fanout]
-        if self._dropping and link.drops(msg):
-            return
-        arrival = link.occupy(msg.size_bytes, msg.category)
-        self.sim.post_at(arrival, self._unicast_at_out_switch, msg)
+        self._cross(
+            self._root_out[msg.dst // self.fanout], msg,
+            self._unicast_at_out_switch, (msg,),
+        )
 
     def _unicast_at_out_switch(self, msg: Message) -> None:
-        link = self._down[msg.dst]
-        if self._dropping and link.drops(msg):
-            return
-        arrival = link.occupy(msg.size_bytes, msg.category)
-        self.sim.post_at(arrival, self._deliver, msg.dst, msg)
+        dst = msg.dst
+        self._cross(self._down[dst], msg, self._handlers[dst], (msg,))
 
     # ------------------------------------------------------------------
     # Broadcast
@@ -137,62 +132,57 @@ class OrderedTreeInterconnect(Interconnect):
         """
         if msg.vnet == ORDERED_VNET:
             include_self = True
-        link = self._up[msg.src]
-        if self._dropping and link.drops(msg):
-            return
-        arrival = link.occupy(msg.size_bytes, msg.category)
-        self.sim.post_at(arrival, self._broadcast_at_in_switch, msg, include_self)
+        self._cross(
+            self._up[msg.src], msg, self._broadcast_at_in_switch,
+            (msg, include_self),
+        )
 
     def _broadcast_at_in_switch(self, msg: Message, include_self: bool) -> None:
-        link = self._in_root[msg.src // self.fanout]
-        if self._dropping and link.drops(msg):
-            return
-        arrival = link.occupy(msg.size_bytes, msg.category)
-        self.sim.post_at(arrival, self._broadcast_at_root, msg, include_self)
+        self._cross(
+            self._in_root[msg.src // self.fanout], msg,
+            self._broadcast_at_root, (msg, include_self),
+        )
 
     def _broadcast_at_root(self, msg: Message, include_self: bool) -> None:
         if msg.vnet == ORDERED_VNET:
             msg.ordered_seq = self._next_order_seq
             self._next_order_seq += 1
-        sim = self.sim
-        size = msg.size_bytes
-        category = msg.category
+        cross = self._cross
         at_out = self._broadcast_at_out_switch
-        dropping = self._dropping
         for group, link in enumerate(self._root_out):
-            if dropping and link.drops(msg):
-                continue
-            arrival = link.occupy(size, category)
-            sim.post_at(arrival, at_out, msg, group, include_self)
+            cross(link, msg, at_out, (msg, group, include_self))
 
     def _broadcast_at_out_switch(
         self, msg: Message, group: int, include_self: bool
     ) -> None:
         # Batched delivery fan-out: one precomputed plan walk per group.
-        sim = self.sim
-        size = msg.size_bytes
-        category = msg.category
-        arrive = self._arrive_at_node
+        cross = self._cross
         src = msg.src
-        dropping = self._dropping
-        for node, down in self._members[group]:
-            if node == src and not include_self:
-                continue
-            if dropping and down.drops(msg):
-                continue
-            arrival = down.occupy(size, category)
-            sim.post_at(arrival, arrive, node, msg)
+        if msg.ordered_seq is None:
+            handlers = self._handlers
+            args = (msg,)
+            for node, down in self._members[group]:
+                if node != src or include_self:
+                    cross(down, msg, handlers[node], args)
+        else:
+            arrive = self._arrive_at_node
+            for node, down in self._members[group]:
+                if node != src or include_self:
+                    cross(down, msg, arrive, (node, msg))
 
     def _arrive_at_node(self, node: int, msg: Message) -> None:
-        if msg.ordered_seq is None:
-            self._deliver(node, msg)
-            return
         # Enforce total order: deliver strictly by root sequence number.
-        self._reorder[node][msg.ordered_seq] = msg
-        while self._expected_seq[node] in self._reorder[node]:
-            seq = self._expected_seq[node]
-            self._expected_seq[node] += 1
-            self._deliver(node, self._reorder[node].pop(seq))
+        seq = msg.ordered_seq
+        pending = self._reorder[node]
+        if seq != self._expected_seq[node]:
+            pending[seq] = msg
+            return
+        handler = self._handlers[node]
+        while msg is not None:
+            seq += 1
+            self._expected_seq[node] = seq
+            handler(msg)
+            msg = pending.pop(seq, None)
 
     # ------------------------------------------------------------------
 

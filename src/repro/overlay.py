@@ -10,9 +10,10 @@ nobody arms runs the stock classes and fast paths unchanged.
 * **Links.**  :func:`arm_link` fills ``Link``'s one ``_hooks`` slot with
   a :class:`LinkHooks` chain and moves the link onto :class:`HookedLink`,
   which runs the chain on every crossing — one call per armed hook.  The
-  first hooked link switches its interconnect from the batched fast
-  paths to the per-hop reference fan-out; the first drop hook makes
-  each hop ask its link whether it drops the message.
+  first hooked link switches its interconnect from the stock one-call
+  crossings and batched fan-out to per-hop ``Link.occupy`` crossings;
+  the first drop hook makes each hop ask its link whether it drops the
+  message.
 * **Nodes and sequencers.**  :func:`arm_object` moves an object onto
   ``Hooked<Class>`` (one cached class per base, :func:`hooked_class`)
   and sets the recorders its hook methods consult.  The classes are

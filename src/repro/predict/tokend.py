@@ -67,7 +67,7 @@ class TokenDNode(TokenBNode):
     # -- issue policy: unicast to home --------------------------------
 
     def _issue_transaction(self, entry: MshrEntry) -> None:
-        line = self.l2.lookup(entry.block, False)
+        line = self.l2.peek(entry.block)
         if entry.for_write:
             self.predictor.note_store_miss(
                 entry.block, line is not None and line.tokens > 0

@@ -86,7 +86,7 @@ class Sequencer:
         # Hot-path constants hoisted out of the per-op handlers.
         self._l1_latency = config.l1_latency_ns
         self._l2_latency = config.l2_latency_ns
-        self._block_of = node.addr_map.block_of
+        self._offset_bits = node.addr_map.offset_bits
 
     # ------------------------------------------------------------------
     # Issue engine
@@ -113,22 +113,20 @@ class Sequencer:
         self.finish_time = None
         self.sim.post(0.0, self._pump)
 
-    def _fetch_next(self) -> None:
-        if self._current_op is not None or self._done_issuing:
-            return
-        op = next(self._stream, None)
-        if op is None:
-            self._done_issuing = True
-            self._maybe_finish()
-            return
-        self._current_op = op
-        self._ready_at = self.sim.now + op.think_ns
-
     def _pump(self) -> None:
-        """Dispatch the next op if the pipeline allows it."""
-        self._fetch_next()
+        """Fetch the next op if none is waiting; dispatch it if allowed."""
         op = self._current_op
-        if op is None or self._dispatch_pending:
+        if op is None:
+            if self._done_issuing:
+                return
+            op = next(self._stream, None)
+            if op is None:
+                self._done_issuing = True
+                self._maybe_finish()
+                return
+            self._current_op = op
+            self._ready_at = self.sim._now + op.think_ns
+        if self._dispatch_pending:
             return
         if op.depends_on_prev and self.outstanding > 0:
             return  # re-pumped on completion
@@ -137,8 +135,8 @@ class Sequencer:
         if self.node.mshrs.is_full():
             return  # re-pumped on completion
         self._dispatch_pending = True
-        delay = max(0.0, self._ready_at - self.sim.now)
-        self.sim.post(delay, self._dispatch)
+        sim = self.sim
+        sim.post(max(0.0, self._ready_at - sim._now), self._dispatch)
 
     def _dispatch(self) -> None:
         self._dispatch_pending = False
@@ -147,9 +145,9 @@ class Sequencer:
         self._current_op = None
         self.issued_ops += 1
         self.outstanding += 1
-        block = self._block_of(op.address)
+        block = op.address >> self._offset_bits  # AddressMap.block_of
         issue_version = self.checker.current_version(block)
-        started = self.sim.now
+        started = self.sim._now
         self.sim.post(
             self._l1_latency, self._after_l1, op, block, issue_version,
             started,
@@ -207,7 +205,7 @@ class Sequencer:
         issue_version: int,
         started: float,
     ) -> None:
-        self.miss_latency.record(self.sim.now - started)
+        self.miss_latency.record(self.sim._now - started)
         self._fill_l1(block)
         self._complete(op, block, version, issue_version, started)
 
@@ -221,9 +219,9 @@ class Sequencer:
     ) -> None:
         if not op.is_write:
             self.checker.check_load(
-                block, self.proc_id, version, issue_version, self.sim.now
+                block, self.proc_id, version, issue_version, self.sim._now
             )
-        self.op_latency.record(self.sim.now - started)
+        self.op_latency.record(self.sim._now - started)
         self.completed_ops += 1
         self.outstanding -= 1
         self._pump()
@@ -255,7 +253,7 @@ class Sequencer:
             and self.outstanding == 0
             and self.finish_time is None
         ):
-            self.finish_time = self.sim.now
+            self.finish_time = self.sim._now
             if self._on_done is not None:
                 self._on_done(self)
 

@@ -90,7 +90,7 @@ class DirectoryNode(ProtocolNode):
 
     def _issue_transaction(self, entry: MshrEntry) -> None:
         as_getm = entry.for_write or self.predictor.predicts_migratory(entry.block)
-        line = self.l2.lookup(entry.block, False)
+        line = self.l2.peek(entry.block)
         if entry.for_write:
             self.predictor.note_store_miss(
                 entry.block, line is not None and line.state == "S"
@@ -339,7 +339,7 @@ class DirectoryNode(ProtocolNode):
                 wb["superseded"] = True
             self._send_data(requester, block, version, msg.acks_expected, False)
             return
-        line = self.l2.lookup(block, False)
+        line = self.l2.peek(block)
         if line is None or line.state not in ("M", "O"):
             raise ProtocolError(
                 f"forward for {block:#x} found no owner at P{self.node_id} "
@@ -378,7 +378,7 @@ class DirectoryNode(ProtocolNode):
         self.send_msg(data)
 
     def _handle_invalidation(self, msg: CoherenceMessage) -> None:
-        line = self.l2.lookup(msg.block, False)
+        line = self.l2.peek(msg.block)
         if line is not None and line.state == "S":
             self._drop_line(msg.block)
         entry = self.mshrs.get(msg.block)
@@ -420,7 +420,7 @@ class DirectoryNode(ProtocolNode):
         if entry is None:
             return
         entry.protocol["acks_needed"] = msg.acks_expected
-        line = self.l2.lookup(msg.block, False)
+        line = self.l2.peek(msg.block)
         if line is None or line.state not in ("M", "O"):
             raise ProtocolError("ACK_COUNT without an owned copy")
         entry.protocol["have_data"] = True

@@ -30,7 +30,7 @@ from repro.coherence.controller import ProtocolError, ProtocolNode
 from repro.coherence.messages import CoherenceMessage
 from repro.coherence.migratory import MigratoryPredictor
 from repro.config import SystemConfig
-from repro.interconnect.message import BROADCAST
+from repro.interconnect.message import BROADCAST, DATA_MESSAGE_BYTES
 from repro.interconnect.topology import Interconnect
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Counter
@@ -85,7 +85,7 @@ class HammerNode(ProtocolNode):
 
     def _issue_transaction(self, entry: MshrEntry) -> None:
         as_getm = entry.for_write or self.predictor.predicts_migratory(entry.block)
-        line = self.l2.lookup(entry.block, False)
+        line = self.l2.peek(entry.block)
         if entry.for_write:
             self.predictor.note_store_miss(
                 entry.block, line is not None and line.state == "S"
@@ -267,7 +267,7 @@ class HammerNode(ProtocolNode):
                 wb["superseded"] = True
             return
 
-        line = self.l2.lookup(block, False)
+        line = self.l2.peek(block)
         if line is not None and line.state in ("M", "O"):
             if not exclusive and line.state == "M" and not line.dirty:
                 self.predictor.observe_read_shared(block)
@@ -302,26 +302,27 @@ class HammerNode(ProtocolNode):
             proto["use_once"] = True
 
     def _send_data(self, requester: int, block: int, version: int) -> None:
-        data = self.make_data(
+        self.send_msg(CoherenceMessage(
+            src=self.node_id,
             dst=requester,
+            size_bytes=DATA_MESSAGE_BYTES,
+            category="data",
+            vnet="response",
             mtype="DATA",
             block=block,
             requester=requester,
             data_version=version,
-            category="data",
-            vnet="response",
-        )
-        self.send_msg(data)
+        ))
 
     def _send_ack(self, requester: int, block: int) -> None:
-        ack = self.make_control(
+        self.send_msg(CoherenceMessage(
+            src=self.node_id,
             dst=requester,
-            mtype="ACK",
-            block=block,
             category="ack",
             vnet="response",
-        )
-        self.send_msg(ack)
+            mtype="ACK",
+            block=block,
+        ))
 
     # ------------------------------------------------------------------
     # Requester-side response collection
@@ -367,7 +368,7 @@ class HammerNode(ProtocolNode):
             return
         block = entry.block
         version = proto["data_version"]
-        line = self.l2.lookup(block, False)
+        line = self.l2.peek(block)
         if version is None:
             # Upgrade: no data message needed, our shared copy is valid.
             if line is None or line.state not in ("S", "O", "M"):

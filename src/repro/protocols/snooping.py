@@ -99,7 +99,7 @@ class SnoopingNode(ProtocolNode):
 
     def _issue_transaction(self, entry: MshrEntry) -> None:
         as_getm = entry.for_write or self.predictor.predicts_migratory(entry.block)
-        line = self.l2.lookup(entry.block, False)
+        line = self.l2.peek(entry.block)
         if entry.for_write:
             self.predictor.note_store_miss(
                 entry.block, line is not None and line.state == "S"
@@ -194,7 +194,7 @@ class SnoopingNode(ProtocolNode):
             self._snoop_while_ordered(msg, entry)
             return
 
-        line = self.l2.lookup(block, False)
+        line = self.l2.peek(block)
         if line is None or line.state == "I":
             return
         if msg.mtype == "GETS":
@@ -213,7 +213,7 @@ class SnoopingNode(ProtocolNode):
         if entry is None or entry.protocol.get("phase") != "issued":
             return  # e.g. a re-ordered duplicate after completion
         entry.protocol["phase"] = "ordered"
-        line = self.l2.lookup(msg.block, False)
+        line = self.l2.peek(msg.block)
         if entry.protocol["as_getm"] and line is not None and line.state in ("S", "O"):
             # Upgrade with a still-valid copy: the order point completes
             # the store (snoops ordered later invalidate us in order;
@@ -361,7 +361,7 @@ class SnoopingNode(ProtocolNode):
         if use_once:
             self._invalidate_line(block)
             return
-        line = self.l2.lookup(block, False)
+        line = self.l2.peek(block)
         for index, (mtype, requester, tx) in enumerate(pending):
             if line is None or line.state not in ("M", "O"):
                 break
@@ -376,7 +376,7 @@ class SnoopingNode(ProtocolNode):
             line.state = "O"
 
     def _invalidate_line(self, block: int) -> None:
-        line = self.l2.lookup(block, False)
+        line = self.l2.peek(block)
         if line is not None:
             self._drop_line(block)
 

@@ -208,7 +208,9 @@ class Simulator:
 
         Args:
             until: If given, stop once the next event would fire after this
-                time (the clock is advanced to ``until``).
+                time (the clock is advanced to ``until``).  A time before
+                ``now`` raises :class:`SimulationError` and leaves the
+                clock and the queue untouched.
             max_events: Safety valve for tests; raise if exceeded.
 
         An installed profiler (:func:`install_profiler`) runs on the
@@ -217,6 +219,11 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until t={until}: the clock is already at "
+                f"t={self._now}"
+            )
         self._running = True
         heap = self._heap
         fired = self._events_fired

@@ -82,7 +82,9 @@ class TrafficMeter:
     def record_crossing(self, category: str, size_bytes: int) -> None:
         """Record one link crossing of a message of the given category.
 
-        Per-message hot path: two defaultdict increments, no allocation.
+        Two defaultdict increments, no allocation.  ``Link.occupy`` calls
+        it on the per-hop reference path; the interconnects' stock path
+        makes the same increments inline (``Interconnect._cross``).
         """
         self._bytes[category] += size_bytes
         self._messages[category] += 1

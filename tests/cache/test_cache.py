@@ -82,7 +82,7 @@ def test_lookup_without_touch_preserves_lru():
     cache = SetAssociativeCache(1, 2)
     cache.insert(1)
     cache.insert(2)
-    cache.lookup(1, touch=False)
+    cache.peek(1)
     victim = cache.victim_for(3)
     assert victim.block == 1  # untouched lookup did not refresh 1
 
@@ -92,6 +92,26 @@ def test_lines_iteration():
     for block in (1, 2, 3):
         cache.insert(block)
     assert sorted(line.block for line in cache.lines()) == [1, 2, 3]
+
+
+def test_lines_walk_sets_in_index_order_and_ways_in_insertion_order():
+    cache = SetAssociativeCache(4, 2)
+    for block in (7, 2, 3, 6, 5):
+        cache.insert(block)
+    assert [line.block for line in cache.lines()] == [5, 2, 6, 7, 3]
+
+
+def test_sets_exist_only_while_they_hold_lines():
+    cache = SetAssociativeCache(16384, 4)
+    assert cache._sets == {}
+    cache.insert(5)
+    cache.insert(5 + 16384)
+    assert list(cache._sets) == [5]
+    assert cache.lines_in_set(21) == []
+    cache.remove(5)
+    assert cache.set_has_room(5 + 3 * 16384)
+    cache.remove(5 + 16384)
+    assert cache._sets == {} and len(cache) == 0
 
 
 def test_line_default_fields():

@@ -16,7 +16,7 @@ from tests.core.conftest import op, run_ops
 
 def line_state(node, block):
     """Map a node's cache line to its MOESI-equivalent state."""
-    line = node.l2.lookup(block, touch=False)
+    line = node.l2.peek(block)
     if line is None:
         return Moesi.INVALID
     return state_from_tokens(
@@ -147,7 +147,7 @@ def test_valid_bit_cleared_when_tokens_leave(small_config):
     system, _ = run_ops(small_config, streams)
     block = 0x2000 // 64
     # Reader's line dropped entirely when its last token was taken.
-    assert system.nodes[0].l2.lookup(block, touch=False) is None
+    assert system.nodes[0].l2.peek(block) is None
 
 
 def test_strict_checker_active_for_tokenb(small_config):

@@ -77,7 +77,7 @@ def test_upgrade_from_shared_collects_all_tokens(config):
     system, result = run_ops(config, streams)
     assert result.total_ops == 3
     block = 0x2000 // 64
-    line = system.nodes[0].l2.lookup(block, touch=False)
+    line = system.nodes[0].l2.peek(block)
     assert line is not None and line.tokens == config.total_tokens
 
 

@@ -135,3 +135,21 @@ def test_bandwidth_contention_on_shared_link():
     assert arrivals[0] == pytest.approx(22.5 + 15.0)
     assert arrivals[1] == pytest.approx(45.0 + 15.0)
     del inboxes
+
+
+@pytest.mark.parametrize("bandwidth", [3.2, None])
+def test_delivery_to_an_unattached_node_names_it(bandwidth):
+    sim = Simulator()
+    torus = TorusInterconnect(sim, 16, 15.0, bandwidth)
+    for i in range(16):
+        if i != 5:
+            torus.attach(i, lambda msg: None)
+    torus.send(Message(src=0, dst=5))
+    with pytest.raises(RuntimeError, match="no handler attached to node 5"):
+        sim.run()
+    torus.broadcast(Message(src=0, dst=-1))
+    with pytest.raises(RuntimeError, match="no handler attached to node 5"):
+        sim.run()
+    torus.attach(5, lambda msg: None)
+    with pytest.raises(ValueError, match="already attached"):
+        torus.attach(5, lambda msg: None)

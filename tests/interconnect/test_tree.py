@@ -114,3 +114,18 @@ def test_non_multiple_of_fanout_node_count():
     tree.broadcast(Message(src=0, dst=-1, vnet=ORDERED_VNET))
     sim.run()
     assert all(len(inboxes[i]) == 1 for i in range(6))
+
+
+def test_delivery_to_an_unattached_node_names_it():
+    sim = Simulator()
+    tree = OrderedTreeInterconnect(sim, 16, 15.0, 3.2)
+    for i in range(16):
+        if i != 9:
+            tree.attach(i, lambda msg: None)
+    tree.send(Message(src=0, dst=9, vnet="response"))
+    with pytest.raises(RuntimeError, match="no handler attached to node 9"):
+        sim.run()
+    for vnet in ("request", ORDERED_VNET):
+        tree.broadcast(Message(src=0, dst=-1, vnet=vnet))
+        with pytest.raises(RuntimeError, match="no handler attached to node 9"):
+            sim.run()

@@ -9,7 +9,7 @@ def test_cold_read_from_memory(baseline_protocol):
     system, result = run_ops(config, streams)
     assert result.total_ops == 1
     assert result.counters["data_from_memory"] == 1
-    line = system.nodes[1].l2.lookup(0x1000 // 64, touch=False)
+    line = system.nodes[1].l2.peek(0x1000 // 64)
     assert line is not None and line.state == "S"
 
 
@@ -17,7 +17,7 @@ def test_store_makes_modified(baseline_protocol):
     config = make_config(baseline_protocol)
     streams = {1: [op(0x1000, write=True)]}
     system, result = run_ops(config, streams)
-    line = system.nodes[1].l2.lookup(0x1000 // 64, touch=False)
+    line = system.nodes[1].l2.peek(0x1000 // 64)
     assert line is not None and line.state == "M"
     assert system.checker.current_version(0x1000 // 64) == 1
 
@@ -41,10 +41,10 @@ def test_write_invalidates_readers(baseline_protocol):
     }
     system, _ = run_ops(config, streams)
     block = 0x2000 // 64
-    writer = system.nodes[2].l2.lookup(block, touch=False)
+    writer = system.nodes[2].l2.peek(block)
     assert writer is not None and writer.state == "M"
     for reader in (0, 1):
-        line = system.nodes[reader].l2.lookup(block, touch=False)
+        line = system.nodes[reader].l2.peek(block)
         assert line is None or line.state == "I"
 
 
@@ -100,7 +100,7 @@ def test_upgrade_from_shared(baseline_protocol):
     assert result.total_ops == result.counters.get("l2_miss", 0) + (
         result.total_ops - result.counters.get("l2_miss", 0)
     )  # sanity: completed
-    line = system.nodes[0].l2.lookup(0x2000 // 64, touch=False)
+    line = system.nodes[0].l2.peek(0x2000 // 64)
     assert line is not None and line.state == "M"
 
 

@@ -93,6 +93,24 @@ def test_run_until_advances_clock_on_empty_queue():
     assert sim.now == 42.0
 
 
+def test_run_until_before_now_raises_and_keeps_the_clock():
+    """``now`` never moves backwards: an ``until`` in the past is refused
+    like a post into the past, with the clock and the queue untouched."""
+    sim = Simulator()
+    fired = []
+    sim.post(10.0, fired.append, "a")
+    sim.post(20.0, fired.append, "b")
+    sim.run(until=12.0)
+    with pytest.raises(SimulationError, match="already at t=12"):
+        sim.run(until=5.0)
+    assert sim.now == 12.0
+    assert sim.pending_events == 1
+    sim.post(1.0, fired.append, "c")
+    sim.run()
+    assert fired == ["a", "c", "b"]
+    assert sim.now == 20.0
+
+
 def test_step_fires_exactly_one_event():
     sim = Simulator()
     fired = []

@@ -126,3 +126,18 @@ def test_two_restores_diverge_independently():
     second_result = second.finish()
     assert _observed(first_result) == _observed(second_result)
     assert first_result.per_proc_finish_ns == second_result.per_proc_finish_ns
+
+
+def test_drained_two_node_snapshot_is_small():
+    """An idle cache set costs nothing to pickle: a drained 2-node TokenB
+    system (two 16,384-set L2s and two 512-set L1s) stays under 20 KB."""
+    from repro.processor.sequencer import MemoryOp
+
+    config = SystemConfig(protocol="tokenb", interconnect="torus", n_procs=2)
+    system = build_system(
+        config,
+        {0: [MemoryOp(0x1000, False)], 1: [MemoryOp(0x2000, True)]},
+    )
+    system.start()
+    system.drain()
+    assert SimulatorSnapshot.capture(system).size_bytes < 20_000

@@ -1,0 +1,101 @@
+"""The stock hot path: equal to the per-hop reference path, and cheap.
+
+On a stock system (no hook armed, stock kernel) the interconnects cross
+a link in one call and post each last hop straight to the destination's
+handler.  Arming any link hook moves the whole network onto the per-hop
+reference path (``Link.occupy`` + ``Simulator.post_at`` on every hop,
+the per-hop torus fan-out); a no-op hook there must change nothing.
+
+The cost guard counts Python calls per fired event under cProfile.  The
+count is deterministic for one Python version (CI pins 3.11), so it
+catches a hot-path change that adds calls without timing anything.
+"""
+
+import cProfile
+import pstats
+import sys
+
+import pytest
+
+from repro import COMMERCIAL_WORKLOADS, SystemConfig
+from repro.overlay import arm_link
+from repro.system.builder import build_system
+from repro.workloads import generate_streams
+
+#: The six figure-grid configs: label -> (workload, SystemConfig kwargs).
+FIGURE_GRID = {
+    "tokenb/torus": ("apache", dict(protocol="tokenb", interconnect="torus")),
+    "tokenb/torus-unlim": (
+        "apache",
+        dict(protocol="tokenb", interconnect="torus",
+             link_bandwidth_bytes_per_ns=None),
+    ),
+    "tokenb/tree": ("apache", dict(protocol="tokenb", interconnect="tree")),
+    "snooping/tree": ("apache", dict(protocol="snooping", interconnect="tree")),
+    "directory/torus": (
+        "apache", dict(protocol="directory", interconnect="torus")
+    ),
+    "hammer/oltp-torus": ("oltp", dict(protocol="hammer", interconnect="torus")),
+}
+
+#: Calls per event at 16 procs x 60 ops, seed 42, on Python 3.11, as
+#: measured when the stock path was last changed (the per-hop engine
+#: before it read 13.10, 15.66 and 12.97).
+CALLS_PER_EVENT = {
+    "tokenb/torus": 9.99,
+    "snooping/tree": 11.30,
+    "hammer/oltp-torus": 8.07,
+}
+
+
+def _system(label: str, ops_per_proc: int):
+    workload, kwargs = FIGURE_GRID[label]
+    config = SystemConfig(n_procs=16, seed=42, **kwargs)
+    spec = COMMERCIAL_WORKLOADS[workload].scaled(ops_per_proc)
+    streams = generate_streams(spec, 16, config.seed, config.block_bytes)
+    return build_system(
+        config, streams, workload_name=spec.name,
+        ops_per_transaction=spec.ops_per_transaction,
+    )
+
+
+def _outputs(result) -> dict:
+    return {
+        "events_fired": result.events_fired,
+        "runtime_ns": result.runtime_ns,
+        "counters": result.counters,
+        "traffic_bytes": result.traffic_bytes,
+        "per_proc_finish_ns": result.per_proc_finish_ns,
+    }
+
+
+@pytest.mark.parametrize("label", sorted(FIGURE_GRID))
+def test_stock_path_matches_the_per_hop_reference_path(label):
+    stock = _system(label, 120)
+    reference = _system(label, 120)
+    hops = []
+    network = reference.network
+    for link in network.all_links():
+        arm_link(network, link, on_hop=lambda *hop: hops.append(None))
+    assert network._hooked
+    assert _outputs(stock.run()) == _outputs(reference.run())
+    assert len(hops) == sum(stock.traffic.crossings_by_category().values())
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="the recorded call counts are CPython 3.11's",
+)
+@pytest.mark.parametrize("label", sorted(CALLS_PER_EVENT))
+def test_calls_per_event_stay_at_the_recorded_figure(label):
+    system = _system(label, 60)
+    profile = cProfile.Profile()
+    profile.enable()
+    result = system.run()
+    profile.disable()
+    calls = pstats.Stats(profile).total_calls / result.events_fired
+    expected = CALLS_PER_EVENT[label]
+    assert abs(calls - expected) <= 0.10 * expected, (
+        f"{label}: {calls:.2f} calls per event, recorded {expected}; "
+        "re-record CALLS_PER_EVENT only for an intended hot-path change"
+    )
