@@ -105,9 +105,8 @@ class Sequencer:
         tail dispatch follows the exact same event path a cold run's
         ``start()`` would take at t=0.
         """
-        assert self._current_op is None and self.outstanding == 0, (
-            "feed() requires a drained sequencer"
-        )
+        if self._current_op is not None or self.outstanding:
+            raise RuntimeError("feed() requires a drained sequencer")
         self._stream = iter(stream)
         self._done_issuing = False
         self.finish_time = None

@@ -160,6 +160,10 @@ class DirectoryNode(ProtocolNode):
         entry = self._dir_entry(block)
         if mtype == "PUT":
             self._home_put(block, requester, version)
+            # A PUT does not occupy the home, so the drain continues
+            # past it: a request queued behind it would otherwise be
+            # stranded with the home idle.
+            self._drain_home_queue(block, entry)
             return
         entry.busy = True
         entry.pending_kind = mtype
@@ -305,6 +309,10 @@ class DirectoryNode(ProtocolNode):
         entry.busy = False
         entry.pending_kind = ""
         entry.pending_requester = -1
+        self._drain_home_queue(block, entry)
+
+    def _drain_home_queue(self, block: int, entry: _DirEntry) -> None:
+        """Pop the next queued request (if any) for an idle home."""
         if entry.queue:
             mtype, requester, version = entry.queue.pop(0)
             self.sim.post(

@@ -202,7 +202,10 @@ class SimulatorSnapshot:
 
         Each call deserializes a new object graph, so restored copies
         never share mutable state — fork N tails from one snapshot and
-        they diverge independently.
+        they diverge independently.  The cost is O(state): a
+        :class:`~repro.snapshot.stream.ReplayableStream` comes back as
+        its factory and consumed count, and regenerates its prefix only
+        if the restored system reads it.
         """
         with _gc_paused():
             system, extras = pickle.loads(self.blob)

@@ -88,7 +88,10 @@ def _warmup_system(config: SystemConfig, warmup: WorkloadProgram) -> System:
 
     Streams are :class:`ReplayableStream` wrappers (not raw generators)
     so the drained system is snapshot-able; their pickled form is just
-    the program reference plus a consumed-op count.
+    the program reference plus a consumed-op count.  A restored warmup
+    stream replays its prefix only when read, and :func:`_run_tail`
+    feeds every sequencer a fresh tail instead, so forking a tail never
+    regenerates the warmup's ops.
     """
     streams = {
         proc: ReplayableStream(

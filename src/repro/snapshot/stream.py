@@ -6,17 +6,22 @@ hands out for memory-bounded streaming — do not.
 :class:`ReplayableStream` closes the gap: it wraps a zero-argument
 *factory* that rebuilds the underlying iterator (typically a
 ``functools.partial`` over :meth:`WorkloadProgram.iter_stream`, pure in
-``(program, proc, seed)``), counts every op it yields, and on unpickle
-re-creates the iterator and fast-forwards past the consumed prefix.
+``(program, proc, seed)``) and counts every op it yields.  Its pickled
+form is just ``(factory, consumed)`` — a program reference and an
+integer.
 
-That makes the stream's pickled form tiny — a program reference and an
-integer — while keeping the restored stream bit-identical to the live
-one: determinism of the workload generators guarantees the regenerated
-tail matches what the original would have produced.
+Replay is lazy: unpickling stores those two values and nothing else,
+and the first read calls the factory and fast-forwards past the
+consumed prefix.  A snapshot restore therefore costs O(state), not
+O(ops consumed), and a restored stream that is never read again — the
+fork path feeds every drained sequencer a fresh tail — is never
+regenerated.  Determinism of the workload generators guarantees the
+regenerated tail matches what the original would have produced.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterator
 
 from repro.processor.sequencer import MemoryOp
@@ -30,6 +35,13 @@ class ReplayableStream:
     called — the replay soundness condition.  All workload generation in
     this repo is a pure function of ``(spec, proc, seed)``, so a partial
     over any generator entry point qualifies.
+
+    The factory is called on the first read, not on construction, and
+    that read skips the first ``consumed`` ops.  A factory that yields
+    fewer than ``consumed`` ops breaks the soundness condition and makes
+    the first read raise :class:`RuntimeError`: a bare
+    ``StopIteration`` would read as a normal end of stream to the
+    sequencer and silently truncate the workload.
     """
 
     __slots__ = ("_factory", "_consumed", "_it")
@@ -39,19 +51,31 @@ class ReplayableStream:
     ) -> None:
         self._factory = factory
         self._consumed = consumed
-        self._it = iter(factory())
-        # On unpickle (consumed > 0) regenerate and skip the prefix the
-        # original already delivered; a fresh stream skips nothing.
-        for _ in range(consumed):
-            next(self._it)
+        self._it: Iterator[MemoryOp] | None = None
 
     def __iter__(self) -> "ReplayableStream":
         return self
 
     def __next__(self) -> MemoryOp:
-        op = next(self._it)
+        it = self._it
+        if it is None:
+            it = self._it = self._replay()
+        op = next(it)
         self._consumed += 1
         return op
+
+    def _replay(self) -> Iterator[MemoryOp]:
+        """A fresh iterator positioned past the consumed prefix."""
+        it = iter(self._factory())
+        consumed = self._consumed
+        skipped = sum(1 for _ in itertools.islice(it, consumed))
+        if skipped < consumed:
+            raise RuntimeError(
+                f"replay of a stream that had consumed {consumed} ops ended "
+                f"after {skipped}, {consumed - skipped} short: its factory "
+                "does not regenerate the same sequence"
+            )
+        return it
 
     def __reduce__(self):
         return (type(self), (self._factory, self._consumed))

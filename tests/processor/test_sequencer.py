@@ -31,6 +31,22 @@ def test_l1_hit_costs_l1_latency_only():
     del result
 
 
+def test_feed_refuses_a_sequencer_with_work_in_flight():
+    # A raise, not an assert: under ``python -O`` the replaced stream
+    # would silently drop every op not yet fetched.
+    streams = {0: [MemoryOp(0x1000 + 64 * i, False) for i in range(50)]}
+    system = make_system(streams)
+    system.start()
+    seq = system.sequencers[0]
+    while seq.outstanding == 0 and system.sim.step():
+        pass
+    assert seq.outstanding > 0
+    with pytest.raises(RuntimeError, match="requires a drained sequencer"):
+        seq.feed(iter([]))
+    system.drain()
+    assert seq.completed_ops == 50
+
+
 def test_l2_hit_after_l1_eviction():
     # Fill L1 (8 lines in the test config below) past capacity, then
     # re-touch the first block: L1 miss, L2 hit.

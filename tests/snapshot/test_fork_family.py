@@ -24,6 +24,7 @@ from repro.campaign.spec import canonical_json
 from repro.config import SystemConfig
 from repro.snapshot import demo_family, fork_family, run_family_cold
 from repro.system.grid import ALL_PROTOCOLS, protocol_grid
+from repro.workloads import programs
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parent.parent
@@ -137,6 +138,37 @@ def test_fork_events_ratio_floor(protocol, interconnect):
         result.events_fired - warmup for result in forked.values()
     )
     assert events_cold / events_fork >= MIN_EVENTS_RATIO
+
+
+def test_fork_generates_only_warmup_and_tail_ops(monkeypatch):
+    """Restoring a tail's system does not regenerate the warmup: the
+    restored warmup streams replay only when read, and every tail feeds
+    its sequencers fresh streams instead."""
+    family = demo_family(**FAMILY_SHAPE)
+    config = _config("tokenb", "torus")
+
+    def op_count(program) -> int:
+        return sum(
+            len(ops) for ops in program.materialize(
+                config.n_procs, config.seed, config.block_bytes
+            ).values()
+        )
+
+    expected = op_count(family.warmup) + sum(
+        op_count(tail) for tail in family.tails.values()
+    )
+    generated = 0
+    phase_stream = programs.phase_stream
+
+    def counting_phase_stream(*args, **kwargs):
+        nonlocal generated
+        for op in phase_stream(*args, **kwargs):
+            generated += 1
+            yield op
+
+    monkeypatch.setattr(programs, "phase_stream", counting_phase_stream)
+    fork_family(config, family)
+    assert generated == expected
 
 
 def test_golden_covers_the_full_grid():

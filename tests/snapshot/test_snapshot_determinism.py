@@ -6,6 +6,7 @@ produces exactly the outputs of the uninterrupted one, which the
 determinism golden file pins across engine refactors.
 """
 
+import functools
 import json
 import pickle
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro import COMMERCIAL_WORKLOADS, SystemConfig
-from repro.snapshot import SimulatorSnapshot
+from repro.snapshot import ReplayableStream, SimulatorSnapshot, demo_family
 from repro.system.builder import build_system
 from repro.workloads import generate_streams
 
@@ -75,6 +76,42 @@ def test_midrun_capture_restore_matches_golden(label):
     observed = _observed(restored.finish())
     expected = {key: case[key] for key in observed}
     assert observed == expected
+
+
+def _replayable_warmup_system(protocol: str):
+    """A 4-proc torus system fed ReplayableStreams over a 200-op warmup."""
+    config = SystemConfig(protocol=protocol, interconnect="torus", n_procs=4)
+    warmup = demo_family(warmup_ops=200).warmup
+    streams = {
+        proc: ReplayableStream(
+            functools.partial(
+                warmup.iter_stream, proc, config.n_procs, config.seed,
+                config.block_bytes,
+            )
+        )
+        for proc in range(config.n_procs)
+    }
+    return build_system(config, streams, workload_name=warmup.name)
+
+
+@pytest.mark.parametrize("protocol", ["tokenb", "directory", "tokenm", "hammer"])
+def test_midrun_restore_replays_replayable_streams(protocol):
+    """Captured mid-warmup, each restored ReplayableStream regenerates
+    its consumed prefix on its first read, and the resumed run equals
+    the uninterrupted one."""
+    expected = _replayable_warmup_system(protocol).run()
+
+    system = _replayable_warmup_system(protocol)
+    system.start()
+    _run_to(system, 1500)
+    snapshot = SimulatorSnapshot.capture(system)
+    assert all(0 < issued < 200 for issued in snapshot.meta["issued_ops"])
+
+    restored = snapshot.restore()
+    restored.drain()
+    result = restored.finish()
+    assert _observed(result) == _observed(expected)
+    assert result.per_proc_finish_ns == expected.per_proc_finish_ns
 
 
 def test_capture_does_not_disturb_the_original():

@@ -32,6 +32,15 @@ def test_agreement_holds_across_seeds():
         assert report["agreed"], (seed, report["mismatches"])
 
 
+def test_directory_completes_the_eviction_storm():
+    """A PUT does not occupy the Directory home, so the home must keep
+    draining its queue past one, or a request queued behind the PUT is
+    stranded with the home idle and the run ends in a DeadlockError."""
+    for seed in range(32):
+        # Raises if any processor's stream is left incomplete.
+        run_differential("eviction_storm", seed=seed, protocols=("directory",))
+
+
 def test_compare_flags_final_image_divergence():
     base = Observation(
         protocol="tokenb", interconnect="torus",
