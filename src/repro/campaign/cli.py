@@ -27,7 +27,14 @@ and exits when the run reports finished.
 ``run`` is incremental: killing it mid-campaign loses nothing but the
 in-flight scenarios, and the rerun executes only what the store is
 missing (``--expect-cached`` turns "nothing should execute" into an
-exit-code assertion, which CI uses to prove store round-trips).  Specs
+exit-code assertion, which CI uses to prove store round-trips).  It is
+also the one way to sweep the explorer's scenarios (the ``explorer``,
+``faults`` and ``lineage`` presets, or any ``explore``-kind spec): when
+such a run records an oracle violation, it shrinks the first violating
+scenario in spec order and writes the repro to
+``<store>/repro_failure.json`` (:data:`REPRO_FILE`), beside the
+heartbeat, before exiting 1.  ``python -m repro.testing.explore
+--repro FILE`` replays it.  Specs
 are named presets (:data:`repro.campaign.presets.SPEC_BUILDERS`) or a
 JSON file holding a serialized :class:`CampaignSpec`.  ``--jobs 1``
 runs in-process; more fans out over a local process pool.  Several
@@ -52,6 +59,10 @@ from repro.campaign.store import CampaignStore
 EXIT_EXECUTOR_FAILURE = 2
 EXIT_NOT_CACHED = 3
 
+#: Where ``run`` writes the shrunk first violation of an explore-kind
+#: spec, relative to the store root.
+REPRO_FILE = "repro_failure.json"
+
 
 def resolve_spec(name: str, args) -> CampaignSpec:
     path = Path(name)
@@ -71,8 +82,9 @@ def resolve_store(spec: CampaignSpec, args) -> CampaignStore:
     return CampaignStore(root)
 
 
-def _scan_violations(kind: str, cases, store: CampaignStore) -> list[str]:
-    """Oracle violations / conformance mismatches recorded in results."""
+def _scan_violations(kind: str, cases, store: CampaignStore) -> list[tuple]:
+    """Oracle violations / conformance mismatches recorded in results,
+    as ``(case, description)`` pairs in spec order."""
     violations = []
     for case in cases:
         record = store.get(case.key)
@@ -80,19 +92,33 @@ def _scan_violations(kind: str, cases, store: CampaignStore) -> list[str]:
             continue
         result = record["result"]
         if kind == "explore" and not result.get("ok", True):
-            violations.append(
+            violations.append((
+                case,
                 f"{case.key[:12]} {result.get('violation_type')}: "
-                f"{result.get('violation_message')}"
-            )
+                f"{result.get('violation_message')}",
+            ))
         elif kind == "differential" and not result.get("agreed", True):
             bad = {
                 k: v for k, v in result.get("mismatches", {}).items() if v
             }
-            violations.append(
+            violations.append((
+                case,
                 f"{case.key[:12]} workload={result.get('workload')} "
-                f"seed={result.get('seed')}: {bad}"
-            )
+                f"seed={result.get('seed')}: {bad}",
+            ))
     return violations
+
+
+def _write_shrunk_repro(case, store: CampaignStore) -> None:
+    """Shrink an explore case's violating scenario into the store's
+    :data:`REPRO_FILE`."""
+    from repro.testing.explore import Scenario
+    from repro.testing.shrink import shrink, write_repro
+
+    shrunk, outcome = shrink(Scenario.from_dict(case.params))
+    path = Path(store.root) / REPRO_FILE
+    write_repro(path, shrunk, outcome)
+    print(f"shrunk to: {shrunk.label()}\nrepro -> {path}")
 
 
 # ----------------------------------------------------------------------
@@ -138,8 +164,10 @@ def cmd_run(args) -> int:
     violations = _scan_violations(spec.kind, cases, store)
     if violations:
         print(f"{len(violations)} scenario violations recorded:")
-        for line in violations[:5]:
+        for _, line in violations[:5]:
             print(f"  {line}")
+        if spec.kind == "explore":
+            _write_shrunk_repro(violations[0][0], store)
     if report.failures:
         return EXIT_EXECUTOR_FAILURE
     if args.expect_cached and report.executed:

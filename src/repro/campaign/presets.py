@@ -527,9 +527,12 @@ def explorer_spec(
 ) -> CampaignSpec:
     """The adversarial schedule explorer's sweep as a campaign.
 
-    ``smoke=True`` matches ``python -m repro.testing.explore --smoke``
-    exactly: :data:`~repro.testing.explore.SMOKE_SEEDS` seeds with the
-    shared reduced-scale scenario transform.
+    The scenarios of :func:`~repro.testing.explore.scenario_grid`, in
+    its order: ``campaign run --spec explorer`` is the explorer's sweep,
+    and a recorded violation shrinks to ``<store>/repro_failure.json``.
+    ``smoke=True`` is the CI slice:
+    :data:`~repro.testing.explore.SMOKE_SEEDS` seeds with the shared
+    reduced-scale scenario transform.
     """
     from repro.system.grid import ALL_PROTOCOLS
     from repro.testing.explore import (

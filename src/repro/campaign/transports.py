@@ -18,8 +18,7 @@ runs (store diffing, retry budgets, heartbeats); a transport decides
 Two implementations share that contract:
 
 :class:`SerialTransport`
-    In-process, batch order — the debugging path and the one that keeps
-    the explorer's on-violation shrink/repro flow deterministic.
+    In-process, batch order — the debugging path (``--jobs 1``).
 :class:`ProcessPoolTransport`
     The local ``ProcessPoolExecutor`` fan-out, with the worker
     bootstrap (store binding + fork-context prewarm).  A worker dying

@@ -147,8 +147,8 @@ class SimulatorSnapshot:
 
     ``blob`` is the pickled ``(system, extras)`` pair; ``meta`` is a
     small JSON-safe summary (capture time, cumulative events, per-proc
-    progress) readable without unpickling — the checkpoint store and the
-    shrinker's checkpoint ledger index on it.
+    progress) readable without unpickling — the checkpoint store
+    indexes on it.
     """
 
     FORMAT = "repro.snapshot/v1"

@@ -11,12 +11,14 @@ package proves it mechanically:
 * :mod:`repro.testing.explore` — the schedule explorer: seeds ×
   protocols × topologies × adversarial workloads, every oracle armed
   (strict data-value checking for token protocols, token conservation,
-  liveness, writeback drainage).  ``python -m repro.testing.explore``.
+  liveness, writeback drainage).  Its grids sweep as campaigns
+  (``python -m repro.campaign run --spec explorer``);
+  ``python -m repro.testing.explore --repro FILE`` replays a repro.
 * :mod:`repro.testing.differential` — differential conformance: the
   same workload through every protocol, comparing protocol-independent
   observables.
 * :mod:`repro.testing.shrink` — failure minimization to a deterministic,
-  replayable repro file.
+  replayable repro file (``campaign run`` writes one on a violation).
 * :mod:`repro.testing.mutants` — deliberately broken protocol variants
   that prove each oracle actually fires.
 """
@@ -32,9 +34,7 @@ __all__ = [
     "scenario_grid",
 ]
 
-#: Names re-exported from the explore module.  The sweep entry point
-#: itself is ``repro.testing.explore.explore`` (not re-exported here —
-#: it would shadow the submodule).
+#: Names re-exported from the explore module.
 _EXPLORE_EXPORTS = frozenset(
     ("Scenario", "ScenarioOutcome", "run_scenario", "scenario_grid")
 )

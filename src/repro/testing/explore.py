@@ -17,26 +17,27 @@ it with **every oracle armed**:
 :func:`scenario_grid` sweeps seeds × the canonical protocol/topology
 grid × the adversarial workloads, with each protocol perturbed as hard
 as its legality bounds allow (token protocols get the full adversarial
-treatment; baselines get FIFO-preserving link jitter).  The module is
-executable::
+treatment; baselines get FIFO-preserving link jitter), and
+:func:`fault_scenario_grid` crosses the same grid with the fault
+classes.  The sweeps run as campaigns (the ``explorer``, ``faults`` and
+``lineage`` presets)::
 
-    python -m repro.testing.explore                 # full sweep (>=200)
-    python -m repro.testing.explore --smoke         # CI-sized sweep
-    python -m repro.testing.explore --repro FILE    # replay a shrunk repro
+    python -m repro.campaign run --spec explorer --seeds 32 --jobs 2
+    python -m repro.campaign report --spec explorer --seeds 32
 
-On a violation the explorer shrinks the scenario and writes a
-deterministic repro file (see :mod:`repro.testing.shrink`), then exits
-nonzero.
+On a recorded violation ``run`` shrinks the first violating scenario
+and writes a deterministic repro file, ``<store>/repro_failure.json``
+(see :mod:`repro.testing.shrink`), then exits nonzero.  This module's
+own entry point replays such a file::
+
+    python -m repro.testing.explore --repro FILE
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
-import time
-from pathlib import Path
 
 from repro.config import SystemConfig
 from repro.faults import (
@@ -262,9 +263,8 @@ def _armed_system(scenario: Scenario):
     """Build the scenario's system with every overlay installed.
 
     Returns ``(system, expected_ops, perturber, injector)`` ready for
-    :meth:`System.run` (or a stepped drain — the shrinker's checkpointed
-    runner snapshots between strides).  The lineage and trace recorders
-    ride on the system as ``system.lineage`` and ``system.observe``.
+    :meth:`System.run`.  The lineage and trace recorders ride on the
+    system as ``system.lineage`` and ``system.observe``.
     """
     if scenario.workload not in EXPLORER_WORKLOADS:
         raise ValueError(f"unknown workload {scenario.workload!r}")
@@ -300,20 +300,19 @@ def _armed_system(scenario: Scenario):
 
 
 def _finish_scenario(
-    scenario: Scenario, system, expected_ops: int, perturber, injector, run
+    scenario: Scenario, system, expected_ops: int, perturber, injector
 ):
-    """Execute ``run()`` and fold oracles + stats into an outcome.
+    """Drain a started system and fold oracles + stats into an outcome.
 
-    ``run`` is a zero-argument callable returning the
-    :class:`SimulationResult` — ``system.run(...)`` on the straight
-    path, or a restore-and-continue closure on the shrinker's
-    checkpointed path.  Shared so both paths judge a scenario with
-    byte-identical oracle and accounting logic.  Returns the outcome
-    and the lineage recorder (None unless armed).
+    The system is fresh from :func:`_armed_system` and started, or a
+    restored mid-run snapshot of one; either way it is judged by the
+    same oracle and accounting logic.  Returns the outcome and the
+    lineage recorder (None unless armed).
     """
     recorder, trace = system.lineage, system.observe
     try:
-        result = run()
+        system.drain(max_events=scenario.max_events)
+        result = system.finish()
         _post_run_oracles(system, result, expected_ops)
         _recovery_oracles(system, injector)
         if recorder is not None:
@@ -361,10 +360,8 @@ def run_scenario_recorded(scenario: Scenario):
     just the aggregated outcome.
     """
     system, expected_ops, perturber, injector = _armed_system(scenario)
-    return _finish_scenario(
-        scenario, system, expected_ops, perturber, injector,
-        run=lambda: system.run(max_events=scenario.max_events),
-    )
+    system.start()
+    return _finish_scenario(scenario, system, expected_ops, perturber, injector)
 
 
 # ----------------------------------------------------------------------
@@ -570,8 +567,8 @@ def fault_scenario_grid(
     ]
 
 
-#: --smoke seed count: both this module's CLI and the campaign preset's
-#: smoke mode sweep exactly this many seeds.
+#: Seed count of the ``--smoke`` slice of the explorer, faults and
+#: lineage campaign presets.
 SMOKE_SEEDS = 2
 
 
@@ -658,219 +655,31 @@ def summarize(scenarios, outcomes) -> dict:
     }
 
 
-def explore(scenarios, progress=None) -> dict:
-    """Run ``scenarios`` serially; return a report dict (violations listed)."""
-    started = time.perf_counter()
-    outcomes = []
-    for index, scenario in enumerate(scenarios):
-        outcome = run_scenario(scenario)
-        outcomes.append(outcome)
-        if progress is not None:
-            progress(index, scenario, outcome)
-    report = summarize(scenarios, outcomes)
-    report["elapsed_s"] = round(time.perf_counter() - started, 3)
-    return report
-
-
-def explore_campaign(
-    scenarios, jobs=None, store_dir=None, progress=None
-) -> dict:
-    """Run ``scenarios`` through the campaign runner (the ``--jobs`` path).
-
-    Results are content-addressed in a :class:`CampaignStore`, so a
-    killed sweep resumed against the same ``store_dir`` executes only
-    the missing scenarios; the aggregate (everything but ``elapsed_s``
-    and the ``campaign`` execution counters) is byte-identical to an
-    uninterrupted run and is written to ``<store_dir>/aggregate.json``.
-    With no ``store_dir`` the store is a throwaway temp directory.
-    """
-    import shutil
-    import tempfile
-
-    from repro.campaign.runner import run_campaign
-    from repro.campaign.spec import ScenarioCase
-    from repro.campaign.store import CampaignStore
-
-    started = time.perf_counter()
-    cases = [ScenarioCase("explore", s.to_dict()) for s in scenarios]
-    index_by_key = {case.key: i for i, case in enumerate(cases)}
-    temp_root = None
-    if store_dir is None:
-        temp_root = tempfile.mkdtemp(prefix="explore-campaign-")
-        store_dir = temp_root
-    try:
-        store = CampaignStore(store_dir)
-
-        def campaign_progress(done, total, case, ok, error):
-            # Worker results are not visible to the parent store until
-            # the pool drains, so completion ticks carry no outcome;
-            # violations are summarized from the store afterwards.
-            if progress is not None:
-                progress(index_by_key[case.key], scenarios[index_by_key[case.key]], None)
-
-        report_run = run_campaign(
-            cases, store, jobs=jobs, progress=campaign_progress
-        )
-        if report_run.failures:
-            raise RuntimeError(
-                f"{len(report_run.failures)} scenario executors failed: "
-                f"{report_run.failures[:3]}"
-            )
-        try:
-            outcomes = [
-                ScenarioOutcome(**store.get(case.key)["result"])
-                for case in cases
-            ]
-        except (TypeError, ValueError, KeyError) as exc:
-            # Only reachable with a pinned REPRO_CAMPAIGN_FINGERPRINT
-            # across an outcome-schema change; name the store instead
-            # of dying on a raw constructor error.
-            raise RuntimeError(
-                f"store {store.root} holds records that do not match the "
-                f"current ScenarioOutcome schema ({exc}); clear the store "
-                "or unpin REPRO_CAMPAIGN_FINGERPRINT"
-            ) from None
-        report = summarize(scenarios, outcomes)
-        if temp_root is None:
-            aggregate_path = Path(store_dir) / "aggregate.json"
-            aggregate_path.write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n"
-            )
-        report["elapsed_s"] = round(time.perf_counter() - started, 3)
-        report["campaign"] = {
-            "executed": report_run.executed,
-            "cached": report_run.cached,
-            "store": None if temp_root is not None else str(store_dir),
-        }
-        return report
-    finally:
-        if temp_root is not None:
-            shutil.rmtree(temp_root, ignore_errors=True)
-
-
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 
 
-def _parse_args(argv):
+def main(argv=None) -> int:
+    """Replay a repro file; exit 0 if it reproduces its violation."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.testing.explore",
-        description="Adversarial schedule explorer over the protocol grid.",
+        description="Replay a shrunk explorer repro.  Sweeps run through "
+                    "python -m repro.campaign run --spec "
+                    "explorer|faults|lineage, which writes the repro.",
     )
-    parser.add_argument("--seeds", type=int, default=8,
-                        help="number of seeds to sweep (default 8)")
-    parser.add_argument("--seed-base", type=int, default=0,
-                        help="first seed value (default 0)")
-    parser.add_argument("--protocols", default=",".join(ALL_PROTOCOLS),
-                        help="comma-separated protocol subset")
-    parser.add_argument("--workloads",
-                        default=",".join(EXPLORER_WORKLOADS),
-                        help="comma-separated adversarial workload subset "
-                             "(flat generators and phased programs)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized sweep (2 seeds, shorter streams)")
-    parser.add_argument("--faults", action="store_true",
-                        help="sweep the faulty-fabric grid instead: each "
-                             "scenario schedules one fault class (link "
-                             "flaps, degraded links, corruption drops, "
-                             "node pause/resume — the loss classes only "
-                             "where legal) with recovery oracles armed")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes via the campaign runner "
-                             "(default 1 = the deterministic serial loop; "
-                             "0 = one per core)")
-    parser.add_argument("--store", default=None, metavar="DIR",
-                        help="campaign store directory: results are "
-                             "content-addressed there and a killed sweep "
-                             "resumes from it (implies the campaign path "
-                             "even with --jobs 1)")
-    parser.add_argument("--out", default=None,
-                        help="write the JSON report here")
-    parser.add_argument("--repro-out", default="repro_failure.json",
-                        help="where to write the shrunk repro on violation")
-    parser.add_argument("--no-shrink", action="store_true",
-                        help="skip shrinking on violation")
-    parser.add_argument("--repro", default=None, metavar="FILE",
-                        help="replay a repro file instead of sweeping")
-    parser.add_argument("-q", "--quiet", action="store_true")
-    return parser.parse_args(argv)
+    parser.add_argument("--repro", required=True, metavar="FILE",
+                        help="repro file to replay, e.g. "
+                             "<store>/repro_failure.json")
+    args = parser.parse_args(argv)
+    from repro.testing.shrink import replay
 
-
-def main(argv=None) -> int:
-    args = _parse_args(argv)
-    if args.repro is not None:
-        from repro.testing.shrink import replay
-
-        reproduced, scenario, outcome = replay(args.repro)
-        print(f"repro: {scenario.label()}")
-        print(f"  expected -> observed: {outcome.violation_type} "
-              f"({outcome.violation_message})")
-        print("REPRODUCED" if reproduced else "DID NOT REPRODUCE")
-        return 0 if reproduced else 1
-
-    seeds = range(
-        args.seed_base,
-        args.seed_base + (SMOKE_SEEDS if args.smoke else args.seeds),
-    )
-    protocols = tuple(p for p in args.protocols.split(",") if p)
-    workloads = tuple(w for w in args.workloads.split(",") if w)
-    if args.faults:
-        scenarios = fault_scenario_grid(seeds, protocols)
-    else:
-        scenarios = scenario_grid(seeds, protocols, workloads)
-    if args.smoke:
-        scenarios = smoke_scenarios(scenarios)
-
-    def progress(index, scenario, outcome):
-        if args.quiet:
-            return
-        if outcome is None:  # campaign completion tick (outcome on disk)
-            status = "done"
-        else:
-            status = "ok" if outcome.ok else f"VIOLATION({outcome.violation_type})"
-        print(f"[{index + 1:>4}/{len(scenarios)}] {scenario.label()}: {status}",
-              flush=True)
-
-    if args.jobs != 1 or args.store is not None:
-        jobs = None if args.jobs == 0 else args.jobs
-        report = explore_campaign(
-            scenarios, jobs=jobs, store_dir=args.store, progress=progress
-        )
-        if not args.quiet and report.get("campaign"):
-            info = report["campaign"]
-            print(f"campaign: {info['executed']} executed, "
-                  f"{info['cached']} cached"
-                  + (f" -> {info['store']}" if info["store"] else ""))
-    else:
-        report = explore(scenarios, progress=progress)
-    print(
-        f"\n{report['scenarios']} scenarios, "
-        f"{report['violation_count']} violations, "
-        f"{report['elapsed_s']}s "
-        f"({report['totals']['events_fired']:,} events; "
-        f"{report['totals']['persistent_requests']} persistent, "
-        f"{report['totals']['dropped_requests']} dropped, "
-        f"{report['totals']['duplicated_requests']} duplicated requests)"
-    )
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"report -> {args.out}")
-
-    if report["violation_count"]:
-        first = report["violations"][0]
-        scenario = Scenario.from_dict(first["scenario"])
-        print(f"\nfirst violation: {scenario.label()}\n"
-              f"  {first['violation_type']}: {first['violation_message']}")
-        if not args.no_shrink:
-            from repro.testing.shrink import shrink, write_repro
-
-            shrunk, outcome = shrink(scenario)
-            write_repro(args.repro_out, shrunk, outcome)
-            print(f"shrunk to: {shrunk.label()}\nrepro -> {args.repro_out}")
-        return 1
-    return 0
+    reproduced, scenario, outcome = replay(args.repro)
+    print(f"repro: {scenario.label()}")
+    print(f"  expected -> observed: {outcome.violation_type} "
+          f"({outcome.violation_message})")
+    print("REPRODUCED" if reproduced else "DID NOT REPRODUCE")
+    return 0 if reproduced else 1
 
 
 if __name__ == "__main__":

@@ -241,21 +241,62 @@ def test_fork_family_exports_one_row_per_tail(tmp_path, capsys, monkeypatch):
 
 
 def test_explore_spec_violations_exit_nonzero(tmp_path, capsys):
-    """Recorded oracle violations surface through the run exit code."""
-    grid = [{
-        "seed": 0, "protocol": "null-token", "interconnect": "torus",
-        "workload": "false_sharing", "ops_per_proc": 8,
-        "mutant": "no-escalation",
-    }]
+    """Recorded oracle violations surface through the run exit code, and
+    the first one in spec order is shrunk into a replayable repro in the
+    store."""
+    from repro.testing import explore
+    from repro.testing.shrink import load_repro
+
+    grid = [
+        {"seed": 0, "protocol": "tokenb", "interconnect": "torus",
+         "workload": "false_sharing", "ops_per_proc": 8},
+        {"seed": 0, "protocol": "null-token", "interconnect": "torus",
+         "workload": "false_sharing", "ops_per_proc": 8,
+         "mutant": "no-escalation"},
+        {"seed": 0, "protocol": "tokenb", "interconnect": "torus",
+         "workload": "false_sharing", "ops_per_proc": 8,
+         "mutant": "token-duplication"},
+    ]
     spec = tmp_path / "bad.json"
     spec.write_text(json.dumps({"name": "bad", "kind": "explore", "grid": grid}))
     store = str(tmp_path / "store")
     assert main(["run", "--spec", str(spec), "--store", store,
                  "--jobs", "1", "-q"]) == 1
-    assert "DeadlockError" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "DeadlockError" in out and "TokenInvariantError" in out
+    repro = tmp_path / "store" / "repro_failure.json"
+    scenario, violation = load_repro(repro)
+    assert (scenario.mutant, violation["type"]) == (
+        "no-escalation", "DeadlockError"
+    )
+    assert explore.main(["--repro", str(repro)]) == 0
     # The violating record is cached data: the rerun replays it.
     assert main(["run", "--spec", str(spec), "--store", store,
                  "--jobs", "1", "-q", "--expect-cached"]) == 1
+
+
+def test_explore_report_matches_in_process_summary(tmp_path, capsys):
+    """The campaign path (a 2-worker pool, then the store) aggregates
+    exactly as ``summarize`` over in-process runs of the same scenarios."""
+    from repro.testing.explore import run_scenario, scenario_grid, summarize
+
+    scenarios = scenario_grid(
+        seeds=[0], protocols=("null-token",), workloads=("false_sharing",)
+    )
+    spec = tmp_path / "explore.json"
+    spec.write_text(json.dumps({
+        "name": "explore", "kind": "explore",
+        "grid": [scenario.to_dict() for scenario in scenarios],
+    }))
+    store = str(tmp_path / "store")
+    assert main(["run", "--spec", str(spec), "--store", store,
+                 "--jobs", "2", "-q"]) == 0
+    out = tmp_path / "report.json"
+    assert main(["report", "--spec", str(spec), "--store", store,
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == summarize(
+        scenarios, [run_scenario(scenario) for scenario in scenarios]
+    )
 
 
 def _fault_case(seed, fired, recovery, protocol="tokenb", ok=True):
@@ -426,6 +467,8 @@ def test_report_format_json_explore_kind(tmp_path, capsys):
     store = str(tmp_path / "store")
     assert main(["run", "--spec", str(spec), "--store", store,
                  "--jobs", "1", "-q"]) == 0
+    # A clean explore run has nothing to shrink.
+    assert not (tmp_path / "store" / "repro_failure.json").exists()
     capsys.readouterr()
     assert main(["report", "--spec", str(spec), "--store", store,
                  "--format", "json"]) == 0

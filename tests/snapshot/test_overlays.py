@@ -44,14 +44,9 @@ def _forked_outcome(scenario: Scenario, pause_events: int):
         system, extras={"perturber": perturber, "injector": injector}
     )
     restored, extras = snapshot.restore(with_extras=True)
-
-    def run():
-        restored.drain(max_events=scenario.max_events)
-        return restored.finish()
-
     outcome, _ = _finish_scenario(
         scenario, restored, expected_ops,
-        extras["perturber"], extras["injector"], run,
+        extras["perturber"], extras["injector"],
     )
     return outcome
 

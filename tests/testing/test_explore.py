@@ -1,5 +1,6 @@
 """Schedule-explorer tests: scenario serialization, the sweep's oracle
-coverage, and the command-line entry point."""
+coverage, and the repro-replay entry point.  Sweeps run through the
+campaign CLI (tests/campaign/test_cli.py)."""
 
 import json
 
@@ -9,15 +10,12 @@ from repro.system.grid import protocol_grid
 from repro.testing.explore import (
     EXPLORER_WORKLOADS,
     Scenario,
-    explore,
-    explore_campaign,
     main,
     make_scenario,
     run_scenario,
     scenario_grid,
     summarize,
 )
-from repro.testing.perturb import PerturbSpec
 from repro.workloads.adversarial import ADVERSARIAL_WORKLOADS
 from repro.workloads.programs import ADVERSARIAL_PROGRAMS
 
@@ -65,7 +63,7 @@ def test_phased_program_scenarios_run_with_all_oracles_armed():
         workloads=("phase_shift", "barrier_storm"),
     )
     assert all(s.perturb.drop_request_prob > 0 for s in scenarios)
-    report = explore(scenarios)
+    report = summarize(scenarios, [run_scenario(s) for s in scenarios])
     assert report["scenarios"] == 4  # 2 programs x torus + tree
     assert report["violation_count"] == 0
     assert report["totals"]["events_fired"] > 0
@@ -95,7 +93,7 @@ def test_small_sweep_is_clean_and_reports_totals():
         seeds=[0], protocols=("tokenb", "snooping"),
         workloads=("false_sharing", "arbiter_contention"),
     )
-    report = explore(scenarios)
+    report = summarize(scenarios, [run_scenario(s) for s in scenarios])
     assert report["scenarios"] == len(scenarios) == 6
     assert report["violation_count"] == 0
     assert report["totals"]["events_fired"] > 0
@@ -107,65 +105,11 @@ def test_explore_lists_violations_with_their_scenarios():
     bad = Scenario(seed=0, protocol="null-token", interconnect="torus",
                    workload="false_sharing", ops_per_proc=8,
                    mutant="no-escalation")
-    report = explore([bad])
+    report = summarize([bad], [run_scenario(bad)])
     assert report["violation_count"] == 1
     violation = report["violations"][0]
     assert violation["violation_type"] == "DeadlockError"
     assert Scenario.from_dict(violation["scenario"]) == bad
-
-
-# ----------------------------------------------------------------------
-# Campaign path (--jobs / --store)
-# ----------------------------------------------------------------------
-
-
-def _aggregate(report: dict) -> dict:
-    """The deterministic part of a report (no wall times or hit counts)."""
-    return {k: v for k, v in report.items()
-            if k not in ("elapsed_s", "campaign")}
-
-
-def test_explore_campaign_matches_serial_sweep(tmp_path):
-    scenarios = scenario_grid(
-        seeds=[0], protocols=("null-token",), workloads=("false_sharing",)
-    )
-    serial = explore(scenarios)
-    parallel = explore_campaign(
-        scenarios, jobs=2, store_dir=str(tmp_path / "store")
-    )
-    assert _aggregate(parallel) == _aggregate(serial)
-    assert parallel["campaign"]["executed"] == len(scenarios)
-
-
-def test_explore_campaign_resume_is_byte_identical(tmp_path):
-    """Kill a campaign mid-run, rerun: only missing scenarios execute and
-    the written aggregate is byte-identical to an uninterrupted run."""
-    from repro.campaign.runner import run_campaign
-    from repro.campaign.spec import ScenarioCase
-    from repro.campaign.store import CampaignStore
-
-    scenarios = scenario_grid(
-        seeds=[0, 1], protocols=("null-token",), workloads=("false_sharing",)
-    )
-    uninterrupted = explore_campaign(
-        scenarios, jobs=1, store_dir=str(tmp_path / "full")
-    )
-
-    # "Kill" a second campaign after half the scenarios.
-    cases = [ScenarioCase("explore", s.to_dict()) for s in scenarios]
-    killed = CampaignStore(tmp_path / "killed")
-    run_campaign(cases[: len(cases) // 2], killed, jobs=1)
-
-    resumed = explore_campaign(
-        scenarios, jobs=1, store_dir=str(tmp_path / "killed")
-    )
-    assert resumed["campaign"]["executed"] == len(cases) - len(cases) // 2
-    assert resumed["campaign"]["cached"] == len(cases) // 2
-    assert _aggregate(resumed) == _aggregate(uninterrupted)
-    assert (
-        (tmp_path / "killed" / "aggregate.json").read_bytes()
-        == (tmp_path / "full" / "aggregate.json").read_bytes()
-    )
 
 
 def test_summarize_is_pure_and_order_stable():
@@ -184,52 +128,13 @@ def test_summarize_is_pure_and_order_stable():
 # ----------------------------------------------------------------------
 
 
-def test_cli_sweep_writes_report_and_exits_zero(tmp_path):
-    out = tmp_path / "report.json"
-    code = main([
-        "--seeds", "1", "--protocols", "tokenb",
-        "--workloads", "false_sharing", "--quiet", "--out", str(out),
-    ])
-    assert code == 0
-    report = json.loads(out.read_text())
-    assert report["scenarios"] == 2  # tokenb on torus and tree
-    assert report["violation_count"] == 0
-
-
-def test_cli_jobs_flag_routes_through_campaign(tmp_path):
-    out = tmp_path / "report.json"
-    store = tmp_path / "store"
-    code = main([
-        "--seeds", "1", "--protocols", "null-token",
-        "--workloads", "false_sharing", "--quiet",
-        "--jobs", "2", "--store", str(store), "--out", str(out),
-    ])
-    assert code == 0
-    report = json.loads(out.read_text())
-    assert report["scenarios"] == 2
-    assert report["campaign"]["executed"] == 2
-    assert (store / "aggregate.json").exists()
-    # Rerun resumes from the store: everything cached.
-    assert main([
-        "--seeds", "1", "--protocols", "null-token",
-        "--workloads", "false_sharing", "--quiet",
-        "--jobs", "2", "--store", str(store), "--out", str(out),
-    ]) == 0
-    report = json.loads(out.read_text())
-    assert report["campaign"] == {
-        "executed": 0, "cached": 2, "store": str(store),
-    }
-
-
-def test_cli_clean_sweep_writes_no_repro(tmp_path):
-    repro = tmp_path / "repro.json"
-    code = main([
-        "--seeds", "1", "--protocols", "null-token",
-        "--workloads", "false_sharing", "--quiet",
-        "--repro-out", str(repro),
-    ])
-    assert code == 0
-    assert not repro.exists()
+@pytest.mark.parametrize("argv", [[], ["--seeds", "1"], ["--smoke"]])
+def test_cli_accepts_only_repro(argv):
+    """Sweeps run through ``python -m repro.campaign run``; the explorer
+    entry point only replays, so sweep flags are usage errors."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_cli_repro_replay(tmp_path):

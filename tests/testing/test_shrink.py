@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from repro.faults import FAULT_KINDS, link_count
 from repro.testing.explore import Scenario, make_fault_scenario, run_scenario
 from repro.testing.perturb import PerturbSpec
 from repro.testing.shrink import load_repro, replay, shrink, write_repro
@@ -107,93 +108,34 @@ def test_candidates_never_enlarge_the_scenario():
 
 
 # ----------------------------------------------------------------------
-# Checkpointed shrinking
+# Faulty-fabric violations
 # ----------------------------------------------------------------------
 
 
-def _checkpointable_violation() -> Scenario:
-    """A violating scenario inside the snapshot boundary: picklable
-    mutant, jitter-only perturbation, prefix-stable workload."""
-    return Scenario(
-        seed=3,
-        protocol="directory",
-        interconnect="torus",
-        workload="writeback_churn",
-        n_procs=4,
-        ops_per_proc=40,
-        perturb=PerturbSpec(link_jitter_ns=6.0),
-        mutant="writeback-leak",
+@pytest.mark.parametrize("interconnect", ["torus", "tree"])
+@pytest.mark.parametrize("fault_class", FAULT_KINDS)
+def test_faulty_fabric_violation_shrinks(fault_class, interconnect):
+    """Fewer processors mean fewer links and nodes: a processor
+    reduction is proposed only while every link and node the fault plan
+    targets still exists, so shrinking a faulty-fabric violation yields
+    a witness instead of a fault-installation error."""
+    scenario = dataclasses.replace(
+        make_fault_scenario(1, "tokenb", interconnect, fault_class,
+                            workload="false_sharing"),
+        mutant="skip-token-collection",
     )
+    original = run_scenario(scenario)
+    assert not original.ok
 
-
-def test_checkpointable_classifies_the_boundary():
-    from repro.testing.shrink import checkpointable
-
-    assert checkpointable(_checkpointable_violation())
-    base = _checkpointable_violation()
-    # Every overlay pickles, so none of them flips the verdict...
-    for armed in (
-        dataclasses.replace(base, lineage=True, observe=True),
-        dataclasses.replace(base, perturb=PerturbSpec(
-            drop_request_prob=0.1, dup_request_prob=0.1,
-            force_escalation_prob=0.1,
-        )),
-        make_fault_scenario(3, "tokenb", "torus", "corrupt",
-                            workload="writeback_churn"),
-    ):
-        assert checkpointable(armed)
-    # ...only a closure-based mutant or a prefix-unstable workload does.
-    assert not checkpointable(dataclasses.replace(base, mutant="stale-probe"))
-    assert not checkpointable(dataclasses.replace(base, workload="phase_shift"))
-
-
-def test_checkpointed_shrink_simulates_fewer_events():
-    """The speedup contract: resuming ops-reduction candidates from the
-    violating run's snapshots yields the *same* minimized repro — same
-    scenario, byte-identical outcome — for strictly fewer simulated
-    events, with the savings visible in the stats out-param."""
-    scenario = _checkpointable_violation()
-    cold_stats: dict = {}
-    cold_scenario, cold_outcome = shrink(
-        scenario, checkpoints=False, stats=cold_stats
+    shrunk, outcome = shrink(scenario)
+    assert outcome.violation_type == original.violation_type
+    assert shrunk.faults == scenario.faults
+    n_links = link_count(interconnect, shrunk.n_procs)
+    assert all(e.target < n_links for e in shrunk.faults.link_events())
+    assert all(
+        e.target < shrunk.n_procs for e in shrunk.faults.events_of("node_pause")
     )
-    warm_stats: dict = {}
-    warm_scenario, warm_outcome = shrink(
-        scenario, checkpoints=True, stats=warm_stats
-    )
-
-    assert warm_scenario == cold_scenario
-    assert warm_outcome == cold_outcome
-    assert warm_stats["checkpoints"] > 0
-    assert warm_stats["resumed_runs"] > 0
-    assert warm_stats["events_saved"] > 0
-    assert warm_stats["events_simulated"] < cold_stats["events_simulated"]
-    # The accounting is conservation-exact: warm work + skipped warmups
-    # equals what the same candidate schedule cost cold.
-    assert cold_stats["resumed_runs"] == 0
-    assert cold_stats["events_saved"] == 0
-    assert (
-        warm_stats["events_simulated"] + warm_stats["events_saved"]
-        == cold_stats["events_simulated"]
-    )
-
-
-def test_unsupported_scenarios_degrade_to_cold_shrinking():
-    """Outside the snapshot boundary, checkpoints=True is a transparent
-    no-op: identical result, zero resumed runs."""
-    original = Scenario(  # a closure-based mutant: cold-only
-        seed=3, protocol="tokenb", interconnect="torus",
-        workload="false_sharing", ops_per_proc=24,
-        perturb=PerturbSpec(seed=3, link_jitter_ns=6.0),
-        mutant="stale-probe", lineage=True,
-    )
-    warm_stats: dict = {}
-    shrunk, outcome = shrink(original, checkpoints=True, stats=warm_stats)
-    assert not outcome.ok
-    assert warm_stats["checkpoints"] == 0
-    assert warm_stats["resumed_runs"] == 0
-    assert warm_stats["events_saved"] == 0
-    assert shrunk.ops_per_proc <= original.ops_per_proc
+    assert run_scenario(shrunk) == outcome
 
 
 def test_repro_file_is_pure_json(tmp_path):
