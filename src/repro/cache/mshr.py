@@ -5,38 +5,45 @@ the same block coalesce into the existing entry and are re-dispatched when
 the transaction completes (an upgrade, e.g. a store arriving while a load
 miss is outstanding, simply re-probes and launches a new transaction).
 
-Protocol controllers hang their transaction state off the entry via the
-``protocol`` attribute bag (reissue counters, ack counts, timer handles).
+Each protocol family keeps its per-miss transaction state in one
+``__slots__`` subclass of :class:`MshrEntry` (the token family's in
+:mod:`repro.core.substrate`, the MOSI baselines' in
+:mod:`repro.protocols.mosi`), and hands that class to its
+:class:`MshrTable`.  Every field is declared, with its default set in
+``__init__``, so an undeclared attribute is an error.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Callable
 
 
-@dataclasses.dataclass
 class MshrEntry:
     """State of one outstanding miss transaction."""
 
-    block: int
-    for_write: bool
-    issued_at: float
-    #: Callbacks ``(for_write, callback)`` for every coalesced operation.
-    waiters: list[tuple[bool, Callable[..., Any]]] = dataclasses.field(
-        default_factory=list
-    )
-    #: Protocol-private transaction state.
-    protocol: dict[str, Any] = dataclasses.field(default_factory=dict)
+    __slots__ = ("block", "for_write", "issued_at", "waiters")
+
+    def __init__(self, block: int, for_write: bool, issued_at: float) -> None:
+        self.block = block
+        self.for_write = for_write
+        self.issued_at = issued_at
+        #: Callbacks ``(for_write, callback)`` for every coalesced operation.
+        self.waiters: list[tuple[bool, Callable[..., Any]]] = []
 
 
 class MshrTable:
-    """Fixed-capacity table of outstanding misses, keyed by block."""
+    """Fixed-capacity table of outstanding misses, keyed by block.
 
-    def __init__(self, capacity: int) -> None:
+    ``record`` is the :class:`MshrEntry` subclass each miss allocates.
+    """
+
+    def __init__(
+        self, capacity: int, record: type[MshrEntry] = MshrEntry
+    ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
+        self._record = record
         self._entries: dict[int, MshrEntry] = {}
         #: ``get(block)``: the outstanding entry or None (a C-level lookup).
         self.get = self._entries.get
@@ -46,7 +53,7 @@ class MshrTable:
             raise RuntimeError(f"MSHR already allocated for block {block:#x}")
         if self.is_full():
             raise RuntimeError("MSHR table full")
-        entry = MshrEntry(block, for_write, now)
+        entry = self._record(block, for_write, now)
         self._entries[block] = entry
         return entry
 

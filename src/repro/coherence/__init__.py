@@ -2,11 +2,7 @@
 
 from repro.coherence.checker import CoherenceChecker, CoherenceViolation
 from repro.coherence.controller import ProtocolError, ProtocolNode
-from repro.coherence.messages import (
-    CoherenceMessage,
-    control_message,
-    data_message,
-)
+from repro.coherence.messages import CoherenceMessage
 from repro.coherence.states import Moesi, state_from_tokens
 
 __all__ = [
@@ -16,7 +12,5 @@ __all__ = [
     "Moesi",
     "ProtocolError",
     "ProtocolNode",
-    "control_message",
-    "data_message",
     "state_from_tokens",
 ]

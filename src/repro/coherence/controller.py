@@ -5,15 +5,18 @@ the L2 coherence cache, the coherence controller, and the memory
 controller for its slice of shared memory.  :class:`ProtocolNode` holds
 everything protocol-independent: the L2 array, MSHRs with operation
 coalescing, DRAM, message construction/routing helpers, eviction
-plumbing, and the statistics hooks.  The four protocol subclasses
-implement ``handle_message``, ``_issue_transaction``, ``_evict_line``,
+plumbing, and the statistics hooks.  Two family bases subclass it:
+:class:`~repro.core.substrate.TokenNodeBase` under the four token
+protocols and :class:`~repro.protocols.mosi.MosiNode` under the three
+MOSI baselines.  Each names its per-miss record (``miss_record``) and
+implements ``handle_message``, ``_issue_transaction``, ``_evict_line``,
 and the permission predicates.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.cache.cache import CacheLine, SetAssociativeCache
 from repro.cache.mshr import MshrEntry, MshrTable
@@ -27,6 +30,9 @@ from repro.sim.kernel import Simulator
 from repro.sim.stats import Counter
 from repro.config import SystemConfig
 
+if TYPE_CHECKING:
+    from repro.protocols.mosi import Writeback
+
 
 class ProtocolError(RuntimeError):
     """An unrecoverable protocol-level condition (misconfiguration)."""
@@ -34,6 +40,9 @@ class ProtocolError(RuntimeError):
 
 class ProtocolNode(abc.ABC):
     """One node's coherence machinery (cache side + home memory side)."""
+
+    #: The :class:`MshrEntry` subclass holding this family's per-miss state.
+    miss_record: type[MshrEntry] = MshrEntry
 
     def __init__(
         self,
@@ -57,10 +66,11 @@ class ProtocolNode(abc.ABC):
         self.l2 = SetAssociativeCache.from_geometry(
             config.l2_bytes, config.l2_assoc, config.block_bytes
         )
-        self.mshrs = MshrTable(config.mshr_capacity)
+        self.mshrs = MshrTable(config.mshr_capacity, self.miss_record)
         self.dram = Dram(sim, config.dram_latency_ns)
-        #: Evicted-but-unacknowledged lines still owned by this node.
-        self.writeback_buffer: dict[int, dict[str, Any]] = {}
+        #: Evicted-but-unacknowledged lines still owned by this node
+        #: (filled by the MOSI baselines only).
+        self.writeback_buffer: dict[int, Writeback] = {}
         self._lose_block_hook: Callable[[int], None] | None = None
         network.attach(node_id, self.handle_message)
 

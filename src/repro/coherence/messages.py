@@ -1,24 +1,31 @@
-"""Coherence message vocabulary shared by all four protocols.
+"""Coherence message vocabulary shared by all seven protocols.
 
 One flexible dataclass rather than a class per message type: protocol
-handlers dispatch on ``mtype`` strings.  Message types used by each
-protocol:
+handlers dispatch on ``mtype`` strings.  The types each protocol's
+``handle_message`` dispatches:
 
-================  ==========================================================
-Protocol          Message types
-================  ==========================================================
-TokenB            GETS, GETM (transient requests, broadcast);
-                  TOKEN_DATA (data + tokens), TOKEN_ONLY (dataless tokens);
-                  PERSISTENT_REQ, PERSISTENT_ACTIVATE, PERSISTENT_ACK,
-                  PERSISTENT_DEACTIVATE, PERSISTENT_DEACT_ACK
-Snooping          GETS, GETM, PUT (ordered broadcasts); DATA (response);
-                  WB_DATA (writeback data to home)
-Directory         GETS, GETM, PUT (to home); FWD_GETS, FWD_GETM, INV (from
-                  home); DATA, ACK (to requester); UNBLOCK, PUT_ACK,
-                  WB_DATA
-Hammer            GETS, GETM, PUT (to home); PROBE (home broadcast); DATA,
-                  ACK (to requester); UNBLOCK, PUT_ACK, WB_DATA
-================  ==========================================================
+============================  ==============================================
+Protocols                     Message types
+============================  ==============================================
+TokenB, TokenD, TokenM, null  GETS, GETM (transient requests: broadcast by
+                              TokenB, sent to the home and redirected by
+                              TokenD, multicast by TokenM, never sent by
+                              the null policy); TOKEN_DATA (data + tokens),
+                              TOKEN_ONLY (dataless tokens); PREQ,
+                              PDEACT_REQ (to the arbiter); PACT, PDEACT
+                              (the arbiter's broadcasts); PACT_ACK,
+                              PDEACT_ACK (to the arbiter)
+Snooping                      GETS, GETM, PUT (ordered broadcasts); DATA
+                              (response); WB_DATA (writeback data to home)
+Directory                     GETS, GETM, PUT (to home); FWD_GETS,
+                              FWD_GETM, INV (from home); DATA, ACK,
+                              ACK_COUNT (to requester); UNBLOCK (to home);
+                              PUT_ACK (from home)
+Hammer                        GETS, GETM, PUT (to home); PROBE_GETS,
+                              PROBE_GETM (home broadcast); DATA, ACK,
+                              MEM_DATA (to requester); UNBLOCK (to home);
+                              PUT_ACK (from home)
+============================  ==============================================
 
 Sizes follow Section 5.1: data-bearing messages are 72 bytes, everything
 else 8 bytes.  ``data_version`` is the integer payload standing in for the
@@ -29,11 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.interconnect.message import (
-    CONTROL_MESSAGE_BYTES,
-    DATA_MESSAGE_BYTES,
-    Message,
-)
+from repro.interconnect.message import Message
 
 #: Transient performance-protocol requests.  Losing, repeating, or
 #: reordering these is explicitly covered by the paper's reissue +
@@ -60,29 +63,14 @@ class CoherenceMessage(Message):
     data_version: int | None = None
     #: Invalidation-ack count the requester must collect (Directory).
     acks_expected: int = 0
-    #: Migratory-sharing grant: receiver may install M on a GETS response.
-    is_exclusive: bool = False
     #: Tag disambiguating persistent-request sessions and marking
     #: memory-sourced data (protocol-specific small integer).
     tag: int = 0
-    #: Requester-local transaction id, echoed by responders so a late
-    #: response to a completed transaction cannot be mistaken for the
-    #: response to a newer one (needed by split-transaction snooping).
+    #: Requester-local transaction id, echoed by the responses that can
+    #: outlive their miss (Snooping's DATA, Hammer's MEM_DATA) so one
+    #: cannot be mistaken for the response to a newer miss.
     tx: int = 0
 
     def carries_data(self) -> bool:
         return self.data_version is not None
 
-
-def control_message(**kwargs) -> CoherenceMessage:
-    """Build an 8-byte control message."""
-    kwargs.setdefault("size_bytes", CONTROL_MESSAGE_BYTES)
-    return CoherenceMessage(**kwargs)
-
-
-def data_message(**kwargs) -> CoherenceMessage:
-    """Build a 72-byte data message; requires ``data_version``."""
-    if kwargs.get("data_version") is None:
-        raise ValueError("data messages must carry a data_version")
-    kwargs.setdefault("size_bytes", DATA_MESSAGE_BYTES)
-    return CoherenceMessage(**kwargs)

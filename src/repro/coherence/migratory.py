@@ -27,6 +27,22 @@ class MigratoryPredictor:
         self.learned = 0
         self.unlearned = 0
 
+    def choose_getm(self, block: int, for_write: bool, held_shared: bool) -> bool:
+        """Whether a new miss asks for exclusive permission (GETM).
+
+        A store always does, and may complete the migratory signature
+        (``held_shared``: the requester still holds a read-only copy).
+        A load does when the block is predicted migratory; otherwise it
+        is remembered as the first half of a read-modify-write.
+        """
+        if for_write:
+            self.note_store_miss(block, held_shared)
+            return True
+        if self.predicts_migratory(block):
+            return True
+        self.note_load_miss(block)
+        return False
+
     def note_load_miss(self, block: int) -> None:
         """Remember the most recent load miss (half the RMW signature)."""
         self._last_load_miss = block

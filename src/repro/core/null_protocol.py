@@ -13,8 +13,7 @@ TokenB — slow, but never wrong.
 
 from __future__ import annotations
 
-from repro.cache.mshr import MshrEntry
-from repro.core.substrate import TokenNodeBase
+from repro.core.substrate import TokenMiss, TokenNodeBase
 
 
 class NullTokenNode(TokenNodeBase):
@@ -24,14 +23,12 @@ class NullTokenNode(TokenNodeBase):
     #: with a null protocol *every* miss needs a persistent request.
     escalation_delay_ns = 50.0
 
-    def _issue_transaction(self, entry: MshrEntry) -> None:
-        entry.protocol["reissues"] = 0
-        entry.protocol["persistent"] = False
-        entry.protocol["timer"] = self.sim.schedule(
+    def _issue_transaction(self, entry: TokenMiss) -> None:
+        entry.timer = self.sim.schedule(
             self.escalation_delay_ns, self._escalate, entry
         )
 
-    def _escalate(self, entry: MshrEntry) -> None:
+    def _escalate(self, entry: TokenMiss) -> None:
         if self.mshrs.get(entry.block) is not entry:
             return
         self.invoke_persistent_request(entry)

@@ -36,9 +36,57 @@ from repro.core.persistent import PersistentArbiter
 from repro.core.tokens import TokenInvariantError, TokenLedger
 from repro.interconnect.message import CONTROL_MESSAGE_BYTES, DATA_MESSAGE_BYTES
 from repro.interconnect.topology import Interconnect
+from repro.sim.events import Event
 from repro.sim.kernel import Simulator
+from repro.sim.rng import ExponentialBackoff
 from repro.sim.stats import Counter, LatencyTracker
 from repro.config import SystemConfig
+
+
+class TokenMiss(MshrEntry):
+    """One outstanding Token Coherence miss: the substrate's state and
+    the fields the performance policies add."""
+
+    __slots__ = (
+        "reissues", "persistent", "data_source", "backoff", "timer",
+        "as_getm", "predicted", "responders",
+    )
+
+    def __init__(self, block: int, for_write: bool, issued_at: float) -> None:
+        super().__init__(block, for_write, issued_at)
+        #: Transient reissues so far (Table 2's miss classes).
+        self.reissues = 0
+        #: The miss escalated to a persistent request.
+        self.persistent = False
+        #: ``"memory"`` or ``"cache"``: who sent the data (counted as
+        #: ``data_from_*``).
+        self.data_source = ""
+        #: TokenB: the randomized reissue backoff.
+        self.backoff: ExponentialBackoff | None = None
+        #: The pending reissue or escalation timer (a kernel event).
+        self.timer: Event | None = None
+        #: TokenD: the request sent (a predicted migratory load asks for
+        #: exclusive permission).
+        self.as_getm = for_write
+        #: TokenM: the predicted destination set (None: broadcast), and
+        #: the nodes whose tokens answered it.
+        self.predicted: frozenset[int] | None = None
+        self.responders: set[int] | None = None
+
+
+class PersistentSession:
+    """This node's own persistent request for one block (Section 3.2)."""
+
+    __slots__ = ("active", "satisfied", "reinvoke")
+
+    def __init__(self) -> None:
+        #: The arbiter has activated it.
+        self.active = False
+        #: Its miss completed; the deactivation is under way.
+        self.satisfied = False
+        #: A newer miss escalated mid-teardown: request again once the
+        #: deactivation lands.
+        self.reinvoke = False
 
 
 @dataclasses.dataclass
@@ -63,6 +111,8 @@ class _TableEntry:
 class TokenNodeBase(ProtocolNode):
     """Substrate mechanics shared by every Token Coherence node."""
 
+    miss_record = TokenMiss
+
     def __init__(
         self,
         node_id: int,
@@ -82,7 +132,7 @@ class TokenNodeBase(ProtocolNode):
         self._table_by_arbiter: dict[int, _TableEntry] = {}
         self._table_by_block: dict[int, _TableEntry] = {}
         #: This node's own outstanding persistent requests, by block.
-        self._my_persistent: dict[int, dict] = {}
+        self._my_persistent: dict[int, PersistentSession] = {}
         #: Home memory token state, lazily "all tokens at home".
         self._memory: dict[int, _MemoryTokens] = {}
         self.miss_latency = LatencyTracker(initial=4 * config.link_latency_ns * 4)
@@ -188,7 +238,7 @@ class TokenNodeBase(ProtocolNode):
         return tokens, owners
 
     def _memory_state(self, block: int) -> _MemoryTokens:
-        if not self.is_home(block):
+        if block % self._home_mod != self.node_id:
             raise ProtocolError(f"node {self.node_id} is not home for {block:#x}")
         mem = self._memory.get(block)
         if mem is None:
@@ -357,11 +407,11 @@ class TokenNodeBase(ProtocolNode):
             # Remember the data source for miss classification.
             mshr = self.mshrs.get(block)
             if mshr is not None and msg.carries_data():
-                mshr.protocol["data_source"] = "memory"
+                mshr.data_source = "memory"
         elif msg.carries_data():
             mshr = self.mshrs.get(block)
             if mshr is not None:
-                mshr.protocol["data_source"] = "cache"
+                mshr.data_source = "cache"
         self._after_token_gain(block)
 
     def _absorb_into_memory(self, msg: CoherenceMessage) -> None:
@@ -398,13 +448,13 @@ class TokenNodeBase(ProtocolNode):
         if satisfied:
             self._complete_token_transaction(entry)
 
-    def _complete_token_transaction(self, entry: MshrEntry) -> None:
-        timer = entry.protocol.get("timer")
+    def _complete_token_transaction(self, entry: TokenMiss) -> None:
+        timer = entry.timer
         if timer is not None:
             timer.cancel()
-            entry.protocol["timer"] = None
+            entry.timer = None
         self.miss_latency.record(self.sim._now - entry.issued_at)
-        source = entry.protocol.get("data_source")
+        source = entry.data_source
         if source:
             self.counters.add(f"data_from_{source}")
         block = entry.block
@@ -412,12 +462,12 @@ class TokenNodeBase(ProtocolNode):
         if block in self._my_persistent:
             self._my_persistent_satisfied(block)
 
-    def _record_miss_class(self, entry: MshrEntry) -> None:
+    def _record_miss_class(self, entry: TokenMiss) -> None:
         """Table 2 classification (mutually exclusive buckets)."""
-        if entry.protocol.get("persistent"):
+        if entry.persistent:
             self.counters.add("miss_persistent")
         else:
-            reissues = entry.protocol.get("reissues", 0)
+            reissues = entry.reissues
             if reissues == 0:
                 self.counters.add("miss_not_reissued")
             elif reissues == 1:
@@ -482,12 +532,12 @@ class TokenNodeBase(ProtocolNode):
         if entry is not None:
             self.invoke_persistent_request(entry)
 
-    def invoke_persistent_request(self, entry: MshrEntry) -> None:
+    def invoke_persistent_request(self, entry: TokenMiss) -> None:
         """Escalate a starving miss to the persistent-request mechanism."""
         block = entry.block
         mine = self._my_persistent.get(block)
         if mine is not None:
-            if mine["satisfied"]:
+            if mine.satisfied:
                 # The previous session for this block is tearing down
                 # and no longer collects tokens, so it cannot serve this
                 # new miss: re-invoke the moment the deactivation lands.
@@ -496,11 +546,11 @@ class TokenNodeBase(ProtocolNode):
                 # escalating — a liveness bug found by the adversarial
                 # schedule explorer: tokenb/tree, arbiter contention,
                 # jitter + drops, seed 26.)
-                mine["reinvoke"] = True
+                mine.reinvoke = True
             return
-        entry.protocol["persistent"] = True
+        entry.persistent = True
         self.counters.add("persistent_request")
-        self._my_persistent[block] = {"state": "requested", "satisfied": False}
+        self._my_persistent[block] = PersistentSession()
         msg = self.make_control(
             dst=self.home_of(block),
             mtype="PREQ",
@@ -524,8 +574,8 @@ class TokenNodeBase(ProtocolNode):
         if msg.requester == self.node_id:
             mine = self._my_persistent.get(msg.block)
             if mine is not None:
-                mine["state"] = "active"
-                if mine["satisfied"]:
+                mine.active = True
+                if mine.satisfied:
                     self._send_deactivate_request(msg.block)
             # A home-node initiator still needs the tokens its own
             # memory holds: move them into the local cache.
@@ -588,7 +638,7 @@ class TokenNodeBase(ProtocolNode):
             del self._table_by_block[entry.block]
         if msg.requester == self.node_id:
             mine = self._my_persistent.pop(msg.block, None)
-            if mine is not None and mine.get("reinvoke"):
+            if mine is not None and mine.reinvoke:
                 # An escalation arrived mid-teardown; serve it now that
                 # a fresh session can be requested.
                 new_entry = self.mshrs.get(msg.block)
@@ -605,10 +655,10 @@ class TokenNodeBase(ProtocolNode):
 
     def _my_persistent_satisfied(self, block: int) -> None:
         mine = self._my_persistent.get(block)
-        if mine is None or mine["satisfied"]:
+        if mine is None or mine.satisfied:
             return
-        mine["satisfied"] = True
-        if mine["state"] == "active":
+        mine.satisfied = True
+        if mine.active:
             self._send_deactivate_request(block)
 
     def _send_deactivate_request(self, block: int) -> None:

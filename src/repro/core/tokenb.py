@@ -24,11 +24,10 @@ cover every such case (Sections 3 and 4.1).
 
 from __future__ import annotations
 
-from repro.cache.mshr import MshrEntry
 from repro.coherence.checker import CoherenceChecker
 from repro.coherence.messages import CoherenceMessage
-from repro.core.substrate import TokenNodeBase
-from repro.core.tokens import TokenInvariantError, TokenLedger
+from repro.core.substrate import TokenMiss, TokenNodeBase
+from repro.core.tokens import TokenLedger
 from repro.interconnect.message import BROADCAST
 from repro.interconnect.topology import Interconnect
 from repro.sim.kernel import Simulator
@@ -60,10 +59,8 @@ class TokenBNode(TokenNodeBase):
     # Policy: issuing transient requests (broadcast)
     # ------------------------------------------------------------------
 
-    def _issue_transaction(self, entry: MshrEntry) -> None:
-        entry.protocol["reissues"] = 0
-        entry.protocol["persistent"] = False
-        entry.protocol["backoff"] = ExponentialBackoff(
+    def _issue_transaction(self, entry: TokenMiss) -> None:
+        entry.backoff = ExponentialBackoff(
             self._backoff_rng,
             self.config.backoff_initial_ns,
             self.config.backoff_max_ns,
@@ -71,7 +68,7 @@ class TokenBNode(TokenNodeBase):
         self._send_transient(entry, category="request")
         self._arm_reissue_timer(entry)
 
-    def _send_transient(self, entry: MshrEntry, category: str) -> None:
+    def _send_transient(self, entry: TokenMiss, category: str) -> None:
         mtype = "GETM" if entry.for_write else "GETS"
         msg = self.make_control(
             dst=BROADCAST,
@@ -83,47 +80,49 @@ class TokenBNode(TokenNodeBase):
         )
         self.broadcast_msg(msg, include_self=False)
         if self.is_home(entry.block):
-            # The broadcast excludes the sender, but the requester's own
-            # memory controller must still consider the request.
-            local = self.make_control(
-                dst=self.node_id,
-                mtype=mtype,
-                block=entry.block,
-                requester=self.node_id,
-                category=category,
-                vnet="request",
-            )
-            delay = self.config.controller_latency_ns + self.config.dram_latency_ns
-            self.sim.post(delay, self._memory_respond, local)
+            self._ask_own_memory(entry.block, mtype, category)
+
+    def _ask_own_memory(self, block: int, mtype: str, category: str) -> None:
+        """Let this node's memory controller consider its own transient
+        request, which the network never delivers back to the sender."""
+        local = self.make_control(
+            dst=self.node_id,
+            mtype=mtype,
+            block=block,
+            requester=self.node_id,
+            category=category,
+            vnet="request",
+        )
+        self.sim.post(self._home_delay, self._memory_respond, local)
 
     # ------------------------------------------------------------------
     # Policy: reissue timeout, then persistent escalation
     # ------------------------------------------------------------------
 
-    def _arm_reissue_timer(self, entry: MshrEntry) -> None:
+    def _arm_reissue_timer(self, entry: TokenMiss) -> None:
         timeout = (
             self.config.reissue_timeout_multiplier * self.miss_latency.ewma
-            + entry.protocol["backoff"].next_delay()
+            + entry.backoff.next_delay()
         )
-        entry.protocol["timer"] = self.sim.schedule(
+        entry.timer = self.sim.schedule(
             timeout, self._reissue_timer_fired, entry
         )
 
-    def _reissue_timer_fired(self, entry: MshrEntry) -> None:
+    def _reissue_timer_fired(self, entry: TokenMiss) -> None:
         if self.mshrs.get(entry.block) is not entry:
             return  # transaction already completed; stale timer
-        if entry.protocol.get("persistent"):
+        if entry.persistent:
             return  # the persistent mechanism will finish the job
         elapsed = self.sim._now - entry.issued_at
         starving = (
-            entry.protocol["reissues"] >= self.config.reissue_limit
+            entry.reissues >= self.config.reissue_limit
             or elapsed
             >= self.config.persistent_timeout_multiplier * self.miss_latency.ewma
         )
         if starving:
             self.invoke_persistent_request(entry)
             return
-        entry.protocol["reissues"] += 1
+        entry.reissues += 1
         self.counters.add("reissued_request")
         self._send_transient(entry, category="reissue")
         self._arm_reissue_timer(entry)
@@ -195,25 +194,4 @@ class TokenBNode(TokenNodeBase):
                 mem.owner = False
                 mem.valid = False
         else:  # GETM
-            if mem.owner:
-                if not mem.valid:
-                    raise TokenInvariantError(
-                        f"memory owns block {block:#x} without valid data"
-                    )
-                self.send_tokens(
-                    msg.requester,
-                    block,
-                    mem.tokens,
-                    True,
-                    self.dram.version_of(block),
-                    "data",
-                    from_memory=True,
-                )
-            else:
-                self.send_tokens(
-                    msg.requester, block, mem.tokens, False, None, "token",
-                    from_memory=True,
-                )
-            mem.tokens = 0
-            mem.owner = False
-            mem.valid = False
+            self._forward_memory_tokens(block, msg.requester)

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.cache.mshr import MshrEntry
 from repro.coherence.messages import CoherenceMessage
 from repro.coherence.migratory import MigratoryPredictor
+from repro.core.substrate import TokenMiss
 from repro.core.tokenb import TokenBNode
 from repro.predict.table import PredictionTable
 
@@ -66,28 +66,21 @@ class TokenDNode(TokenBNode):
 
     # -- issue policy: unicast to home --------------------------------
 
-    def _issue_transaction(self, entry: MshrEntry) -> None:
+    def _issue_transaction(self, entry: TokenMiss) -> None:
         line = self.l2.peek(entry.block)
-        if entry.for_write:
-            self.predictor.note_store_miss(
-                entry.block, line is not None and line.tokens > 0
-            )
-        as_getm = entry.for_write or self.predictor.predicts_migratory(
-            entry.block
+        entry.as_getm = self.predictor.choose_getm(
+            entry.block, entry.for_write, line is not None and line.tokens > 0
         )
-        if not as_getm:
-            self.predictor.note_load_miss(entry.block)
-        entry.protocol["as_getm"] = as_getm
         super()._issue_transaction(entry)
 
-    def _send_transient(self, entry: MshrEntry, category: str) -> None:
-        if entry.protocol.get("reissues", 0) > 0:
+    def _send_transient(self, entry: TokenMiss, category: str) -> None:
+        if entry.reissues > 0:
             # Misprediction: adapt to TokenB's broadcast mode (the
             # bandwidth-adaptive hybrid of Section 7 / [29]).
             self.counters.add("softdir_fallback_broadcast")
             super()._send_transient(entry, category)
             return
-        mtype = "GETM" if entry.protocol.get("as_getm", entry.for_write) else "GETS"
+        mtype = "GETM" if entry.as_getm else "GETS"
         msg = self.make_control(
             dst=self.home_of(entry.block),
             mtype=mtype,

@@ -22,8 +22,8 @@ threshold.
 
 from __future__ import annotations
 
-from repro.cache.mshr import MshrEntry
 from repro.coherence.messages import CoherenceMessage
+from repro.core.substrate import TokenMiss
 from repro.core.tokenb import TokenBNode
 from repro.predict.hybrid import BandwidthAdaptivePolicy
 from repro.predict.predictors import build_predictor
@@ -71,7 +71,7 @@ class TokenMNode(TokenBNode):
                 )
             entry = self.mshrs.get(msg.block)
             if entry is not None:
-                responders = entry.protocol.get("responders")
+                responders = entry.responders
                 if responders is not None:
                     # Only tokens this node will absorb count as
                     # responses to its transaction — a foreign active
@@ -121,8 +121,8 @@ class TokenMNode(TokenBNode):
         targets.discard(self.node_id)
         return targets
 
-    def _send_transient(self, entry: MshrEntry, category: str) -> None:
-        if entry.protocol.get("reissues", 0) > 0:
+    def _send_transient(self, entry: TokenMiss, category: str) -> None:
+        if entry.reissues > 0:
             # Misprediction: adapt to TokenB's broadcast mode.
             self.counters.add("destset_fallback_broadcast")
             super()._send_transient(entry, category)
@@ -131,7 +131,7 @@ class TokenMNode(TokenBNode):
             # Links are idle: broadcast is latency-optimal and the
             # bandwidth it burns is free right now.
             self.counters.add("hybrid_broadcast")
-            entry.protocol["predicted"] = None
+            entry.predicted = None
             super()._send_transient(entry, category)
             return
         targets = self.predicted_destinations(entry.block)
@@ -139,14 +139,14 @@ class TokenMNode(TokenBNode):
             # Cold block: fall back to broadcast.
             if self.hybrid is not None:
                 self.counters.add("hybrid_broadcast")
-            entry.protocol["predicted"] = None
+            entry.predicted = None
             self.counters.add("destset_fallback_broadcast")
             super()._send_transient(entry, category)
             return
         if self.hybrid is not None:
             self.counters.add("hybrid_multicast")
-        entry.protocol["predicted"] = frozenset(targets)
-        entry.protocol["responders"] = set()
+        entry.predicted = frozenset(targets)
+        entry.responders = set()
         self.counters.add("predict_multicast")
         mtype = "GETM" if entry.for_write else "GETS"
         for target in sorted(targets):
@@ -160,23 +160,12 @@ class TokenMNode(TokenBNode):
             )
             self.send_msg(msg)
         if self.is_home(entry.block):
-            # The multicast reaches remote nodes' controllers, but the
-            # requester's own memory controller must still respond.
-            local = self.make_control(
-                dst=self.node_id,
-                mtype=mtype,
-                block=entry.block,
-                requester=self.node_id,
-                category=category,
-                vnet="request",
-            )
-            delay = self.config.controller_latency_ns + self.config.dram_latency_ns
-            self.sim.post(delay, self._memory_respond, local)
+            self._ask_own_memory(entry.block, mtype, category)
 
     # -- reissue policy: silence after a multicast means "wrong guess" --
 
-    def _arm_reissue_timer(self, entry: MshrEntry) -> None:
-        if entry.protocol.get("predicted") and not entry.protocol.get("reissues"):
+    def _arm_reissue_timer(self, entry: TokenMiss) -> None:
+        if entry.predicted and not entry.reissues:
             # A predicted attempt that stays silent almost certainly
             # missed the holders; fall back to broadcast sooner than
             # TokenB's general-purpose timeout would.  (Reissues are
@@ -184,9 +173,9 @@ class TokenMNode(TokenBNode):
             timeout = (
                 self.config.predicted_reissue_timeout_multiplier
                 * self.miss_latency.ewma
-                + entry.protocol["backoff"].next_delay()
+                + entry.backoff.next_delay()
             )
-            entry.protocol["timer"] = self.sim.schedule(
+            entry.timer = self.sim.schedule(
                 timeout, self._reissue_timer_fired, entry
             )
             return
@@ -194,14 +183,9 @@ class TokenMNode(TokenBNode):
 
     # -- scoring: close the loop when the transaction finishes ---------
 
-    def _complete_token_transaction(self, entry: MshrEntry) -> None:
-        predicted = entry.protocol.get("predicted")
+    def _complete_token_transaction(self, entry: TokenMiss) -> None:
+        predicted = entry.predicted
         if predicted is not None:
-            reissued = (
-                entry.protocol.get("reissues", 0) > 0
-                or bool(entry.protocol.get("persistent"))
-            )
-            self.predictor.record_outcome(
-                predicted, entry.protocol.get("responders", ()), reissued
-            )
+            reissued = entry.reissues > 0 or entry.persistent
+            self.predictor.record_outcome(predicted, entry.responders, reissued)
         super()._complete_token_transaction(entry)

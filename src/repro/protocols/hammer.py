@@ -14,6 +14,9 @@ directory state (Intel E8870, IBM Power4/Summit).  The flow:
 4. the memory's data arrives as well; cache-supplied data wins;
 5. the requester unblocks the home.
 
+The memory's data can arrive after its miss finished on cache data, so
+it echoes the miss's transaction id and a newer miss drops it.
+
 Compared with Directory, Hammer trades the directory lookup latency for
 broadcast + N-1 acknowledgments; compared with TokenB it still takes
 the home-indirection hop on every miss.
@@ -21,102 +24,29 @@ the home-indirection hop on every miss.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.cache.cache import CacheLine
-from repro.cache.mshr import MshrEntry
-from repro.coherence.checker import CoherenceChecker
-from repro.coherence.controller import ProtocolError, ProtocolNode
+from repro.coherence.controller import ProtocolError
 from repro.coherence.messages import CoherenceMessage
-from repro.coherence.migratory import MigratoryPredictor
-from repro.config import SystemConfig
 from repro.interconnect.message import BROADCAST, DATA_MESSAGE_BYTES
-from repro.interconnect.topology import Interconnect
-from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter
+from repro.protocols.mosi import BlockingHomeNode, HomeBlock, MosiMiss
 
 
-@dataclasses.dataclass
-class _HomeState:
-    """Per-block serialization state at the home (no directory map)."""
-
-    busy: bool = False
-    queue: list[tuple[str, int, int | None]] = dataclasses.field(
-        default_factory=list
-    )
-
-
-class HammerNode(ProtocolNode):
+class HammerNode(BlockingHomeNode):
     """One node of the Hammer-style broadcast system."""
-
-    def __init__(
-        self,
-        node_id: int,
-        sim: Simulator,
-        network: Interconnect,
-        config: SystemConfig,
-        checker: CoherenceChecker,
-        counters: Counter,
-    ) -> None:
-        super().__init__(node_id, sim, network, config, checker, counters)
-        self.predictor = MigratoryPredictor(config.migratory_optimization)
-        self._home: dict[int, _HomeState] = {}
-
-    def _home_state(self, block: int) -> _HomeState:
-        state = self._home.get(block)
-        if state is None:
-            state = _HomeState()
-            self._home[block] = state
-        return state
-
-    # ------------------------------------------------------------------
-    # Permission predicates
-    # ------------------------------------------------------------------
-
-    def _line_can_read(self, line: CacheLine) -> bool:
-        return line.state in ("M", "O", "S")
-
-    def _line_can_write(self, line: CacheLine) -> bool:
-        return line.state == "M"
 
     # ------------------------------------------------------------------
     # Requester side
     # ------------------------------------------------------------------
 
-    def _issue_transaction(self, entry: MshrEntry) -> None:
-        as_getm = entry.for_write or self.predictor.predicts_migratory(entry.block)
-        line = self.l2.peek(entry.block)
-        if entry.for_write:
-            self.predictor.note_store_miss(
-                entry.block, line is not None and line.state == "S"
-            )
-        elif not as_getm:
-            self.predictor.note_load_miss(entry.block)
-        entry.protocol.update(
-            as_getm=as_getm,
-            responses=0,
-            expected=self.config.n_procs - 1,
-            have_cache_data=False,
-            have_mem_data=False,
-            data_version=None,
-            use_once=False,
-            self_data=False,
-        )
+    def _send_request(self, entry: MosiMiss, line: CacheLine | None) -> None:
+        entry.acks_needed = self.config.n_procs - 1
         if line is not None and line.state in ("S", "O"):
             # Upgrade: our own copy is at least as fresh as memory's
             # (stale MEM_DATA must not win over it).
-            entry.protocol["have_cache_data"] = True
-            entry.protocol["data_version"] = line.version
-            entry.protocol["self_data"] = True
-        msg = self.make_control(
-            dst=self.home_of(entry.block),
-            mtype="GETM" if as_getm else "GETS",
-            block=entry.block,
-            requester=self.node_id,
-            category="request",
-            vnet="request",
-        )
-        self.send_msg(msg)
+            entry.have_data = True
+            entry.data_version = line.version
+            entry.self_data = True
+        super()._send_request(entry, line)
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -137,7 +67,7 @@ class HammerNode(ProtocolNode):
         elif mtype == "UNBLOCK":
             self._home_unblock(msg)
         elif mtype == "PUT_ACK":
-            self.writeback_buffer.pop(msg.block, None)
+            self._handle_put_ack(msg)
         else:
             raise ProtocolError(f"hammer node got unknown mtype {mtype!r}")
 
@@ -145,48 +75,10 @@ class HammerNode(ProtocolNode):
     # Home side (serialize, broadcast, fetch memory in parallel)
     # ------------------------------------------------------------------
 
-    def _home_request(self, msg: CoherenceMessage) -> None:
-        if not self.is_home(msg.block):
-            raise ProtocolError(f"request for {msg.block:#x} at non-home node")
-        home = self._home_state(msg.block)
-        if home.busy:
-            home.queue.append((msg.mtype, msg.requester, msg.data_version))
-            return
-        self._home_process(msg.block, msg.mtype, msg.requester, msg.data_version)
-
-    def _home_process(
-        self, block: int, mtype: str, requester: int, version: int | None
+    def _home_serve(
+        self, home: HomeBlock, block: int, mtype: str, requester: int, tx: int
     ) -> None:
-        home = self._home_state(block)
-        if mtype == "PUT":
-            # No directory: accept writeback data if it is not stale
-            # (version monotonicity stands in for Hammer's real ordered-
-            # link race handling; see DESIGN.md).
-            if version is None:
-                raise ProtocolError("PUT without data")
-            if version >= self.dram.version_of(block):
-                self.dram.store_version(block, version)
-                stale = False
-            else:
-                stale = True
-            ack = self.make_control(
-                dst=requester,
-                mtype="PUT_ACK",
-                block=block,
-                tag=1 if stale else 0,
-                category="control",
-                vnet="response",
-            )
-            self.send_msg(ack)
-            # A PUT does not occupy the home, so when one is popped off
-            # the serialization queue the drain must continue — a
-            # request queued behind it would otherwise be stranded with
-            # the home idle (liveness bug found by the adversarial
-            # schedule explorer: hammer/torus, link jitter, seed 11).
-            if not home.busy:
-                self._drain_home_queue(block)
-            return
-        home.busy = True
+        del home
         # Broadcast the probe with only the controller latency — no
         # directory lookup is Hammer's latency edge over Directory.
         probe = self.make_control(
@@ -205,9 +97,18 @@ class HammerNode(ProtocolNode):
         )
         # The memory fetch proceeds in parallel with the probes.
         delay = self.config.controller_latency_ns + self.config.dram_latency_ns
-        self.sim.post(delay, self._home_memory_data, block, requester)
+        self.sim.post(delay, self._home_memory_data, block, requester, tx)
 
-    def _home_memory_data(self, block: int, requester: int) -> None:
+    def _home_accept_put(
+        self, home: HomeBlock, block: int, requester: int, version: int
+    ) -> bool:
+        # No directory: accept writeback data if it is not stale
+        # (version monotonicity stands in for Hammer's real ordered-
+        # link race handling).
+        del home, requester
+        return version >= self.dram.version_of(block)
+
+    def _home_memory_data(self, block: int, requester: int, tx: int) -> None:
         data = self.make_data(
             dst=requester,
             mtype="MEM_DATA",
@@ -217,34 +118,9 @@ class HammerNode(ProtocolNode):
             category="data",
             vnet="response",
             tag=1,
+            tx=tx,
         )
         self.send_msg(data)
-
-    def _home_unblock(self, msg: CoherenceMessage) -> None:
-        home = self._home_state(msg.block)
-        if not home.busy:
-            raise ProtocolError(f"UNBLOCK for non-busy block {msg.block:#x}")
-        home.busy = False
-        self._drain_home_queue(msg.block)
-
-    def _drain_home_queue(self, block: int) -> None:
-        """Pop the next queued request (if any) for an idle home."""
-        home = self._home_state(block)
-        if home.queue:
-            mtype, requester, version = home.queue.pop(0)
-            self.sim.post(
-                0.0, self._home_process_if_free, block, mtype, requester,
-                version,
-            )
-
-    def _home_process_if_free(
-        self, block: int, mtype: str, requester: int, version: int | None
-    ) -> None:
-        home = self._home_state(block)
-        if home.busy:
-            home.queue.insert(0, (mtype, requester, version))
-            return
-        self._home_process(block, mtype, requester, version)
 
     # ------------------------------------------------------------------
     # Probe handling: every node answers the requester
@@ -261,10 +137,10 @@ class HammerNode(ProtocolNode):
         exclusive = msg.mtype == "PROBE_GETM"
 
         wb = self.writeback_buffer.get(block)
-        if wb is not None and not wb["superseded"]:
-            self._send_data(requester, block, wb["version"])
+        if wb is not None and not wb.superseded:
+            self._send_data(requester, block, wb.version)
             if exclusive:
-                wb["superseded"] = True
+                wb.superseded = True
             return
 
         line = self.l2.peek(block)
@@ -283,23 +159,29 @@ class HammerNode(ProtocolNode):
             if line is not None and line.state == "S":
                 self._drop_line(block)
             self._note_exclusive_steal(block)
-        self._send_ack(requester, block)
+        self.send_msg(CoherenceMessage(
+            src=self.node_id,
+            dst=requester,
+            category="ack",
+            vnet="response",
+            mtype="ACK",
+            block=block,
+        ))
 
     def _note_exclusive_steal(self, block: int) -> None:
         """Another writer took our copy while our own miss is in flight."""
         entry = self.mshrs.get(block)
         if entry is None:
             return
-        proto = entry.protocol
-        if proto.get("as_getm"):
-            if proto.get("self_data"):
+        if entry.as_getm:
+            if entry.self_data:
                 # Our upgrade lost its seed copy; wait for real data.
-                proto["self_data"] = False
-                proto["have_cache_data"] = False
-                proto["data_version"] = None
+                entry.self_data = False
+                entry.have_data = False
+                entry.data_version = None
         else:
             # Invalidation raced ahead of our inbound GETS data.
-            proto["use_once"] = True
+            entry.use_once = True
 
     def _send_data(self, requester: int, block: int, version: int) -> None:
         self.send_msg(CoherenceMessage(
@@ -314,16 +196,6 @@ class HammerNode(ProtocolNode):
             data_version=version,
         ))
 
-    def _send_ack(self, requester: int, block: int) -> None:
-        self.send_msg(CoherenceMessage(
-            src=self.node_id,
-            dst=requester,
-            category="ack",
-            vnet="response",
-            mtype="ACK",
-            block=block,
-        ))
-
     # ------------------------------------------------------------------
     # Requester-side response collection
     # ------------------------------------------------------------------
@@ -332,87 +204,37 @@ class HammerNode(ProtocolNode):
         entry = self.mshrs.get(msg.block)
         if entry is None:
             return
-        proto = entry.protocol
-        proto["responses"] += 1
-        proto["have_cache_data"] = True
-        proto["data_version"] = msg.data_version
-        proto["data_source"] = "cache"
+        entry.acks += 1
+        entry.have_data = True
+        entry.data_version = msg.data_version
+        entry.data_source = "cache"
         self._maybe_complete(entry)
 
     def _handle_mem_data(self, msg: CoherenceMessage) -> None:
         entry = self.mshrs.get(msg.block)
-        if entry is None:
+        if entry is None or msg.tx != entry.tx:
+            # The memory's copy for an earlier miss, which finished on
+            # cache data; memory may have moved on since.
             return
-        proto = entry.protocol
-        proto["have_mem_data"] = True
-        if not proto["have_cache_data"]:
+        entry.have_mem_data = True
+        if not entry.have_data:
             # Memory data is only a fallback: a cache owner's copy wins.
-            proto["data_version"] = msg.data_version
-            proto["data_source"] = "memory"
+            entry.data_version = msg.data_version
+            entry.data_source = "memory"
         self._maybe_complete(entry)
 
-    def _handle_ack(self, msg: CoherenceMessage) -> None:
-        entry = self.mshrs.get(msg.block)
-        if entry is None:
+    def _maybe_complete(self, entry: MosiMiss) -> None:
+        if entry.acks < entry.acks_needed:
             return
-        entry.protocol["responses"] += 1
-        self._maybe_complete(entry)
-
-    def _maybe_complete(self, entry: MshrEntry) -> None:
-        proto = entry.protocol
-        if proto["responses"] < proto["expected"]:
-            return
-        if not proto["have_cache_data"] and not proto["have_mem_data"]:
+        if not entry.have_data and not entry.have_mem_data:
             # All probe responses were acks: the memory's (then
             # authoritative) copy is still on its way.
             return
-        block = entry.block
-        version = proto["data_version"]
-        line = self.l2.peek(block)
+        version = entry.data_version
         if version is None:
             # Upgrade: no data message needed, our shared copy is valid.
+            line = self.l2.peek(entry.block)
             if line is None or line.state not in ("S", "O", "M"):
                 raise ProtocolError("upgrade completed without a valid copy")
             version = line.version
-        line = self._install_line(block)
-        line.version = version
-        line.dirty = False
-        line.state = "M" if proto["as_getm"] else "S"
-        source = proto.get("data_source")
-        if source:
-            self.counters.add(f"data_from_{source}")
-        unblock = self.make_control(
-            dst=self.home_of(block),
-            mtype="UNBLOCK",
-            block=block,
-            category="unblock",
-            vnet="unblock",
-        )
-        self.send_msg(unblock)
-        use_once = proto.get("use_once", False)
-        self._finish_mshr(entry)
-        if use_once:
-            self._drop_line(block)
-
-    # ------------------------------------------------------------------
-    # Evictions
-    # ------------------------------------------------------------------
-
-    def _evict_line(self, line: CacheLine) -> None:
-        block = line.block
-        if line.state in ("M", "O"):
-            self.writeback_buffer[block] = {
-                "version": line.version,
-                "superseded": False,
-            }
-            put = self.make_data(
-                dst=self.home_of(block),
-                mtype="PUT",
-                block=block,
-                requester=self.node_id,
-                data_version=line.version,
-                category="writeback",
-                vnet="request",
-            )
-            self.send_msg(put)
-        self._drop_line(block)
+        self._fill(entry, version)

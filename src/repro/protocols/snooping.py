@@ -27,20 +27,16 @@ torus, as does the paper (Figure 4: "not applicable").
 from __future__ import annotations
 
 from repro.cache.cache import CacheLine
-from repro.cache.mshr import MshrEntry
 from repro.coherence.checker import CoherenceChecker
-from repro.coherence.controller import ProtocolError, ProtocolNode
+from repro.coherence.controller import ProtocolError
 from repro.coherence.messages import CoherenceMessage
-from repro.coherence.migratory import MigratoryPredictor
 from repro.config import SystemConfig
 from repro.interconnect.message import BROADCAST
 from repro.interconnect.topology import Interconnect
 from repro.interconnect.tree import ORDERED_VNET
+from repro.protocols.mosi import MEMORY, MosiMiss, MosiNode
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Counter
-
-#: Memory (the home node) as an owner id.
-MEMORY = -1
 
 
 class _HomeState:
@@ -52,10 +48,10 @@ class _HomeState:
         self.owner: int = MEMORY
         self.data_pending = False
         #: Requests the memory must answer once writeback data arrives.
-        self.deferred: list[tuple[str, int]] = []
+        self.deferred: list[tuple[int, int]] = []
 
 
-class SnoopingNode(ProtocolNode):
+class SnoopingNode(MosiNode):
     """One node of the snooping MOSI system."""
 
     def __init__(
@@ -72,9 +68,7 @@ class SnoopingNode(ProtocolNode):
                 "traditional snooping requires a totally-ordered interconnect"
             )
         super().__init__(node_id, sim, network, config, checker, counters)
-        self.predictor = MigratoryPredictor(config.migratory_optimization)
         self._home: dict[int, _HomeState] = {}
-        self._tx_counter = 0
 
     def _home_state(self, block: int) -> _HomeState:
         state = self._home.get(block)
@@ -84,45 +78,19 @@ class SnoopingNode(ProtocolNode):
         return state
 
     # ------------------------------------------------------------------
-    # Permission predicates
-    # ------------------------------------------------------------------
-
-    def _line_can_read(self, line: CacheLine) -> bool:
-        return line.state in ("M", "O", "S")
-
-    def _line_can_write(self, line: CacheLine) -> bool:
-        return line.state == "M"
-
-    # ------------------------------------------------------------------
     # Issuing requests
     # ------------------------------------------------------------------
 
-    def _issue_transaction(self, entry: MshrEntry) -> None:
-        as_getm = entry.for_write or self.predictor.predicts_migratory(entry.block)
-        line = self.l2.peek(entry.block)
-        if entry.for_write:
-            self.predictor.note_store_miss(
-                entry.block, line is not None and line.state == "S"
-            )
-        elif not as_getm:
-            self.predictor.note_load_miss(entry.block)
-        self._tx_counter += 1
-        entry.protocol.update(
-            phase="issued",
-            as_getm=as_getm,
-            pending=[],
-            use_once=False,
-            early_data=None,
-            tx=self._tx_counter,
-        )
+    def _send_request(self, entry: MosiMiss, line: CacheLine | None) -> None:
+        del line
         msg = self.make_control(
             dst=BROADCAST,
-            mtype="GETM" if as_getm else "GETS",
+            mtype="GETM" if entry.as_getm else "GETS",
             block=entry.block,
             requester=self.node_id,
             category="request",
             vnet=ORDERED_VNET,
-            tx=self._tx_counter,
+            tx=entry.tx,
         )
         self.broadcast_msg(msg)  # ordered vnet always includes the sender
 
@@ -161,13 +129,13 @@ class SnoopingNode(ProtocolNode):
         wb = self.writeback_buffer.pop(msg.block, None)
         if wb is None:
             raise ProtocolError(f"own PUT for {msg.block:#x} without wb buffer")
-        if wb["superseded"]:
+        if wb.superseded:
             return  # an intervening GETM took ownership; nothing to write
         data = self.make_data(
             dst=self.home_of(msg.block),
             mtype="WB_DATA",
             block=msg.block,
-            data_version=wb["version"],
+            data_version=wb.version,
             category="writeback",
             vnet="response",
         )
@@ -184,13 +152,13 @@ class SnoopingNode(ProtocolNode):
         # A remote request.  Writeback buffer first: until our PUT is
         # ordered we are still the owner for requests ordered before it.
         wb = self.writeback_buffer.get(block)
-        if wb is not None and not wb["superseded"]:
-            self._respond_data(requester, block, wb["version"], msg.tx)
+        if wb is not None and not wb.superseded:
+            self._respond_data(requester, block, wb.version, msg.tx)
             if msg.mtype == "GETM":
-                wb["superseded"] = True
+                wb.superseded = True
             return
 
-        if entry is not None and entry.protocol.get("phase") == "ordered":
+        if entry is not None and entry.ordered:
             self._snoop_while_ordered(msg, entry)
             return
 
@@ -206,34 +174,34 @@ class SnoopingNode(ProtocolNode):
         else:  # GETM
             if line.state in ("M", "O"):
                 self._respond_data(requester, block, line.version, msg.tx)
-            self._invalidate_line(block)
+            self._drop_line(block)
 
-    def _order_point(self, msg: CoherenceMessage, entry: MshrEntry | None) -> None:
+    def _order_point(self, msg: CoherenceMessage, entry: MosiMiss | None) -> None:
         """Our own request appeared in the total order."""
-        if entry is None or entry.protocol.get("phase") != "issued":
+        if entry is None or entry.ordered:
             return  # e.g. a re-ordered duplicate after completion
-        entry.protocol["phase"] = "ordered"
+        entry.ordered = True
         line = self.l2.peek(msg.block)
-        if entry.protocol["as_getm"] and line is not None and line.state in ("S", "O"):
+        if entry.as_getm and line is not None and line.state in ("S", "O"):
             # Upgrade with a still-valid copy: the order point completes
             # the store (snoops ordered later invalidate us in order;
             # earlier ones would already have set the line to I).
             line.state = "M"
-            self._transaction_done(entry)
+            self._retire(entry)
             return
-        early = entry.protocol.get("early_data")
+        early = entry.early_data
         if early is not None:
-            entry.protocol["early_data"] = None
+            entry.early_data = None
             self._apply_data(entry, early)
 
-    def _snoop_while_ordered(self, msg: CoherenceMessage, entry: MshrEntry) -> None:
+    def _snoop_while_ordered(self, msg: CoherenceMessage, entry: MosiMiss) -> None:
         """A remote request ordered between our order point and our data."""
-        if entry.protocol["as_getm"]:
+        if entry.as_getm:
             # We are the logical owner: service it after our data arrives.
-            entry.protocol["pending"].append((msg.mtype, msg.requester, msg.tx))
+            entry.pending.append((msg.mtype, msg.requester, msg.tx))
         elif msg.mtype == "GETM":
             # Our inbound GETS data may be used exactly once, then dies.
-            entry.protocol["use_once"] = True
+            entry.use_once = True
 
     # ------------------------------------------------------------------
     # Memory side (ordered-stream ownership tracking)
@@ -323,81 +291,51 @@ class SnoopingNode(ProtocolNode):
 
     def _handle_data(self, msg: CoherenceMessage) -> None:
         entry = self.mshrs.get(msg.block)
-        if entry is None:
-            return  # late duplicate (e.g. upgrade completed at order point)
-        if msg.tx != entry.protocol.get("tx"):
-            # A response to an *older* transaction for this block (e.g.
-            # the owner answered a GETM that completed as an upgrade at
-            # its order point): not ours, drop it.
+        if entry is None or msg.tx != entry.tx:
+            # A late duplicate, or a response to an *older* transaction
+            # for this block (e.g. the owner answered a GETM that
+            # completed as an upgrade at its order point): not ours.
             return
-        phase = entry.protocol.get("phase")
-        if phase == "issued":
+        if not entry.ordered:
             # Defensive: data raced ahead of our own ordered request copy.
-            entry.protocol["early_data"] = msg
+            entry.early_data = msg
             return
         self._apply_data(entry, msg)
 
-    def _apply_data(self, entry: MshrEntry, msg: CoherenceMessage) -> None:
-        block = entry.block
-        entry.protocol["data_source"] = "memory" if msg.tag else "cache"
-        line = self._install_line(block)
-        line.version = msg.data_version
-        line.dirty = False
-        line.state = "M" if entry.protocol["as_getm"] else "S"
-        self._transaction_done(entry)
+    def _apply_data(self, entry: MosiMiss, msg: CoherenceMessage) -> None:
+        entry.data_source = "memory" if msg.tag else "cache"
+        self._fill(entry, msg.data_version)
+        if entry.pending:
+            self._serve_pending(entry)
 
-    # ------------------------------------------------------------------
-    # Completion and deferred service
-    # ------------------------------------------------------------------
-
-    def _transaction_done(self, entry: MshrEntry) -> None:
+    def _serve_pending(self, entry: MosiMiss) -> None:
+        """Answer the requests ordered while our data was in flight."""
         block = entry.block
-        source = entry.protocol.get("data_source")
-        if source:
-            self.counters.add(f"data_from_{source}")
-        pending = entry.protocol.get("pending", [])
-        use_once = entry.protocol.get("use_once", False)
-        self._finish_mshr(entry)
-        if use_once:
-            self._invalidate_line(block)
-            return
         line = self.l2.peek(block)
-        for index, (mtype, requester, tx) in enumerate(pending):
-            if line is None or line.state not in ("M", "O"):
-                break
+        if line is None or line.state not in ("M", "O"):
+            return
+        for mtype, requester, tx in entry.pending:
             self._respond_data(requester, block, line.version, tx)
             if mtype == "GETM":
-                self._invalidate_line(block)
-                line = None
                 # Requests after this one belong to the new owner, which
                 # queued them at its own order point.
-                del pending[index + 1 :]
-                break
+                self._drop_line(block)
+                return
             line.state = "O"
-
-    def _invalidate_line(self, block: int) -> None:
-        line = self.l2.peek(block)
-        if line is not None:
-            self._drop_line(block)
 
     # ------------------------------------------------------------------
     # Evictions
     # ------------------------------------------------------------------
 
-    def _evict_line(self, line: CacheLine) -> None:
-        block = line.block
-        if line.state in ("M", "O"):
-            self.writeback_buffer[block] = {
-                "version": line.version,
-                "superseded": False,
-            }
-            put = self.make_control(
-                dst=BROADCAST,
-                mtype="PUT",
-                block=block,
-                requester=self.node_id,
-                category="writeback",
-                vnet=ORDERED_VNET,
-            )
-            self.broadcast_msg(put)
-        self._drop_line(block)
+    def _send_put(self, block: int, version: int) -> None:
+        # The data follows as WB_DATA once the PUT is ordered.
+        del version
+        put = self.make_control(
+            dst=BROADCAST,
+            mtype="PUT",
+            block=block,
+            requester=self.node_id,
+            category="writeback",
+            vnet=ORDERED_VNET,
+        )
+        self.broadcast_msg(put)

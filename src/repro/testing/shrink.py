@@ -3,9 +3,10 @@
 When the explorer finds a violating scenario, the raw form is noisy: a
 few hundred operations, several perturbations, more processors than the
 bug needs.  :func:`shrink` greedily minimizes the scenario — fewer
-operations, fewer processors, fewer perturbations, fewer config
-overrides — while requiring every accepted reduction to reproduce the
-*same violation type*.  Because a :class:`~repro.testing.explore.Scenario`
+operations, fewer processors, fewer perturbations, fewer fault windows,
+fewer config overrides — while requiring every accepted reduction to
+reproduce the *same violation type*.  Because a
+:class:`~repro.testing.explore.Scenario`
 is a pure function of its fields (workloads and perturbations are all
 seeded), the minimized scenario is a complete, replayable witness.
 Every candidate runs cold from t=0: explorer scenarios are 4
@@ -67,6 +68,14 @@ def _candidates(scenario: Scenario) -> Iterator[Scenario]:
         yield dataclasses.replace(
             scenario,
             perturb=dataclasses.replace(scenario.perturb, **{field: 0.0}),
+        )
+    events = scenario.faults.events
+    for index in range(len(events)):
+        yield dataclasses.replace(
+            scenario,
+            faults=dataclasses.replace(
+                scenario.faults, events=events[:index] + events[index + 1 :]
+            ),
         )
     for key in scenario.config_overrides:
         remaining = {

@@ -1,8 +1,15 @@
-"""Tests for the MSHR table."""
+"""Tests for the MSHR table and the typed records protocols keep."""
+
+import sys
 
 import pytest
 
-from repro.cache import MshrTable
+from repro.cache import MshrEntry, MshrTable
+from repro.config import SystemConfig
+from repro.core.substrate import PersistentSession
+from repro.protocols.mosi import Writeback
+from repro.system.builder import build_system
+from repro.system.grid import ALL_PROTOCOLS, interconnect_for
 
 
 def test_allocate_get_free_cycle():
@@ -48,12 +55,32 @@ def test_waiters_coalesce():
     assert len(entry.waiters) == 2
 
 
-def test_protocol_bag_is_per_entry():
-    table = MshrTable(2)
-    a = table.allocate(1, False, 0.0)
-    b = table.allocate(2, False, 0.0)
-    a.protocol["reissues"] = 3
-    assert "reissues" not in b.protocol
+def _assert_declared_only(record):
+    """A module-level ``__slots__`` class: it pickles by reference, and
+    an undeclared attribute is an error rather than a new key."""
+    cls = type(record)
+    assert getattr(sys.modules[cls.__module__], cls.__qualname__) is cls
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.undeclared = 1
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+def test_live_miss_record_rejects_undeclared_attributes(protocol):
+    config = SystemConfig(
+        protocol=protocol, interconnect=interconnect_for(protocol), n_procs=4
+    )
+    node = build_system(config, {}).nodes[1]
+    entry = node.start_miss(0x40, False, lambda version: None)
+    assert node.mshrs.get(0x40) is entry
+    assert isinstance(entry, MshrEntry) and type(entry) is not MshrEntry
+    assert not hasattr(entry, "protocol")
+    _assert_declared_only(entry)
+
+
+def test_writeback_and_persistent_session_records_are_declared():
+    _assert_declared_only(Writeback(3))
+    _assert_declared_only(PersistentSession())
 
 
 def test_len_and_entries():

@@ -2,33 +2,38 @@
 
 import pytest
 
-from repro.coherence.messages import (
-    CoherenceMessage,
-    control_message,
-    data_message,
-)
+from repro.coherence.messages import CoherenceMessage
+from repro.config import SystemConfig
+from repro.system.builder import build_system
 
 
-def test_control_message_is_8_bytes():
-    msg = control_message(src=0, dst=1, mtype="GETS", block=5)
+@pytest.fixture
+def node():
+    config = SystemConfig(protocol="directory", interconnect="torus", n_procs=4)
+    return build_system(config, {}).nodes[0]
+
+
+def test_control_message_is_8_bytes(node):
+    msg = node.make_control(dst=1, mtype="GETS", block=5)
     assert msg.size_bytes == 8
+    assert msg.src == 0
     assert not msg.carries_data()
 
 
-def test_data_message_is_72_bytes():
-    msg = data_message(src=0, dst=1, mtype="DATA", block=5, data_version=3)
+def test_data_message_is_72_bytes(node):
+    msg = node.make_data(dst=1, mtype="DATA", block=5, data_version=3)
     assert msg.size_bytes == 72
     assert msg.carries_data()
 
 
-def test_data_message_requires_version():
+def test_data_message_requires_version(node):
     with pytest.raises(ValueError):
-        data_message(src=0, dst=1, mtype="DATA", block=5)
+        node.make_data(dst=1, mtype="DATA", block=5)
 
 
-def test_message_ids_unique():
-    a = control_message(src=0, dst=1)
-    b = control_message(src=0, dst=1)
+def test_message_ids_unique(node):
+    a = node.make_control(dst=1)
+    b = node.make_control(dst=1)
     assert a.msg_id != b.msg_id
 
 
