@@ -4,9 +4,10 @@ The observe layer's design claim is *zero cost when off, bounded cost
 when on*: an un-armed run executes pristine classes (nothing to
 measure — the determinism suite pins bit-identity), so this bench
 quantifies the armed side.  Each configuration runs three ways —
-baseline, with timeline tracing installed, and with the kernel
-self-profiler installed — on identical streams, and asserts the
-results are equal before reporting the wall-time ratios.
+baseline, with tracing installed (the default summary recorder, the
+one campaigns arm), and with the kernel self-profiler installed — on
+identical streams, and asserts the results are equal before reporting
+the wall-time ratios.
 
 Results are written to ``BENCH_observe.json`` at the repo root
 (override with ``REPRO_BENCH_OBSERVE_OUT``).  Set

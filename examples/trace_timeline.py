@@ -19,6 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.observe import (  # noqa: E402
+    TimelineRecorder,
     chrome_trace,
     install_tracing,
     text_timeline,
@@ -45,8 +46,11 @@ def main() -> None:
     system = build_system(config, streams, workload_name=scenario.workload)
 
     # Tracing is opt-in and installs last; an un-armed run would execute
-    # completely pristine classes.
-    recorder = install_tracing(system, epoch_ns=200.0)
+    # completely pristine classes.  The timeline recorder keeps every
+    # event for rendering; the default recorder would keep counts only.
+    recorder = install_tracing(
+        system, recorder=TimelineRecorder(epoch_ns=200.0)
+    )
     result = system.run()
 
     print(f"run finished: {result.runtime_ns:,.0f} ns, "

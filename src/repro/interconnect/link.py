@@ -6,10 +6,16 @@ the link for ``size_bytes / bandwidth`` ns (serialization), then arrives
 send order, and since latency is constant, arrival order matches send
 order.  Passing ``bandwidth=None`` models the paper's "unlimited
 bandwidth" configuration (zero serialization, latency only).
+
+The interconnects carry a message over a link with :meth:`Link.cross`,
+one call per hop: the slot claim, the traffic count and the arrival's
+heap push.  An overlay hook moves a link onto ``HookedLink``
+(:mod:`repro.overlay`), whose ``cross`` runs the hooks in the same frame.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable
 
 from repro.sim.kernel import Simulator
@@ -95,10 +101,8 @@ class Link:
         """Claim the serialization slot and account one crossing.
 
         Returns the arrival time; scheduling the delivery is the caller's
-        job.  This is the per-hop reference crossing, the one a hooked
-        link overrides.  On the stock path the interconnects repeat its
-        float ops inline (``Interconnect._cross`` and the torus's batched
-        fan-out), so the two give bit-identical arrival times.
+        job.  :meth:`cross` repeats these float ops inline, so the two
+        give bit-identical arrival times.
         """
         sim = self.sim
         now = sim._now
@@ -116,6 +120,35 @@ class Link:
             record(category, size_bytes)
         return busy_until + self.latency
 
-    def drops(self, msg) -> bool:
-        """Whether a hook drops ``msg`` before it crosses: a stock link never does."""
-        return False
+    def cross(
+        self, msg, callback: Callable[..., None], args: tuple[Any, ...]
+    ) -> None:
+        """Carry ``msg`` over this link; post ``callback(*args)`` at arrival.
+
+        :meth:`occupy`, the traffic count and ``Simulator.post_at`` in one
+        frame, float op for float op and drawing the same ``seq``.  On a
+        jittered kernel (any ``Simulator`` subclass) it takes ``occupy``
+        and ``post_at`` themselves, so the jitter sees the post.
+        """
+        sim = self.sim
+        size = msg.size_bytes
+        if type(sim) is not Simulator:
+            sim.post_at(self.occupy(size, msg.category), callback, *args)
+            return
+        now = sim._now
+        free = self._free_at
+        start = now if now >= free else free
+        bandwidth = self.bandwidth
+        busy_until = start + (size / bandwidth if bandwidth is not None else 0.0)
+        self._free_at = busy_until
+        self._crossings += 1
+        traffic = self.traffic
+        if traffic is not None:
+            traffic._bytes[msg.category] += size
+            traffic._messages[msg.category] += 1
+        seq = sim._seq
+        sim._seq = seq + 1
+        heappush(
+            sim._heap,
+            (now + (busy_until + self.latency - now), seq, callback, args),
+        )

@@ -6,22 +6,20 @@ Protocol controllers interact with the network only through
 handler registered with :meth:`attach`.  Nothing above this layer knows
 about switches, links, or routing.
 
-The stock path (no link hooked, a stock :class:`Simulator`) crosses a
-link in one call, :meth:`Interconnect._cross`, and posts a message's
-last hop straight to the destination's handler: the head of its
-delivery chain.  A hooked link or a jittered kernel takes the per-hop
-reference path instead, ``Link.occupy`` then ``Simulator.post_at``, so
-link hooks and kernel jitter see every crossing and every post.
+Every hop crosses its link in one call, :meth:`Link.cross`, and a
+message's last hop posts straight to the destination's handler: the
+head of its delivery chain.  A hooked link runs its hooks inside that
+call, and on a jittered kernel the crossing posts through
+``Simulator.post_at``, so link hooks and kernel jitter see every
+crossing and every post.
 """
 
 from __future__ import annotations
 
 import abc
 from functools import partial
-from heapq import heappush
-from typing import Any, Callable
+from typing import Callable
 
-from repro.interconnect.link import Link
 from repro.interconnect.message import Message
 from repro.sim.kernel import Simulator
 from repro.sim.stats import TrafficMeter
@@ -63,11 +61,9 @@ class Interconnect(abc.ABC):
             partial(_unattached, node_id) for node_id in range(n_nodes)
         ]
         # Set by repro.overlay.arm_link.  Once any link is hooked, the
-        # stock path gives way to per-hop crossings through
-        # ``Link.occupy``; once any link has a drop hook, every hop first
-        # asks its link whether it drops the message.
+        # torus gives up its batched and up-front broadcast fan-outs for
+        # one crossing per hop, so each hooked link sees its traffic.
         self._hooked = False
-        self._dropping = False
 
     def attach(self, node_id: int, handler: MessageHandler) -> None:
         """Register the message handler for ``node_id``."""
@@ -76,43 +72,6 @@ class Interconnect(abc.ABC):
         if getattr(self._handlers[node_id], "func", None) is not _unattached:
             raise ValueError(f"node {node_id} already attached")
         self._handlers[node_id] = handler
-
-    def _cross(
-        self, link: Link, msg: Message, callback: Callable[..., None],
-        args: tuple[Any, ...],
-    ) -> None:
-        """Carry ``msg`` over ``link``; post ``callback(*args)`` at arrival.
-
-        On the stock path this is ``Link.occupy``, the traffic count and
-        ``Simulator.post_at`` in one frame, float op for float op and
-        drawing the same ``seq``.  A hooked link or a jittered kernel
-        takes ``occupy`` and ``post_at`` themselves, after asking the
-        link whether it drops the message.
-        """
-        sim = self.sim
-        if self._hooked or type(sim) is not Simulator:
-            if not (self._dropping and link.drops(msg)):
-                sim.post_at(
-                    link.occupy(msg.size_bytes, msg.category), callback, *args
-                )
-            return
-        size = msg.size_bytes
-        now = sim._now
-        free = link._free_at
-        start = now if now >= free else free
-        bandwidth = link.bandwidth
-        busy_until = start + (size / bandwidth if bandwidth is not None else 0.0)
-        link._free_at = busy_until
-        link._crossings += 1
-        traffic = self.traffic
-        traffic._bytes[msg.category] += size
-        traffic._messages[msg.category] += 1
-        seq = sim._seq
-        sim._seq = seq + 1
-        heappush(
-            sim._heap,
-            (now + (busy_until + link.latency - now), seq, callback, args),
-        )
 
     @abc.abstractmethod
     def send(self, msg: Message) -> None:

@@ -21,19 +21,18 @@ precomputed at broadcast time and every delivery is posted up front —
 serialization is zero, so no intermediate fan-out state can affect the
 timestamps; see :meth:`_broadcast_unlimited` for the (tie-breaking only)
 caveat on seq assignment.  A unicast crosses each hop through
-:meth:`Interconnect._cross`, and the last hop (like every unlimited
-broadcast delivery) posts the destination's handler itself.
+:meth:`Link.cross`, and the last hop (like every unlimited broadcast
+delivery) posts the destination's handler itself.
 
 The batched fan-out and the unlimited path's heap pushes serve stock
 links on a stock kernel only.  Once an overlay arms a hook on any link
 (:mod:`repro.overlay`), broadcast takes the per-hop reference fan-out
-instead, which (like unicast) crosses every hop through ``Link.occupy``
-and ``Simulator.post_at`` and so runs the link's hooks; once any link
-can drop, every hop first asks its link whether it drops the message.
-On a jittered kernel every crossing and delivery goes through
-``post_at``, in the stock path's order, so the jitter sees each one: the
-limited-bandwidth fan-out takes the per-hop reference path, and the
-unlimited path posts its up-front deliveries one by one.
+instead, which (like unicast) crosses every hop through ``Link.cross``
+and so runs the link's hooks, a drop hook included.  On a jittered
+kernel every crossing and delivery goes through ``post_at``, in the
+stock path's order, so the jitter sees each one: the limited-bandwidth
+fan-out takes the per-hop reference path, and the unlimited path posts
+its up-front deliveries one by one.
 """
 
 from __future__ import annotations
@@ -189,9 +188,9 @@ class TorusInterconnect(Interconnect):
     ) -> None:
         link, next_node, last = plan[hop]
         if last:
-            self._cross(link, msg, self._handlers[next_node], (msg,))
+            link.cross(msg, self._handlers[next_node], (msg,))
         else:
-            self._cross(link, msg, self._forward_unicast, (msg, plan, hop + 1))
+            link.cross(msg, self._forward_unicast, (msg, plan, hop + 1))
 
     # ------------------------------------------------------------------
     # Broadcast (tree-based multicast)
@@ -273,13 +272,13 @@ class TorusInterconnect(Interconnect):
             # Per-hop reference fan-out: a dropped hop posts nothing, so
             # the whole subtree behind it loses the message.
             for link, child in hops:
-                self._cross(link, msg, arrive, (msg, child, plan))
+                link.cross(msg, arrive, (msg, child, plan))
             return
         size = msg.size_bytes
         # Batched fan-out: claim every child link's serialization slot and
-        # push each arrival inline (the float ops of Link.occupy and
-        # Simulator.post_at, serialization hoisted — all torus links share
-        # one bandwidth), then account the traffic once for all of them.
+        # push each arrival inline (the float ops of Link.cross,
+        # serialization hoisted — all torus links share one bandwidth),
+        # then account the traffic once for all of them.
         now = sim._now
         serialization = size / self.link_bandwidth
         latency = self.link_latency

@@ -14,13 +14,12 @@ additionally *enforces* sequence order at delivery, so protocol code may
 rely on the total order unconditionally.  This is the ordering property
 traditional snooping requires (Section 2) and the one the torus lacks.
 
-Every stage crosses its link through :meth:`Interconnect._cross`: one
-call on the stock path, ``Link.occupy`` and ``Simulator.post_at`` once a
-link is hooked (:mod:`repro.overlay`) or the kernel is jittered, so link
-hooks see every hop.  A unicast's last hop and an unordered broadcast's
-deliveries post the destination's handler directly; ordered broadcasts
-go through the per-node reorder stage.  Once any link can drop, each
-stage first asks its link whether it drops the message; only token
+Every stage crosses its link in one call, :meth:`Link.cross`, which
+runs the link's hooks when an overlay has armed any
+(:mod:`repro.overlay`), so link hooks see every hop.  A unicast's last
+hop and an unordered broadcast's deliveries post the destination's
+handler directly; ordered broadcasts go through the per-node reorder
+stage.  A link's drop hook may lose a message at any stage; only token
 protocols may lose messages, and they never use the ordered vnet, so an
 ordered broadcast can be delayed but never dropped.
 """
@@ -100,23 +99,21 @@ class OrderedTreeInterconnect(Interconnect):
             # Node-local traffic never leaves the integrated node.
             self.sim.post(0.0, self._handlers[msg.dst], msg)
             return
-        self._cross(self._up[msg.src], msg, self._unicast_at_in_switch, (msg,))
+        self._up[msg.src].cross(msg, self._unicast_at_in_switch, (msg,))
 
     def _unicast_at_in_switch(self, msg: Message) -> None:
-        self._cross(
-            self._in_root[msg.src // self.fanout], msg, self._unicast_at_root,
-            (msg,),
+        self._in_root[msg.src // self.fanout].cross(
+            msg, self._unicast_at_root, (msg,)
         )
 
     def _unicast_at_root(self, msg: Message) -> None:
-        self._cross(
-            self._root_out[msg.dst // self.fanout], msg,
-            self._unicast_at_out_switch, (msg,),
+        self._root_out[msg.dst // self.fanout].cross(
+            msg, self._unicast_at_out_switch, (msg,)
         )
 
     def _unicast_at_out_switch(self, msg: Message) -> None:
         dst = msg.dst
-        self._cross(self._down[dst], msg, self._handlers[dst], (msg,))
+        self._down[dst].cross(msg, self._handlers[dst], (msg,))
 
     # ------------------------------------------------------------------
     # Broadcast
@@ -132,43 +129,39 @@ class OrderedTreeInterconnect(Interconnect):
         """
         if msg.vnet == ORDERED_VNET:
             include_self = True
-        self._cross(
-            self._up[msg.src], msg, self._broadcast_at_in_switch,
-            (msg, include_self),
+        self._up[msg.src].cross(
+            msg, self._broadcast_at_in_switch, (msg, include_self)
         )
 
     def _broadcast_at_in_switch(self, msg: Message, include_self: bool) -> None:
-        self._cross(
-            self._in_root[msg.src // self.fanout], msg,
-            self._broadcast_at_root, (msg, include_self),
+        self._in_root[msg.src // self.fanout].cross(
+            msg, self._broadcast_at_root, (msg, include_self)
         )
 
     def _broadcast_at_root(self, msg: Message, include_self: bool) -> None:
         if msg.vnet == ORDERED_VNET:
             msg.ordered_seq = self._next_order_seq
             self._next_order_seq += 1
-        cross = self._cross
         at_out = self._broadcast_at_out_switch
         for group, link in enumerate(self._root_out):
-            cross(link, msg, at_out, (msg, group, include_self))
+            link.cross(msg, at_out, (msg, group, include_self))
 
     def _broadcast_at_out_switch(
         self, msg: Message, group: int, include_self: bool
     ) -> None:
         # Batched delivery fan-out: one precomputed plan walk per group.
-        cross = self._cross
         src = msg.src
         if msg.ordered_seq is None:
             handlers = self._handlers
             args = (msg,)
             for node, down in self._members[group]:
                 if node != src or include_self:
-                    cross(down, msg, handlers[node], args)
+                    down.cross(msg, handlers[node], args)
         else:
             arrive = self._arrive_at_node
             for node, down in self._members[group]:
                 if node != src or include_self:
-                    cross(down, msg, arrive, (node, msg))
+                    down.cross(msg, arrive, (node, msg))
 
     def _arrive_at_node(self, node: int, msg: Message) -> None:
         # Enforce total order: deliver strictly by root sequence number.

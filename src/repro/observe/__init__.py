@@ -1,4 +1,4 @@
-"""Opt-in observability: timeline tracing, histograms, self-profiling.
+"""Opt-in observability: tracing, histograms, self-profiling.
 
 The layer arms the shared overlay hooks (:mod:`repro.overlay`) under
 the repo's zero-cost instrumentation contract: a system that never
@@ -7,9 +7,12 @@ checks anywhere, and an armed run is *observationally identical* —
 same events, same timestamps, same results — because every hook records
 synchronously inside existing events and then falls through.
 
-* :func:`install_tracing` — arm a built system; returns the
-  :class:`TraceRecorder` holding message lifecycle spans, per-link
-  occupancy, miss spans, protocol marks, and epoch-sampled time series.
+* :func:`install_tracing` — arm a built system; returns the recorder.
+  The default :class:`TraceRecorder` keeps counts and histograms only
+  (message, crossing, miss-span and mark counts, miss latency, queue
+  depth, epoch-sampled time series), in memory that does not grow with
+  the run; a :class:`TimelineRecorder` also keeps every send, delivery,
+  link occupancy, miss span and protocol mark for the renderers.
 * :func:`chrome_trace` / :func:`text_timeline` / :func:`protocol_diff`
   — render a recorder as Chrome trace-event JSON (loadable by Perfetto
   / ``chrome://tracing``), a plain-text timeline, or a two-run
@@ -31,9 +34,10 @@ from repro.observe.export import (
     validate_chrome_trace,
 )
 from repro.observe.hooks import install_tracing, is_installed
-from repro.observe.trace import TraceRecorder
+from repro.observe.trace import TimelineRecorder, TraceRecorder
 
 __all__ = [
+    "TimelineRecorder",
     "TraceRecorder",
     "install_tracing",
     "is_installed",

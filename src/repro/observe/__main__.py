@@ -29,6 +29,7 @@ from repro.observe.export import (
     validate_chrome_trace,
 )
 from repro.observe.hooks import install_tracing
+from repro.observe.trace import TimelineRecorder
 from repro.system.grid import interconnect_for
 
 
@@ -68,11 +69,11 @@ def _armed(scenario):
 
 
 def _traced_run(scenario, epoch_ns=None):
-    """Build, arm, and run; returns (result, recorder)."""
+    """Build, arm, and run; returns (result, timeline recorder)."""
     system = _armed(scenario)
     recorder = install_tracing(
         system,
-        epoch_ns=epoch_ns,
+        recorder=TimelineRecorder(epoch_ns=epoch_ns),
         fault_plan=scenario.faults if scenario.faults.any_active() else None,
     )
     result = system.run(max_events=scenario.max_events)

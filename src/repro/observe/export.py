@@ -1,4 +1,4 @@
-"""Render a :class:`~repro.observe.trace.TraceRecorder`.
+"""Render a :class:`~repro.observe.trace.TimelineRecorder`.
 
 Three consumers:
 

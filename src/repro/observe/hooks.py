@@ -14,14 +14,17 @@ What gets hooked, and why it cannot perturb the run:
   Every hook records synchronously, then calls the node's own method.
 * **Sequencers** — ``_miss_complete`` records the exact per-miss
   latency into the recorder's histogram before completing the op.
-* **Links** — an ``on_hop`` link hook records the serialization-slot
-  span each crossing claimed.  Hooked links move the interconnect onto
-  its per-hop reference fan-out, which posts the same events at the same
-  times as the batched fast paths it replaces (the determinism goldens
-  pin this), so every crossing is seen.
-* **Delivery** — the outermost delivery hook records delivery instants,
-  samples kernel queue depth, and drives the epoch time-series sampler,
-  all inside the existing delivery event.
+* **Delivery** — the outermost delivery hook records each delivery
+  with the kernel queue depth it saw, and drives the epoch time-series
+  sampler, all inside the existing delivery event.
+* **Links** — only for a :class:`~repro.observe.trace.TimelineRecorder`:
+  an ``on_hop`` link hook records the serialization-slot span each
+  crossing claimed.  Hooked links move the torus onto its per-hop
+  reference fan-out, which posts the same events at the same times as
+  the batched fast paths it replaces (the determinism goldens pin
+  this), so every crossing is seen.  The default recorder counts
+  crossings off the traffic meter instead, so it hooks no link and a
+  system armed only with it keeps the stock fast paths.
 
 No hook posts a kernel event, which is why an armed run's
 ``events_fired`` and results are bit-identical to an unarmed one.
@@ -29,7 +32,7 @@ No hook posts a kernel event, which is why an armed run's
 
 from __future__ import annotations
 
-from repro.observe.trace import TraceRecorder
+from repro.observe.trace import TimelineRecorder, TraceRecorder
 from repro.overlay import DeliveryHook, arm_delivery, arm_link, arm_object
 
 
@@ -37,20 +40,21 @@ class TraceDelivery(DeliveryHook):
     """Outermost delivery hook: records each message as it arrives."""
 
     stage = "trace"
-    __slots__ = ("sim", "node_id", "delivered", "record_depth", "sample_clock")
+    __slots__ = ("sim", "node_id", "delivered", "sample_clock")
 
     def __init__(self, sim, node_id: int, recorder: TraceRecorder) -> None:
         self.sim = sim
         self.node_id = node_id
         self.delivered = recorder.delivered
-        self.record_depth = recorder.queue_depth.record
         self.sample_clock = recorder.sample_clock if recorder.epoch_ns else None
 
     def deliver(self, msg) -> None:
         sim = self.sim
         now = sim._now
-        self.delivered(now, self.node_id, msg)
-        self.record_depth(sim.pending_events)
+        # The queue depth: Simulator.pending_events, inline.
+        self.delivered(
+            now, self.node_id, msg, len(sim._heap) - sim._cancelled_pending
+        )
         if self.sample_clock is not None:
             self.sample_clock(now)
         self.inner(msg)
@@ -62,11 +66,13 @@ def install_tracing(
     epoch_ns: float | None = None,
     fault_plan=None,
 ) -> TraceRecorder:
-    """Arm ``system`` with timeline tracing; returns the recorder.
+    """Arm ``system`` with tracing; returns the recorder.
 
-    ``epoch_ns`` arms the time-series sampler; ``fault_plan`` copies the
-    scheduled fault windows onto the trace for rendering.  Publishes the
-    recorder as ``system.observe``.
+    ``recorder`` defaults to a summary :class:`TraceRecorder`; pass a
+    :class:`TimelineRecorder` to keep the raw timeline for export.
+    ``epoch_ns`` arms the default recorder's time-series sampler;
+    ``fault_plan`` copies the scheduled fault windows onto the trace for
+    rendering.  Publishes the recorder as ``system.observe``.
     """
     if system.observe is not None:
         raise ValueError("tracing is already installed on this system")
@@ -79,8 +85,9 @@ def install_tracing(
     for obj in (*system.nodes, *system.sequencers):
         arm_object(obj, _observe=recorder)
     network = system.network
-    for link in network.all_links():
-        arm_link(network, link, on_hop=recorder.hop)
+    if isinstance(recorder, TimelineRecorder):
+        for link in network.all_links():
+            arm_link(network, link, on_hop=recorder.hop)
     for node_id in range(len(network._handlers)):
         arm_delivery(network, node_id, TraceDelivery(system.sim, node_id, recorder))
 

@@ -9,11 +9,10 @@ nobody arms runs the stock classes and fast paths unchanged.
 
 * **Links.**  :func:`arm_link` fills ``Link``'s one ``_hooks`` slot with
   a :class:`LinkHooks` chain and moves the link onto :class:`HookedLink`,
-  which runs the chain on every crossing — one call per armed hook.  The
-  first hooked link switches its interconnect from the stock one-call
-  crossings and batched fan-out to per-hop ``Link.occupy`` crossings;
-  the first drop hook makes each hop ask its link whether it drops the
-  message.
+  whose ``cross`` runs the chain on every crossing — one call per armed
+  hook, in the crossing's own frame.  The first hooked link switches its
+  torus from the batched and up-front broadcast fan-outs to one
+  ``Link.cross`` per hop, so every hooked link sees its traffic.
 * **Nodes and sequencers.**  :func:`arm_object` moves an object onto
   ``Hooked<Class>`` (one cached class per base, :func:`hooked_class`)
   and sets the recorders its hook methods consult.  The classes are
@@ -26,7 +25,10 @@ nobody arms runs the stock classes and fast paths unchanged.
 
 from __future__ import annotations
 
+from heapq import heappush
+
 from repro.interconnect.link import Link
+from repro.sim.kernel import Simulator
 
 # ----------------------------------------------------------------------
 # Links
@@ -57,25 +59,28 @@ class LinkHooks:
 class HookedLink(Link):
     """A link whose crossings run its :class:`LinkHooks` chain.
 
-    With no hook in a stage the arithmetic is ``Link.occupy``'s, float
-    op for float op, so an armed link moves no timestamp its hooks do
-    not move.
+    With no hook in a stage the arithmetic is ``Link.cross``'s, float op
+    for float op, so an armed link moves no timestamp its hooks do not
+    move.
     """
 
     __slots__ = ()
 
-    def drops(self, msg) -> bool:
-        drop = self._hooks.drop
-        return drop is not None and drop(self, msg)
-
-    def occupy(self, size_bytes, category):
+    def cross(self, msg, callback, args):
+        """``Link.cross`` with the chain: drop, hold, stretch, delay, the
+        traffic count, ``on_hop`` and the post, in one frame.  A dropped
+        message claims no slot, counts no traffic and posts nothing."""
         hooks = self._hooks
-        now = self.sim._now
+        if hooks.drop is not None and hooks.drop(self, msg):
+            return
+        sim = self.sim
+        now = sim._now
         free = self._free_at
         start = now if now >= free else free
         claimed = start if hooks.hold is None else hooks.hold(start)
+        size = msg.size_bytes
         if self.bandwidth is not None:
-            serialization = size_bytes / self.bandwidth
+            serialization = size / self.bandwidth
         else:
             serialization = 0.0
         if hooks.stretch is not None:
@@ -87,27 +92,31 @@ class HookedLink(Link):
         else:
             arrival = hooks.delay(self, busy_until)
         self._crossings += 1
-        record = self._record
-        if record is not None:
-            record(category, size_bytes)
+        category = msg.category
+        traffic = self.traffic
+        if traffic is not None:
+            traffic._bytes[category] += size
+            traffic._messages[category] += 1
         if hooks.on_hop is not None:
-            hooks.on_hop(start, self._free_at, self.name, category, size_bytes)
-        return arrival
+            hooks.on_hop(start, self._free_at, self.name, category, size)
+        if type(sim) is Simulator:
+            seq = sim._seq
+            sim._seq = seq + 1
+            heappush(sim._heap, (now + (arrival - now), seq, callback, args))
+        else:
+            sim.post_at(arrival, callback, *args)
 
 
 def arm_link(network, link: Link, **hooks) -> None:
     """Add ``hooks`` (stage name -> callable) to ``link``'s chain.
 
     The first hook on any link of ``network`` switches the network onto
-    its per-hop reference path; the first drop hook makes every hop ask
-    its link whether it drops.  A stage holds one hook.
+    its per-hop reference fan-out.  A stage holds one hook.
     """
     if not isinstance(link, HookedLink):
         link._hooks = LinkHooks()
         link.__class__ = HookedLink
         network._hooked = True
-    if "drop" in hooks:
-        network._dropping = True
     chain = link._hooks
     for stage, hook in hooks.items():
         if getattr(chain, stage) is not None:
@@ -125,7 +134,7 @@ _TOKEN_MTYPES = ("TOKEN_DATA", "TOKEN_ONLY")
 
 def _landmark(node, name: str, block: int, peer: int = -1) -> None:
     """A protocol landmark: a trace mark and a custody-chain note."""
-    now = node.sim.now
+    now = node.sim._now
     if node._observe is not None:
         node._observe.mark(now, node.node_id, name, block)
     if node._lineage is not None:
@@ -154,7 +163,7 @@ def _hook_namespace(cls: type) -> dict:
                        _base=getattr(cls, "_miss_complete", None)):
         trace = self._observe
         if trace is not None:
-            trace.miss_latency.record(self.sim.now - started)
+            trace.miss_latency.record(self.sim._now - started)
         _base(self, op, block, version, issue_version, started)
 
     # -- every protocol node ----------------------------------------------
@@ -164,26 +173,26 @@ def _hook_namespace(cls: type) -> dict:
                    _base=getattr(cls, "start_miss", None)):
         trace = self._observe
         if trace is not None and self.mshrs.get(block) is None:
-            trace.miss_started(self.sim.now, self.node_id, block, for_write)
+            trace.miss_started(self.sim._now, self.node_id, block, for_write)
         return _base(self, block, for_write, on_complete)
 
     @hook
     def _finish_mshr(self, entry, _base=getattr(cls, "_finish_mshr", None)):
         trace = self._observe
         if trace is not None:
-            trace.miss_finished(self.sim.now, self.node_id, entry.block)
+            trace.miss_finished(self.sim._now, self.node_id, entry.block)
         _base(self, entry)
 
     @hook
     def send_msg(self, msg, _base=getattr(cls, "send_msg", None)):
         trace = self._observe
         if trace is not None:
-            trace.sent(self.sim.now, self.node_id, msg)
+            trace.sent(self.sim._now, self.node_id, msg)
         lineage = self._lineage
         if lineage is not None and msg.mtype in _TOKEN_MTYPES:
             lineage.sent(
                 msg.block, self.node_id, msg.dst, msg.tokens,
-                msg.owner_token, msg.msg_id, self.sim.now,
+                msg.owner_token, msg.msg_id, self.sim._now,
             )
         _base(self, msg)
 
@@ -192,7 +201,7 @@ def _hook_namespace(cls: type) -> dict:
                       _base=getattr(cls, "broadcast_msg", None)):
         trace = self._observe
         if trace is not None:
-            trace.sent(self.sim.now, self.node_id, msg)
+            trace.sent(self.sim._now, self.node_id, msg)
         _base(self, msg, include_self)
 
     @hook
@@ -236,7 +245,7 @@ def _hook_namespace(cls: type) -> dict:
         if lineage is not None:
             lineage.received(
                 msg.block, self.node_id, msg.tokens, msg.owner_token,
-                msg.msg_id, self.sim.now,
+                msg.msg_id, self.sim._now,
             )
         _base(self, msg)
 
@@ -247,7 +256,7 @@ def _hook_namespace(cls: type) -> dict:
         if lineage is not None:
             lineage.merged(
                 msg.block, self.node_id, "cache", msg.tokens,
-                msg.owner_token, self.sim.now,
+                msg.owner_token, self.sim._now,
             )
         _base(self, msg)
 
@@ -258,7 +267,7 @@ def _hook_namespace(cls: type) -> dict:
         if lineage is not None:
             lineage.merged(
                 msg.block, self.node_id, "memory", msg.tokens,
-                msg.owner_token, self.sim.now,
+                msg.owner_token, self.sim._now,
             )
         _base(self, msg)
 
@@ -270,7 +279,7 @@ def _hook_namespace(cls: type) -> dict:
         fresh = block not in self._memory
         mem = _base(self, block)
         if fresh:
-            lineage.mint(block, self.node_id, self.sim.now)
+            lineage.mint(block, self.node_id, self.sim._now)
         return mem
 
     @hook
@@ -279,7 +288,9 @@ def _hook_namespace(cls: type) -> dict:
     ):
         lineage = self._lineage
         if lineage is not None:
-            lineage.transaction_complete(entry.block, self.node_id, self.sim.now)
+            lineage.transaction_complete(
+                entry.block, self.node_id, self.sim._now
+            )
         _base(self, entry)
 
     return namespace

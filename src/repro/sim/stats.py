@@ -83,8 +83,8 @@ class TrafficMeter:
         """Record one link crossing of a message of the given category.
 
         Two defaultdict increments, no allocation.  ``Link.occupy`` calls
-        it on the per-hop reference path; the interconnects' stock path
-        makes the same increments inline (``Interconnect._cross``).
+        it; ``Link.cross`` and the torus's batched fan-out make the same
+        increments inline.
         """
         self._bytes[category] += size_bytes
         self._messages[category] += 1
@@ -181,18 +181,19 @@ class Histogram:
         octave, sub = divmod(index, cls.SUBBUCKETS)
         return math.ldexp(1.0 + sub / cls.SUBBUCKETS, octave)
 
-    def record(self, value: float) -> None:
+    def record(self, value: float, count: int = 1) -> None:
+        """Record ``count`` samples of ``value``."""
         if value < 0:
             raise ValueError(f"histogram samples must be >= 0, got {value}")
-        self._count += 1
-        self._sum += value
+        self._count += count
+        self._sum += value * count
         if value > self._max:
             self._max = value
         if value == 0:
-            self._zeros += 1
+            self._zeros += count
             return
         index = self._index(value)
-        self._buckets[index] = self._buckets.get(index, 0) + 1
+        self._buckets[index] = self._buckets.get(index, 0) + count
 
     @property
     def count(self) -> int:

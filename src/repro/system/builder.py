@@ -94,7 +94,7 @@ class System:
             self.ledger = TokenLedger(config.total_tokens)
         #: Token-custody recorder, when installed (repro.lineage).
         self.lineage = None
-        #: Timeline trace recorder, when installed (repro.observe).
+        #: Trace recorder, when installed (repro.observe).
         self.observe = None
         #: Blocks covered by the post-run conservation audit.
         self.audited_blocks = 0

@@ -94,7 +94,8 @@ class Scenario:
     #: Arm the token-custody recorder + outcome-contract oracle
     #: (token protocols only — custody is a token-counting notion).
     lineage: bool = False
-    #: Arm timeline tracing (repro.observe); the outcome then carries a
+    #: Arm summary tracing (repro.observe's default recorder: counts
+    #: and histograms, no link hooks); the outcome then carries a
     #: telemetry summary with a mergeable miss-latency histogram.
     observe: bool = False
 
@@ -159,7 +160,7 @@ class ScenarioOutcome:
     #: (``lineage_events``/``_transfers``/``_blocks``/``_terminals``/
     #: ``_absorbed_reissues``); {} otherwise.
     lineage_stats: dict = dataclasses.field(default_factory=dict)
-    #: Trace-recorder summary when ``Scenario.observe`` was set (span
+    #: Trace-recorder summary when ``Scenario.observe`` was set (event
     #: counts, mergeable ``miss_latency_hist``, queue-depth percentiles
     #: — see :meth:`repro.observe.TraceRecorder.summary`); {} otherwise.
     telemetry: dict = dataclasses.field(default_factory=dict)
@@ -443,7 +444,7 @@ def make_scenario(
         # recorder everywhere it is meaningful makes the outcome
         # contract a standing oracle of every sweep.
         lineage=token,
-        # Timeline telemetry on every sweep point: outcomes carry
+        # Summary telemetry on every sweep point: outcomes carry
         # mergeable miss-latency histograms, and every sweep doubles as
         # an armed-vs-unarmed equivalence exercise.
         observe=True,

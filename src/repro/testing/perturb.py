@@ -140,11 +140,12 @@ class PerturbedSimulator(Simulator):
     ``_perturb`` holds ``(rng.random, jitter_ns)``.  Timer events going
     through :meth:`Simulator.schedule` are left alone — their firing
     times are already policy, and jittering the work they race against
-    perturbs the race just as thoroughly.  An interconnect on a kernel
-    of this class posts every hop through :meth:`post_at` rather than
-    pushing it inline, so the jitter reaches every crossing.  The posts
-    it misses are the snoop responses pushed by the transient fast path
-    of ``TokenNodeBase._build_dispatch``.
+    perturbs the race just as thoroughly.  On a kernel of this class a
+    link crossing (``Link.cross``, hooked or not) posts its arrival
+    through :meth:`post_at` rather than pushing it inline, and so do
+    the torus's broadcast fan-outs, so the jitter reaches every
+    crossing.  The posts it misses are the snoop responses pushed by
+    the transient fast path of ``TokenNodeBase._build_dispatch``.
     """
 
     __slots__ = ()

@@ -1,8 +1,12 @@
 """Tests for the bandwidth/latency link model."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.interconnect.link import Link
+from repro.interconnect.message import Message
+from repro.overlay import arm_link
 from repro.sim import Simulator, TrafficMeter
 
 
@@ -90,3 +94,62 @@ def test_invalid_parameters_rejected():
         Link(sim, "bad", -1.0, 3.2)
     with pytest.raises(ValueError):
         Link(sim, "bad", 1.0, 0.0)
+
+
+def _crossings(sim, link, use_cross):
+    """Cross three messages at t=5 (the link still busy for the second
+    and third), by ``cross`` or by ``occupy`` + ``post_at``; returns the
+    heap, the traffic by category, the crossings and the slot state."""
+    meter = link.traffic
+    sim.schedule(5.0, lambda: None)
+    sim.run()
+    for size, category in ((72, "data"), (8, "request"), (72, "data")):
+        msg = Message(src=0, dst=1, size_bytes=size, category=category)
+        if use_cross:
+            link.cross(msg, print, (msg.msg_id,))
+        else:
+            sim.post_at(link.occupy(size, category), print, msg.msg_id)
+    heap = sorted((t, seq, args) for t, seq, _cb, args in sim._heap)
+    return heap, meter.bytes_by_category(), link.crossings, link.busy_until
+
+
+def test_cross_pushes_what_occupy_and_post_at_would():
+    """``cross`` is the reference crossing in one frame: same arrival
+    floats, same seqs, same traffic, same slot state — stock, hooked
+    with an empty chain, and on a kernel subclass (which it posts to)."""
+
+    class Posting(Simulator):
+        __slots__ = ()
+
+    def link_on(sim, hooked=False):
+        link = make_link(sim, traffic=TrafficMeter())
+        if hooked:
+            arm_link(SimpleNamespace(), link)
+        return link
+
+    sim = Simulator()
+    reference = _crossings(sim, link_on(sim), use_cross=False)
+    for kernel in (Simulator, Posting):
+        for hooked in (False, True):
+            sim = kernel()
+            observed = _crossings(sim, link_on(sim, hooked), use_cross=True)
+            assert observed[1:] == reference[1:]
+            assert [(t, seq) for t, seq, _ in observed[0]] == [
+                (t, seq) for t, seq, _ in reference[0]
+            ]
+
+
+def test_cross_on_a_kernel_subclass_goes_through_post_at():
+    posts = []
+
+    class Recording(Simulator):
+        __slots__ = ()
+
+        def post_at(self, time, callback, *args):
+            posts.append(time)
+            super().post_at(time, callback, *args)
+
+    sim = Recording()
+    link = make_link(sim, traffic=TrafficMeter())
+    link.cross(Message(src=0, dst=1, size_bytes=72), print, ())
+    assert posts == [72 / 3.2 + 15.0]

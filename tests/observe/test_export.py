@@ -10,7 +10,7 @@ from repro.observe import (
     text_timeline,
     validate_chrome_trace,
 )
-from repro.observe import install_tracing
+from repro.observe import TimelineRecorder, install_tracing
 from repro.system.builder import build_system
 from repro.testing.explore import Scenario, _build_config, _generate_streams
 
@@ -22,7 +22,9 @@ def _recorded(protocol="tokenb", interconnect="torus", seed=4, epoch_ns=None):
     config = _build_config(scenario)
     streams = _generate_streams(scenario, config)
     system = build_system(config, streams, workload_name=scenario.workload)
-    recorder = install_tracing(system, epoch_ns=epoch_ns)
+    recorder = install_tracing(
+        system, recorder=TimelineRecorder(epoch_ns=epoch_ns)
+    )
     system.run(max_events=scenario.max_events)
     return recorder
 
@@ -80,8 +82,6 @@ def test_validator_rejects_malformed_events():
 
 
 def test_fault_windows_export_as_complete_spans():
-    from repro.observe import TraceRecorder
-
     recorder = _recorded()
     recorder.fault_windows.append((100.0, 400.0, "link_flap", 3))
     payload = chrome_trace(recorder)
@@ -92,7 +92,7 @@ def test_fault_windows_export_as_complete_spans():
     assert fault_events[0]["ph"] == "X"
     assert fault_events[0]["dur"] == pytest.approx(300.0 * 1e-3)
     # An empty recorder exports a valid (metadata-only) trace too.
-    empty = TraceRecorder()
+    empty = TimelineRecorder()
     assert validate_chrome_trace(chrome_trace(empty)) >= 0
 
 

@@ -10,7 +10,12 @@ import dataclasses
 
 import pytest
 
-from repro.observe import TraceRecorder, install_tracing, is_installed
+from repro.observe import (
+    TimelineRecorder,
+    TraceRecorder,
+    install_tracing,
+    is_installed,
+)
 from repro.system.builder import build_system
 from repro.testing.explore import (
     Scenario,
@@ -26,11 +31,11 @@ def _outcome_fields(outcome) -> dict:
     return fields
 
 
-def _armed_system(scenario, epoch_ns=None):
+def _armed_system(scenario, epoch_ns=None, recorder=None):
     config = _build_config(scenario)
     streams = _generate_streams(scenario, config)
     system = build_system(config, streams, workload_name=scenario.workload)
-    recorder = install_tracing(system, epoch_ns=epoch_ns)
+    recorder = install_tracing(system, recorder=recorder, epoch_ns=epoch_ns)
     return system, recorder
 
 
@@ -86,7 +91,7 @@ def test_recorder_covers_all_crossings_and_misses():
     span, and every completed miss appears as a closed span."""
     scenario = Scenario(seed=5, protocol="tokenb", interconnect="torus",
                         workload="false_sharing", n_procs=4, ops_per_proc=60)
-    system, recorder = _armed_system(scenario)
+    system, recorder = _armed_system(scenario, recorder=TimelineRecorder())
     result = system.run(max_events=scenario.max_events)
     crossings = sum(system.traffic.crossings_by_category().values())
     assert len(recorder.hops) == crossings
@@ -100,12 +105,12 @@ def test_recorder_covers_all_crossings_and_misses():
 
 
 def test_tree_interconnect_hops_via_links():
-    """Trees route every hop through Link.occupy — traced links alone
-    must account for every crossing."""
+    """Trees cross every hop through Link.cross — the timeline's hooked
+    links alone must account for every crossing."""
     scenario = Scenario(seed=5, protocol="directory", interconnect="tree",
                         workload="writeback_churn", n_procs=4,
                         ops_per_proc=40)
-    system, recorder = _armed_system(scenario)
+    system, recorder = _armed_system(scenario, recorder=TimelineRecorder())
     system.run(max_events=scenario.max_events)
     crossings = sum(system.traffic.crossings_by_category().values())
     assert len(recorder.hops) == crossings > 0
@@ -114,7 +119,7 @@ def test_tree_interconnect_hops_via_links():
 def test_deliveries_and_sends_recorded_with_labels():
     scenario = Scenario(seed=2, protocol="tokenb", interconnect="torus",
                         workload="false_sharing", n_procs=4, ops_per_proc=40)
-    system, recorder = _armed_system(scenario)
+    system, recorder = _armed_system(scenario, recorder=TimelineRecorder())
     system.run(max_events=scenario.max_events)
     assert recorder.sends and recorder.delivers
     labels = {label for _t, _n, _id, label, _dst, _sz in recorder.sends}

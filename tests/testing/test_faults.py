@@ -198,7 +198,7 @@ def test_faultfree_system_uses_base_classes():
 
 def test_install_swaps_classes_in_place():
     """Only the targeted link is hooked, but the whole network leaves
-    its fast paths so that every hop asks whether it drops."""
+    its batched fan-outs so that the hooked link sees every hop."""
     for interconnect in ("torus", "tree"):
         system = _build("tokenb", interconnect)
         FaultInjector(FaultPlan(events=(_flap(),))).install(system)
@@ -283,12 +283,29 @@ def _faulty_link(sim, down=(), degraded=(), drop_mode=True, bandwidth=3.2):
     return link, stats
 
 
+def _data(size_bytes=72):
+    return CoherenceMessage(src=0, dst=1, mtype="DATA_OWNER",
+                            size_bytes=size_bytes, category="data")
+
+
+def _cross(link, msg):
+    """Carry ``msg`` over ``link`` at the kernel's current time.
+
+    Returns the arrival time the crossing posted, or None if it posted
+    nothing (the message was dropped).
+    """
+    arrivals = []
+    sim = link.sim
+    link.cross(msg, lambda: arrivals.append(sim.now), ())
+    sim.run()
+    return arrivals[0] if arrivals else None
+
+
 def test_flap_queues_nondroppable_traffic_past_the_outage():
     sim = Simulator()
     link, stats = _faulty_link(sim, down=[(0.0, 100.0)])
     # Data message at t=0: serialization may not start until t=100.
-    arrival = link.occupy(72, "data")
-    assert arrival == 100.0 + 72 / 3.2 + 10.0
+    assert _cross(link, _data()) == 100.0 + 72 / 3.2 + 10.0
     assert stats["flap_queued"] == 1
 
 
@@ -297,16 +314,17 @@ def test_flap_drops_transient_requests_overlapping_the_outage():
     link, stats = _faulty_link(sim, down=[(5.0, 100.0)])
     gets = CoherenceMessage(src=0, dst=1, mtype="GETS")
     # Crossing [0, 0+8/3.2+10] overlaps the outage opening at 5.
-    assert link.drops(gets)
+    assert _cross(link, gets) is None
     assert stats["flap_dropped"] == 1
+    # A dropped message never occupied the link.
+    assert link.crossings == 0 and link.busy_until == 0.0
     # Data (not a transient request) is never dropped.
-    data = CoherenceMessage(src=0, dst=1, mtype="DATA_OWNER",
-                            size_bytes=72, category="data")
-    assert not link.drops(data)
+    assert _cross(link, _data()) == 72 / 3.2 + 10.0
+    assert stats["flap_dropped"] == 1
     # A request whose whole crossing clears before the outage survives.
     sim2 = Simulator()
     late_window, _ = _faulty_link(sim2, down=[(50.0, 100.0)])
-    assert not late_window.drops(gets)
+    assert _cross(late_window, gets) == 8 / 3.2 + 10.0
 
 
 def test_flap_queues_instead_of_dropping_on_baselines():
@@ -314,8 +332,7 @@ def test_flap_queues_instead_of_dropping_on_baselines():
     sim = Simulator()
     link, stats = _faulty_link(sim, down=[(0.0, 100.0)], drop_mode=False)
     gets = CoherenceMessage(src=0, dst=1, mtype="GETS")
-    assert not link.drops(gets)
-    link.occupy(gets.size_bytes, "request")
+    assert _cross(link, gets) == 100.0 + 8 / 3.2 + 10.0
     assert stats["flap_queued"] == 1
     assert stats["flap_dropped"] == 0
 
@@ -323,13 +340,12 @@ def test_flap_queues_instead_of_dropping_on_baselines():
 def test_degrade_stretches_serialization_inside_the_window():
     sim = Simulator()
     link, stats = _faulty_link(sim, degraded=[(0.0, 100.0, 5.0)])
-    arrival = link.occupy(32, "data")
-    assert arrival == pytest.approx(5.0 * 32 / 3.2 + 10.0)
+    assert _cross(link, _data(32)) == pytest.approx(5.0 * 32 / 3.2 + 10.0)
     assert stats["degraded_crossings"] == 1
     # Outside the window the link is healthy again.
     sim2 = Simulator()
     healthy, stats2 = _faulty_link(sim2, degraded=[(200.0, 300.0, 5.0)])
-    assert healthy.occupy(32, "data") == pytest.approx(32 / 3.2 + 10.0)
+    assert _cross(healthy, _data(32)) == pytest.approx(32 / 3.2 + 10.0)
     assert stats2["degraded_crossings"] == 0
 
 
@@ -337,7 +353,7 @@ def test_degrade_is_noop_under_unlimited_bandwidth():
     sim = Simulator()
     link, stats = _faulty_link(sim, degraded=[(0.0, 100.0, 5.0)],
                                bandwidth=None)
-    assert link.occupy(72, "data") == 10.0
+    assert _cross(link, _data()) == 10.0
     # The window *matched* (counter ticks) but there was nothing to
     # stretch: 0.0 serialization stays 0.0.
     assert stats["degraded_crossings"] == 1

@@ -119,25 +119,25 @@ def test_install_swaps_classes_in_place():
 
 @pytest.mark.parametrize("protocol,interconnect", [
     ("tokenb", "torus"),   # batched torus multicast must be re-routed
-    ("tokenb", "tree"),    # tree fan-out already goes through occupy
+    ("tokenb", "tree"),    # tree fan-out already crosses hop by hop
     ("hammer", "torus"),   # baseline whose probes broadcast on the torus
 ])
 def test_every_link_crossing_goes_through_jittered_occupy(
     monkeypatch, protocol, interconnect
 ):
     """Broadcast hops must not bypass the jitter: the production torus
-    inlines Link.occupy in its batched multicast, so a hooked network
-    takes the per-hop fan-out instead.  Count occupy calls against
-    recorded crossings — any inlined (unjittered) hop would break the
-    equality."""
+    claims link slots inline in its batched multicast, so a hooked
+    network takes the per-hop fan-out instead.  Count calls to the
+    jitter's ``delay`` hook against recorded crossings — any hop that
+    skipped the hook chain would break the equality."""
     calls = [0]
-    base_occupy = HookedLink.occupy
+    base_delay = LinkJitter.delay
 
-    def counting_occupy(self, size_bytes, category):
+    def counting_delay(self, link, busy_until):
         calls[0] += 1
-        return base_occupy(self, size_bytes, category)
+        return base_delay(self, link, busy_until)
 
-    monkeypatch.setattr(HookedLink, "occupy", counting_occupy)
+    monkeypatch.setattr(LinkJitter, "delay", counting_delay)
     system = _build(protocol, interconnect)
     Perturber(PerturbSpec(link_jitter_ns=2.0)).install(system)
     assert system.network._hooked
