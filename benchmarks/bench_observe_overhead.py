@@ -6,8 +6,9 @@ measure — the determinism suite pins bit-identity), so this bench
 quantifies the armed side.  Each configuration runs three ways —
 baseline, with tracing installed (the default summary recorder, the
 one campaigns arm), and with the kernel self-profiler installed — on
-identical streams, and asserts the results are equal before reporting
-the wall-time ratios.
+identical streams, and asserts the results are equal in every output
+field (:func:`~repro.testing.signature.result_signature`) before
+reporting the wall-time ratios.
 
 Results are written to ``BENCH_observe.json`` at the repo root
 (override with ``REPRO_BENCH_OBSERVE_OUT``).  Set
@@ -32,6 +33,7 @@ from pathlib import Path
 
 from repro import COMMERCIAL_WORKLOADS, SystemConfig, interconnect_for
 from repro.system.builder import build_system
+from repro.testing.signature import result_signature
 from repro.workloads import generate_streams
 
 CONFIGS = [
@@ -45,18 +47,6 @@ OPS_PER_PROC = 400
 
 def _smoke() -> bool:
     return os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
-
-
-def _signature(result) -> tuple:
-    """The observable output a telemetry layer must not change."""
-    return (
-        result.events_fired,
-        result.runtime_ns,
-        result.total_ops,
-        result.total_misses,
-        tuple(sorted(result.counters.items())),
-        tuple(sorted(result.traffic_bytes.items())),
-    )
 
 
 def _run(config, spec, mode: str):
@@ -77,7 +67,7 @@ def _run(config, spec, mode: str):
         install_profiler(system.sim)
     t0 = time.perf_counter()
     result = system.run()
-    return time.perf_counter() - t0, _signature(result)
+    return time.perf_counter() - t0, result_signature(result)
 
 
 def measure(repeats: int | None = None) -> dict:
@@ -118,7 +108,7 @@ def measure(repeats: int | None = None) -> dict:
             "workload": workload_name,
             "n_procs": 16,
             "ops_per_proc": ops,
-            "events_fired": signatures["baseline"][0],
+            "events_fired": signatures["baseline"]["events_fired"],
             "wall_s_baseline": round(best["baseline"], 4),
             "wall_s_traced": round(best["traced"], 4),
             "wall_s_profiled": round(best["profiled"], 4),

@@ -14,7 +14,7 @@ so behaviour is independent of wall-clock event jitter.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 
 class CacheLine:
@@ -169,7 +169,3 @@ class SetAssociativeCache:
         """Iterate over all resident lines, set by set in index order."""
         for index in sorted(self._sets):
             yield from self._sets[index].values()
-
-    def for_each(self, fn: Callable[[CacheLine], None]) -> None:
-        for line in list(self.lines()):
-            fn(line)

@@ -126,9 +126,6 @@ class ProtocolNode(abc.ABC):
         self._issue_transaction(entry)
         return entry
 
-    def outstanding_misses(self) -> int:
-        return len(self.mshrs)
-
     # ------------------------------------------------------------------
     # Transaction completion plumbing
     # ------------------------------------------------------------------

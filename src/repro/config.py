@@ -45,7 +45,6 @@ class SystemConfig:
     link_latency_ns: float = 15.0
     #: 3.2 GB/s = 3.2 bytes/ns; None models unlimited bandwidth.
     link_bandwidth_bytes_per_ns: float | None = 3.2
-    tree_fanout: int = 4
 
     # Coherent memory system (Table 1)
     block_bytes: int = 64

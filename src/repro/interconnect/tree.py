@@ -76,10 +76,6 @@ class OrderedTreeInterconnect(Interconnect):
         self._expected_seq = [0] * n_nodes
         self._reorder: list[dict[int, Message]] = [{} for _ in range(n_nodes)]
 
-    def group_of(self, node_id: int) -> int:
-        """Index of the leaf switch pair serving ``node_id``."""
-        return node_id // self.fanout
-
     def _group_members(self, group: int) -> list[int]:
         lo = group * self.fanout
         return list(range(lo, min(lo + self.fanout, self.n_nodes)))

@@ -257,9 +257,6 @@ class LineageRecorder:
     def dropped_requests(self) -> list[tuple[int, int]]:
         return list(self._drops)
 
-    def transactions_completed(self) -> set[tuple[int, int]]:
-        return set(self._txn_done)
-
     def stats(self) -> dict[str, int]:
         """Aggregate counters (ScenarioOutcome / campaign reports)."""
         terminals = sum(1 for e in self.events if e[2] in TERMINAL_KINDS)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.cache.cache import SetAssociativeCache
 from repro.coherence.checker import CoherenceChecker
@@ -54,7 +54,6 @@ class Sequencer:
         sim: Simulator,
         checker: CoherenceChecker,
         stream: Iterator[MemoryOp],
-        on_done: Callable[["Sequencer"], None] | None = None,
     ) -> None:
         self.node = node
         self.config = config
@@ -62,7 +61,6 @@ class Sequencer:
         self.checker = checker
         self.proc_id = node.node_id
         self._stream = iter(stream)
-        self._on_done = on_done
         self.l1 = SetAssociativeCache.from_geometry(
             config.l1_bytes, config.l1_assoc, config.block_bytes
         )
@@ -253,8 +251,6 @@ class Sequencer:
             and self.finish_time is None
         ):
             self.finish_time = self.sim._now
-            if self._on_done is not None:
-                self._on_done(self)
 
     @property
     def done(self) -> bool:

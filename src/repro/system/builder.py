@@ -63,7 +63,6 @@ class System:
         streams: dict[int, list[MemoryOp]],
         workload_name: str = "custom",
         ops_per_transaction: int = 100,
-        strict_checker: bool | None = None,
         checker_factory: Callable[..., CoherenceChecker] | None = None,
     ) -> None:
         config.validate()
@@ -73,12 +72,10 @@ class System:
         self.sim = Simulator()
         self.traffic = TrafficMeter()
         self.counters = Counter()
-        if strict_checker is None:
-            strict_checker = config.protocol in STRICT_SAFE_PROTOCOLS
         if checker_factory is None:
             checker_factory = CoherenceChecker
         self.checker = checker_factory(
-            strict=strict_checker,
+            strict=config.protocol in STRICT_SAFE_PROTOCOLS,
             allow_inflight_invalidation=config.protocol == "snooping",
         )
         self.network = build_interconnect(
@@ -212,7 +209,6 @@ def build_system(
     streams: dict[int, list[MemoryOp]],
     workload_name: str = "custom",
     ops_per_transaction: int = 100,
-    strict_checker: bool | None = None,
     checker_factory: Callable[..., CoherenceChecker] | None = None,
 ) -> System:
     """Assemble a system around explicit per-processor op streams."""
@@ -221,7 +217,6 @@ def build_system(
         streams,
         workload_name,
         ops_per_transaction,
-        strict_checker,
         checker_factory,
     )
 

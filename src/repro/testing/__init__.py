@@ -21,6 +21,8 @@ package proves it mechanically:
   replayable repro file (``campaign run`` writes one on a violation).
 * :mod:`repro.testing.mutants` — deliberately broken protocol variants
   that prove each oracle actually fires.
+* :mod:`repro.testing.signature` — the one definition of "same
+  behaviour" that every golden pin and equivalence check reads.
 """
 
 from repro.testing.perturb import Perturber, PerturbSpec

@@ -5,25 +5,17 @@ of :mod:`repro.campaign.presets` that reorders, adds or drops a case —
 or changes one parameter document by a byte — turns CI's
 ``--expect-cached`` reruns into misses.  This file pins, for every name
 in :data:`~repro.campaign.presets.SPEC_BUILDERS` and every option set
-the CLI passes through :func:`~repro.campaign.presets.build_spec`, a
-digest of the ordered key list under a pinned code fingerprint.
-
-Regenerate (only for an intended change to a preset) with::
-
-    PYTHONPATH=src python tests/campaign/test_preset_keys.py --record
+the CLI passes through :func:`~repro.campaign.presets.build_spec`, the
+case count and the :func:`~repro.testing.signature.digest` of the
+ordered key list under a pinned code fingerprint.  Re-record every
+golden (only for an intended change to a preset) with
+``PYTHONPATH=src python -m pytest -q --record-golden``.
 """
-
-import hashlib
-import json
-import os
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.campaign.presets import SPEC_BUILDERS, build_spec
-
-GOLDEN_PATH = Path(__file__).resolve().parent.parent / "golden" / "preset_keys.json"
+from repro.testing.signature import digest
 
 FINGERPRINT = "preset-key-pin"
 
@@ -47,17 +39,8 @@ def _labels() -> list[tuple[str, str, dict]]:
     return labels
 
 
-def _pin(name: str, options: dict) -> dict:
-    keys = [case.key for case in build_spec(name, **options).cases()]
-    digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()[:16]
-    return {"cases": len(keys), "keys": digest}
-
-
-def _record() -> dict:
-    return {
-        f"{name}/{option_label}": _pin(name, options)
-        for name, option_label, options in _labels()
-    }
+LABELS = _labels()
+IDS = [f"{name}/{option_label}" for name, option_label, _ in LABELS]
 
 
 @pytest.fixture(autouse=True)
@@ -66,29 +49,13 @@ def pinned_fingerprint(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def golden() -> dict:
-    return json.loads(GOLDEN_PATH.read_text())
+def golden(golden_file):
+    return golden_file("preset_keys.json", IDS)
 
 
-def test_golden_covers_every_preset(golden):
-    assert sorted(golden) == sorted(
-        f"{name}/{option_label}" for name, option_label, _ in _labels()
-    )
-
-
-@pytest.mark.parametrize(
-    "name,option_label,options",
-    _labels(),
-    ids=[f"{name}/{option_label}" for name, option_label, _ in _labels()],
-)
+@pytest.mark.parametrize("name,option_label,options", LABELS, ids=IDS)
 def test_preset_case_keys_match_golden(golden, name, option_label, options):
-    assert _pin(name, options) == golden[f"{name}/{option_label}"]
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: test_preset_keys.py --record")
-    os.environ["REPRO_CAMPAIGN_FINGERPRINT"] = FINGERPRINT
-    recorded = _record()
-    GOLDEN_PATH.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(recorded)} presets -> {GOLDEN_PATH}")
+    keys = [case.key for case in build_spec(name, **options).cases()]
+    golden.check(
+        f"{name}/{option_label}", {"cases": len(keys), "digest": digest(keys)}
+    )

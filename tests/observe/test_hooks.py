@@ -23,12 +23,13 @@ from repro.testing.explore import (
     _generate_streams,
     run_scenario,
 )
+from repro.testing.signature import outcome_signature
 
 
-def _outcome_fields(outcome) -> dict:
-    fields = dataclasses.asdict(outcome)
-    fields.pop("telemetry")  # the only field allowed to differ
-    return fields
+def _untraced(outcome):
+    """The outcome with its telemetry, the only field allowed to differ
+    between an armed and an unarmed run, emptied."""
+    return dataclasses.replace(outcome, telemetry={})
 
 
 def _armed_system(scenario, epoch_ns=None, recorder=None):
@@ -59,8 +60,8 @@ def test_armed_run_is_observationally_identical(protocol, interconnect,
     unarmed = run_scenario(scenario)
     armed = run_scenario(dataclasses.replace(scenario, observe=True))
     assert unarmed.ok and armed.ok
-    assert _outcome_fields(armed) == _outcome_fields(unarmed)
     assert unarmed.telemetry == {}
+    assert outcome_signature(_untraced(armed)) == outcome_signature(unarmed)
     assert armed.telemetry["delivers"] > 0
 
 
@@ -74,7 +75,7 @@ def test_armed_unlimited_bandwidth_fast_path_identical():
     )
     unarmed = run_scenario(scenario)
     armed = run_scenario(dataclasses.replace(scenario, observe=True))
-    assert _outcome_fields(armed) == _outcome_fields(unarmed)
+    assert outcome_signature(_untraced(armed)) == outcome_signature(unarmed)
 
 
 def test_double_install_rejected():

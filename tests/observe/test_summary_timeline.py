@@ -4,14 +4,17 @@ Campaigns arm the default :class:`~repro.observe.TraceRecorder`, which
 keeps counts and histograms only; the observe CLI arms a
 :class:`~repro.observe.TimelineRecorder`, which also keeps every event
 and hooks every link.  On every overlay-golden scenario, traced, the
-two must give the same outcome, telemetry included, and the summary's
-counts must be the timeline's list lengths.
+two must give the same :func:`~repro.testing.signature.outcome_signature`,
+telemetry included, and the summary's counts must be the timeline's
+list lengths.
 
-One exception: where tracing is the only overlay that hooks links, the
-timeline's ``on_hop`` hooks move the torus onto its per-hop fan-out,
-which holds the same events at the same times but a different number
-of them in the kernel heap at once, so the queue-depth distribution may
-differ.  The overlay golden leaves ``queue_depth`` out for that reason.
+The signature leaves out ``queue_depth``: where tracing is the only
+overlay that hooks links, the timeline's ``on_hop`` hooks move the
+torus onto its per-hop fan-out, which holds the same events at the
+same times but a different number of them in the kernel heap at once,
+so the queue-depth distribution may differ.  Where another overlay
+hooks links too, both runs take the per-hop path and ``queue_depth``
+must match as well.
 """
 
 import dataclasses
@@ -22,6 +25,7 @@ import pytest
 
 from repro.observe import TimelineRecorder, install_tracing
 from repro.testing.explore import _armed_system, _finish_scenario
+from repro.testing.signature import outcome_signature
 
 _OVERLAY_GOLDEN = (
     Path(__file__).resolve().parent.parent / "testing" / "test_overlay_golden.py"
@@ -91,12 +95,12 @@ def test_summary_telemetry_equals_the_timeline(label):
     # Summary tracing hooks no link of its own.
     assert system.network._hooked == others_hook_links
 
-    observed = dataclasses.asdict(summary)
-    expected = dataclasses.asdict(timeline)
-    if not others_hook_links:
-        observed["telemetry"].pop("queue_depth")
-        expected["telemetry"].pop("queue_depth")
-    assert observed == expected
+    assert outcome_signature(summary) == outcome_signature(timeline)
+    if others_hook_links:
+        assert (
+            summary.telemetry["queue_depth"]
+            == timeline.telemetry["queue_depth"]
+        )
 
     counts = summary.telemetry
     assert counts["sends"] == len(recorder.sends)

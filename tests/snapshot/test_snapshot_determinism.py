@@ -2,53 +2,47 @@
 
 The subsystem's core contract: pausing a simulation mid-run, pickling
 it, and resuming the restored copy must be invisible — the resumed run
-produces exactly the outputs of the uninterrupted one, which the
-determinism golden file pins across engine refactors.
+produces exactly the outputs of the uninterrupted one.  A restored run
+of a determinism case checks the determinism suite's own pin for that
+label (``tests/golden/determinism_golden.json``), so under
+``--record-golden`` a restored run that disagrees with the
+uninterrupted one fails instead of recording.
 """
 
 import functools
-import json
+import importlib.util
 import pickle
 from pathlib import Path
 
 import pytest
 
-from repro import COMMERCIAL_WORKLOADS, SystemConfig
+from repro import SystemConfig
 from repro.snapshot import ReplayableStream, SimulatorSnapshot, demo_family
 from repro.system.builder import build_system
-from repro.workloads import generate_streams
+from repro.testing.signature import pin, result_signature
 
-GOLDEN_PATH = (
-    Path(__file__).resolve().parent.parent / "golden" / "determinism_golden.json"
+_DETERMINISM_SUITE = (
+    Path(__file__).resolve().parent.parent / "system" / "test_determinism.py"
 )
-GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 
-def _observed(result) -> dict:
-    return {
-        "events_fired": result.events_fired,
-        "runtime_ns": result.runtime_ns,
-        "total_ops": result.total_ops,
-        "total_misses": result.total_misses,
-        "counters": dict(sorted(result.counters.items())),
-        "traffic_bytes": dict(sorted(result.traffic_bytes.items())),
-        "l1_hits": result.l1_hits,
-        "l2_hits": result.l2_hits,
-    }
-
-
-def _golden_system(label: str):
-    case = GOLDEN[label]
-    config = SystemConfig(n_procs=16, **case["config"])
-    spec = COMMERCIAL_WORKLOADS[case["workload"]].scaled(case["ops_per_proc"])
-    streams = generate_streams(
-        spec, config.n_procs, config.seed, config.block_bytes
+def _determinism_suite():
+    """The determinism suite's module: its ``CASES``, ``GOLDEN_NAME``
+    and ``golden_system``."""
+    spec = importlib.util.spec_from_file_location(
+        "_determinism_suite", _DETERMINISM_SUITE
     )
-    system = build_system(
-        config, streams, workload_name=spec.name,
-        ops_per_transaction=spec.ops_per_transaction,
-    )
-    return system, case
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+DETERMINISM = _determinism_suite()
+
+
+@pytest.fixture(scope="module")
+def golden(golden_file):
+    return golden_file(DETERMINISM.GOLDEN_NAME, DETERMINISM.CASES)
 
 
 def _run_to(system, fired: int) -> None:
@@ -58,24 +52,22 @@ def _run_to(system, fired: int) -> None:
         pass
 
 
-@pytest.mark.parametrize("label", sorted(GOLDEN))
-def test_midrun_capture_restore_matches_golden(label):
+@pytest.mark.parametrize("label", sorted(DETERMINISM.CASES))
+def test_midrun_capture_restore_matches_golden(golden, label):
     """Pause at an arbitrary point, pickle, resume: the restored run
     reproduces the recorded golden outputs exactly."""
-    system, case = _golden_system(label)
+    system = DETERMINISM.golden_system(label)
     system.start()
     _run_to(system, 1500)
     snapshot = SimulatorSnapshot.capture(system)
     assert snapshot.size_bytes > 0
     assert snapshot.meta["events_fired"] == system.sim.events_fired
-    assert snapshot.meta["protocol"] == case["config"]["protocol"]
+    assert snapshot.meta["protocol"] == system.config.protocol
 
     restored = snapshot.restore()
     assert restored is not system
     restored.drain()
-    observed = _observed(restored.finish())
-    expected = {key: case[key] for key in observed}
-    assert observed == expected
+    golden.check(label, pin(result_signature(restored.finish())))
 
 
 def _replayable_warmup_system(protocol: str):
@@ -109,30 +101,24 @@ def test_midrun_restore_replays_replayable_streams(protocol):
 
     restored = snapshot.restore()
     restored.drain()
-    result = restored.finish()
-    assert _observed(result) == _observed(expected)
-    assert result.per_proc_finish_ns == expected.per_proc_finish_ns
+    assert result_signature(restored.finish()) == result_signature(expected)
 
 
-def test_capture_does_not_disturb_the_original():
+def test_capture_does_not_disturb_the_original(golden):
     """Capture is read-only: the captured system, resumed in place,
     still replays its golden bit-identically."""
-    label = "tokenb-torus"
-    system, case = _golden_system(label)
+    system = DETERMINISM.golden_system("tokenb-torus")
     system.start()
     _run_to(system, 1000)
     SimulatorSnapshot.capture(system)
     system.drain()
-    observed = _observed(system.finish())
-    expected = {key: case[key] for key in observed}
-    assert observed == expected
+    golden.check("tokenb-torus", pin(result_signature(system.finish())))
 
 
-def test_snapshot_round_trips_through_bytes():
+def test_snapshot_round_trips_through_bytes(golden):
     """The snapshot itself pickles (how the checkpoint store writes it)
     and the rehydrated copy restores to the same continuation."""
-    label = "directory-torus"
-    system, case = _golden_system(label)
+    system = DETERMINISM.golden_system("directory-torus")
     system.start()
     _run_to(system, 800)
     snapshot = SimulatorSnapshot.capture(system)
@@ -142,14 +128,15 @@ def test_snapshot_round_trips_through_bytes():
     for snap in (snapshot, clone):
         restored = snap.restore()
         restored.drain()
-        observed = _observed(restored.finish())
-        assert observed == {key: case[key] for key in observed}
+        golden.check(
+            "directory-torus", pin(result_signature(restored.finish()))
+        )
 
 
 def test_two_restores_diverge_independently():
     """Restores are copies, not views: running one does not advance the
     other (the copy-on-write property forks rely on)."""
-    system, _case = _golden_system("tokenb-torus")
+    system = DETERMINISM.golden_system("tokenb-torus")
     system.start()
     _run_to(system, 1200)
     snapshot = SimulatorSnapshot.capture(system)
@@ -160,9 +147,7 @@ def test_two_restores_diverge_independently():
     first_result = first.finish()
     assert second.sim.events_fired == snapshot.meta["events_fired"]
     second.drain()
-    second_result = second.finish()
-    assert _observed(first_result) == _observed(second_result)
-    assert first_result.per_proc_finish_ns == second_result.per_proc_finish_ns
+    assert result_signature(first_result) == result_signature(second.finish())
 
 
 def test_drained_two_node_snapshot_is_small():

@@ -2,62 +2,79 @@
 
 The engine's contract is *bit-identical replay*: the same
 ``SystemConfig`` + workload must always produce exactly the same
-``events_fired``, ``runtime_ns``, counters, and traffic — run-to-run,
-and across engine refactors.  The golden file was recorded from the
-reference hop-by-hop engine and cross-checked against the current one;
-any hot-path change that perturbs event ordering fails here.
+result — every output field of
+:func:`~repro.testing.signature.result_signature` — run-to-run, and
+across engine refactors.  ``tests/golden/determinism_golden.json`` pins
+each case's ``events_fired`` and signature digest; any hot-path change
+that perturbs event ordering fails here.  The snapshot suite checks its
+restored runs against the same pins.  Re-record every golden (only for
+an intended behaviour change) with
+``PYTHONPATH=src python -m pytest -q --record-golden``.
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
 from repro import COMMERCIAL_WORKLOADS, SystemConfig, simulate
+from repro.system.builder import build_system
+from repro.testing.signature import pin, result_signature
+from repro.workloads import generate_streams
 
-GOLDEN_PATH = Path(__file__).resolve().parent.parent / "golden" / "determinism_golden.json"
-GOLDEN = json.loads(GOLDEN_PATH.read_text())
+GOLDEN_NAME = "determinism_golden.json"
 
-
-def _run_case(case: dict):
-    config = SystemConfig(n_procs=16, **case["config"])
-    spec = COMMERCIAL_WORKLOADS[case["workload"]].scaled(case["ops_per_proc"])
-    return simulate(config, spec)
-
-
-def _observed(result) -> dict:
-    return {
-        "events_fired": result.events_fired,
-        "runtime_ns": result.runtime_ns,
-        "total_ops": result.total_ops,
-        "total_misses": result.total_misses,
-        "counters": dict(sorted(result.counters.items())),
-        "traffic_bytes": dict(sorted(result.traffic_bytes.items())),
-        "l1_hits": result.l1_hits,
-        "l2_hits": result.l2_hits,
-    }
+#: label -> (workload, SystemConfig kwargs); 16 procs x 60 ops each.
+CASES = {
+    "directory-torus": (
+        "oltp", dict(protocol="directory", interconnect="torus")
+    ),
+    "snooping-tree": ("apache", dict(protocol="snooping", interconnect="tree")),
+    "tokenb-torus": ("apache", dict(protocol="tokenb", interconnect="torus")),
+    "tokenb-torus-unlim": (
+        "apache",
+        dict(protocol="tokenb", interconnect="torus",
+             link_bandwidth_bytes_per_ns=None),
+    ),
+}
+OPS_PER_PROC = 60
 
 
-@pytest.mark.parametrize("label", sorted(GOLDEN))
-def test_matches_recorded_golden(label):
+def case_inputs(label: str):
+    """The case's ``(SystemConfig, WorkloadSpec)``."""
+    workload, kwargs = CASES[label]
+    config = SystemConfig(n_procs=16, **kwargs)
+    return config, COMMERCIAL_WORKLOADS[workload].scaled(OPS_PER_PROC)
+
+
+def golden_system(label: str):
+    """The case's system, built and not yet started."""
+    config, spec = case_inputs(label)
+    streams = generate_streams(
+        spec, config.n_procs, config.seed, config.block_bytes
+    )
+    return build_system(
+        config, streams, workload_name=spec.name,
+        ops_per_transaction=spec.ops_per_transaction,
+    )
+
+
+@pytest.fixture(scope="module")
+def golden(golden_file):
+    return golden_file(GOLDEN_NAME, CASES)
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_matches_recorded_golden(golden, label):
     """The engine reproduces the recorded reference outputs exactly."""
-    case = GOLDEN[label]
-    observed = _observed(_run_case(case))
-    expected = {key: case[key] for key in observed}
-    assert observed == expected
+    golden.check(label, pin(result_signature(simulate(*case_inputs(label)))))
 
 
 def test_same_config_replays_identically():
     """Two runs of one configuration are indistinguishable."""
-    case = GOLDEN["tokenb-torus"]
-    first = _run_case(case)
-    second = _run_case(case)
-    assert _observed(first) == _observed(second)
-    assert first.per_proc_finish_ns == second.per_proc_finish_ns
-    assert first.mean_miss_latency_ns == second.mean_miss_latency_ns
+    first = simulate(*case_inputs("tokenb-torus"))
+    second = simulate(*case_inputs("tokenb-torus"))
+    assert result_signature(first) == result_signature(second)
 
 
-def test_faults_layer_is_invisible_when_uninstalled():
+def test_faults_layer_is_invisible_when_uninstalled(golden):
     """Importing (and arming elsewhere) the fault-injection package must
     not move a single event in a fault-free run: the layer exists only
     as a reserved slot plus an install-time ``__class__`` swap, so a
@@ -73,18 +90,15 @@ def test_faults_layer_is_invisible_when_uninstalled():
         make_fault_scenario(0, "tokenb", "torus", "link_flap")
     )
     assert outcome.ok
-    label = "tokenb-torus"
-    case = GOLDEN[label]
-    observed = _observed(_run_case(case))
-    expected = {key: case[key] for key in observed}
-    assert observed == expected
+    result = simulate(*case_inputs("tokenb-torus"))
+    golden.check("tokenb-torus", pin(result_signature(result)))
     # An injector whose plan is empty is also a no-op.
     assert not FaultPlan().any_active()
     assert FaultEvent("link_flap", 0.0, 1.0, target=0).end_ns == 1.0
     assert FaultInjector(FaultPlan()).stats["flap_dropped"] == 0
 
 
-def test_observe_layer_is_invisible_when_uninstalled():
+def test_observe_layer_is_invisible_when_uninstalled(golden):
     """Importing (and arming elsewhere) the observability package must
     not move a single event in an un-armed run — same reserved-slot +
     ``__class__``-swap discipline as the fault layer."""
@@ -100,36 +114,21 @@ def test_observe_layer_is_invisible_when_uninstalled():
                  observe=True)
     )
     assert outcome.ok and outcome.telemetry["delivers"] > 0
-    case = GOLDEN["tokenb-torus"]
-    observed = _observed(_run_case(case))
-    expected = {key: case[key] for key in observed}
-    assert observed == expected
+    result = simulate(*case_inputs("tokenb-torus"))
+    golden.check("tokenb-torus", pin(result_signature(result)))
 
 
-@pytest.mark.parametrize("label", sorted(GOLDEN))
-def test_armed_tracing_matches_recorded_golden(label):
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_armed_tracing_matches_recorded_golden(golden, label):
     """An armed run reproduces the golden outputs bit-identically: the
     trace layer observes the schedule without touching it."""
     from repro.observe import install_tracing
-    from repro.system.builder import build_system
-    from repro.workloads import generate_streams
 
-    case = GOLDEN[label]
-    config = SystemConfig(n_procs=16, **case["config"])
-    spec = COMMERCIAL_WORKLOADS[case["workload"]].scaled(case["ops_per_proc"])
-    streams = generate_streams(
-        spec, config.n_procs, config.seed, config.block_bytes
-    )
-    system = build_system(
-        config, streams, workload_name=spec.name,
-        ops_per_transaction=spec.ops_per_transaction,
-    )
+    system = golden_system(label)
     recorder = install_tracing(system, epoch_ns=200.0)
     # Summary tracing hooks no link: the network keeps its stock path.
     assert not system.network._hooked
-    observed = _observed(system.run())
-    expected = {key: case[key] for key in observed}
-    assert observed == expected
+    golden.check(label, pin(result_signature(system.run())))
     # And the trace is not empty: the run was genuinely recorded.
     summary = recorder.summary()
     assert summary["delivers"] and summary["hops"]

@@ -4,7 +4,8 @@ On a stock system (no hook armed, stock kernel) the interconnects cross
 a link in one call and post each last hop straight to the destination's
 handler.  Arming any link hook moves the whole network onto the per-hop
 reference path (``HookedLink.cross`` on every hop, the per-hop torus
-fan-out); a no-op hook there must change nothing.
+fan-out); a no-op hook there must change no output field of
+:func:`~repro.testing.signature.result_signature`.
 
 The cost guards count Python calls per fired event under cProfile: on
 the stock path, and on the armed path of two explorer scenarios
@@ -26,6 +27,7 @@ from repro import COMMERCIAL_WORKLOADS, SystemConfig
 from repro.overlay import arm_link
 from repro.system.builder import build_system
 from repro.testing.explore import make_scenario, run_scenario
+from repro.testing.signature import result_signature
 from repro.workloads import generate_streams
 
 #: The six figure-grid configs: label -> (workload, SystemConfig kwargs).
@@ -89,16 +91,6 @@ def _system(label: str, ops_per_proc: int):
     )
 
 
-def _outputs(result) -> dict:
-    return {
-        "events_fired": result.events_fired,
-        "runtime_ns": result.runtime_ns,
-        "counters": result.counters,
-        "traffic_bytes": result.traffic_bytes,
-        "per_proc_finish_ns": result.per_proc_finish_ns,
-    }
-
-
 @pytest.mark.parametrize("label", sorted(FIGURE_GRID))
 def test_stock_path_matches_the_per_hop_reference_path(label):
     stock = _system(label, 120)
@@ -108,7 +100,7 @@ def test_stock_path_matches_the_per_hop_reference_path(label):
     for link in network.all_links():
         arm_link(network, link, on_hop=lambda *hop: hops.append(None))
     assert network._hooked
-    assert _outputs(stock.run()) == _outputs(reference.run())
+    assert result_signature(stock.run()) == result_signature(reference.run())
     assert len(hops) == sum(stock.traffic.crossings_by_category().values())
 
 

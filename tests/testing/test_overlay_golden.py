@@ -8,31 +8,21 @@ standard :func:`make_scenario` arms — on the torus and the tree, at two
 seeds.  Any change to how an overlay hooks the simulator that moves an
 event, a random draw or a counter shows up as a digest mismatch here.
 
-Each digest covers the whole :class:`ScenarioOutcome` except the trace's
-``queue_depth`` percentiles: they sample the kernel heap's own size,
-which may legitimately change when a traced network takes a different
-(but event-equivalent) fan-out path.
-
-Regenerate (only for an intended behaviour change) with::
-
-    PYTHONPATH=src python tests/testing/test_overlay_golden.py --record
+Each pin is the outcome's ``events_fired`` and the digest of
+:func:`~repro.testing.signature.outcome_signature`: the whole
+:class:`ScenarioOutcome` except the trace's ``queue_depth``.  Re-record
+every golden (only for an intended behaviour change) with
+``PYTHONPATH=src python -m pytest -q --record-golden``.
 """
 
 import dataclasses
-import hashlib
-import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.faults import FAULT_KINDS
 from repro.testing.explore import make_fault_scenario, make_scenario, run_scenario
 from repro.testing.perturb import PerturbSpec
-
-GOLDEN_PATH = (
-    Path(__file__).resolve().parent.parent / "golden" / "overlay_golden.json"
-)
+from repro.testing.signature import outcome_signature, pin
 
 #: The adversarial value of each perturbation field (the explorer's).
 PERTURB_FIELDS = {
@@ -75,42 +65,14 @@ def _scenarios() -> dict:
     return cases
 
 
-def _digest(outcome) -> str:
-    document = dataclasses.asdict(outcome)
-    document["telemetry"].pop("queue_depth", None)
-    payload = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _observe(scenario) -> dict:
-    outcome = run_scenario(scenario)
-    return {
-        "ok": outcome.ok,
-        "events_fired": outcome.events_fired,
-        "digest": _digest(outcome),
-    }
-
-
 CASES = _scenarios()
 
 
 @pytest.fixture(scope="module")
-def golden() -> dict:
-    return json.loads(GOLDEN_PATH.read_text())
-
-
-def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(CASES)
+def golden(golden_file):
+    return golden_file("overlay_golden.json", CASES)
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_overlay_outcome_matches_golden(golden, label):
-    assert _observe(CASES[label]) == golden[label]
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: test_overlay_golden.py --record")
-    recorded = {label: _observe(CASES[label]) for label in sorted(CASES)}
-    GOLDEN_PATH.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(recorded)} cases -> {GOLDEN_PATH}")
+    golden.check(label, pin(outcome_signature(run_scenario(CASES[label]))))
