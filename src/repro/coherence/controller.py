@@ -5,12 +5,13 @@ the L2 coherence cache, the coherence controller, and the memory
 controller for its slice of shared memory.  :class:`ProtocolNode` holds
 everything protocol-independent: the L2 array, MSHRs with operation
 coalescing, DRAM, message construction/routing helpers, eviction
-plumbing, and the statistics hooks.  Two family bases subclass it:
-:class:`~repro.core.substrate.TokenNodeBase` under the four token
-protocols and :class:`~repro.protocols.mosi.MosiNode` under the three
-MOSI baselines.  Each names its per-miss record (``miss_record``) and
-implements ``handle_message``, ``_issue_transaction``, ``_evict_line``,
-and the permission predicates.
+plumbing, the statistics hooks, and the one message dispatch.  Two
+family bases subclass it: :class:`~repro.core.substrate.TokenNodeBase`
+under the four token protocols and :class:`~repro.protocols.mosi.MosiNode`
+under the three MOSI baselines.  Each names its per-miss record
+(``miss_record``), declares its ``handlers`` (message type -> method
+name), and implements ``_issue_transaction``, ``_evict_line``, and the
+permission predicates.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ class ProtocolNode(abc.ABC):
     #: The :class:`MshrEntry` subclass holding this family's per-miss state.
     miss_record: type[MshrEntry] = MshrEntry
 
+    #: Message type -> the name of the method that handles it.
+    handlers: dict[str, str] = {}
+
     def __init__(
         self,
         node_id: int,
@@ -72,7 +76,32 @@ class ProtocolNode(abc.ABC):
         #: (filled by the MOSI baselines only).
         self.writeback_buffer: dict[int, Writeback] = {}
         self._lose_block_hook: Callable[[int], None] | None = None
+        self._bind_handlers()
         network.attach(node_id, self.handle_message)
+
+    def _bind_handlers(self) -> None:
+        """Bind :attr:`handlers` to this node's methods as they resolve now.
+
+        Bound per node, not cached per class, so the table calls what
+        the node would: a method wrapped on its class before the build,
+        the hooked class an overlay moves the node onto, or an instance
+        patch.  Construction, unpickling and
+        :func:`repro.overlay.arm_object` call this; whoever patches a
+        handler on an instance must call it again.
+        """
+        self._handlers = {
+            mtype: getattr(self, name) for mtype, name in self.handlers.items()
+        }
+
+    def __getstate__(self) -> dict:
+        """Pickle without the bound table; :meth:`__setstate__` rebinds it."""
+        state = self.__dict__.copy()
+        del state["_handlers"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind_handlers()
 
     # ------------------------------------------------------------------
     # Sequencer-facing API
@@ -214,6 +243,16 @@ class ProtocolNode(abc.ABC):
     # Messaging helpers
     # ------------------------------------------------------------------
 
+    def handle_message(self, msg: CoherenceMessage) -> None:
+        """Deliver an incoming network message to its handler."""
+        try:
+            handler = self._handlers[msg.mtype]
+        except KeyError:
+            raise ProtocolError(
+                f"{type(self).__name__} got unknown mtype {msg.mtype!r}"
+            ) from None
+        handler(msg)
+
     def home_of(self, block: int) -> int:
         return block % self._home_mod
 
@@ -249,10 +288,6 @@ class ProtocolNode(abc.ABC):
     # ------------------------------------------------------------------
     # Protocol-specific behaviour
     # ------------------------------------------------------------------
-
-    @abc.abstractmethod
-    def handle_message(self, msg: CoherenceMessage) -> None:
-        """Deliver an incoming network message to this node."""
 
     @abc.abstractmethod
     def _issue_transaction(self, entry: MshrEntry) -> None:

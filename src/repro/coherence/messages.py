@@ -1,8 +1,8 @@
 """Coherence message vocabulary shared by all seven protocols.
 
 One flexible dataclass rather than a class per message type: protocol
-handlers dispatch on ``mtype`` strings.  The types each protocol's
-``handle_message`` dispatches:
+handlers dispatch on ``mtype`` strings.  The types in each protocol's
+``handlers`` table:
 
 ============================  ==============================================
 Protocols                     Message types

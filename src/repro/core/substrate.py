@@ -13,6 +13,12 @@ freedom no matter what the performance protocol does:
   an active initiator (Section 3.2);
 * the arbiter for blocks homed at this node.
 
+Its ``handlers`` table, bound per node by
+:class:`~repro.coherence.controller.ProtocolNode`, names where each
+message goes: transient requests to the snoop timing
+(``_handle_transient``), tokens and activations to the substrate, and
+the arbiter's four messages to this home's arbiter.
+
 Performance protocols subclass this and supply only *policy*: when to
 issue transient requests and how to respond to them
 (:class:`~repro.core.tokenb.TokenBNode` for the paper's TokenB;
@@ -74,7 +80,7 @@ class TokenMiss(MshrEntry):
         self.responders: set[int] | None = None
 
 
-class PersistentSession:
+class OwnPersistentRequest:
     """This node's own persistent request for one block (Section 3.2)."""
 
     __slots__ = ("active", "satisfied", "reinvoke")
@@ -113,6 +119,20 @@ class TokenNodeBase(ProtocolNode):
 
     miss_record = TokenMiss
 
+    handlers = {
+        "GETS": "_handle_transient",
+        "GETM": "_handle_transient",
+        "TOKEN_DATA": "_handle_tokens",
+        "TOKEN_ONLY": "_handle_tokens",
+        "PACT": "_handle_activation",
+        "PDEACT": "_handle_deactivation",
+        # To this home's arbiter.
+        "PREQ": "_handle_preq",
+        "PACT_ACK": "_handle_pact_ack",
+        "PDEACT_REQ": "_handle_pdeact_req",
+        "PDEACT_ACK": "_handle_pdeact_ack",
+    }
+
     def __init__(
         self,
         node_id: int,
@@ -132,92 +152,13 @@ class TokenNodeBase(ProtocolNode):
         self._table_by_arbiter: dict[int, _TableEntry] = {}
         self._table_by_block: dict[int, _TableEntry] = {}
         #: This node's own outstanding persistent requests, by block.
-        self._my_persistent: dict[int, PersistentSession] = {}
+        self._my_persistent: dict[int, OwnPersistentRequest] = {}
         #: Home memory token state, lazily "all tokens at home".
         self._memory: dict[int, _MemoryTokens] = {}
         self.miss_latency = LatencyTracker(initial=4 * config.link_latency_ns * 4)
-        # Hot-path constants and the message dispatch table, hoisted out
-        # of the per-message handlers.
+        # Hot-path constants, hoisted out of the per-message handlers.
         self._snoop_delay = config.l2_latency_ns
         self._home_delay = config.controller_latency_ns + config.dram_latency_ns
-        self._build_dispatch()
-
-    def _build_dispatch(self) -> None:
-        """(Re)build the hoisted message dispatch table.
-
-        Split out of ``__init__`` because the table is a pure function
-        of other node state: the snapshot layer drops it before
-        pickling (the transient fast path is a closure) and calls this
-        again on restore (``__setstate__``).
-        """
-        transient = self._handle_transient
-        if type(self)._handle_transient is TokenNodeBase._handle_transient:
-            # No subclass override: bind the transient fast path as a
-            # closure over locals — GETS/GETM snoops are the single most
-            # frequent message, and this skips every attribute load.  It
-            # pushes its posts inline with the stock ``post``'s arithmetic
-            # even on a restored jittered kernel: the table is first built
-            # before any overlay can move the simulator's class, and a
-            # restore must rebuild what the original run used.  The heap
-            # and the seq counter are read per call.
-            def transient(
-                msg,
-                sim=self.sim,
-                snoop_delay=self._snoop_delay,
-                home_delay=self._home_delay,
-                cache_respond=self._cache_respond,
-                memory_respond=self._memory_respond,
-                home_mod=self._home_mod,
-                me=self.node_id,
-            ):
-                args = (msg,)
-                heap = sim._heap
-                now = sim._now
-                seq = sim._seq
-                heappush(heap, (now + snoop_delay, seq, cache_respond, args))
-                if msg.block % home_mod == me:
-                    seq += 1
-                    heappush(heap, (now + home_delay, seq, memory_respond, args))
-                sim._seq = seq + 1
-
-        self._dispatch = {
-            "GETS": transient,
-            "GETM": transient,
-            "TOKEN_DATA": self._handle_tokens,
-            "TOKEN_ONLY": self._handle_tokens,
-            "PACT": self._handle_activation,
-            "PDEACT": self._handle_deactivation,
-        }
-        self._dispatch_get = self._dispatch.get
-
-    def __getstate__(self) -> dict:
-        """Pickle without the dispatch table (it holds a closure)."""
-        state = self.__dict__.copy()
-        state.pop("_dispatch", None)
-        state.pop("_dispatch_get", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._build_dispatch()
-
-    def _rebind_dispatch(self) -> None:
-        """Re-resolve the dispatch table's bound methods.
-
-        The table is hoisted in ``__init__`` for speed, so a later
-        ``__class__`` swap (onto an overlay's hooked class,
-        :func:`repro.overlay.arm_object`) does not reroute the
-        token/persistent entries through the new class on its own; the
-        overlay calls this to rebind them.  The GETS/GETM entry is left
-        alone: when the transient fast-path closure is in place the
-        subclass did not override ``_handle_transient``, and no hooked
-        class does either.
-        """
-        self._dispatch["TOKEN_DATA"] = self._handle_tokens
-        self._dispatch["TOKEN_ONLY"] = self._handle_tokens
-        self._dispatch["PACT"] = self._handle_activation
-        self._dispatch["PDEACT"] = self._handle_deactivation
-        self._dispatch_get = self._dispatch.get
 
     # ------------------------------------------------------------------
     # Token ledger interface
@@ -257,32 +198,37 @@ class TokenNodeBase(ProtocolNode):
         return line.tokens == self.total_tokens
 
     # ------------------------------------------------------------------
-    # Message dispatch
-    # ------------------------------------------------------------------
-
-    def handle_message(self, msg: CoherenceMessage) -> None:
-        mtype = msg.mtype
-        handler = self._dispatch_get(mtype)
-        if handler is not None:
-            handler(msg)
-        elif mtype == "PREQ":
-            self.arbiter.handle_request(msg.block, msg.requester)
-        elif mtype == "PACT_ACK":
-            self.arbiter.handle_activation_ack(msg.src)
-        elif mtype == "PDEACT_REQ":
-            self.arbiter.handle_deactivate_request(msg.block, msg.requester)
-        elif mtype == "PDEACT_ACK":
-            self.arbiter.handle_deactivation_ack(msg.src)
-        else:
-            raise ProtocolError(f"token node got unknown mtype {mtype!r}")
-
-    # ------------------------------------------------------------------
     # Transient requests: timing, then defer to the performance policy
     # ------------------------------------------------------------------
+
+    # Snoop responses are timed two ways, kept apart on purpose: kernel
+    # jitter reaches the posts of _post_snoop (TokenD, TokenM) but not
+    # the inline pushes of _handle_transient (TokenB, the null protocol).
+    # Merging the two would let it reach both, which moves every
+    # kernel-jittered outcome (an open ROADMAP item).
 
     def _handle_transient(self, msg: CoherenceMessage) -> None:
         # Cache-side snoop costs an L2 tag access; memory-side response
         # needs the controller plus the DRAM (data + ECC token state).
+        # The most frequent message: both posts are pushed inline, with
+        # the stock ``Simulator.post`` arithmetic.
+        sim = self.sim
+        args = (msg,)
+        heap = sim._heap
+        now = sim._now
+        seq = sim._seq
+        heappush(
+            heap, (now + self._snoop_delay, seq, self._cache_respond, args)
+        )
+        if msg.block % self._home_mod == self.node_id:
+            seq += 1
+            heappush(
+                heap, (now + self._home_delay, seq, self._memory_respond, args)
+            )
+        sim._seq = seq + 1
+
+    def _post_snoop(self, msg: CoherenceMessage) -> None:
+        """:meth:`_handle_transient` through the kernel's ``post``."""
         sim = self.sim
         sim.post(self._snoop_delay, self._cache_respond, msg)
         if msg.block % self._home_mod == self.node_id:
@@ -550,7 +496,7 @@ class TokenNodeBase(ProtocolNode):
             return
         entry.persistent = True
         self.counters.add("persistent_request")
-        self._my_persistent[block] = PersistentSession()
+        self._my_persistent[block] = OwnPersistentRequest()
         msg = self.make_control(
             dst=self.home_of(block),
             mtype="PREQ",
@@ -652,6 +598,20 @@ class TokenNodeBase(ProtocolNode):
             vnet="persistent",
         )
         self.send_msg(ack)
+
+    # The arbiter's four messages, passed to this home's arbiter.
+
+    def _handle_preq(self, msg: CoherenceMessage) -> None:
+        self.arbiter.handle_request(msg.block, msg.requester)
+
+    def _handle_pact_ack(self, msg: CoherenceMessage) -> None:
+        self.arbiter.handle_activation_ack(msg.src)
+
+    def _handle_pdeact_req(self, msg: CoherenceMessage) -> None:
+        self.arbiter.handle_deactivate_request(msg.block, msg.requester)
+
+    def _handle_pdeact_ack(self, msg: CoherenceMessage) -> None:
+        self.arbiter.handle_deactivation_ack(msg.src)
 
     def _my_persistent_satisfied(self, block: int) -> None:
         mine = self._my_persistent.get(block)

@@ -342,8 +342,9 @@ def arm_object(obj, **recorders) -> None:
     """Move a node or sequencer onto its hooked class and set ``recorders``.
 
     ``recorders`` names any of ``_observe``, ``_lineage`` and
-    ``_escalation``.  ``TokenNodeBase`` hoists bound handlers into a
-    dispatch table at construction, so it is rebound after the move.
+    ``_escalation``.  A node binds its handler table at construction
+    (``ProtocolNode._bind_handlers``), so it is rebound after the move
+    and dispatches to the hooked class's methods.
     """
     for attr, recorder in recorders.items():
         if getattr(obj, attr, None) is not None:
@@ -352,7 +353,7 @@ def arm_object(obj, **recorders) -> None:
     hooked = hooked_class(cls)
     if hooked is not cls:
         obj.__class__ = hooked
-        rebind = getattr(obj, "_rebind_dispatch", None)
+        rebind = getattr(obj, "_bind_handlers", None)
         if rebind is not None:
             rebind()
     for attr, recorder in recorders.items():

@@ -111,7 +111,7 @@ class TokenDNode(TokenBNode):
     def _handle_transient(self, msg: CoherenceMessage) -> None:
         if self.is_home(msg.block) and msg.tag != _REDIRECTED:
             self._redirect_from_home(msg)
-        super()._handle_transient(msg)
+        self._post_snoop(msg)
 
     def _redirect_from_home(self, msg: CoherenceMessage) -> None:
         """Forward the request per the soft-state directory, then learn

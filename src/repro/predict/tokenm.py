@@ -58,7 +58,7 @@ class TokenMNode(TokenBNode):
             self.predictor.train_request(
                 msg.block, msg.requester, msg.mtype == "GETM"
             )
-        super()._handle_transient(msg)
+        self._post_snoop(msg)
 
     def _handle_tokens(self, msg: CoherenceMessage) -> None:
         if msg.src != self.node_id:

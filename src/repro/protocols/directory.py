@@ -40,32 +40,14 @@ class DirectoryNode(BlockingHomeNode):
 
     home_record = DirectoryBlock
 
-    # ------------------------------------------------------------------
-    # Message dispatch
-    # ------------------------------------------------------------------
-
-    def handle_message(self, msg: CoherenceMessage) -> None:
-        mtype = msg.mtype
-        if mtype in ("GETS", "GETM", "PUT"):
-            self._home_request(msg)
-        elif mtype == "UNBLOCK":
-            self._home_unblock(msg)
-        elif mtype == "FWD_GETS":
-            self._handle_forward(msg, exclusive=False)
-        elif mtype == "FWD_GETM":
-            self._handle_forward(msg, exclusive=True)
-        elif mtype == "INV":
-            self._handle_invalidation(msg)
-        elif mtype == "DATA":
-            self._handle_data(msg)
-        elif mtype == "ACK":
-            self._handle_ack(msg)
-        elif mtype == "ACK_COUNT":
-            self._handle_ack_count(msg)
-        elif mtype == "PUT_ACK":
-            self._handle_put_ack(msg)
-        else:
-            raise ProtocolError(f"directory node got unknown mtype {mtype!r}")
+    handlers = {
+        **BlockingHomeNode.handlers,
+        "FWD_GETS": "_handle_forward",
+        "FWD_GETM": "_handle_forward",
+        "INV": "_handle_invalidation",
+        "DATA": "_handle_data",
+        "ACK_COUNT": "_handle_ack_count",
+    }
 
     # ------------------------------------------------------------------
     # Home side
@@ -204,7 +186,8 @@ class DirectoryNode(BlockingHomeNode):
     # Cache side: forwards, invalidations, responses
     # ------------------------------------------------------------------
 
-    def _handle_forward(self, msg: CoherenceMessage, exclusive: bool) -> None:
+    def _handle_forward(self, msg: CoherenceMessage) -> None:
+        exclusive = msg.mtype == "FWD_GETM"
         self.sim.post(
             self.config.l2_latency_ns, self._forward_respond, msg, exclusive
         )

@@ -34,6 +34,14 @@ from repro.protocols.mosi import BlockingHomeNode, HomeBlock, MosiMiss
 class HammerNode(BlockingHomeNode):
     """One node of the Hammer-style broadcast system."""
 
+    handlers = {
+        **BlockingHomeNode.handlers,
+        "PROBE_GETS": "_handle_probe",
+        "PROBE_GETM": "_handle_probe",
+        "DATA": "_handle_data",
+        "MEM_DATA": "_handle_mem_data",
+    }
+
     # ------------------------------------------------------------------
     # Requester side
     # ------------------------------------------------------------------
@@ -47,29 +55,6 @@ class HammerNode(BlockingHomeNode):
             entry.data_version = line.version
             entry.self_data = True
         super()._send_request(entry, line)
-
-    # ------------------------------------------------------------------
-    # Message dispatch
-    # ------------------------------------------------------------------
-
-    def handle_message(self, msg: CoherenceMessage) -> None:
-        mtype = msg.mtype
-        if mtype in ("GETS", "GETM", "PUT"):
-            self._home_request(msg)
-        elif mtype in ("PROBE_GETS", "PROBE_GETM"):
-            self._handle_probe(msg)
-        elif mtype == "DATA":
-            self._handle_data(msg)
-        elif mtype == "MEM_DATA":
-            self._handle_mem_data(msg)
-        elif mtype == "ACK":
-            self._handle_ack(msg)
-        elif mtype == "UNBLOCK":
-            self._home_unblock(msg)
-        elif mtype == "PUT_ACK":
-            self._handle_put_ack(msg)
-        else:
-            raise ProtocolError(f"hammer node got unknown mtype {mtype!r}")
 
     # ------------------------------------------------------------------
     # Home side (serialize, broadcast, fetch memory in parallel)

@@ -11,8 +11,8 @@ time, queues the rest (PUTs included) until the requester's UNBLOCK,
 and keeps draining its queue past a PUT, which does not occupy it.
 
 :class:`MosiNode` holds the shared requester, fill and eviction code,
-and :class:`BlockingHomeNode` the blocking home; each protocol module
-adds only its own messages.
+and :class:`BlockingHomeNode` the blocking home and the handlers of its
+messages; each protocol module adds only its own messages.
 """
 
 from __future__ import annotations
@@ -194,6 +194,15 @@ class BlockingHomeNode(MosiNode):
 
     #: The per-block home record (Directory adds its sharer map).
     home_record: type[HomeBlock] = HomeBlock
+
+    handlers = {
+        "GETS": "_home_request",
+        "GETM": "_home_request",
+        "PUT": "_home_request",
+        "UNBLOCK": "_home_unblock",
+        "ACK": "_handle_ack",
+        "PUT_ACK": "_handle_put_ack",
+    }
 
     def __init__(
         self,

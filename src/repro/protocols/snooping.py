@@ -54,6 +54,14 @@ class _HomeState:
 class SnoopingNode(MosiNode):
     """One node of the snooping MOSI system."""
 
+    handlers = {
+        "GETS": "_snoop",
+        "GETM": "_snoop",
+        "PUT": "_snoop",
+        "DATA": "_handle_data",
+        "WB_DATA": "_handle_wb_data",
+    }
+
     def __init__(
         self,
         node_id: int,
@@ -93,21 +101,6 @@ class SnoopingNode(MosiNode):
             tx=entry.tx,
         )
         self.broadcast_msg(msg)  # ordered vnet always includes the sender
-
-    # ------------------------------------------------------------------
-    # Message dispatch
-    # ------------------------------------------------------------------
-
-    def handle_message(self, msg: CoherenceMessage) -> None:
-        mtype = msg.mtype
-        if mtype in ("GETS", "GETM", "PUT"):
-            self._snoop(msg)
-        elif mtype == "DATA":
-            self._handle_data(msg)
-        elif mtype == "WB_DATA":
-            self._handle_wb_data(msg)
-        else:
-            raise ProtocolError(f"snooping node got unknown mtype {mtype!r}")
 
     # ------------------------------------------------------------------
     # The ordered snoop pipeline

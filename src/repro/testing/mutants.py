@@ -131,6 +131,7 @@ def _install_writeback_leak(system) -> None:
     """PUT_ACKs are swallowed; writeback windows never close."""
     for node in system.nodes:
         node._handle_put_ack = _swallow_put_ack
+        node._bind_handlers()
 
 
 #: Mutants whose installed patches are module-level functions — a system

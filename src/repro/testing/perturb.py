@@ -144,8 +144,10 @@ class PerturbedSimulator(Simulator):
     link crossing (``Link.cross``, hooked or not) posts its arrival
     through :meth:`post_at` rather than pushing it inline, and so do
     the torus's broadcast fan-outs, so the jitter reaches every
-    crossing.  The posts it misses are the snoop responses pushed by
-    the transient fast path of ``TokenNodeBase._build_dispatch``.
+    crossing.  The posts it misses are the snoop responses that
+    ``TokenNodeBase._handle_transient`` pushes inline, which TokenB and
+    the null protocol use; TokenD and TokenM post theirs through
+    ``_post_snoop``, which the jitter reaches.
     """
 
     __slots__ = ()

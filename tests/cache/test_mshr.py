@@ -6,7 +6,7 @@ import pytest
 
 from repro.cache import MshrEntry, MshrTable
 from repro.config import SystemConfig
-from repro.core.substrate import PersistentSession
+from repro.core.substrate import OwnPersistentRequest
 from repro.protocols.mosi import Writeback
 from repro.system.builder import build_system
 from repro.system.grid import ALL_PROTOCOLS, interconnect_for
@@ -80,7 +80,7 @@ def test_live_miss_record_rejects_undeclared_attributes(protocol):
 
 def test_writeback_and_persistent_session_records_are_declared():
     _assert_declared_only(Writeback(3))
-    _assert_declared_only(PersistentSession())
+    _assert_declared_only(OwnPersistentRequest())
 
 
 def test_len_and_entries():

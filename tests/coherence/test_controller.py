@@ -1,11 +1,18 @@
 """Tests for the protocol-node base class plumbing."""
 
+import functools
+
 import pytest
 
 from repro.config import SystemConfig
 from repro.coherence.controller import ProtocolError
+from repro.coherence.messages import CoherenceMessage
+from repro.core.substrate import TokenNodeBase
 from repro.processor.sequencer import MemoryOp
+from repro.protocols.mosi import BlockingHomeNode
 from repro.system.builder import build_system
+from repro.system.grid import ALL_PROTOCOLS, interconnect_for
+from repro.workloads.adversarial import false_sharing_streams
 
 
 def make_system(**overrides):
@@ -86,3 +93,50 @@ def test_local_send_skips_network():
     msg = node.make_control(dst=2, mtype="GETS", block=5, requester=2)
     node.send_msg(msg)
     assert system.traffic.total_bytes() == before
+
+
+# ----------------------------------------------------------------------
+# The one message dispatch: a handler table bound per node
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+def test_unknown_message_type_names_the_class(protocol):
+    system = make_system(
+        protocol=protocol, interconnect=interconnect_for(protocol)
+    )
+    node = system.nodes[0]
+    assert node._handlers.keys() == node.handlers.keys()
+    msg = CoherenceMessage(src=1, dst=0, mtype="BOGUS", block=5)
+    with pytest.raises(
+        ProtocolError,
+        match=rf"^{type(node).__name__} got unknown mtype 'BOGUS'$",
+    ):
+        node.handle_message(msg)
+
+
+@pytest.mark.parametrize("protocol,owner,name,mtypes", [
+    ("tokenb", TokenNodeBase, "_handle_tokens", {"TOKEN_DATA", "TOKEN_ONLY"}),
+    ("directory", BlockingHomeNode, "_handle_ack", {"ACK"}),
+])
+def test_a_class_wrap_made_before_the_build_is_what_the_table_calls(
+    monkeypatch, protocol, owner, name, mtypes
+):
+    """Wrapped the way the benchmark's span tracer wraps a layer: on the
+    class that defines the method, before the system is built."""
+    original = owner.__dict__[name]
+    seen = []
+
+    @functools.wraps(original)
+    def wrapped(self, msg):
+        seen.append(msg.mtype)
+        original(self, msg)
+
+    monkeypatch.setattr(owner, name, wrapped)
+    config = SystemConfig(protocol=protocol, interconnect="torus", n_procs=4)
+    system = build_system(config, false_sharing_streams(0, 4, 24))
+    for node in system.nodes:
+        for mtype in mtypes:
+            assert node._handlers[mtype].__func__ is wrapped
+    assert system.run().total_ops == 4 * 24
+    assert seen and set(seen) <= mtypes

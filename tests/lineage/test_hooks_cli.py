@@ -7,7 +7,9 @@ observes without perturbing the simulation.
 
 import pytest
 
+from repro.core.tokenb import TokenBNode
 from repro.lineage import install_recorder, is_installed
+from repro.observe import install_tracing
 from repro.overlay import _hook_namespace, hooked_class
 from repro.system.builder import build_system
 from repro.testing.explore import (
@@ -65,14 +67,26 @@ def test_install_rejects_ledgerless_protocols():
 
 
 def test_dispatch_rebinds_to_hooked_methods():
-    """TokenNodeBase hoists bound handlers into _dispatch at __init__;
-    the post-install rebind must re-point them at the hooked class."""
-    system = _token_system()
-    install_recorder(system)
-    for node in system.nodes:
-        handler = node._dispatch["TOKEN_DATA"]
-        assert handler.__func__ is type(node)._handle_tokens
-        assert handler.__self__ is node
+    """A node binds its handler table at construction; moving it onto
+    its hooked class must rebind every entry to the hooked class's
+    methods: lineage on a token node, tracing on a Directory node."""
+    token = _token_system()
+    directory = _token_system(protocol="directory")
+    nodes = (*token.nodes, *directory.nodes)
+    built = [node._handlers for node in nodes]
+    install_recorder(token)
+    install_tracing(directory)
+    for node, table in zip(nodes, built):
+        assert type(node).__name__.startswith("Hooked")
+        assert node._handlers is not table
+        assert node._handlers.keys() == node.handlers.keys()
+        for mtype, name in node.handlers.items():
+            handler = node._handlers[mtype]
+            assert handler.__func__ is getattr(type(node), name)
+            assert handler.__self__ is node
+    # Lineage overrides the token handler, so the rebind is visible.
+    hooked = token.nodes[0]._handlers["TOKEN_DATA"].__func__
+    assert hooked is not TokenBNode._handle_tokens
 
 
 def test_hook_namespace_covers_custody_surface():

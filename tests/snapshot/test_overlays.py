@@ -199,6 +199,47 @@ def test_every_overlay_composes_in_one_scenario(interconnect, seed):
 
 
 # ----------------------------------------------------------------------
+# Handler tables: left out of the pickle, rebound on restore
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scenario", [
+    make_scenario(42, "tokenm", "torus", "false_sharing"),
+    make_scenario(42, "directory", "torus", "false_sharing"),
+    Scenario(seed=4, protocol="directory", interconnect="torus",
+             workload="writeback_churn", mutant="writeback-leak"),
+], ids=["tokenm-armed", "directory-armed", "writeback-leak"])
+def test_restored_nodes_dispatch_to_their_own_methods(scenario):
+    """Each entry of a restored node's table is bound to the restored
+    node and resolves as an attribute lookup on it does: through its
+    hooked class, or to an instance patch."""
+    system = _armed_system(scenario)[0]
+    system.start()
+    while system.sim.events_fired < 200 and system.sim.step():
+        pass
+    restored = SimulatorSnapshot.capture(system).restore()
+    for before, node in zip(system.nodes, restored.nodes):
+        assert "_handlers" not in before.__getstate__()
+        assert type(node) is type(before)
+        assert node._handlers.keys() == node.handlers.keys()
+        for mtype, name in node.handlers.items():
+            handler = node._handlers[mtype]
+            patched = vars(node).get(name)
+            if patched is not None:
+                assert handler is patched
+            else:
+                assert handler.__self__ is node
+                assert handler.__func__ is getattr(type(node), name)
+    hooked = scenario.mutant is None
+    assert all(
+        (type(node).__module__ == "repro.overlay") == hooked
+        for node in restored.nodes
+    )
+    if not hooked:
+        assert all("_handle_put_ack" in vars(node) for node in restored.nodes)
+
+
+# ----------------------------------------------------------------------
 # Refused: closures and generators, by a generic check
 # ----------------------------------------------------------------------
 

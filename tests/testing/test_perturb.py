@@ -3,6 +3,7 @@ guarantee that an uninstalled perturber leaves the hot path untouched."""
 
 import pytest
 
+from repro.coherence.messages import CoherenceMessage
 from repro.config import SystemConfig
 from repro.interconnect.link import Link
 from repro.sim.kernel import Simulator
@@ -148,6 +149,41 @@ def test_every_link_crossing_goes_through_jittered_occupy(
     )
     assert crossings > 0
     assert calls[0] == crossings
+
+
+#: Kernel-jitter samples drawn when one GETS reaches its block's home
+#: node.  TokenB and the null protocol push their two snoop responses
+#: inline, so the jitter misses them; TokenD and TokenM post theirs
+#: through the kernel.  Letting the jitter reach every snoop response
+#: (an open ROADMAP item) flips the two zeros to 2.
+SNOOP_JITTER_SAMPLES = {"tokenb": 0, "null-token": 0, "tokend": 2, "tokenm": 2}
+
+
+def test_kernel_jitter_reaches_which_snoop_responses():
+    samples = {}
+    for protocol in SNOOP_JITTER_SAMPLES:
+        system = build_system(
+            SystemConfig(protocol=protocol, interconnect="torus", n_procs=4),
+            {},
+        )
+        Perturber(PerturbSpec(kernel_jitter_ns=4.0)).install(system)
+        drawn = []
+        random, jitter = system.sim._perturb
+
+        def counting_random(random=random, drawn=drawn):
+            drawn.append(None)
+            return random()
+
+        system.sim._perturb = (counting_random, jitter)
+        block = 6
+        home = system.nodes[block % 4]
+        home.handle_message(CoherenceMessage(
+            src=1, dst=home.node_id, mtype="GETS", block=block, requester=1,
+            category="request", vnet="request",
+        ))
+        assert len(system.sim._heap) == 2  # the cache and memory responses
+        samples[protocol] = len(drawn)
+    assert samples == SNOOP_JITTER_SAMPLES
 
 
 def test_perturbed_subclasses_add_no_instance_layout():
