@@ -30,12 +30,11 @@ Registered kinds:
     (:mod:`repro.snapshot.fork`).  Params: ``{"family":
     ProgramFamily.to_dict(), "config": {SystemConfig kwargs}}``.
     Result: per-tail :class:`SimulationResult` payloads plus the
-    deterministic fork stats (warmup event count, tail count) — but
-    *not* the checkpoint hit/miss flag or snapshot byte size, which
-    depend on store state and pickle details rather than on the params,
-    and would break the executor-purity contract.  Set
-    ``REPRO_CHECKPOINT_STORE`` to give workers a shared on-disk
-    checkpoint store; unset, every family re-runs its own warmup.
+    deterministic fork stats (warmup event count and time, tail count)
+    — but *not* the snapshot byte size, which depends on pickle details
+    rather than on the params and would break the executor-purity
+    contract.  Each family runs its own warmup once; the store
+    memoizes the whole family.
 
 Protocol imports happen inside the executors so this module stays cheap
 to import from worker bootstrap.
@@ -54,22 +53,9 @@ from repro.campaign.spec import ScenarioCase
 
 
 def result_to_payload(result) -> dict:
-    """Flatten a :class:`SimulationResult` into a JSON-safe document."""
-    return {
-        "config": dataclasses.asdict(result.config),
-        "workload_name": result.workload_name,
-        "runtime_ns": result.runtime_ns,
-        "total_ops": result.total_ops,
-        "total_misses": result.total_misses,
-        "counters": result.counters,
-        "traffic_bytes": result.traffic_bytes,
-        "events_fired": result.events_fired,
-        "per_proc_finish_ns": result.per_proc_finish_ns,
-        "l1_hits": result.l1_hits,
-        "l2_hits": result.l2_hits,
-        "mean_miss_latency_ns": result.mean_miss_latency_ns,
-        "ops_per_transaction": result.ops_per_transaction,
-    }
+    """Flatten a :class:`SimulationResult` into a JSON-safe document:
+    every dataclass field, the config as its own field document."""
+    return dataclasses.asdict(result)
 
 
 def result_from_payload(payload: dict):
@@ -122,11 +108,10 @@ def _run_differential(params: dict) -> dict:
 def _run_fork_family(params: dict) -> dict:
     from repro.config import SystemConfig
     from repro.snapshot.fork import ProgramFamily, fork_family
-    from repro.snapshot.store import store_from_env
 
     config = SystemConfig(**params["config"])
     family = ProgramFamily.from_dict(params["family"])
-    results, stats = fork_family(config, family, store=store_from_env())
+    results, stats = fork_family(config, family)
     return {
         "family": family.name,
         "tails": {

@@ -487,13 +487,12 @@ def snapshots_spec(smoke: bool = False) -> CampaignSpec:
 
     Each case runs the canonical warmup-dominated demo family
     (:func:`repro.snapshot.fork.demo_family`) with every tail forked
-    from the warmup checkpoint; results are bit-identical to cold
-    replays (the snapshot determinism goldens pin this), so records are
-    content-addressed like any other kind.  ``smoke=True`` is the CI
-    slice: a 3-tail family over the :data:`SMOKE_PROTOCOLS`
-    default-interconnect pairs, run twice with ``--expect-cached`` and a
-    shared ``REPRO_CHECKPOINT_STORE`` to prove checkpoint reuse across
-    processes.
+    from an in-memory snapshot of its warmup; results are bit-identical
+    to cold replays (the snapshot determinism goldens pin this), so
+    records are content-addressed like any other kind, and the store
+    memoizes whole families.  ``smoke=True`` is the CI slice: a 3-tail
+    family over the :data:`SMOKE_PROTOCOLS` default-interconnect pairs,
+    run twice with ``--expect-cached``.
     """
     from repro.snapshot.fork import demo_family
     from repro.system.grid import ALL_PROTOCOLS, interconnect_for, protocol_grid
@@ -518,6 +517,29 @@ def snapshots_spec(smoke: bool = False) -> CampaignSpec:
     )
 
 
+def _explore_spec(
+    name: str, scenarios_for, seeds: int, seed_base: int, smoke: bool
+) -> CampaignSpec:
+    """An ``explore`` preset: ``scenarios_for(seed range)`` as a campaign.
+
+    ``smoke=True`` is the CI slice: at most
+    :data:`~repro.testing.explore.SMOKE_SEEDS` seeds with the shared
+    reduced-scale scenario transform, run twice with ``--expect-cached``.
+    """
+    from repro.testing.explore import SMOKE_SEEDS, smoke_scenarios
+
+    count = min(seeds, SMOKE_SEEDS) if smoke else seeds
+    scenarios = scenarios_for(range(seed_base, seed_base + count))
+    if smoke:
+        scenarios = smoke_scenarios(scenarios)
+    return CampaignSpec(
+        name=name,
+        kind="explore",
+        grid=[scenario.to_dict() for scenario in scenarios],
+        default_store=_default_store(f"campaigns/{name}"),
+    )
+
+
 def explorer_spec(
     seeds: int = 8,
     seed_base: int = 0,
@@ -530,30 +552,18 @@ def explorer_spec(
     The scenarios of :func:`~repro.testing.explore.scenario_grid`, in
     its order: ``campaign run --spec explorer`` is the explorer's sweep,
     and a recorded violation shrinks to ``<store>/repro_failure.json``.
-    ``smoke=True`` is the CI slice:
-    :data:`~repro.testing.explore.SMOKE_SEEDS` seeds with the shared
-    reduced-scale scenario transform.
     """
     from repro.system.grid import ALL_PROTOCOLS
-    from repro.testing.explore import (
-        EXPLORER_WORKLOADS,
-        SMOKE_SEEDS,
-        scenario_grid,
-        smoke_scenarios,
-    )
+    from repro.testing.explore import scenario_grid
 
-    scenarios = scenario_grid(
-        range(seed_base, seed_base + (min(seeds, SMOKE_SEEDS) if smoke else seeds)),
-        protocols if protocols is not None else ALL_PROTOCOLS,
-        workloads if workloads is not None else tuple(EXPLORER_WORKLOADS),
-    )
-    if smoke:
-        scenarios = smoke_scenarios(scenarios)
-    return CampaignSpec(
-        name="explorer",
-        kind="explore",
-        grid=[scenario.to_dict() for scenario in scenarios],
-        default_store=_default_store("campaigns/explorer"),
+    return _explore_spec(
+        "explorer",
+        functools.partial(
+            scenario_grid,
+            protocols=protocols if protocols is not None else ALL_PROTOCOLS,
+            workloads=workloads,
+        ),
+        seeds, seed_base, smoke,
     )
 
 
@@ -572,34 +582,18 @@ def faults_spec(
     unperturbed fabric — link flaps, degraded links, corruption drops
     (token protocols only), node pause/resume — with the recovery
     oracles armed; ``repro.campaign report --spec faults`` renders the
-    per-fault-class resilience summary.  ``smoke=True`` is the CI
-    slice: :data:`~repro.testing.explore.SMOKE_SEEDS` seeds at base
-    intensity with the shared reduced-scale transform, run twice with
-    ``--expect-cached``.
+    per-fault-class resilience summary.  The smoke slice runs at base
+    intensity only.
     """
-    from repro.testing.explore import (
-        SMOKE_SEEDS,
-        fault_scenario_grid,
-        smoke_scenarios,
-    )
+    from repro.testing.explore import fault_scenario_grid
 
-    if smoke:
-        scenarios = smoke_scenarios(
-            fault_scenario_grid(
-                range(seed_base, seed_base + min(seeds, SMOKE_SEEDS)),
-                intensities=(1.0,),
-            )
-        )
-    else:
-        scenarios = fault_scenario_grid(
-            range(seed_base, seed_base + seeds),
-            intensities=FAULTS_INTENSITIES,
-        )
-    return CampaignSpec(
-        name="faults",
-        kind="explore",
-        grid=[scenario.to_dict() for scenario in scenarios],
-        default_store=_default_store("campaigns/faults"),
+    return _explore_spec(
+        "faults",
+        functools.partial(
+            fault_scenario_grid,
+            intensities=(1.0,) if smoke else FAULTS_INTENSITIES,
+        ),
+        seeds, seed_base, smoke,
     )
 
 
@@ -614,35 +608,19 @@ def lineage_spec(
     fault windows (the fault class whose chains must terminate as
     ``absorbed-by-reissue``).  ``repro.campaign report --spec lineage``
     renders the custody summary (events, transfers, terminal outcomes,
-    absorbed reissues per protocol/topology).  ``smoke=True`` is the CI
-    slice: :data:`~repro.testing.explore.SMOKE_SEEDS` seeds with the
-    shared reduced-scale transform, run twice with ``--expect-cached``.
+    absorbed reissues per protocol/topology).
     """
-    from repro.system.grid import ALL_PROTOCOLS, is_token_protocol
-    from repro.testing.explore import (
-        SMOKE_SEEDS,
-        fault_scenario_grid,
-        scenario_grid,
-        smoke_scenarios,
-    )
+    from repro.system.grid import TOKEN_PROTOCOLS
+    from repro.testing.explore import fault_scenario_grid, scenario_grid
 
-    token_protocols = tuple(p for p in ALL_PROTOCOLS if is_token_protocol(p))
-    seed_range = range(
-        seed_base, seed_base + (min(seeds, SMOKE_SEEDS) if smoke else seeds)
-    )
-    scenarios = scenario_grid(seed_range, token_protocols) + (
-        fault_scenario_grid(
-            seed_range, token_protocols, fault_classes=("corrupt",)
+    def scenarios_for(seed_range):
+        return scenario_grid(seed_range, TOKEN_PROTOCOLS) + (
+            fault_scenario_grid(
+                seed_range, TOKEN_PROTOCOLS, fault_classes=("corrupt",)
+            )
         )
-    )
-    if smoke:
-        scenarios = smoke_scenarios(scenarios)
-    return CampaignSpec(
-        name="lineage",
-        kind="explore",
-        grid=[scenario.to_dict() for scenario in scenarios],
-        default_store=_default_store("campaigns/lineage"),
-    )
+
+    return _explore_spec("lineage", scenarios_for, seeds, seed_base, smoke)
 
 
 def differential_spec(seeds: int = 4, seed_base: int = 0, workloads=None) -> CampaignSpec:

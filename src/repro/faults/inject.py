@@ -208,13 +208,8 @@ def _merge_windows(windows):
 class FaultInjector:
     """Installs a :class:`FaultPlan` onto a built (not yet run) system."""
 
-    def __init__(self, plan: FaultPlan, recorder=None) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        #: Optional lineage recorder: fault-dropped transient requests
-        #: are reported into it so the token outcome contract can
-        #: demand an ``absorbed-by-reissue`` terminal for each chain.
-        self.recorder = recorder
-        self.installed = False
         self.gates: list[PauseGate] = []
         #: Counters for what the faults actually did (for reports).
         self.stats = {
@@ -226,9 +221,18 @@ class FaultInjector:
         }
 
     def install(self, system) -> None:
-        """Wire the fault windows into ``system``; call once, before run."""
-        if self.installed:
-            raise RuntimeError("fault injector already installed")
+        """Wire the fault windows into ``system`` before it runs.
+
+        Publishes the injector as ``system.faults`` (a second injector
+        raises :class:`RuntimeError`).  Dropped transient requests are
+        reported into ``system.lineage``, if installed, so the token
+        outcome contract can demand an ``absorbed-by-reissue`` terminal
+        for each chain.
+        """
+        if system.faults is not None:
+            raise RuntimeError(
+                "fault injector already installed on this system"
+            )
         plan = self.plan
         plan.validate_for_protocol(system.config.protocol)
         token = is_token_protocol(system.config.protocol)
@@ -243,7 +247,7 @@ class FaultInjector:
         if corrupt_events:
             self._install_corruption(system, corrupt_events)
 
-        self.installed = True
+        system.faults = self
 
     # ------------------------------------------------------------------
 
@@ -270,7 +274,7 @@ class FaultInjector:
             )
             if down or degraded:
                 LinkFaultState(
-                    down, degraded, token, self.stats, self.recorder
+                    down, degraded, token, self.stats, system.lineage
                 ).arm(network, link)
 
     def _install_pauses(self, system, events) -> None:
@@ -310,7 +314,7 @@ class FaultInjector:
             rng = derive_rng(self.plan.seed, "faults", "corrupt", node_id)
             arm_delivery(network, node_id, Corruption(
                 system.sim, node_id, rng.random, windows, self.stats,
-                self.recorder,
+                system.lineage,
             ))
 
     # ------------------------------------------------------------------

@@ -53,9 +53,10 @@ def _cmd_record(args) -> int:
     from repro.lineage.store import LineageStore
     from repro.system.grid import interconnect_for, is_token_protocol
     from repro.testing.explore import (
+        _armed_system,
+        _finish_scenario,
         make_fault_scenario,
         make_scenario,
-        run_scenario_recorded,
     )
 
     if not is_token_protocol(args.protocol):
@@ -73,10 +74,10 @@ def _cmd_record(args) -> int:
         scenario = make_scenario(
             args.seed, args.protocol, interconnect, args.workload
         )
-    outcome, recorder = run_scenario_recorded(scenario)
-    if recorder is None:
-        print("error: scenario did not arm the recorder", file=sys.stderr)
-        return 2
+    system, expected_ops = _armed_system(scenario)
+    system.start()
+    outcome = _finish_scenario(scenario, system, expected_ops)
+    recorder = system.lineage
     store = LineageStore.write(recorder, args.store)
     stats = recorder.stats()
     print(f"recorded: {scenario.label()}")

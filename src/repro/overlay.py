@@ -3,9 +3,16 @@
 Perturbation (:mod:`repro.testing.perturb`), fault injection
 (:mod:`repro.faults`), tracing (:mod:`repro.observe`) and token lineage
 (:mod:`repro.lineage`) all arm a built system through the three hook
-points here.  Any set of them composes, in any install order, and an
-armed system pickles (snapshots and forks) like a stock one.  A system
-nobody arms runs the stock classes and fast paths unchanged.
+points here.  Each overlay also publishes itself on the system, once
+(a second install raises): ``system.lineage``, ``system.perturb``,
+``system.faults`` and ``system.observe``.  The system thus carries its
+whole run: an armed system pickles (snapshots and forks) like a stock
+one, counters and buffers included, and overlays find each other on
+it — the fault injector reports drops into ``system.lineage``.  The
+hooks compose in any install order; the explorer installs lineage,
+mutant, perturbation, faults, then tracing, and lineage must precede
+faults for drops to be reported.  A system nobody arms runs the stock
+classes and fast paths unchanged.
 
 * **Links.**  :func:`arm_link` fills ``Link``'s one ``_hooks`` slot with
   a :class:`LinkHooks` chain and moves the link onto :class:`HookedLink`,

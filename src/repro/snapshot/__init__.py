@@ -3,15 +3,16 @@
 Public surface:
 
 * :class:`SimulatorSnapshot` / :class:`SnapshotUnsupportedError` —
-  capture and bit-identical restore of a built system
-  (:mod:`repro.snapshot.capture`);
+  capture and bit-identical restore of a built system, every overlay
+  published on it included (:mod:`repro.snapshot.capture`);
 * :class:`ReplayableStream` — picklable operation streams
   (:mod:`repro.snapshot.stream`);
-* :class:`ProgramFamily`, :func:`fork_family`, :func:`fork_program`,
-  :func:`run_family_cold`, :func:`demo_family` — warmup-once fork
-  execution (:mod:`repro.snapshot.fork`);
-* :class:`CheckpointStore`, :func:`store_from_env` — content-addressed
-  on-disk checkpoints (:mod:`repro.snapshot.store`).
+* :class:`ProgramFamily`, :func:`fork_family`, :func:`run_family_cold`,
+  :func:`demo_family` — warmup-once fork execution
+  (:mod:`repro.snapshot.fork`).
+
+Snapshots live in memory; the campaign store is the one on-disk cache
+(a ``fork_family`` campaign memoizes whole families there).
 """
 
 from repro.snapshot.capture import SimulatorSnapshot, SnapshotUnsupportedError
@@ -19,21 +20,16 @@ from repro.snapshot.fork import (
     ProgramFamily,
     demo_family,
     fork_family,
-    fork_program,
     run_family_cold,
 )
-from repro.snapshot.store import CheckpointStore, store_from_env
 from repro.snapshot.stream import ReplayableStream
 
 __all__ = [
-    "CheckpointStore",
     "ProgramFamily",
     "ReplayableStream",
     "SimulatorSnapshot",
     "SnapshotUnsupportedError",
     "demo_family",
     "fork_family",
-    "fork_program",
     "run_family_cold",
-    "store_from_env",
 ]

@@ -12,16 +12,19 @@ have (pinned by the extended determinism goldens in
 
 Fidelity comes from serializing the whole object graph in one pass:
 every scheduled event's callback is a bound method of some system
-object, so pickling ``(system, extras)`` as a single document preserves
-the aliasing between the heap, the nodes, the interconnect, and any
-shared statistics dicts.  That works because the simulator's hot path
+object, so pickling the system as a single document preserves the
+aliasing between the heap, the nodes, the interconnect, and any shared
+statistics dicts.  That works because the simulator's hot path
 is deliberately closure-free — the one historical exception, the
 sequencer's miss-completion continuation, is a ``functools.partial``
 for exactly this reason.
 
 Every overlay arms the system through :mod:`repro.overlay`, whose hooks
 are module-level classes and whose hooked node classes resolve by name,
-so jitter, faults, tracing and lineage all ride along in the pickle.
+and publishes itself on the system (``system.lineage``,
+``system.perturb``, ``system.faults``, ``system.observe``), so jitter,
+faults, tracing and lineage all ride along in the pickle, counters and
+pause-gate buffers included.
 What cannot be captured is *refused up front* with
 :class:`SnapshotUnsupportedError`, by a generic check rather than by
 overlay: locally-defined functions (closure-based mutants in
@@ -100,7 +103,8 @@ def _unsupported_reasons(system) -> list[str]:
 
     reasons: list[str] = []
     for obj in (system.sim, system.network, *system.nodes,
-                *system.sequencers, system.lineage, system.observe):
+                *system.sequencers, system.lineage, system.perturb,
+                system.faults, system.observe):
         if obj is not None and not _resolves_to_itself(type(obj)):
             reasons.append(
                 f"{type(obj).__name__} is a dynamically created class "
@@ -145,13 +149,10 @@ def _unsupported_reasons(system) -> list[str]:
 class SimulatorSnapshot:
     """One frozen simulation state, restorable any number of times.
 
-    ``blob`` is the pickled ``(system, extras)`` pair; ``meta`` is a
+    ``blob`` is the pickled system, overlays included; ``meta`` is a
     small JSON-safe summary (capture time, cumulative events, per-proc
-    progress) readable without unpickling — the checkpoint store
-    indexes on it.
+    progress) readable without unpickling.
     """
-
-    FORMAT = "repro.snapshot/v1"
 
     __slots__ = ("blob", "meta")
 
@@ -160,8 +161,8 @@ class SimulatorSnapshot:
         self.meta = meta
 
     @classmethod
-    def capture(cls, system, extras=None) -> "SimulatorSnapshot":
-        """Freeze ``system`` (plus optional picklable ``extras``).
+    def capture(cls, system) -> "SimulatorSnapshot":
+        """Freeze ``system``, with every overlay published on it.
 
         The system is left untouched and keeps running normally; capture
         may happen at any event-loop quiescence point (between
@@ -177,15 +178,12 @@ class SimulatorSnapshot:
             )
         try:
             with _gc_paused():
-                blob = pickle.dumps(
-                    (system, extras), protocol=pickle.HIGHEST_PROTOCOL
-                )
+                blob = pickle.dumps(system, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:  # noqa: BLE001 — rewrap with context
             raise SnapshotUnsupportedError(
                 f"simulation state failed to pickle: {exc}"
             ) from exc
         meta = {
-            "format": cls.FORMAT,
             "t": system.sim.now,
             "events_fired": system.sim.events_fired,
             "protocol": system.config.protocol,
@@ -197,7 +195,7 @@ class SimulatorSnapshot:
         }
         return cls(blob, meta)
 
-    def restore(self, with_extras: bool = False):
+    def restore(self):
         """A fresh, independent system continuing from the capture point.
 
         Each call deserializes a new object graph, so restored copies
@@ -208,8 +206,7 @@ class SimulatorSnapshot:
         if the restored system reads it.
         """
         with _gc_paused():
-            system, extras = pickle.loads(self.blob)
-        return (system, extras) if with_extras else system
+            return pickle.loads(self.blob)
 
     @property
     def size_bytes(self) -> int:

@@ -4,8 +4,8 @@ Most campaign scenarios share an identical warmup prefix — same
 protocol, topology, and seed, divergent late phases — yet a cold sweep
 replays that prefix from t=0 for every member.  This module runs the
 shared :class:`~repro.workloads.programs.WorkloadProgram` warmup once,
-snapshots the quiesced system (:mod:`repro.snapshot.capture`), and
-forks each divergent tail from the checkpoint.
+snapshots the quiesced system in memory (:mod:`repro.snapshot.capture`),
+and forks each divergent tail from that snapshot.
 
 Family semantics — and why fork ≡ cold *by construction*
 --------------------------------------------------------
@@ -38,7 +38,6 @@ import functools
 
 from repro.config import SystemConfig
 from repro.snapshot.capture import SimulatorSnapshot
-from repro.snapshot.store import CheckpointStore
 from repro.snapshot.stream import ReplayableStream
 from repro.system.builder import System, build_system
 from repro.workloads.patterns import PatternSpec
@@ -140,31 +139,21 @@ def run_family_cold(config: SystemConfig, family: ProgramFamily) -> dict:
 
 
 def fork_family(
-    config: SystemConfig,
-    family: ProgramFamily,
-    store: CheckpointStore | None = None,
+    config: SystemConfig, family: ProgramFamily
 ) -> tuple[dict, dict]:
-    """Warmup once (or load its checkpoint), fork every tail.
+    """Warmup once, fork every tail.
 
     Returns ``(results, stats)``: per-tail
     :class:`~repro.system.simulator.SimulationResult` keyed by tail
-    name, plus a stats document recording checkpoint provenance and the
-    shared-warmup cost (``warmup_events`` lets callers compute per-tail
-    incremental event counts as ``result.events_fired -
-    warmup_events``).
+    name, plus a stats document recording the shared-warmup cost
+    (``warmup_events`` lets callers compute per-tail incremental event
+    counts as ``result.events_fired - warmup_events``).  The snapshot
+    lives in memory only: a campaign memoizes the whole family's
+    results in its store, so a warmup never needs to outlive its
+    family.
     """
-    snapshot = None
-    key = None
-    hit = False
-    if store is not None:
-        key = store.key(config, family.warmup)
-        snapshot = store.get(key)
-        hit = snapshot is not None
-    if snapshot is None:
-        system = _warmup_system(config, family.warmup)
-        snapshot = SimulatorSnapshot.capture(system)
-        if store is not None:
-            store.put(key, snapshot)
+    system = _warmup_system(config, family.warmup)
+    snapshot = SimulatorSnapshot.capture(system)
     results = {
         # Every tail (including the first) restores from the blob, so
         # all tails take the identical restore path.
@@ -174,30 +163,11 @@ def fork_family(
     stats = {
         "family": family.name,
         "tails": len(family.tails),
-        "checkpoint_hit": hit,
         "warmup_events": snapshot.meta["events_fired"],
         "warmup_t": snapshot.meta["t"],
         "snapshot_bytes": snapshot.size_bytes,
     }
     return results, stats
-
-
-def fork_program(
-    config: SystemConfig,
-    warmup: WorkloadProgram,
-    tails,
-    store: CheckpointStore | None = None,
-) -> tuple[dict, dict]:
-    """Run ``warmup`` once and fork the divergent ``tails`` from it.
-
-    ``tails`` is a mapping of name → :class:`WorkloadProgram`, or a
-    sequence (auto-named ``tail-0`` …).  Thin wrapper over
-    :func:`fork_family` for callers without a prebuilt family.
-    """
-    if not isinstance(tails, dict):
-        tails = {f"tail-{i}": tail for i, tail in enumerate(tails)}
-    family = ProgramFamily(name=warmup.name, warmup=warmup, tails=tails)
-    return fork_family(config, family, store=store)
 
 
 # ----------------------------------------------------------------------

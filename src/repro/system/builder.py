@@ -93,6 +93,10 @@ class System:
         self.lineage = None
         #: Trace recorder, when installed (repro.observe).
         self.observe = None
+        #: Perturber, when installed (repro.testing.perturb).
+        self.perturb = None
+        #: Fault injector, when installed (repro.faults).
+        self.faults = None
         #: Blocks covered by the post-run conservation audit.
         self.audited_blocks = 0
 

@@ -231,7 +231,7 @@ def _post_run_oracles(system, result, expected_ops: int) -> None:
                 )
 
 
-def _recovery_oracles(system, injector: FaultInjector) -> None:
+def _recovery_oracles(system) -> None:
     """Every fault window must be followed by quiescence.
 
     By the time the event queue drains, (a) no pause gate may still
@@ -240,6 +240,7 @@ def _recovery_oracles(system, injector: FaultInjector) -> None:
     liveness/drainage oracles above genuinely ran *after* the faults,
     not before them.
     """
+    injector = system.faults
     undrained = injector.undrained_nodes()
     if undrained:
         raise OracleError(
@@ -256,16 +257,19 @@ def _recovery_oracles(system, injector: FaultInjector) -> None:
 
 def run_scenario(scenario: Scenario) -> ScenarioOutcome:
     """Execute one scenario with every oracle armed."""
-    outcome, _recorder = run_scenario_recorded(scenario)
-    return outcome
+    system, expected_ops = _armed_system(scenario)
+    system.start()
+    return _finish_scenario(scenario, system, expected_ops)
 
 
 def _armed_system(scenario: Scenario):
     """Build the scenario's system with every overlay installed.
 
-    Returns ``(system, expected_ops, perturber, injector)`` ready for
-    :meth:`System.run`.  The lineage and trace recorders ride on the
-    system as ``system.lineage`` and ``system.observe``.
+    Returns ``(system, expected_ops)`` ready for :meth:`System.run`;
+    every overlay rides on the system (``system.lineage``,
+    ``.perturb``, ``.faults``, ``.observe``).  The perturber and the
+    fault injector are always installed: an idle spec or an empty plan
+    arms nothing and leaves their counters at zero.
     """
     if scenario.workload not in EXPLORER_WORKLOADS:
         raise ValueError(f"unknown workload {scenario.workload!r}")
@@ -282,12 +286,8 @@ def _armed_system(scenario: Scenario):
         install_recorder(system)
     if scenario.mutant is not None:
         MUTANTS[scenario.mutant].install(system)
-    perturber = Perturber(scenario.perturb)
-    if scenario.perturb.any_active():
-        perturber.install(system)
-    injector = FaultInjector(scenario.faults, recorder=system.lineage)
-    if scenario.faults.any_active():
-        injector.install(system)
+    Perturber(scenario.perturb).install(system)
+    FaultInjector(scenario.faults).install(system)
     if scenario.observe:
         from repro.observe import install_tracing
 
@@ -297,25 +297,23 @@ def _armed_system(scenario: Scenario):
                 scenario.faults if scenario.faults.any_active() else None
             ),
         )
-    return system, expected_ops, perturber, injector
+    return system, expected_ops
 
 
-def _finish_scenario(
-    scenario: Scenario, system, expected_ops: int, perturber, injector
-):
+def _finish_scenario(scenario: Scenario, system, expected_ops: int):
     """Drain a started system and fold oracles + stats into an outcome.
 
     The system is fresh from :func:`_armed_system` and started, or a
     restored mid-run snapshot of one; either way it is judged by the
-    same oracle and accounting logic.  Returns the outcome and the
-    lineage recorder (None unless armed).
+    same oracle and accounting logic, reading every overlay off the
+    system.
     """
     recorder, trace = system.lineage, system.observe
     try:
         system.drain(max_events=scenario.max_events)
         result = system.finish()
         _post_run_oracles(system, result, expected_ops)
-        _recovery_oracles(system, injector)
+        _recovery_oracles(system)
         if recorder is not None:
             from repro.lineage import check_outcome_contract
 
@@ -329,19 +327,19 @@ def _finish_scenario(
             events_fired=system.sim.events_fired,
             persistent_requests=system.counters.get("persistent_request"),
             reissued_requests=system.counters.get("reissued_request"),
-            perturb_stats=dict(perturber.stats),
-            fault_stats=dict(injector.stats),
+            perturb_stats=dict(system.perturb.stats),
+            fault_stats=dict(system.faults.stats),
             lineage_stats=recorder.stats() if recorder is not None else {},
             telemetry=trace.summary() if trace is not None else {},
-        ), recorder
+        )
     return ScenarioOutcome(
         ok=True,
         total_ops=result.total_ops,
         events_fired=result.events_fired,
         persistent_requests=result.counters.get("persistent_request", 0),
         reissued_requests=result.counters.get("reissued_request", 0),
-        perturb_stats=dict(perturber.stats),
-        fault_stats=dict(injector.stats),
+        perturb_stats=dict(system.perturb.stats),
+        fault_stats=dict(system.faults.stats),
         runtime_ns=result.runtime_ns,
         recovery_ns=max(
             0.0, result.runtime_ns - scenario.faults.last_end_ns()
@@ -349,20 +347,7 @@ def _finish_scenario(
         traffic_bytes=dict(result.traffic_bytes),
         lineage_stats=recorder.stats() if recorder is not None else {},
         telemetry=trace.summary() if trace is not None else {},
-    ), recorder
-
-
-def run_scenario_recorded(scenario: Scenario):
-    """Like :func:`run_scenario`, but also return the lineage recorder.
-
-    The recorder is ``None`` unless ``scenario.lineage`` is set.  Used
-    by the query CLI's ``record`` subcommand, which needs the custody
-    log itself (to write a :class:`~repro.lineage.LineageStore`), not
-    just the aggregated outcome.
-    """
-    system, expected_ops, perturber, injector = _armed_system(scenario)
-    system.start()
-    return _finish_scenario(scenario, system, expected_ops, perturber, injector)
+    )
 
 
 # ----------------------------------------------------------------------

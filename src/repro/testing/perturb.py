@@ -257,15 +257,18 @@ class Perturber:
 
     def __init__(self, spec: PerturbSpec) -> None:
         self.spec = spec
-        self.installed = False
         #: Counters for what the perturber actually did (for reports).
         self.stats = {"dropped_requests": 0, "duplicated_requests": 0,
                       "forced_escalations": 0}
 
     def install(self, system) -> None:
-        """Wire the perturbations into ``system``; call once, before run."""
-        if self.installed:
-            raise RuntimeError("perturber already installed")
+        """Wire the perturbations into ``system`` before it runs.
+
+        Publishes the perturber as ``system.perturb`` (a second
+        perturber raises :class:`RuntimeError`).
+        """
+        if system.perturb is not None:
+            raise RuntimeError("perturber already installed on this system")
         spec = self.spec
         token = is_token_protocol(system.config.protocol)
         illegal = spec.token_only_fields()
@@ -307,4 +310,4 @@ class Perturber:
                     spec.force_escalation_delay_ns, self.stats,
                 ).after_issue)
 
-        self.installed = True
+        system.perturb = self

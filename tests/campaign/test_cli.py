@@ -154,10 +154,9 @@ def test_compact_prune_stale_drops_foreign_fingerprints(
     assert "0 complete, 2 missing" in capsys.readouterr().out
 
 
-def test_fork_family_spec_runs_caches_and_reports(tmp_path, capsys, monkeypatch):
+def test_fork_family_spec_runs_caches_and_reports(tmp_path, capsys):
     """The fork_family kind round-trips: run (executor purity), rerun
-    (--expect-cached), report (per-tail table), with the checkpoint
-    store wired through the environment."""
+    (--expect-cached), report (per-tail table)."""
     from repro.campaign.presets import family_case_params
     from repro.snapshot import demo_family
 
@@ -171,17 +170,11 @@ def test_fork_family_spec_runs_caches_and_reports(tmp_path, capsys, monkeypatch)
         {"name": "families", "kind": "fork_family", "grid": grid}
     ))
     store = str(tmp_path / "store")
-    monkeypatch.setenv(
-        "REPRO_CHECKPOINT_STORE", str(tmp_path / "checkpoints")
-    )
 
     assert main(["run", "--spec", str(spec), "--store", store,
                  "--jobs", "1", "-q"]) == 0
     out = capsys.readouterr().out
     assert "2 executed, 0 cached" in out
-    # One warmup checkpoint per (config, warmup) grid point.
-    snaps = list((tmp_path / "checkpoints").glob("*.snap"))
-    assert len(snaps) == 2
 
     assert main(["run", "--spec", str(spec), "--store", store,
                  "--jobs", "1", "-q", "--expect-cached"]) == 0
@@ -193,7 +186,7 @@ def test_fork_family_spec_runs_caches_and_reports(tmp_path, capsys, monkeypatch)
     assert "tokenb" in out and "directory" in out
 
 
-def test_fork_family_exports_one_row_per_tail(tmp_path, capsys, monkeypatch):
+def test_fork_family_exports_one_row_per_tail(tmp_path, capsys):
     """fork_family exports like every other kind: csv and json give one
     row per tail, carrying the same warmup and tail event counts as the
     text listing."""
@@ -210,7 +203,6 @@ def test_fork_family_exports_one_row_per_tail(tmp_path, capsys, monkeypatch):
         {"name": "families", "kind": "fork_family", "grid": grid}
     ))
     store = str(tmp_path / "store")
-    monkeypatch.setenv("REPRO_CHECKPOINT_STORE", str(tmp_path / "checkpoints"))
     assert main(["run", "--spec", str(spec), "--store", store,
                  "--jobs", "1", "-q"]) == 0
     capsys.readouterr()

@@ -14,11 +14,19 @@ from repro.overlay import _hook_namespace, hooked_class
 from repro.system.builder import build_system
 from repro.testing.explore import (
     Scenario,
+    _armed_system,
     _build_config,
+    _finish_scenario,
     _generate_streams,
     run_scenario,
-    run_scenario_recorded,
 )
+
+
+def _recorded_run(scenario):
+    """The explorer's run of ``scenario`` and the recorder it armed."""
+    system, expected_ops = _armed_system(scenario)
+    system.start()
+    return _finish_scenario(scenario, system, expected_ops), system.lineage
 
 
 def _token_system(protocol="tokenb", seed=0):
@@ -117,7 +125,7 @@ def test_armed_run_is_observationally_equivalent():
 def test_recorded_run_returns_finalized_recorder():
     scenario = Scenario(protocol="tokenb", interconnect="torus",
                         workload="false_sharing", seed=0, lineage=True)
-    outcome, recorder = run_scenario_recorded(scenario)
+    outcome, recorder = _recorded_run(scenario)
     assert outcome.ok
     assert recorder is not None and recorder.finalized
     assert recorder.stats() == outcome.lineage_stats
@@ -132,7 +140,7 @@ def test_fault_scenario_chains_absorb_dropped_requests():
     for seed in range(6):
         scenario = make_fault_scenario(seed, "tokenb", "torus", "corrupt")
         assert scenario.lineage
-        outcome, recorder = run_scenario_recorded(scenario)
+        outcome, recorder = _recorded_run(scenario)
         assert outcome.ok, outcome.violation_message
         if recorder.dropped_requests():
             found = True

@@ -59,12 +59,9 @@ CASES["torus/seed0/tracing/unlimited"] = dataclasses.replace(
 
 
 def _finish(scenario, armed):
-    system, expected_ops, perturber, injector = armed
+    system, expected_ops = armed
     system.start()
-    outcome, _lineage = _finish_scenario(
-        scenario, system, expected_ops, perturber, injector
-    )
-    return outcome
+    return _finish_scenario(scenario, system, expected_ops)
 
 
 def _summary_run(scenario):

@@ -33,22 +33,17 @@ from repro.testing.perturb import PerturbSpec
 def _forked_outcome(scenario: Scenario, pause_events: int):
     """Run to ``pause_events``, capture, restore, finish the restored copy.
 
-    Returns the restored run's :class:`ScenarioOutcome`, judged by the
+    The snapshot is the system alone: every overlay rides on it, so the
+    restored run's :class:`ScenarioOutcome` (perturbation and fault
+    counters, pause-gate buffers and lineage included) is judged by the
     same oracle path as :func:`run_scenario`.
     """
-    system, expected_ops, perturber, injector = _armed_system(scenario)
+    system, expected_ops = _armed_system(scenario)
     system.start()
     while system.sim.events_fired < pause_events and system.sim.step():
         pass
-    snapshot = SimulatorSnapshot.capture(
-        system, extras={"perturber": perturber, "injector": injector}
-    )
-    restored, extras = snapshot.restore(with_extras=True)
-    outcome, _ = _finish_scenario(
-        scenario, restored, expected_ops,
-        extras["perturber"], extras["injector"],
-    )
-    return outcome
+    restored = SimulatorSnapshot.capture(system).restore()
+    return _finish_scenario(scenario, restored, expected_ops)
 
 
 def _assert_fork_transparent(scenario: Scenario) -> None:

@@ -116,7 +116,7 @@ def test_capture_does_not_disturb_the_original(golden):
 
 
 def test_snapshot_round_trips_through_bytes(golden):
-    """The snapshot itself pickles (how the checkpoint store writes it)
+    """The snapshot itself pickles (so it can cross a process boundary)
     and the rehydrated copy restores to the same continuation."""
     system = DETERMINISM.golden_system("directory-torus")
     system.start()

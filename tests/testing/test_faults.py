@@ -223,6 +223,20 @@ def test_injector_installs_once():
         injector.install(system)
 
 
+def test_second_injector_on_one_system_raises():
+    """The injector publishes itself as ``system.faults``, one per
+    system: a second plan must not stack a second pause gate on the
+    same node."""
+    system = _build()
+    plan = FaultPlan(events=(FaultEvent("node_pause", 50.0, 100.0, target=1),))
+    first = FaultInjector(plan)
+    first.install(system)
+    with pytest.raises(RuntimeError, match="already installed"):
+        FaultInjector(plan).install(system)
+    assert system.faults is first
+    assert len(first.gates) == 1
+
+
 def test_link_faults_compose_with_jittered_links():
     """Link jitter and link faults arm different stages of one link's
     hook chain: both hold, in either install order, and the run stays

@@ -91,6 +91,19 @@ def test_perturber_installs_once():
         perturber.install(system)
 
 
+def test_second_perturber_on_one_system_raises():
+    """The perturber publishes itself as ``system.perturb``, one per
+    system: a second one with another spec must not silently replace
+    the first one's kernel jitter."""
+    system = _build()
+    first = Perturber(PerturbSpec(seed=1, kernel_jitter_ns=5.0))
+    first.install(system)
+    with pytest.raises(RuntimeError, match="already installed"):
+        Perturber(PerturbSpec(seed=2, kernel_jitter_ns=50.0)).install(system)
+    assert system.perturb is first
+    assert system.sim._perturb[1] == 5.0
+
+
 # ----------------------------------------------------------------------
 # Hooks are free when no perturber is installed
 # ----------------------------------------------------------------------
