@@ -34,12 +34,7 @@ scheduler over it.
 
 from repro.campaign.runner import HeartbeatWriter, RunReport, run_campaign
 from repro.campaign.scheduler import CampaignScheduler
-from repro.campaign.spec import (
-    CampaignSpec,
-    ScenarioCase,
-    code_fingerprint,
-    union_cases,
-)
+from repro.campaign.spec import CampaignSpec, ScenarioCase, code_fingerprint
 from repro.campaign.store import CampaignStore, StoreBusyError, make_record
 from repro.campaign.transports import (
     ProcessPoolTransport,
@@ -61,5 +56,4 @@ __all__ = [
     "code_fingerprint",
     "make_record",
     "run_campaign",
-    "union_cases",
 ]

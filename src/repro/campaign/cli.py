@@ -67,7 +67,10 @@ REPRO_FILE = "repro_failure.json"
 def resolve_spec(name: str, args) -> CampaignSpec:
     path = Path(name)
     if name.endswith(".json") or path.is_file():
-        return CampaignSpec.from_dict(json.loads(path.read_text()))
+        try:
+            return CampaignSpec.from_dict(json.loads(path.read_text()))
+        except ValueError as exc:
+            raise SystemExit(f"spec file {name}: {exc}")
     try:
         return presets.build_spec(
             name, seeds=args.seeds, seed_base=args.seed_base, smoke=args.smoke

@@ -423,11 +423,6 @@ def figures_spec() -> CampaignSpec:
     )
 
 
-def predict_spec() -> CampaignSpec:
-    """The destination-set prediction tradeoff preset (:func:`_predict`)."""
-    return _bench_spec("predict")
-
-
 def workloads_spec(smoke: bool = False) -> CampaignSpec:
     """The workload-program preset (:func:`_workloads`).
 
@@ -631,10 +626,11 @@ def differential_spec(seeds: int = 4, seed_base: int = 0, workloads=None) -> Cam
     return CampaignSpec(
         name="differential",
         kind="differential",
-        base={"n_procs": 4, "ops_per_proc": 40},
-        axes=[
-            ("workload", list(names)),
-            ("seed", list(range(seed_base, seed_base + seeds))),
+        grid=[
+            {"n_procs": 4, "ops_per_proc": 40, "workload": workload,
+             "seed": seed}
+            for workload in names
+            for seed in range(seed_base, seed_base + seeds)
         ],
         default_store=_default_store("campaigns/differential"),
     )

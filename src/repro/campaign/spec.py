@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import os
 from pathlib import Path
@@ -107,50 +106,22 @@ class ScenarioCase:
 
 @dataclasses.dataclass
 class CampaignSpec:
-    """A declarative sweep: base params × axes, plus explicit cases.
+    """A declarative sweep: one fully-formed param document per scenario.
 
-    ``axes`` is an ordered list of ``(name, values)`` pairs expanded as a
-    cross product in declaration order.  A dict-valued axis entry is
-    merged into the scenario params (the idiom for coupled fields such
-    as the legal ``(protocol, interconnect)`` pairs of the canonical
-    grid); a scalar entry is assigned to the axis name.  ``grid`` lists
-    fully-formed param documents for irregular sweeps (the figure
-    benches, whose variants do not factor into a clean product).
+    ``grid`` lists the documents in declaration order; presets build it
+    with a comprehension over their axes.
     """
 
     name: str
     kind: str
-    base: dict = dataclasses.field(default_factory=dict)
-    axes: list[tuple[str, list]] = dataclasses.field(default_factory=list)
     grid: list[dict] = dataclasses.field(default_factory=list)
     #: Where the CLI keeps this campaign's store unless told otherwise.
     default_store: str | None = None
 
-    def case_params(self) -> list[dict]:
-        """Every scenario's params, in deterministic declaration order."""
-        documents: list[dict] = []
-        if self.axes:
-            names = [name for name, _ in self.axes]
-            for combo in itertools.product(*(values for _, values in self.axes)):
-                params = dict(self.base)
-                for name, value in zip(names, combo):
-                    if isinstance(value, dict):
-                        params.update(value)
-                    else:
-                        params[name] = value
-                documents.append(params)
-        elif self.base and not self.grid:
-            documents.append(dict(self.base))
-        for params in self.grid:
-            merged = dict(self.base)
-            merged.update(params)
-            documents.append(merged)
-        return documents
-
     def cases(self, fingerprint: str | None = None) -> list[ScenarioCase]:
         """Deduplicated :class:`ScenarioCase` list (first occurrence wins)."""
         seen: dict[str, ScenarioCase] = {}
-        for params in self.case_params():
+        for params in self.grid:
             case = ScenarioCase(self.kind, params, fingerprint=fingerprint)
             seen.setdefault(case.key, case)
         return list(seen.values())
@@ -159,33 +130,20 @@ class CampaignSpec:
         return len(self.cases())
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "base": self.base,
-            "axes": [[name, values] for name, values in self.axes],
-            "grid": self.grid,
-            "default_store": self.default_store,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CampaignSpec":
+        """The spec ``payload`` declares; unknown fields raise ValueError."""
+        known = {field.name for field in dataclasses.fields(cls)}
+        unknown = sorted(set(payload) - known)
+        if unknown:
+            raise ValueError(
+                f"unknown campaign spec field(s) {', '.join(unknown)}"
+            )
         return cls(
             name=payload["name"],
             kind=payload["kind"],
-            base=dict(payload.get("base", {})),
-            axes=[(name, list(values)) for name, values in payload.get("axes", [])],
             grid=[dict(params) for params in payload.get("grid", [])],
             default_store=payload.get("default_store"),
         )
-
-
-def union_cases(
-    specs, fingerprint: str | None = None
-) -> list[ScenarioCase]:
-    """Cases of several specs, deduplicated by key, spec order preserved."""
-    seen: dict[str, ScenarioCase] = {}
-    for spec in specs:
-        for case in spec.cases(fingerprint=fingerprint):
-            seen.setdefault(case.key, case)
-    return list(seen.values())

@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.faults import FAULT_KINDS
+
 DEFAULT_STORE = ".lineage_store"
 
 
@@ -32,9 +34,7 @@ def _parse_args(argv):
                      help="default: the protocol's canonical topology")
     rec.add_argument("--workload", default="false_sharing")
     rec.add_argument("--seed", type=int, default=0)
-    rec.add_argument("--fault-class", default=None,
-                     choices=("link_flap", "link_degrade", "corrupt",
-                              "node_pause"),
+    rec.add_argument("--fault-class", default=None, choices=FAULT_KINDS,
                      help="schedule fault windows of this class")
     rec.add_argument("--store", default=DEFAULT_STORE)
 

@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 
+from repro.faults import FAULT_KINDS
 from repro.observe.export import (
     chrome_trace,
     protocol_diff,
@@ -42,10 +43,14 @@ def _scenario(args, protocol: str):
     if args.faults:
         # The generated plan's link/node targets assume the fault
         # scenario's own geometry, so only the stream length is adjustable.
-        scenario = make_fault_scenario(
-            args.seed, protocol, interconnect, args.faults,
-            workload=args.workload,
-        )
+        try:
+            scenario = make_fault_scenario(
+                args.seed, protocol, interconnect, args.faults,
+                workload=args.workload,
+            )
+        except ValueError as exc:  # a fault kind illegal on the protocol
+            print(f"error: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
         return dataclasses.replace(
             scenario, ops_per_proc=args.ops, lineage=False
         )
@@ -144,9 +149,9 @@ def _add_scenario_args(parser, with_protocol: bool = True) -> None:
     parser.add_argument("--ops", type=int, default=40,
                         help="operations per processor")
     parser.add_argument("--n-procs", type=int, default=4)
-    parser.add_argument("--faults", default=None, metavar="KIND",
-                        help="schedule one fault class (e.g. link_flap) so "
-                             "its windows render on the trace")
+    parser.add_argument("--faults", default=None, choices=FAULT_KINDS,
+                        help="schedule one fault class so its windows "
+                             "render on the trace")
 
 
 def main(argv=None) -> int:

@@ -374,8 +374,10 @@ def arm_object(obj, **recorders) -> None:
 #: Delivery-chain stages, outermost first.  Tracing sees every message
 #: as it arrives; corruption and drop/dup decide whether it survives
 #: (and drop/dup re-delivers duplicates into the rest of the chain); a
-#: pause gate holds what survives until the node resumes.
-DELIVERY_ORDER = ("trace", "corrupt", "drop_dup", "pause")
+#: pause gate holds what survives until the node resumes; a mutant
+#: (:mod:`repro.testing.mutants`) sabotages delivery innermost, just
+#: before the node's own handler.
+DELIVERY_ORDER = ("trace", "corrupt", "drop_dup", "pause", "mutant")
 
 
 class DeliveryHook:
@@ -390,19 +392,13 @@ class DeliveryHook:
     __slots__ = ("inner",)
 
 
-def delivery_chain(network, node_id: int) -> tuple[list, object]:
-    """``node_id``'s armed hooks (outermost first) and the handler they wrap."""
+def arm_delivery(network, node_id: int, hook: DeliveryHook) -> None:
+    """Put ``hook`` into ``node_id``'s delivery chain at its stage."""
     hooks = []
     handler = network._handlers[node_id]
     while isinstance(getattr(handler, "__self__", None), DeliveryHook):
         hooks.append(handler.__self__)
         handler = handler.__self__.inner
-    return hooks, handler
-
-
-def arm_delivery(network, node_id: int, hook: DeliveryHook) -> None:
-    """Put ``hook`` into ``node_id``'s delivery chain at its stage."""
-    hooks, handler = delivery_chain(network, node_id)
     hooks.append(hook)
     hooks.sort(key=lambda h: DELIVERY_ORDER.index(h.stage))
     for outer, inner in zip(hooks, hooks[1:]):
@@ -419,6 +415,5 @@ __all__ = [
     "arm_delivery",
     "arm_link",
     "arm_object",
-    "delivery_chain",
     "hooked_class",
 ]

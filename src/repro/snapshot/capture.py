@@ -24,13 +24,13 @@ are module-level classes and whose hooked node classes resolve by name,
 and publishes itself on the system (``system.lineage``,
 ``system.perturb``, ``system.faults``, ``system.observe``), so jitter,
 faults, tracing and lineage all ride along in the pickle, counters and
-pause-gate buffers included.
-What cannot be captured is *refused up front* with
-:class:`SnapshotUnsupportedError`, by a generic check rather than by
-overlay: locally-defined functions (closure-based mutants in
-``repro.testing.mutants``; the module-function mutants in
-``PICKLABLE_MUTANTS`` are fine), classes that do not resolve by name,
-and generator operation streams.
+pause-gate buffers included.  The mutants of
+:mod:`repro.testing.mutants` patch module-level code too, so a mutated
+system forks like any other.  One input is refused *up front* with
+:class:`SnapshotUnsupportedError`: a generator operation stream, which
+:func:`~repro.system.builder.build_system` accepts like any iterable.
+Anything else that fails to pickle raises the same error, naming the
+cause.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import contextlib
 import gc
 import pickle
-import sys
 import types
 
 
@@ -63,77 +62,15 @@ def _gc_paused():
 class SnapshotUnsupportedError(RuntimeError):
     """The system carries state the snapshot layer cannot serialize.
 
-    Raised *before* any pickling is attempted when known-unpicklable
-    state is detected, and as a wrapper if pickling itself fails on
-    something the pre-checks did not anticipate.  The message names the
-    offending object so a scenario author knows which arm to drop.
+    Raised *before* any pickling is attempted for a generator operation
+    stream, and as a wrapper if pickling itself fails.  The message
+    names the cause so a scenario author knows what to change.
     """
-
-
-def _is_local_function(obj) -> bool:
-    """A function defined inside another function (closure or lambda).
-
-    These pickle by qualified name, which locals do not have — the
-    telltale ``<locals>`` marker (or ``<lambda>`` name) means the object
-    cannot survive a round-trip.  Bound methods, partials of bound
-    methods, and module-level functions all pass.
-    """
-    return isinstance(obj, types.FunctionType) and (
-        "<locals>" in obj.__qualname__ or obj.__name__ == "<lambda>"
-    )
-
-
-def _resolves_to_itself(cls: type) -> bool:
-    """Whether ``cls`` is importable by its qualified name.
-
-    Classes built with ``type(...)`` and never published in their
-    module cannot be pickled by reference.
-    """
-    obj = sys.modules.get(cls.__module__)
-    for part in cls.__qualname__.split("."):
-        obj = getattr(obj, part, None)
-        if obj is None:
-            return False
-    return obj is cls
 
 
 def _unsupported_reasons(system) -> list[str]:
     """Every reason this system cannot be snapshotted (empty = fine)."""
-    from repro.overlay import delivery_chain
-
     reasons: list[str] = []
-    for obj in (system.sim, system.network, *system.nodes,
-                *system.sequencers, system.lineage, system.perturb,
-                system.faults, system.observe):
-        if obj is not None and not _resolves_to_itself(type(obj)):
-            reasons.append(
-                f"{type(obj).__name__} is a dynamically created class "
-                "and cannot be pickled by reference"
-            )
-
-    for node_id in range(len(system.network._handlers)):
-        hooks, handler = delivery_chain(system.network, node_id)
-        if _is_local_function(handler):
-            reasons.append(
-                f"node {node_id}'s delivery handler is a locally-defined "
-                "function (a closure-based mutant)"
-            )
-            break
-
-    for node in system.nodes:
-        locals_found = sorted(
-            attr
-            for attr, value in vars(node).items()
-            if _is_local_function(value)
-        )
-        if locals_found:
-            reasons.append(
-                f"node {node.node_id} carries locally-defined function "
-                f"attribute(s) {', '.join(locals_found)} (a closure-based "
-                "mutant)"
-            )
-            break
-
     for sequencer in system.sequencers:
         if isinstance(sequencer._stream, types.GeneratorType):
             reasons.append(

@@ -32,15 +32,23 @@ lineage-dropped-dangle  Token outcome contract (fault-aware): a
                         its absorbed-by-reissue terminal.
 ==========================================================================
 
-Mutants are installed by patching *instance* methods on a built system
-— the shipped protocol classes stay byte-identical — and are addressed
-by name so a repro file can reference them.
+Mutants are installed by patching *instance* methods and the lineage
+recorder's class on a built system — the shipped protocol classes stay
+byte-identical — and are addressed by name so a repro file can reference
+them.  Every patch is module-level code (a function, bound to its node
+with :func:`functools.partial`; a :class:`LineageRecorder` subclass; a
+:class:`~repro.overlay.DeliveryHook`), so a mutated system snapshots
+and forks like any other.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable
+
+from repro.lineage.record import LineageRecorder
+from repro.overlay import DeliveryHook, arm_delivery
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,12 +73,6 @@ class Mutant:
     lineage: bool = False
 
 
-# The patched-in methods for the three simplest mutants are module-level
-# functions rather than lambdas so a mutated system stays picklable by
-# reference (the snapshot layer refuses local functions; see
-# repro.snapshot.capture and PICKLABLE_MUTANTS below).
-
-
 def _one_token_can_write(line) -> bool:
     return line.tokens >= 1 and line.valid_data
 
@@ -83,6 +85,26 @@ def _swallow_put_ack(msg) -> None:
     return None
 
 
+def _stale_probe(node, block, for_write):
+    # ``node.probe`` is this patch; the class holds the real probe.
+    version = type(node).probe(node, block, for_write)
+    if version is not None and not for_write and version > 0:
+        return version - 1
+    return version
+
+
+def _release_with_extra_token(node, line, dst, category) -> None:
+    block = line.block
+    if line.tokens > 0:
+        version = line.version if line.owner_token else None
+        extra = 1 if line.tokens < node.total_tokens else 0
+        node.send_tokens(
+            dst, block, line.tokens + extra, line.owner_token, version,
+            category,
+        )
+    node._drop_line(block)
+
+
 def _install_skip_token_collection(system) -> None:
     """Write permission with a single token instead of all T."""
     for node in system.nodes:
@@ -92,33 +114,15 @@ def _install_skip_token_collection(system) -> None:
 def _install_stale_probe(system) -> None:
     """Node 1's reads observe one version behind what it holds."""
     node = system.nodes[1]
-
-    def probe(block, for_write, _orig=node.probe):
-        version = _orig(block, for_write)
-        if version is not None and not for_write and version > 0:
-            return version - 1
-        return version
-
-    node.probe = probe
+    node.probe = functools.partial(_stale_probe, node)
 
 
 def _install_token_duplication(system) -> None:
     """Node 1 mints one extra token whenever it releases a line."""
     node = system.nodes[1]
-    total = node.total_tokens
-
-    def release(line, dst, category, _node=node, _total=total):
-        block = line.block
-        if line.tokens > 0:
-            version = line.version if line.owner_token else None
-            extra = 1 if line.tokens < _total else 0
-            _node.send_tokens(
-                dst, block, line.tokens + extra, line.owner_token,
-                version, category,
-            )
-        _node._drop_line(block)
-
-    node.release_line_tokens = release
+    node.release_line_tokens = functools.partial(
+        _release_with_extra_token, node
+    )
 
 
 def _install_no_escalation(system) -> None:
@@ -134,23 +138,64 @@ def _install_writeback_leak(system) -> None:
         node._bind_handlers()
 
 
-#: Mutants whose installed patches are module-level functions — a system
-#: carrying one of these can be snapshotted; every other mutant installs
-#: closures or dynamic classes and is refused by the capture layer.
-PICKLABLE_MUTANTS = frozenset(
-    {"skip-token-collection", "no-escalation", "writeback-leak"}
-)
+class _QuiesceLeakRecorder(LineageRecorder):
+    """Finalizes, then loses the first ``quiesce`` terminal (the seq
+    numbers after it skip one; no oracle or outcome field reads them)."""
+
+    __slots__ = ()
+
+    def finalize(self, now=None) -> None:
+        super().finalize(now)
+        for index, event in enumerate(self.events):
+            if event[2] == "quiesce":
+                del self.events[index]
+                return
 
 
-def _recorder_subclass(recorder, **overrides):
-    """Swap a slotted recorder onto a single-base subclass with
-    ``overrides`` as methods (instance attributes cannot shadow methods
-    on a ``__slots__`` class)."""
-    cls = type(recorder)
-    recorder.__class__ = type(
-        f"Mutant{cls.__name__}", (cls,), {"__slots__": (), **overrides}
-    )
-    return recorder
+class _DoubleFinalizeRecorder(LineageRecorder):
+    """Writes every terminal twice."""
+
+    __slots__ = ()
+
+    def finalize(self, now=None) -> None:
+        super().finalize(now)
+        super().finalize(now)
+
+
+class _NoCompletionRecorder(LineageRecorder):
+    """Never registers a completed transaction."""
+
+    __slots__ = ()
+
+    def transaction_complete(self, block, node, t) -> None:
+        return None
+
+
+class _DropFirstForeignRequest(DeliveryHook):
+    """Discards the first foreign transient request the node is
+    delivered, recording the drop as a corruption fault would."""
+
+    stage = "mutant"
+    __slots__ = ("sim", "node_id", "recorder", "fired")
+
+    def __init__(self, sim, node_id, recorder) -> None:
+        self.sim = sim
+        self.node_id = node_id
+        self.recorder = recorder
+        self.fired = False
+
+    def deliver(self, msg) -> None:
+        if (
+            not self.fired
+            and msg.mtype in ("GETS", "GETM")
+            and msg.requester != self.node_id
+        ):
+            self.fired = True
+            self.recorder.request_dropped(
+                msg.block, msg.requester, self.node_id, self.sim._now
+            )
+            return
+        self.inner(msg)
 
 
 def _install_lineage_leak(system) -> None:
@@ -162,28 +207,12 @@ def _install_lineage_leak(system) -> None:
     terminal state.  Only the outcome contract's exactly-one-terminal
     discipline can see that.
     """
-    fired = {"done": False}
-
-    def _emit(
-        self, t, kind, block, node, peer=-1, tokens=0, owner=False,
-        xfer=-1, _orig=type(system.lineage)._emit,
-    ):
-        if kind == "quiesce" and not fired["done"]:
-            fired["done"] = True
-            return -1
-        return _orig(self, t, kind, block, node, peer, tokens, owner, xfer)
-
-    _recorder_subclass(system.lineage, _emit=_emit)
+    system.lineage.__class__ = _QuiesceLeakRecorder
 
 
 def _install_lineage_double_terminal(system) -> None:
     """Quiescence runs twice: every chain gets two terminal states."""
-
-    def finalize(self, now=None, _orig=type(system.lineage).finalize):
-        _orig(self, now)
-        _orig(self, now)
-
-    _recorder_subclass(system.lineage, finalize=finalize)
+    system.lineage.__class__ = _DoubleFinalizeRecorder
 
 
 def _install_lineage_dropped_dangle(system) -> None:
@@ -191,35 +220,18 @@ def _install_lineage_dropped_dangle(system) -> None:
 
     Node 1 discards the first foreign transient request it is delivered
     (recording the drop, exactly as the fault injector's corruption
-    wrapper does) while the recorder stops registering transaction
+    hook does) while the recorder stops registering transaction
     completions — so even though the requester recovers via the reissue
     path, the dropped chain never receives its ``absorbed-by-reissue``
-    terminal and the fault-aware contract must flag the dangle.
+    terminal and the fault-aware contract must flag the dangle.  The
+    drop is the innermost delivery stage, so every delivery hook sits
+    outside it, whenever it was armed.
     """
-    recorder = system.lineage
-    _recorder_subclass(
-        system.lineage,
-        transaction_complete=lambda self, block, node, t: None,
+    system.lineage.__class__ = _NoCompletionRecorder
+    arm_delivery(
+        system.network, 1,
+        _DropFirstForeignRequest(system.sim, 1, system.lineage),
     )
-    node_id = 1
-    handlers = system.network._handlers
-    sim = system.sim
-    fired = {"done": False}
-
-    def wrapped(msg, _orig=handlers[node_id]):
-        if (
-            not fired["done"]
-            and msg.mtype in ("GETS", "GETM")
-            and msg.requester != node_id
-        ):
-            fired["done"] = True
-            recorder.request_dropped(
-                msg.block, msg.requester, node_id, sim.now
-            )
-            return
-        _orig(msg)
-
-    handlers[node_id] = wrapped
 
 
 MUTANTS: dict[str, Mutant] = {

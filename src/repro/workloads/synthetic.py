@@ -261,8 +261,3 @@ def stream_stats(streams: dict[int, list[MemoryOp]]) -> dict[str, float]:
         "write_fraction": writes / total if total else 0.0,
         "dependent_fraction": dependent / total if total else 0.0,
     }
-
-
-def interleave(ops: list[MemoryOp]) -> Iterator[MemoryOp]:
-    """Iterator view of a stream (sequencers consume iterators)."""
-    return iter(ops)

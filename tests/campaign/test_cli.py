@@ -113,6 +113,18 @@ def test_unknown_spec_is_rejected():
         main(["run", "--spec", "nope"])
 
 
+def test_unknown_spec_file_fields_are_rejected(tmp_path):
+    """A misspelt field (or the retired ``base``/``axes``) must not run
+    as an empty campaign that exits 0."""
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({
+        "name": "typo", "kind": "simulate", "grdi": [{"x": 1}],
+        "base": {}, "axes": [],
+    }))
+    with pytest.raises(SystemExit, match="field.s. axes, base, grdi"):
+        main(["run", "--spec", str(path), "--store", str(tmp_path / "s")])
+
+
 def test_compact_subcommand_folds_pending_shards(
     mini_spec_file, tmp_path, capsys
 ):

@@ -1,13 +1,8 @@
-"""Scenario identity: content hashing, fingerprints, spec expansion."""
+"""Scenario identity: content hashing, fingerprints, spec documents."""
 
 import pytest
 
-from repro.campaign.spec import (
-    CampaignSpec,
-    ScenarioCase,
-    code_fingerprint,
-    union_cases,
-)
+from repro.campaign.spec import CampaignSpec, ScenarioCase, code_fingerprint
 
 
 def test_case_key_stable_across_construction_order():
@@ -55,34 +50,6 @@ def test_fingerprint_is_stable_within_a_version(monkeypatch):
     assert len(code_fingerprint()) == 16
 
 
-def test_spec_axes_cross_product_in_declaration_order():
-    spec = CampaignSpec(
-        name="t",
-        kind="simulate",
-        base={"common": True},
-        axes=[
-            ("grid", [{"protocol": "tokenb", "interconnect": "torus"},
-                      {"protocol": "snooping", "interconnect": "tree"}]),
-            ("seed", [0, 1]),
-        ],
-    )
-    params = spec.case_params()
-    assert len(params) == 4
-    assert params[0] == {
-        "common": True, "protocol": "tokenb", "interconnect": "torus", "seed": 0,
-    }
-    # Last axis varies fastest; dict-valued axis entries merge.
-    assert [p["seed"] for p in params] == [0, 1, 0, 1]
-    assert params[2]["protocol"] == "snooping"
-
-
-def test_spec_grid_entries_merge_over_base():
-    spec = CampaignSpec(
-        name="t", kind="simulate", base={"a": 1, "b": 2}, grid=[{"b": 3}, {"c": 4}]
-    )
-    assert spec.case_params() == [{"a": 1, "b": 3}, {"a": 1, "b": 2, "c": 4}]
-
-
 def test_spec_cases_dedup_and_roundtrip(monkeypatch):
     monkeypatch.setenv("REPRO_CAMPAIGN_FINGERPRINT", "fp")
     spec = CampaignSpec(
@@ -93,14 +60,6 @@ def test_spec_cases_dedup_and_roundtrip(monkeypatch):
     reloaded = CampaignSpec.from_dict(spec.to_dict())
     assert [c.key for c in reloaded.cases()] == [c.key for c in cases]
     assert reloaded.to_dict() == spec.to_dict()
-
-
-def test_union_cases_preserves_first_occurrence(monkeypatch):
-    monkeypatch.setenv("REPRO_CAMPAIGN_FINGERPRINT", "fp")
-    a = CampaignSpec(name="a", kind="simulate", grid=[{"x": 1}, {"x": 2}])
-    b = CampaignSpec(name="b", kind="simulate", grid=[{"x": 2}, {"x": 3}])
-    union = union_cases([a, b])
-    assert [c.params["x"] for c in union] == [1, 2, 3]
 
 
 def test_presets_declare_expected_scales():
@@ -122,4 +81,4 @@ def test_presets_declare_expected_scales():
     assert len(presets.smoke_spec().cases()) == 10
     # The predict tradeoff grid: 3 workloads x (7 full-bandwidth + 3
     # constrained-bandwidth variants).
-    assert len(presets.predict_spec().cases()) == 30
+    assert len(presets.build_spec("predict").cases()) == 30

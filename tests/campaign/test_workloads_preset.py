@@ -34,15 +34,12 @@ def tiny_cases() -> list[ScenarioCase]:
 
 def test_preset_declares_programs_and_phase_isolations():
     spec = workloads_spec()
-    program_names = {
-        params["program"]["name"]
-        for params in spec.case_params()
-    }
+    program_names = {params["program"]["name"] for params in spec.grid}
     for name in CAMPAIGN_PROGRAMS:
         assert name in program_names
     # Per-phase isolation cases ride along for the ranking comparison.
     assert any("@" in name for name in program_names)
-    assert len(spec.cases()) == len(spec.case_params())  # no dup keys
+    assert len(spec.cases()) == len(spec.grid)  # no dup keys
 
 
 def test_smoke_slice_is_small_and_scaled():

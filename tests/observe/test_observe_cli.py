@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.observe.__main__ import main
 
 
@@ -52,3 +54,15 @@ def test_profile_prints_kernel_table(capsys):
     # Categories name the pristine classes (profile runs un-traced).
     assert "Traced" not in out
     assert "events" in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--faults", "bogus"], "invalid choice: 'bogus'"),
+    (["--protocol", "directory", "--faults", "corrupt"],
+     "error: fault kinds ['corrupt'] are only legal on token protocols"),
+], ids=["unknown-kind", "loss-kind-on-baseline"])
+def test_bad_fault_kind_exits_2_with_an_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["timeline", *argv])
+    assert exited.value.code == 2
+    assert message in capsys.readouterr().err

@@ -4,10 +4,11 @@ Every overlay the adversarial harness can arm — jitter, drop/dup,
 forced escalation, link flap / degrade, corruption, node pause, lineage
 and tracing — hooks the system through :mod:`repro.overlay`, so a
 mid-run capture/restore continues bit-identically: the forked outcome
-equals the uninterrupted one, violation or not.  Only closure-based
-mutants and generator op streams are refused:
-``SimulatorSnapshot.capture`` raises :class:`SnapshotUnsupportedError`
-naming the offender, *before* any pickling is attempted.
+equals the uninterrupted one, violation or not.  Every mutant patches
+module-level code, so mutated systems fork too.  Generator op streams
+are refused *before* any pickling is attempted, and anything else
+unpicklable by the pickler: either way ``SimulatorSnapshot.capture``
+raises :class:`SnapshotUnsupportedError` naming the cause.
 """
 
 import dataclasses
@@ -26,7 +27,7 @@ from repro.testing.explore import (
     make_scenario,
     run_scenario,
 )
-from repro.testing.mutants import MUTANTS, PICKLABLE_MUTANTS
+from repro.testing.mutants import MUTANTS
 from repro.testing.perturb import PerturbSpec
 
 
@@ -92,19 +93,16 @@ def test_loss_free_fault_plans_fork_transparently(fault_class):
     _assert_fork_transparent(scenario)
 
 
-@pytest.mark.parametrize("mutant", sorted(PICKLABLE_MUTANTS))
-def test_picklable_mutants_fork_transparently(mutant):
-    """Module-function mutants snapshot fine — the forked run reaches
-    the same violation (type, message, and event count) as the cold
-    run, which is what lets the shrinker resume them mid-stream."""
-    protocol, workload = {
-        "no-escalation": ("null-token", "false_sharing"),
-        "skip-token-collection": ("tokenb", "false_sharing"),
-        "writeback-leak": ("directory", "writeback_churn"),
-    }[mutant]
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutants_fork_transparently(name):
+    """Every mutant patches module-level code, so a mutated system
+    snapshots — the forked run reaches the same violation (type,
+    message, and event count) as the cold run, which is what lets the
+    shrinker resume them mid-stream."""
+    mutant = MUTANTS[name]
     scenario = Scenario(
-        seed=4, protocol=protocol, interconnect="torus", workload=workload,
-        mutant=mutant,
+        seed=4, protocol=mutant.protocol, interconnect="torus",
+        workload=mutant.workload, mutant=name, lineage=mutant.lineage,
     )
     cold = run_scenario(scenario)
     assert not cold.ok
@@ -235,28 +233,17 @@ def test_restored_nodes_dispatch_to_their_own_methods(scenario):
 
 
 # ----------------------------------------------------------------------
-# Refused: closures and generators, by a generic check
+# Refused: generator op streams up front, anything else by the pickler
 # ----------------------------------------------------------------------
 
 
-def test_closure_mutants_are_refused():
-    closure_mutants = sorted(set(MUTANTS) - PICKLABLE_MUTANTS)
-    assert closure_mutants, "expected at least one closure-based mutant"
-    refused = 0
-    for mutant in closure_mutants:
-        protocol = "tokenb"
-        scenario = Scenario(
-            seed=0, protocol=protocol, interconnect="torus",
-            workload="false_sharing", mutant=mutant, lineage=mutant.startswith("lineage-"),
-        )
-        try:
-            system = _armed_system(scenario)[0]
-        except Exception:
-            continue  # mutant not applicable to this protocol
-        with pytest.raises(SnapshotUnsupportedError):
-            SimulatorSnapshot.capture(system)
-        refused += 1
-    assert refused >= 3
+def test_unpicklable_patch_is_refused_by_the_pickler():
+    """A closure patched onto a node is not pre-checked: the pickler
+    fails on it, and capture says so in its own error."""
+    system = _armed_system(_bare())[0]
+    system.nodes[1].probe = lambda block, for_write: None
+    with pytest.raises(SnapshotUnsupportedError, match="failed to pickle"):
+        SimulatorSnapshot.capture(system)
 
 
 def test_generator_streams_are_refused():

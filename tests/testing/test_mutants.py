@@ -83,3 +83,21 @@ def test_mutant_registry_is_well_formed():
         assert mutant.name == name
         assert mutant.expected, f"{name} lists no expected violations"
         assert callable(mutant.install)
+
+
+def test_dropped_dangle_hook_is_innermost():
+    """The mutant's delivery hook sits just before node 1's handler,
+    inside a pause gate armed after it."""
+    from repro.faults import FaultEvent, FaultPlan, PauseGate
+    from repro.testing.explore import _armed_system
+
+    mutant = MUTANTS["lineage-dropped-dangle"]
+    plan = FaultPlan(events=(
+        FaultEvent("node_pause", start_ns=100.0, duration_ns=50.0, target=1),
+    ))
+    system = _armed_system(_mutant_scenario(mutant, faults=plan))[0]
+    gate = system.network._handlers[1].__self__
+    assert isinstance(gate, PauseGate)
+    hook = gate.inner.__self__
+    assert hook.stage == "mutant"
+    assert hook.inner == system.nodes[1].handle_message
