@@ -16,43 +16,27 @@ differential conformance harness all declare
 * ``python -m repro.campaign run|status|report|compact`` drives it
   from the command line (see :mod:`repro.campaign.cli`).
 
-Execution is one path, :func:`run_campaign` → scheduler → transport →
-store:
-
-* **scheduler** (:mod:`repro.campaign.scheduler`) —
-  :class:`CampaignScheduler` diffs a spec against the store, drives a
-  transport, retries when the transport breaks mid-run, and beats the
-  heartbeat; it never knows how scenarios execute;
-* **transports** (:mod:`repro.campaign.transports`) — ``submit(batch)``
-  yielding completions, either in-process serial or over a local
-  process pool.  A pool-produced store is byte-identical,
-  post-compaction, to a serial run.
-
-:func:`run_campaign` picks the transport from ``jobs`` and runs the
-scheduler over it.
+Execution is one run loop: :func:`run_campaign` sizes ``jobs`` and
+calls :meth:`~repro.campaign.scheduler.CampaignScheduler.run`, which
+diffs the cases against the store, drives
+:func:`~repro.campaign.transports.execute` (in-process at ``jobs=1``,
+else over a local process pool), retries on a broken pool, and beats
+the heartbeat.  A pool-produced store is byte-identical,
+post-compaction, to a serial run.
 """
 
-from repro.campaign.runner import HeartbeatWriter, RunReport, run_campaign
-from repro.campaign.scheduler import CampaignScheduler
+from repro.campaign.runner import run_campaign
+from repro.campaign.scheduler import HeartbeatWriter, RunReport
 from repro.campaign.spec import CampaignSpec, ScenarioCase, code_fingerprint
 from repro.campaign.store import CampaignStore, StoreBusyError, make_record
-from repro.campaign.transports import (
-    ProcessPoolTransport,
-    SerialTransport,
-    TransportBroken,
-)
 
 __all__ = [
-    "CampaignScheduler",
     "CampaignSpec",
     "CampaignStore",
     "HeartbeatWriter",
-    "ProcessPoolTransport",
     "RunReport",
     "ScenarioCase",
-    "SerialTransport",
     "StoreBusyError",
-    "TransportBroken",
     "code_fingerprint",
     "make_record",
     "run_campaign",

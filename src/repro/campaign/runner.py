@@ -1,11 +1,12 @@
 """``run_campaign`` — the one-call face of the scheduler.
 
 :class:`~repro.campaign.scheduler.CampaignScheduler` does the store
-diffing, retries, resume and heartbeats; :mod:`~repro.campaign.transports`
-executes cases serially in-process or over a local process pool.  Every
-call site — the benches, the explorer's ``--jobs`` mode, the
-differential harness, ``fork_family`` campaigns, and the CLI — calls
-:func:`run_campaign`, which picks the transport and delegates.
+diffing, retries, resume and heartbeats;
+:func:`~repro.campaign.transports.execute` runs cases in-process or over
+a local process pool.  Every call site — the benches, the explorer's
+``--jobs`` mode, the differential harness, ``fork_family`` campaigns,
+and the CLI — calls :func:`run_campaign`, which sizes ``jobs`` and
+delegates.
 """
 
 from __future__ import annotations
@@ -13,16 +14,14 @@ from __future__ import annotations
 import os
 from typing import Sequence
 
-from repro.campaign.scheduler import (  # noqa: F401 — historical exports
+from repro.campaign.scheduler import (
     CampaignScheduler,
-    HeartbeatWriter,
     ProgressFn,
     RunReport,
     resolve_jobs,
 )
 from repro.campaign.spec import CampaignSpec, ScenarioCase
 from repro.campaign.store import CampaignStore
-from repro.campaign.transports import ProcessPoolTransport, SerialTransport
 
 
 def run_campaign(
@@ -35,24 +34,19 @@ def run_campaign(
 ) -> RunReport:
     """Execute every case not yet in ``store``; return what happened.
 
-    ``jobs=1`` runs in-process via :class:`SerialTransport` (the
-    debugging path); more fans out over a :class:`ProcessPoolTransport`
-    sized by :func:`resolve_jobs` (``None`` = all usable cores, capped
-    by the missing-case count).  ``heartbeat`` names a JSON file
-    atomically rewritten on every completion (see
-    :class:`HeartbeatWriter`); ``python -m repro.campaign status
-    --watch`` tails it for live progress.
+    ``jobs=1`` runs in-process (the debugging path); more fans out over
+    a local process pool sized by :func:`resolve_jobs` (``None`` = all
+    usable cores, capped by the missing-case count).  ``heartbeat``
+    names a JSON file atomically rewritten on every completion (see
+    :class:`~repro.campaign.scheduler.HeartbeatWriter`); ``python -m
+    repro.campaign status --watch`` tails it for live progress.
     """
+    if isinstance(spec_or_cases, CampaignSpec):
+        cases = spec_or_cases.cases()
+    else:
+        cases = list(spec_or_cases)
+    jobs = resolve_jobs(jobs, len(store.missing(cases)))
     scheduler = CampaignScheduler(
         store, progress=progress, compact=compact, heartbeat=heartbeat
     )
-    cases = scheduler.cases_of(spec_or_cases)
-    jobs = resolve_jobs(jobs, len(store.missing(cases)))
-    if jobs == 1:
-        transport = SerialTransport(store)
-    else:
-        transport = ProcessPoolTransport(store, jobs)
-    try:
-        return scheduler.run(cases, transport)
-    finally:
-        transport.shutdown()
+    return scheduler.run(cases, jobs)

@@ -1,53 +1,52 @@
 """The campaign scheduler: store diffing, retries, heartbeats — no I/O
 strategy of its own.
 
-:class:`CampaignScheduler` consumes a
-:class:`~repro.campaign.spec.CampaignSpec` (or explicit case list),
-diffs it against the store, submits the missing cases to a serial or
-process-pool transport (:mod:`~repro.campaign.transports`), and turns
-the stream of completions into progress callbacks, heartbeat beats, and
-a :class:`RunReport`.  Contract (the equivalence tests pin it):
+:meth:`CampaignScheduler.run` diffs a case list against the store,
+drives :func:`~repro.campaign.transports.execute` over the missing
+cases, and turns its completions into progress callbacks, heartbeat
+beats, and a :class:`RunReport`.  Contract (the equivalence tests pin
+it):
 
 * **Incremental**: only cases missing from the store execute; a
   completed campaign re-runs as a 100% store hit.
 * **Deterministic outputs under arbitrary scheduling**: missing cases
-  are submitted in spec order; *which* lane executes a scenario depends
-  on completion timing — but every result is content-addressed and
-  compaction canonicalizes the store, so the record set and the final
-  shard bytes are a pure function of (spec, code version), independent
-  of transport, lanes, or scheduling.
-* **Broken-transport retry**: a transport losing workers mid-batch
-  (:class:`~repro.campaign.transports.TransportBroken`) is survivable —
-  the store is reloaded (picking up every record flushed before the
-  crash), the genuinely unfinished cases are resubmitted, and after
-  :data:`_TRANSPORT_RETRIES` restarts the stragglers surface as
-  ordinary per-case failures.
-* **Durability before acknowledgement**: transports publish each record
-  to the store before yielding its completion, so a beat never claims
-  work a crash could lose.
+  are submitted in spec order; *which* worker executes a scenario
+  depends on completion timing — but every result is content-addressed
+  and compaction canonicalizes the store, so the record set and the
+  final shard bytes are a pure function of (spec, code version),
+  independent of ``jobs`` or scheduling.
+* **Broken-pool retry**: a worker dying mid-batch
+  (``BrokenProcessPool``) is survivable — the store is reloaded
+  (picking up every record flushed before the crash), the genuinely
+  unfinished cases go to a fresh pool, and after :data:`_POOL_RETRIES`
+  restarts the stragglers surface as ordinary per-case failures.
+* **Durability before acknowledgement**: ``execute`` publishes each
+  record to the store before yielding its completion, so a beat never
+  claims work a crash could lose.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
-import tempfile
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.campaign.spec import CampaignSpec, ScenarioCase
-from repro.campaign.store import CampaignStore, StoreBusyError
-from repro.campaign.transports import TransportBroken
+from repro.campaign.spec import ScenarioCase
+from repro.campaign.store import CampaignStore, StoreBusyError, write_atomic
+from repro.campaign.transports import execute
 
 #: progress(done, total, case, ok, error) — called after each *executed*
 #: case in completion order; ``done`` starts at the cached count.
 ProgressFn = Callable[[int, int, ScenarioCase, bool, "str | None"], None]
 
-#: Transport restarts after a mid-batch break (worker crash) before the
+#: Pool rebuilds after a worker crash (``BrokenProcessPool``) before the
 #: still-unfinished cases are surfaced as failures.
-_TRANSPORT_RETRIES = 2
+_POOL_RETRIES = 2
 
 
 @dataclasses.dataclass
@@ -68,12 +67,11 @@ class RunReport:
 class HeartbeatWriter:
     """Atomic progress beacon for ``campaign status --watch``.
 
-    One JSON object per beat, written to a temp file that then
-    atomically replaces ``path`` (:func:`os.replace`), so a concurrent
-    reader never sees a torn file.  Each beat gets its own temp file
-    (:func:`tempfile.mkstemp`, as in store compaction): two runs against
-    one store share the default ``heartbeat.json``, and a shared temp
-    name would let one run's beat rename the other's file away
+    One JSON object per beat, written through
+    :func:`~repro.campaign.store.write_atomic`, so a concurrent reader
+    never sees a torn file.  Each beat gets its own temp file: two runs
+    against one store share the default ``heartbeat.json``, and a shared
+    temp name would let one run's beat rename the other's file away
     mid-replace.  Beats happen on every completion plus once at start
     and once at the end (``finished`` flips true), so a watcher polling
     the file sees monotone progress and a definitive terminal state
@@ -122,17 +120,7 @@ class HeartbeatWriter:
             "finished": finished,
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(payload))
-            os.replace(tmp, self.path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(self.path, json.dumps(payload))
 
 
 def _available_cpus() -> int:
@@ -156,7 +144,7 @@ def resolve_jobs(jobs: int | None, n_cases: int) -> int:
 
 
 class CampaignScheduler:
-    """Drive a campaign to completion over any transport.
+    """Drive a campaign to completion.
 
     One scheduler may run many campaigns against its store; each
     :meth:`run` is independent.  ``heartbeat`` names the beacon file
@@ -175,37 +163,15 @@ class CampaignScheduler:
         self.compact = compact
         self.heartbeat = heartbeat
 
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def cases_of(
-        spec_or_cases: CampaignSpec | Sequence[ScenarioCase],
-    ) -> list[ScenarioCase]:
-        if isinstance(spec_or_cases, CampaignSpec):
-            return spec_or_cases.cases()
-        return list(spec_or_cases)
-
-    def pending(
-        self, spec_or_cases: CampaignSpec | Sequence[ScenarioCase]
-    ) -> list[ScenarioCase]:
-        """Diff a spec against the store: the cases that would execute."""
-        return self.store.missing(self.cases_of(spec_or_cases))
-
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        spec_or_cases: CampaignSpec | Sequence[ScenarioCase],
-        transport,
-    ) -> RunReport:
+    def run(self, cases: Sequence[ScenarioCase], jobs: int) -> RunReport:
         """Execute every case not yet in the store; return what happened.
 
-        Failures (executor exceptions, as opposed to oracle violations,
-        which are ordinary *results* for the ``explore`` kind) are
-        listed in the report and their cases left unrecorded, so a rerun
-        retries them.
+        ``jobs == 1`` runs in-process; more runs over a local pool of
+        ``jobs`` workers.  Failures (executor exceptions, as opposed to
+        oracle violations, which are ordinary *results* for the
+        ``explore`` kind) are listed in the report and their cases left
+        unrecorded, so a rerun retries them.
         """
-        cases = self.cases_of(spec_or_cases)
         started = time.perf_counter()
         missing = self.store.missing(cases)
         total = len(cases)
@@ -213,37 +179,34 @@ class CampaignScheduler:
         failures: list[dict] = []
         beacon = None
         if self.heartbeat is not None:
-            beacon = HeartbeatWriter(
-                self.heartbeat, total, done, getattr(transport, "lanes", 1)
-            )
+            beacon = HeartbeatWriter(self.heartbeat, total, done, jobs)
             beacon.beat(done)
 
         remaining = list(missing)
-        broken_reason = "TransportBroken"
-        for _attempt in range(_TRANSPORT_RETRIES + 1):
+        for _attempt in range(_POOL_RETRIES + 1):
             if not remaining:
                 break
             try:
-                for completion in transport.submit(remaining):
-                    if not completion.ok:
-                        failures.append(
-                            {"key": completion.case.key,
-                             "error": completion.error}
-                        )
-                    done += 1
-                    if beacon is not None:
-                        beacon.beat(done, stream=completion.stream,
-                                    ok=completion.ok)
-                    if self.progress is not None:
-                        self.progress(done, total, completion.case,
-                                      completion.ok, completion.error)
+                # closing(): when a progress callback raises mid-batch,
+                # the pool shuts down before the exception leaves run(),
+                # not whenever the generator happens to be collected.
+                with contextlib.closing(
+                    execute(self.store, remaining, jobs)
+                ) as completions:
+                    for case, ok, error, stream in completions:
+                        if not ok:
+                            failures.append({"key": case.key, "error": error})
+                        done += 1
+                        if beacon is not None:
+                            beacon.beat(done, stream=stream, ok=ok)
+                        if self.progress is not None:
+                            self.progress(done, total, case, ok, error)
                 remaining = []
-            except TransportBroken as exc:
+            except BrokenProcessPool:
                 # Mark this round's in-flight cases unfinished: reload
                 # the store (picking up every record flushed before the
                 # crash) and keep whatever is still missing, minus the
                 # cases that already failed in an orderly way.
-                broken_reason = exc.reason
                 self.store.close()
                 self.store.load()
                 failed_keys = {failure["key"] for failure in failures}
@@ -258,9 +221,9 @@ class CampaignScheduler:
                 {
                     "key": case.key,
                     "error": (
-                        f"{broken_reason} and the transport was restarted "
-                        f"{_TRANSPORT_RETRIES} times without finishing this "
-                        "case"
+                        "BrokenProcessPool: a worker died abruptly and the "
+                        f"transport was restarted {_POOL_RETRIES} times "
+                        "without finishing this case"
                     ),
                 }
                 for case in remaining
@@ -272,14 +235,14 @@ class CampaignScheduler:
         if self.compact and self.store.dirty:
             try:
                 # compact() re-reads everything on disk, which also folds
-                # the transport's pending shards into the parent's index.
+                # the pool workers' pending shards into the parent's index.
                 self.store.compact()
             except StoreBusyError:
                 # Another writer (a concurrent CLI run) holds the
                 # store's writer lock: leave its pending files alone
                 # and just fold the records into this process's index.
                 self.store.load()
-        elif missing and getattr(transport, "out_of_process", False):
+        elif missing and jobs > 1:
             # No compaction: an explicit reload picks up worker records.
             self.store.load()
         return RunReport(

@@ -134,12 +134,18 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CampaignSpec":
-        """The spec ``payload`` declares; unknown fields raise ValueError."""
+        """The spec ``payload`` declares; unknown or missing fields raise
+        ValueError."""
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ValueError(
                 f"unknown campaign spec field(s) {', '.join(unknown)}"
+            )
+        absent = [name for name in ("name", "kind") if name not in payload]
+        if absent:
+            raise ValueError(
+                f"missing campaign spec field(s) {', '.join(absent)}"
             )
         return cls(
             name=payload["name"],

@@ -55,6 +55,25 @@ class StoreBusyError(RuntimeError):
     """
 
 
+def write_atomic(path, text: str) -> None:
+    """Replace ``path`` with ``text`` through a temp file + :func:`os.replace`.
+
+    The temp file is private (:func:`tempfile.mkstemp` in the target's
+    directory), so concurrent writers of one path never rename each
+    other's files away, and a reader never sees a torn file.  On
+    ``OSError`` the temp file is removed and the error re-raised.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
 def _try_flock(handle) -> bool:
     """Advisory-lock a writer's pending file.
 
@@ -373,27 +392,15 @@ class CampaignStore:
             if not shard_records:
                 target.unlink(missing_ok=True)
                 continue
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    for record in shard_records:
-                        handle.write(canonical_json(record) + "\n")
-                os.replace(tmp, target)
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            write_atomic(target, "".join(
+                canonical_json(record) + "\n" for record in shard_records
+            ))
         for pending in self.root.glob("pending-*.jsonl"):
             if _is_live(pending):
                 continue
             pending.unlink(missing_ok=True)
         meta = {"n_shards": self.n_shards, "version": STORE_VERSION}
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        with os.fdopen(fd, "w") as handle:
-            handle.write(canonical_json(meta) + "\n")
-        os.replace(tmp, self.root / "meta.json")
+        write_atomic(self.root / "meta.json", canonical_json(meta) + "\n")
         self._dirty = False
 
     @property

@@ -16,7 +16,16 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.config import INTERCONNECTS
 from repro.faults import FAULT_KINDS
+from repro.system.grid import interconnect_for, is_token_protocol
+from repro.testing.explore import (
+    EXPLORER_WORKLOADS,
+    _armed_system,
+    _finish_scenario,
+    make_fault_scenario,
+    make_scenario,
+)
 
 DEFAULT_STORE = ".lineage_store"
 
@@ -30,9 +39,11 @@ def _parse_args(argv):
 
     rec = sub.add_parser("record", help="run one scenario, write a store")
     rec.add_argument("--protocol", default="tokenb")
-    rec.add_argument("--interconnect", default=None,
+    rec.add_argument("--interconnect", default=None, choices=INTERCONNECTS,
                      help="default: the protocol's canonical topology")
-    rec.add_argument("--workload", default="false_sharing")
+    rec.add_argument("--workload", default="false_sharing",
+                     choices=EXPLORER_WORKLOADS, metavar="WORKLOAD",
+                     help="an adversarial workload or phased program")
     rec.add_argument("--seed", type=int, default=0)
     rec.add_argument("--fault-class", default=None, choices=FAULT_KINDS,
                      help="schedule fault windows of this class")
@@ -49,15 +60,7 @@ def _parse_args(argv):
 
 
 def _cmd_record(args) -> int:
-    # Imported lazily: the explorer pulls in the whole system stack.
     from repro.lineage.store import LineageStore
-    from repro.system.grid import interconnect_for, is_token_protocol
-    from repro.testing.explore import (
-        _armed_system,
-        _finish_scenario,
-        make_fault_scenario,
-        make_scenario,
-    )
 
     if not is_token_protocol(args.protocol):
         print(f"error: {args.protocol!r} is not a token protocol — "

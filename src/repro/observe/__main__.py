@@ -19,9 +19,11 @@ per-callback wall-time table.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
+from repro.config import INTERCONNECTS
 from repro.faults import FAULT_KINDS
 from repro.observe.export import (
     chrome_trace,
@@ -31,15 +33,26 @@ from repro.observe.export import (
 )
 from repro.observe.hooks import install_tracing
 from repro.observe.trace import TimelineRecorder
-from repro.system.grid import interconnect_for
+from repro.system.grid import ALL_PROTOCOLS, interconnect_for, interconnects_for
+from repro.testing.explore import (
+    EXPLORER_WORKLOADS,
+    Scenario,
+    _armed_system,
+    make_fault_scenario,
+)
+
+
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _scenario(args, protocol: str):
-    import dataclasses
-
-    from repro.testing.explore import Scenario, make_fault_scenario
-
     interconnect = args.interconnect or interconnect_for(protocol)
+    legal = interconnects_for(protocol)
+    if interconnect not in legal:
+        _usage_error(f"{protocol} cannot run on the {interconnect} "
+                     f"interconnect (legal: {', '.join(legal)})")
     if args.faults:
         # The generated plan's link/node targets assume the fault
         # scenario's own geometry, so only the stream length is adjustable.
@@ -49,8 +62,7 @@ def _scenario(args, protocol: str):
                 workload=args.workload,
             )
         except ValueError as exc:  # a fault kind illegal on the protocol
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(2) from None
+            _usage_error(str(exc))
         return dataclasses.replace(
             scenario, ops_per_proc=args.ops, lineage=False
         )
@@ -66,10 +78,6 @@ def _scenario(args, protocol: str):
 
 def _armed(scenario):
     """The scenario's system with every overlay but tracing installed."""
-    import dataclasses
-
-    from repro.testing.explore import _armed_system
-
     return _armed_system(dataclasses.replace(scenario, observe=False))[0]
 
 
@@ -77,9 +85,7 @@ def _traced_run(scenario, epoch_ns=None):
     """Build, arm, and run; returns (result, timeline recorder)."""
     system = _armed(scenario)
     recorder = install_tracing(
-        system,
-        recorder=TimelineRecorder(epoch_ns=epoch_ns),
-        fault_plan=scenario.faults if scenario.faults.any_active() else None,
+        system, recorder=TimelineRecorder(epoch_ns=epoch_ns)
     )
     result = system.run(max_events=scenario.max_events)
     return result, recorder
@@ -140,10 +146,12 @@ def cmd_profile(args) -> int:
 
 def _add_scenario_args(parser, with_protocol: bool = True) -> None:
     if with_protocol:
-        parser.add_argument("--protocol", default="tokenb")
-    parser.add_argument("--interconnect", default=None,
+        parser.add_argument("--protocol", default="tokenb",
+                            choices=ALL_PROTOCOLS)
+    parser.add_argument("--interconnect", default=None, choices=INTERCONNECTS,
                         help="default: the protocol's canonical topology")
     parser.add_argument("--workload", default="false_sharing",
+                        choices=EXPLORER_WORKLOADS, metavar="WORKLOAD",
                         help="an adversarial workload or phased program")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--ops", type=int, default=40,
@@ -178,8 +186,8 @@ def main(argv=None) -> int:
 
     p_diff = sub.add_parser("diff", help="trace two protocols on the same "
                                          "workload and compare")
-    p_diff.add_argument("protocol_a")
-    p_diff.add_argument("protocol_b")
+    p_diff.add_argument("protocol_a", choices=ALL_PROTOCOLS)
+    p_diff.add_argument("protocol_b", choices=ALL_PROTOCOLS)
     _add_scenario_args(p_diff, with_protocol=False)
     p_diff.set_defaults(func=cmd_diff)
 

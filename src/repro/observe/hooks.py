@@ -64,23 +64,23 @@ def install_tracing(
     system,
     recorder: TraceRecorder | None = None,
     epoch_ns: float | None = None,
-    fault_plan=None,
 ) -> TraceRecorder:
     """Arm ``system`` with tracing; returns the recorder.
 
     ``recorder`` defaults to a summary :class:`TraceRecorder`; pass a
     :class:`TimelineRecorder` to keep the raw timeline for export.
-    ``epoch_ns`` arms the default recorder's time-series sampler;
-    ``fault_plan`` copies the scheduled fault windows onto the trace for
-    rendering.  Publishes the recorder as ``system.observe``.
+    ``epoch_ns`` arms the default recorder's time-series sampler.  The
+    fault windows of ``system.faults`` are copied onto the trace for
+    rendering, so install the fault injector first (the explorer's
+    order).  Publishes the recorder as ``system.observe``.
     """
     if system.observe is not None:
         raise ValueError("tracing is already installed on this system")
     if recorder is None:
         recorder = TraceRecorder(epoch_ns=epoch_ns)
     recorder.bind(system)
-    if fault_plan is not None:
-        recorder.note_fault_windows(fault_plan)
+    if system.faults is not None:
+        recorder.note_fault_windows(system.faults.plan)
 
     for obj in (*system.nodes, *system.sequencers):
         arm_object(obj, _observe=recorder)

@@ -291,12 +291,7 @@ def _armed_system(scenario: Scenario):
     if scenario.observe:
         from repro.observe import install_tracing
 
-        install_tracing(
-            system,
-            fault_plan=(
-                scenario.faults if scenario.faults.any_active() else None
-            ),
-        )
+        install_tracing(system)
     return system, expected_ops
 
 

@@ -30,11 +30,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import tempfile
-from pathlib import Path
 from typing import Iterator
 
+from repro.campaign.store import write_atomic
 from repro.faults import link_count
 from repro.testing.explore import Scenario, ScenarioOutcome, run_scenario
 
@@ -125,9 +123,9 @@ def shrink(
 def write_repro(path, scenario: Scenario, outcome: ScenarioOutcome) -> None:
     """Serialize a violating scenario and its observed violation.
 
-    The file is replaced atomically (a temp file in the same directory,
-    then :func:`os.replace`), so several campaign runs sharing one store
-    never leave a torn repro behind.
+    The file is replaced atomically
+    (:func:`~repro.campaign.store.write_atomic`), so several campaign
+    runs sharing one store never leave a torn repro behind.
     """
     payload = {
         "format": REPRO_FORMAT,
@@ -137,16 +135,7 @@ def write_repro(path, scenario: Scenario, outcome: ScenarioOutcome) -> None:
             "message": outcome.violation_message,
         },
     }
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except OSError:
-        Path(tmp).unlink(missing_ok=True)
-        raise
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_repro(path) -> tuple[Scenario, dict]:

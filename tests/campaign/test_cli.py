@@ -125,6 +125,20 @@ def test_unknown_spec_file_fields_are_rejected(tmp_path):
         main(["run", "--spec", str(path), "--store", str(tmp_path / "s")])
 
 
+@pytest.mark.parametrize("field", ["name", "kind"])
+def test_spec_file_missing_a_required_field_is_rejected(tmp_path, field):
+    """A spec file without ``name`` or ``kind`` gets the CLI's ``spec
+    file …`` error, not a ``KeyError`` traceback."""
+    payload = {"name": "nameless", "kind": "simulate", "grid": []}
+    del payload[field]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(
+        SystemExit, match=f"spec file .*missing campaign spec field.s. {field}"
+    ):
+        main(["run", "--spec", str(path), "--store", str(tmp_path / "s")])
+
+
 def test_compact_subcommand_folds_pending_shards(
     mini_spec_file, tmp_path, capsys
 ):
@@ -509,7 +523,7 @@ def test_status_watch_waits_for_live_run(mini_spec_file, tmp_path, capsys):
     import threading
     import time
 
-    from repro.campaign.runner import HeartbeatWriter
+    from repro.campaign.scheduler import HeartbeatWriter
 
     store = tmp_path / "store"
     store.mkdir()
@@ -544,7 +558,7 @@ def test_status_watch_tolerates_torn_heartbeat(
     import threading
     import time
 
-    from repro.campaign.runner import HeartbeatWriter
+    from repro.campaign.scheduler import HeartbeatWriter
 
     store = tmp_path / "store"
     store.mkdir()

@@ -5,7 +5,8 @@ import dataclasses
 import pytest
 
 from repro.campaign import executors
-from repro.campaign.runner import resolve_jobs, run_campaign
+from repro.campaign.runner import run_campaign
+from repro.campaign.scheduler import resolve_jobs
 from repro.campaign.spec import CampaignSpec, ScenarioCase
 from repro.campaign.store import CampaignStore, make_record
 from repro.workloads import COMMERCIAL_WORKLOADS
@@ -170,7 +171,7 @@ def test_broken_pool_respawns_and_finishes(tmp_path, monkeypatch):
     # (a round ends at the first worker death), so finishing needs 3
     # crash rounds plus one clean round — give the retry budget exactly
     # that, instead of racing the default against worker scheduling.
-    monkeypatch.setattr(scheduler, "_TRANSPORT_RETRIES", 3)
+    monkeypatch.setattr(scheduler, "_POOL_RETRIES", 3)
     cases = [
         ScenarioCase(
             "crash-once",
@@ -192,11 +193,23 @@ def test_broken_pool_respawns_and_finishes(tmp_path, monkeypatch):
 
 def test_broken_pool_retries_are_bounded(tmp_path, monkeypatch):
     """A worker that dies every time must not retry forever: after the
-    respawn budget the unfinished cases surface as ordinary failures."""
-    from repro.campaign import scheduler
+    respawn budget the unfinished cases surface as ordinary failures
+    naming the reason and the restart count, and exactly
+    ``_POOL_RETRIES + 1`` pools were built."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.campaign import scheduler, transports
+
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
 
     monkeypatch.setitem(executors.EXECUTORS, "crash-always", _crash_always)
-    monkeypatch.setattr(scheduler, "_TRANSPORT_RETRIES", 1)
+    monkeypatch.setattr(scheduler, "_POOL_RETRIES", 1)
+    monkeypatch.setattr(transports, "ProcessPoolExecutor", CountingPool)
     # Two cases: a single case would resolve to the in-process serial
     # path, where os._exit would take the test process down with it.
     cases = [
@@ -209,8 +222,10 @@ def test_broken_pool_retries_are_bounded(tmp_path, monkeypatch):
     assert len(report.failures) == 2
     assert all(
         "BrokenProcessPool" in failure["error"]
+        and "restarted 1 times" in failure["error"]
         for failure in report.failures
     )
+    assert len(pools) == 2  # first try + one retry
     for case in cases:
         assert store.result_for(case) is None
 

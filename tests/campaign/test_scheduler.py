@@ -1,21 +1,16 @@
-"""Scheduler/transport split: equivalence, retries, beats, job sizing."""
+"""Scheduler: serial == pool, beats, job sizing."""
 
 import dataclasses
 import json
+import multiprocessing
 import os
 
-from repro.campaign.scheduler import (
-    CampaignScheduler,
-    HeartbeatWriter,
-    resolve_jobs,
-)
+import pytest
+
+from repro.campaign.runner import run_campaign
+from repro.campaign.scheduler import HeartbeatWriter, resolve_jobs
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore
-from repro.campaign.transports import (
-    ProcessPoolTransport,
-    SerialTransport,
-    TransportBroken,
-)
 from repro.workloads import COMMERCIAL_WORKLOADS
 
 
@@ -42,25 +37,16 @@ def _store_bytes(root):
     }
 
 
-def test_every_transport_produces_byte_identical_compacted_stores(tmp_path):
-    """The split's core claim: serial and local pool publish identical
-    records through the same store, so the compacted bytes are a pure
-    function of the spec — independent of transport."""
+def test_serial_and_pool_produce_byte_identical_compacted_stores(tmp_path):
+    """Serial and pooled execution publish identical records through
+    the same store, so the compacted bytes are a pure function of the
+    spec — independent of ``jobs``."""
     spec = _tiny_spec(4)
-    cases = spec.cases()
 
-    serial_store = CampaignStore(tmp_path / "serial")
-    report = CampaignScheduler(serial_store).run(
-        cases, SerialTransport(serial_store)
-    )
+    report = run_campaign(spec, CampaignStore(tmp_path / "serial"), jobs=1)
     assert report.ok and report.executed == 4
 
-    pool_store = CampaignStore(tmp_path / "pool")
-    pool = ProcessPoolTransport(pool_store, jobs=2)
-    try:
-        report = CampaignScheduler(pool_store).run(cases, pool)
-    finally:
-        pool.shutdown()
+    report = run_campaign(spec, CampaignStore(tmp_path / "pool"), jobs=2)
     assert report.ok and report.executed == 4
 
     assert _store_bytes(tmp_path / "pool") == _store_bytes(tmp_path / "serial")
@@ -69,13 +55,18 @@ def test_every_transport_produces_byte_identical_compacted_stores(tmp_path):
         assert not list((tmp_path / name).glob("pending-*.jsonl"))
 
 
-def test_scheduler_pending_diffs_spec_against_store(tmp_path):
-    spec = _tiny_spec(3)
-    store = CampaignStore(tmp_path)
-    scheduler = CampaignScheduler(store)
-    assert len(scheduler.pending(spec)) == 3
-    scheduler.run(spec.cases()[:1], SerialTransport(store))
-    assert len(scheduler.pending(spec)) == 2
+def test_raising_progress_callback_leaves_no_pool_workers(tmp_path):
+    """A progress callback that raises mid-batch (the CLI's
+    ``BrokenPipeError`` path) aborts the run, and the pool is gone by
+    the time the exception reaches the caller."""
+
+    def progress(done, total, case, ok, error):
+        raise BrokenPipeError("reader went away")
+
+    with pytest.raises(BrokenPipeError):
+        run_campaign(_tiny_spec(4), CampaignStore(tmp_path), jobs=2,
+                     progress=progress)
+    assert multiprocessing.active_children() == []
 
 
 def test_concurrent_heartbeats_on_one_path_do_not_collide(
@@ -102,43 +93,6 @@ def test_concurrent_heartbeats_on_one_path_do_not_collide(
     assert injected, "the interleaving was never forced"
     assert json.loads(path.read_text())["total"] == 4  # A's rename was last
     assert not list(tmp_path.glob("*.tmp"))
-
-
-class _AlwaysBroken:
-    """A transport that loses its workers on every submit."""
-
-    out_of_process = False
-    lanes = 1
-
-    def __init__(self):
-        self.submits = 0
-
-    def submit(self, batch):
-        self.submits += 1
-        raise TransportBroken("synthetic break")
-        yield  # pragma: no cover — makes submit a generator
-
-    def shutdown(self):
-        pass
-
-
-def test_retries_are_configurable_and_stragglers_name_the_reason(
-    tmp_path, monkeypatch
-):
-    from repro.campaign import scheduler
-
-    monkeypatch.setattr(scheduler, "_TRANSPORT_RETRIES", 1)
-    spec = _tiny_spec(2)
-    store = CampaignStore(tmp_path)
-    transport = _AlwaysBroken()
-    report = CampaignScheduler(store, compact=False).run(spec, transport)
-    assert transport.submits == 2  # first try + one retry
-    assert len(report.failures) == 2
-    assert all(
-        "synthetic break" in failure["error"]
-        and "restarted 1 times" in failure["error"]
-        for failure in report.failures
-    )
 
 
 def test_resolve_jobs_respects_cpu_affinity(monkeypatch):

@@ -1,7 +1,10 @@
 """Store durability: shards, torn-line recovery, compaction, staleness."""
 
 import json
+import os
 from pathlib import Path
+
+import pytest
 
 from repro.campaign.spec import ScenarioCase, canonical_json
 from repro.campaign.store import CampaignStore, make_record
@@ -129,6 +132,24 @@ def test_compact_allowed_after_own_streams_only(tmp_path):
     store.compact()  # must not raise
     assert len(store) == 2
     assert not list(Path(tmp_path).glob("pending-*.jsonl"))
+
+
+def test_failed_meta_replace_leaves_no_temp_file(tmp_path, monkeypatch):
+    """Every atomic write cleans up its temp file on failure — the
+    ``meta.json`` write of a compaction included."""
+    store = CampaignStore(tmp_path)
+    store.append(_record(_case(0)))
+    real_replace = os.replace
+
+    def replace_failing_for_meta(src, dst):
+        if Path(dst).name == "meta.json":
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_failing_for_meta)
+    with pytest.raises(OSError, match="disk full"):
+        store.compact()
+    assert not list(Path(tmp_path).glob("*.tmp"))
 
 
 def test_same_stream_name_from_two_writers_does_not_collide(tmp_path):

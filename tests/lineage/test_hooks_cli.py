@@ -189,6 +189,21 @@ def test_cli_rejects_non_token_protocols(tmp_path, capsys):
     assert "not a token protocol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--workload", "--interconnect"])
+def test_cli_record_rejects_unknown_scenario_arguments(
+    option, tmp_path, capsys
+):
+    from repro.lineage.__main__ import main
+
+    with pytest.raises(SystemExit) as exited:
+        main(["record", option, "bogus", "--store", str(tmp_path / "s")])
+    assert exited.value.code == 2
+    assert f"argument {option}: invalid choice: 'bogus'" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "s").exists()
+
+
 def test_cli_query_missing_store_errors(tmp_path, capsys):
     from repro.lineage.__main__ import main
 

@@ -162,6 +162,27 @@ def test_fault_scenario_composes_with_tracing():
     assert outcome.telemetry["fault_windows"] > 0
 
 
+def test_tracing_notes_the_installed_injectors_fault_windows():
+    """Tracing armed after a fault injector reads the plan off
+    ``system.faults``: no argument needed to put its windows on the
+    trace."""
+    from repro.faults import FaultInjector
+    from repro.testing.explore import make_fault_scenario
+
+    scenario = make_fault_scenario(1, "tokenb", "torus", "node_pause")
+    config = _build_config(scenario)
+    streams = _generate_streams(scenario, config)
+    system = build_system(config, streams, workload_name=scenario.workload)
+    FaultInjector(scenario.faults).install(system)
+    recorder = install_tracing(system)
+    assert recorder.fault_windows == [
+        (event.start_ns, event.start_ns + event.duration_ns,
+         event.kind, event.target)
+        for event in scenario.faults.events
+    ]
+    assert recorder.fault_windows
+
+
 def test_external_recorder_instance_is_used():
     recorder = TraceRecorder()
     scenario = Scenario(seed=0, protocol="tokenb", interconnect="torus",

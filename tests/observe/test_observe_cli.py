@@ -66,3 +66,22 @@ def test_bad_fault_kind_exits_2_with_an_error(argv, message, capsys):
         main(["timeline", *argv])
     assert exited.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["timeline", "--protocol", "bogus"],
+     "argument --protocol: invalid choice: 'bogus'"),
+    (["timeline", "--workload", "bogus"],
+     "argument --workload: invalid choice: 'bogus'"),
+    (["timeline", "--interconnect", "bogus"],
+     "argument --interconnect: invalid choice: 'bogus'"),
+    (["timeline", "--protocol", "snooping", "--interconnect", "torus"],
+     "error: snooping cannot run on the torus interconnect"),
+    (["diff", "tokenb", "bogus"],
+     "argument protocol_b: invalid choice: 'bogus'"),
+], ids=["protocol", "workload", "interconnect", "illegal-pair", "diff"])
+def test_bad_scenario_arguments_exit_2_with_an_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert message in capsys.readouterr().err

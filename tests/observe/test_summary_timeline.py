@@ -76,11 +76,7 @@ def _timeline_run(scenario):
     armed = _armed_system(dataclasses.replace(scenario, observe=False))
     system = armed[0]
     others_hook_links = system.network._hooked
-    install_tracing(
-        system,
-        recorder=TimelineRecorder(),
-        fault_plan=scenario.faults if scenario.faults.any_active() else None,
-    )
+    install_tracing(system, recorder=TimelineRecorder())
     return _finish(scenario, armed), system.observe, others_hook_links
 
 
