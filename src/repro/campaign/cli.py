@@ -69,7 +69,7 @@ def resolve_spec(name: str, args) -> CampaignSpec:
     if name.endswith(".json") or path.is_file():
         try:
             return CampaignSpec.from_dict(json.loads(path.read_text()))
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise SystemExit(f"spec file {name}: {exc}")
     try:
         return presets.build_spec(

@@ -134,8 +134,14 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CampaignSpec":
-        """The spec ``payload`` declares; unknown or missing fields raise
-        ValueError."""
+        """The spec ``payload`` declares; a payload that is not an object,
+        an unknown or missing field, an unregistered ``kind`` or a
+        ``grid`` that is not a list of objects raises ValueError."""
+        from repro.campaign.executors import EXECUTORS
+
+        if not isinstance(payload, dict):
+            found = type(payload).__name__
+            raise ValueError(f"a campaign spec is a JSON object, not {found}")
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -147,9 +153,17 @@ class CampaignSpec:
             raise ValueError(
                 f"missing campaign spec field(s) {', '.join(absent)}"
             )
+        kind, grid = payload["kind"], payload.get("grid", [])
+        if not isinstance(kind, str) or kind not in EXECUTORS:
+            kinds = ", ".join(sorted(EXECUTORS))
+            raise ValueError(f"unknown campaign kind {kind!r} (known: {kinds})")
+        if not isinstance(grid, list) or not all(
+            isinstance(params, dict) for params in grid
+        ):
+            raise ValueError("campaign spec grid must be a list of objects")
         return cls(
             name=payload["name"],
-            kind=payload["kind"],
-            grid=[dict(params) for params in payload.get("grid", [])],
+            kind=kind,
+            grid=[dict(params) for params in grid],
             default_store=payload.get("default_store"),
         )

@@ -120,5 +120,6 @@ def execute(
     finally:
         # wait=True even on a broken pool: surviving workers get to
         # finish (and durably flush) their in-flight case before the
-        # caller reloads the store to compute what is missing.
-        pool.shutdown(wait=True)
+        # caller reloads the store to compute what is missing.  A batch
+        # the caller abandoned stops: cases still queued are cancelled.
+        pool.shutdown(wait=True, cancel_futures=True)

@@ -122,22 +122,22 @@ class TokenLedger:
                 "expected exactly 1 (Invariant #1')"
             )
 
-    def audit_all_touched(self, retire: bool = True) -> int:
+    def audit_all_touched(self) -> int:
         """Audit every block that ever moved; returns how many.
 
-        With ``retire`` (the default), blocks that audit clean with no
-        tokens in flight are removed from ``touched_blocks`` — they are
-        quiesced, and nothing about a future movement depends on having
-        seen the past one (``message_sent`` re-adds a block the moment
-        traffic resumes).  Without retirement the set — and the cost of
-        the next audit — grows with every block ever touched, which is
-        a memory leak for long-lived systems that audit periodically.
+        Blocks that audit clean with no tokens in flight are then
+        retired from ``touched_blocks`` — they are quiesced, and nothing
+        about a future movement depends on having seen the past one
+        (``message_sent`` re-adds a block the moment traffic resumes).
+        Without retirement the set — and the cost of the next audit —
+        would grow with every block ever touched, which is a memory
+        leak for long-lived systems that audit periodically.
         """
         audited = len(self.touched_blocks)
         quiesced = []
         for block in self.touched_blocks:
             self.audit(block)
-            if retire and block not in self._in_flight_tokens:
+            if block not in self._in_flight_tokens:
                 quiesced.append(block)
         for block in quiesced:
             self.touched_blocks.discard(block)

@@ -77,9 +77,9 @@ def _cmd_record(args) -> int:
         scenario = make_scenario(
             args.seed, args.protocol, interconnect, args.workload
         )
-    system, expected_ops = _armed_system(scenario)
+    system = _armed_system(scenario)
     system.start()
-    outcome = _finish_scenario(scenario, system, expected_ops)
+    outcome = _finish_scenario(scenario, system)
     recorder = system.lineage
     store = LineageStore.write(recorder, args.store)
     stats = recorder.stats()

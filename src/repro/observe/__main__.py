@@ -78,7 +78,7 @@ def _scenario(args, protocol: str):
 
 def _armed(scenario):
     """The scenario's system with every overlay but tracing installed."""
-    return _armed_system(dataclasses.replace(scenario, observe=False))[0]
+    return _armed_system(dataclasses.replace(scenario, observe=False))
 
 
 def _traced_run(scenario, epoch_ns=None):

@@ -72,7 +72,6 @@ class Sequencer:
         self.l1_hits = 0
         self.l2_hits = 0
         self.misses = 0
-        self.op_latency = LatencyTracker()
         self.miss_latency = LatencyTracker()
         self.finish_time: float | None = None
 
@@ -164,7 +163,7 @@ class Sequencer:
                 self.l1_hits += 1
                 if op.is_write:
                     version = self.node.perform_store(block)
-                self._complete(op, block, version, issue_version, started)
+                self._complete(op, block, version, issue_version)
                 return
         self.sim.post(
             self._l2_latency, self._after_l2, op, block, issue_version,
@@ -180,7 +179,7 @@ class Sequencer:
             if op.is_write:
                 version = self.node.perform_store(block)
             self._fill_l1(block)
-            self._complete(op, block, version, issue_version, started)
+            self._complete(op, block, version, issue_version)
             return
         self.misses += 1
         # A partial (not a closure) so an in-flight miss completion can
@@ -204,21 +203,15 @@ class Sequencer:
     ) -> None:
         self.miss_latency.record(self.sim._now - started)
         self._fill_l1(block)
-        self._complete(op, block, version, issue_version, started)
+        self._complete(op, block, version, issue_version)
 
     def _complete(
-        self,
-        op: MemoryOp,
-        block: int,
-        version: int,
-        issue_version: int,
-        started: float,
+        self, op: MemoryOp, block: int, version: int, issue_version: int
     ) -> None:
         if not op.is_write:
             self.checker.check_load(
                 block, self.proc_id, version, issue_version, self.sim._now
             )
-        self.op_latency.record(self.sim._now - started)
         self.completed_ops += 1
         self.outstanding -= 1
         self._pump()

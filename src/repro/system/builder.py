@@ -9,7 +9,6 @@ point: config + workload spec in, :class:`SimulationResult` out.
 from __future__ import annotations
 
 import gc
-from typing import Callable
 
 from repro.coherence.checker import CoherenceChecker
 from repro.coherence.controller import ProtocolNode
@@ -22,6 +21,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.stats import Counter, TrafficMeter
 from repro.config import SystemConfig
 from repro.system.grid import STRICT_SAFE_PROTOCOLS, is_token_protocol
+from repro.system.invariants import check_finished
 from repro.system.simulator import DeadlockError, SimulationResult
 from repro.workloads.synthetic import WorkloadSpec, generate_streams
 
@@ -63,7 +63,6 @@ class System:
         streams: dict[int, list[MemoryOp]],
         workload_name: str = "custom",
         ops_per_transaction: int = 100,
-        checker_factory: Callable[..., CoherenceChecker] | None = None,
     ) -> None:
         config.validate()
         self.config = config
@@ -72,9 +71,7 @@ class System:
         self.sim = Simulator()
         self.traffic = TrafficMeter()
         self.counters = Counter()
-        if checker_factory is None:
-            checker_factory = CoherenceChecker
-        self.checker = checker_factory(
+        self.checker = CoherenceChecker(
             strict=config.protocol in STRICT_SAFE_PROTOCOLS,
             allow_inflight_invalidation=config.protocol == "snooping",
         )
@@ -97,7 +94,7 @@ class System:
         self.perturb = None
         #: Fault injector, when installed (repro.faults).
         self.faults = None
-        #: Blocks covered by the post-run conservation audit.
+        #: Blocks covered by the end-of-run conservation audit.
         self.audited_blocks = 0
 
         factory = _node_factory(config.protocol)
@@ -131,13 +128,11 @@ class System:
                 Sequencer(node, config, self.sim, self.checker, iter(stream))
             )
 
-    def run(
-        self, max_events: int | None = None, audit_tokens: bool = True
-    ) -> SimulationResult:
+    def run(self, max_events: int | None = None) -> SimulationResult:
         """Run to completion; raises on deadlock or invariant violation."""
         self.start()
         self.drain(max_events=max_events)
-        return self.finish(audit_tokens=audit_tokens)
+        return self.finish()
 
     # The run() pipeline is exposed as three stages so the snapshot/fork
     # layer (repro.snapshot) can pause between them: warmup phases drain
@@ -172,13 +167,13 @@ class System:
                 f"{stuck} still incomplete (liveness violation)"
             )
 
-    def finish(self, audit_tokens: bool = True) -> SimulationResult:
-        """Seal a drained run: liveness check, token audit, result."""
-        self.check_complete()
-        if audit_tokens and self.ledger is not None:
-            # The audit retires quiesced blocks, so the count of blocks
-            # it covered lives here rather than in ledger state.
-            self.audited_blocks = self.ledger.audit_all_touched()
+    def finish(self) -> SimulationResult:
+        """Seal a drained run: every end-of-run invariant, then the result.
+
+        :func:`~repro.system.invariants.check_finished` raises on the
+        first invariant the run breaks.
+        """
+        check_finished(self)
         return self._result()
 
     def _result(self) -> SimulationResult:
@@ -213,16 +208,9 @@ def build_system(
     streams: dict[int, list[MemoryOp]],
     workload_name: str = "custom",
     ops_per_transaction: int = 100,
-    checker_factory: Callable[..., CoherenceChecker] | None = None,
 ) -> System:
     """Assemble a system around explicit per-processor op streams."""
-    return System(
-        config,
-        streams,
-        workload_name,
-        ops_per_transaction,
-        checker_factory,
-    )
+    return System(config, streams, workload_name, ops_per_transaction)
 
 
 def simulate(

@@ -17,10 +17,9 @@ anything determined by the input streams alone:
   — two legal protocols may order racing stores differently — so those
   are validated by the live checker's ordering rules instead.)
 
-:class:`RecordingChecker` is the standard safety oracle plus an
-observation log; it is injected through the builder's
-``checker_factory`` hook so the recorded runs use the exact production
-checker logic.
+Each protocol's run is an explorer scenario over the same streams,
+recorded by :class:`RecordingChecker` — the production checker plus an
+observation log — and judged by :meth:`System.finish` like any run.
 """
 
 from __future__ import annotations
@@ -28,21 +27,20 @@ from __future__ import annotations
 import dataclasses
 
 from repro.coherence.checker import CoherenceChecker
-from repro.config import SystemConfig
-from repro.system.builder import build_system
 from repro.system.grid import ALL_PROTOCOLS, interconnect_for
-from repro.testing.explore import BASE_GEOMETRY, EXPLORER_WORKLOADS
+from repro.testing.explore import Scenario, _armed_system
 
 
 class RecordingChecker(CoherenceChecker):
-    """The safety oracle, additionally logging every checked operation."""
+    """The safety oracle, additionally logging every checked operation.
 
-    def __init__(self, strict=False, allow_inflight_invalidation=False):
-        super().__init__(strict, allow_inflight_invalidation)
-        #: (proc, block) -> [observed version per completed load].
-        self.load_log: dict[tuple[int, int], list[int]] = {}
-        #: (proc, block) -> [version produced per completed store].
-        self.store_log: dict[tuple[int, int], list[int]] = {}
+    :func:`observe` moves a built system's checker onto this class.
+    """
+
+    #: (proc, block) -> [observed version per completed load].
+    load_log: dict[tuple[int, int], list[int]]
+    #: (proc, block) -> [version produced per completed store].
+    store_log: dict[tuple[int, int], list[int]]
 
     def record_store(self, block, proc, now, based_on_version):
         version = super().record_store(block, proc, now, based_on_version)
@@ -65,29 +63,17 @@ class Observation:
     private_store_sequences: dict[tuple[int, int], tuple[int, ...]]
 
 
-def _touched_blocks(streams, block_bytes: int) -> dict[int, set[int]]:
-    """block -> set of processors whose streams touch it."""
+def observe(scenario: Scenario) -> Observation:
+    """Run ``scenario`` and digest its protocol-independent observations."""
+    system = _armed_system(scenario)
+    checker = system.checker
+    checker.__class__ = RecordingChecker
+    checker.load_log, checker.store_log = {}, {}
+    system.run(max_events=scenario.max_events)
+    # The run finished, so every op of every stream was logged once.
     touched: dict[int, set[int]] = {}
-    for proc, ops in streams.items():
-        for op in ops:
-            touched.setdefault(op.address // block_bytes, set()).add(proc)
-    return touched
-
-
-def observe(
-    protocol: str,
-    interconnect: str,
-    streams,
-    config: SystemConfig,
-    max_events: int = 20_000_000,
-) -> Observation:
-    """Run ``streams`` under ``protocol`` and digest the observations."""
-    system = build_system(
-        config, streams, checker_factory=RecordingChecker
-    )
-    system.run(max_events=max_events)
-    checker: RecordingChecker = system.checker
-    touched = _touched_blocks(streams, config.block_bytes)
+    for proc, block in (*checker.load_log, *checker.store_log):
+        touched.setdefault(block, set()).add(proc)
     final_versions = {
         block: checker.current_version(block) for block in sorted(touched)
     }
@@ -106,8 +92,8 @@ def observe(
         if key[1] in private
     }
     return Observation(
-        protocol=protocol,
-        interconnect=interconnect,
+        protocol=scenario.protocol,
+        interconnect=scenario.interconnect,
         final_versions=final_versions,
         op_counts=op_counts,
         private_store_sequences=private_store_sequences,
@@ -150,28 +136,19 @@ def run_differential(
 
     ``workload`` may name a flat adversarial generator or a phased
     adversarial program — both are pure stream functions, so the
-    conformance contract is identical.  Each protocol runs on its
-    canonical interconnect.  Returns a report dict with ``agreed`` plus
-    per-protocol mismatch lists keyed by ``protocol/interconnect``.
+    conformance contract is identical.  Each protocol runs as one
+    un-perturbed explorer scenario on its canonical interconnect.
+    Returns a report dict with ``agreed`` plus per-protocol mismatch
+    lists keyed by ``protocol/interconnect``.
     """
-    generator = EXPLORER_WORKLOADS[workload]
-    observations: list[Observation] = []
-    overrides = dict(config_overrides or {})
-    for protocol in protocols:
-        interconnect = interconnect_for(protocol)
-        params = dict(
-            protocol=protocol,
-            interconnect=interconnect,
-            n_procs=n_procs,
-            seed=seed,
-            **BASE_GEOMETRY,
-        )
-        params.update(overrides)
-        config = SystemConfig(**params)
-        streams = generator(
-            seed, n_procs, ops_per_proc, block_bytes=config.block_bytes
-        )
-        observations.append(observe(protocol, interconnect, streams, config))
+    observations = [
+        observe(Scenario(
+            seed, protocol, interconnect_for(protocol), workload,
+            n_procs=n_procs, ops_per_proc=ops_per_proc,
+            config_overrides=dict(config_overrides or {}),
+        ))
+        for protocol in protocols
+    ]
     reference = observations[0]
     mismatches = {
         f"{obs.protocol}/{obs.interconnect}": compare(reference, obs)

@@ -3,16 +3,14 @@
 One :class:`Scenario` is one fully-determined simulation: a protocol on
 an interconnect, an adversarial workload, a perturbation spec, optional
 config overrides (e.g. aggressive timeout knobs), and optionally a named
-mutant from :mod:`repro.testing.mutants`.  :func:`run_scenario` executes
-it with **every oracle armed**:
-
-* the data-value checker (``strict=True`` wherever the builder allows —
-  all token protocols);
-* token conservation (ledger audit over every touched block);
-* liveness (every operation completes; the run neither deadlocks nor
-  exhausts its event budget);
-* drainage (writeback buffers, MSHRs, persistent-request tables and
-  arbiters all empty at the end).
+mutant from :mod:`repro.testing.mutants`.  :func:`run_scenario` arms
+its overlays, runs it, and folds the verdict and every overlay's stats
+into a :class:`ScenarioOutcome`.  The oracles are the data-value
+checker (``strict=True`` wherever the builder allows — all token
+protocols) and the end-of-run invariants that :meth:`System.finish`
+checks on every run (:mod:`repro.system.invariants`): liveness, token
+conservation, drainage, fault recovery and, with the custody recorder
+armed, the token outcome contract.
 
 :func:`scenario_grid` sweeps seeds × the canonical protocol/topology
 grid × the adversarial workloads, with each protocol perturbed as hard
@@ -62,13 +60,9 @@ from repro.workloads.programs import ADVERSARIAL_PROGRAMS
 EXPLORER_WORKLOADS = {**ADVERSARIAL_WORKLOADS, **ADVERSARIAL_PROGRAMS}
 
 
-class OracleError(AssertionError):
-    """A post-run oracle failed (liveness accounting or drainage)."""
-
-
 #: Default small-system geometry: tiny caches maximize evictions, races,
-#: and writeback windows (mirrors the stress suite).  Shared with the
-#: differential conformance harness so both run the same machine.
+#: and writeback windows (mirrors the stress suite).  Differential cases
+#: are scenarios too, so they run the same machine.
 BASE_GEOMETRY = dict(
     l2_bytes=16 * 64,
     l2_assoc=4,
@@ -195,87 +189,26 @@ def _generate_streams(scenario: Scenario, config: SystemConfig):
     )
 
 
-def _post_run_oracles(system, result, expected_ops: int) -> None:
-    """Everything that must hold once the event queue has drained."""
-    if result.total_ops != expected_ops:
-        raise OracleError(
-            f"liveness: {result.total_ops} of {expected_ops} ops completed"
-        )
-    for node in system.nodes:
-        if node.writeback_buffer:
-            raise OracleError(
-                f"drainage: P{node.node_id} writeback buffer still holds "
-                f"{sorted(node.writeback_buffer)}"
-            )
-        if len(node.mshrs) != 0:
-            raise OracleError(
-                f"drainage: P{node.node_id} finished with live MSHRs"
-            )
-    if system.ledger is not None:
-        system.ledger.audit_all_touched()
-        for node in system.nodes:
-            if node._table_by_arbiter or node._table_by_block:
-                raise OracleError(
-                    f"drainage: P{node.node_id} persistent table not empty"
-                )
-            if node._my_persistent:
-                raise OracleError(
-                    f"drainage: P{node.node_id} has unresolved persistent "
-                    "requests"
-                )
-            arbiter = node.arbiter
-            if arbiter.state != "idle" or arbiter.queue or arbiter.current:
-                raise OracleError(
-                    f"drainage: arbiter at P{node.node_id} stuck in "
-                    f"{arbiter.state!r}"
-                )
-
-
-def _recovery_oracles(system) -> None:
-    """Every fault window must be followed by quiescence.
-
-    By the time the event queue drains, (a) no pause gate may still
-    buffer messages — resume must have flushed them all — and (b) the
-    simulation clock must have passed the last fault window, so the
-    liveness/drainage oracles above genuinely ran *after* the faults,
-    not before them.
-    """
-    injector = system.faults
-    undrained = injector.undrained_nodes()
-    if undrained:
-        raise OracleError(
-            f"recovery: pause gates at nodes {undrained} still buffer "
-            "messages after the run (resume never drained them)"
-        )
-    if injector.gates and system.sim.now < injector.last_fault_end_ns():
-        raise OracleError(
-            "recovery: event queue drained at "
-            f"t={system.sim.now} before the last fault window closed "
-            f"at t={injector.last_fault_end_ns()}"
-        )
-
-
 def run_scenario(scenario: Scenario) -> ScenarioOutcome:
     """Execute one scenario with every oracle armed."""
-    system, expected_ops = _armed_system(scenario)
+    system = _armed_system(scenario)
     system.start()
-    return _finish_scenario(scenario, system, expected_ops)
+    return _finish_scenario(scenario, system)
 
 
 def _armed_system(scenario: Scenario):
     """Build the scenario's system with every overlay installed.
 
-    Returns ``(system, expected_ops)`` ready for :meth:`System.run`;
-    every overlay rides on the system (``system.lineage``,
-    ``.perturb``, ``.faults``, ``.observe``).  The perturber and the
-    fault injector are always installed: an idle spec or an empty plan
-    arms nothing and leaves their counters at zero.
+    Returns the system, ready for :meth:`System.run`; every overlay
+    rides on it (``system.lineage``, ``.perturb``, ``.faults``,
+    ``.observe``).  The perturber and the fault injector are always
+    installed: an idle spec or an empty plan arms nothing and leaves
+    their counters at zero.
     """
     if scenario.workload not in EXPLORER_WORKLOADS:
         raise ValueError(f"unknown workload {scenario.workload!r}")
     config = _build_config(scenario)
     streams = _generate_streams(scenario, config)
-    expected_ops = sum(len(ops) for ops in streams.values())
     system = build_system(config, streams, workload_name=scenario.workload)
     if scenario.lineage:
         # Before the mutant (it may sabotage the recorder) and the fault
@@ -292,54 +225,43 @@ def _armed_system(scenario: Scenario):
         from repro.observe import install_tracing
 
         install_tracing(system)
-    return system, expected_ops
+    return system
 
 
-def _finish_scenario(scenario: Scenario, system, expected_ops: int):
-    """Drain a started system and fold oracles + stats into an outcome.
+def _finish_scenario(scenario: Scenario, system) -> ScenarioOutcome:
+    """Drain a started system; fold its verdict and stats into an outcome.
 
     The system is fresh from :func:`_armed_system` and started, or a
-    restored mid-run snapshot of one; either way it is judged by the
-    same oracle and accounting logic, reading every overlay off the
-    system.
+    restored mid-run snapshot of one; either way :meth:`System.finish`
+    judges it, and every overlay's stats are read off the system.
     """
-    recorder, trace = system.lineage, system.observe
     try:
         system.drain(max_events=scenario.max_events)
         result = system.finish()
-        _post_run_oracles(system, result, expected_ops)
-        _recovery_oracles(system)
-        if recorder is not None:
-            from repro.lineage import check_outcome_contract
-
-            recorder.finalize(now=system.sim.now)
-            check_outcome_contract(recorder, system.nodes)
     except (AssertionError, RuntimeError) as exc:
-        return ScenarioOutcome(
+        verdict = dict(
             ok=False,
             violation_type=type(exc).__name__,
             violation_message=str(exc),
-            events_fired=system.sim.events_fired,
-            persistent_requests=system.counters.get("persistent_request"),
-            reissued_requests=system.counters.get("reissued_request"),
-            perturb_stats=dict(system.perturb.stats),
-            fault_stats=dict(system.faults.stats),
-            lineage_stats=recorder.stats() if recorder is not None else {},
-            telemetry=trace.summary() if trace is not None else {},
         )
+    else:
+        verdict = dict(
+            ok=True,
+            total_ops=result.total_ops,
+            runtime_ns=result.runtime_ns,
+            recovery_ns=max(
+                0.0, result.runtime_ns - scenario.faults.last_end_ns()
+            ) if scenario.faults.any_active() else 0.0,
+            traffic_bytes=dict(result.traffic_bytes),
+        )
+    recorder, trace = system.lineage, system.observe
     return ScenarioOutcome(
-        ok=True,
-        total_ops=result.total_ops,
-        events_fired=result.events_fired,
-        persistent_requests=result.counters.get("persistent_request", 0),
-        reissued_requests=result.counters.get("reissued_request", 0),
+        **verdict,
+        events_fired=system.sim.events_fired,
+        persistent_requests=system.counters.get("persistent_request"),
+        reissued_requests=system.counters.get("reissued_request"),
         perturb_stats=dict(system.perturb.stats),
         fault_stats=dict(system.faults.stats),
-        runtime_ns=result.runtime_ns,
-        recovery_ns=max(
-            0.0, result.runtime_ns - scenario.faults.last_end_ns()
-        ) if scenario.faults.any_active() else 0.0,
-        traffic_bytes=dict(result.traffic_bytes),
         lineage_stats=recorder.stats() if recorder is not None else {},
         telemetry=trace.summary() if trace is not None else {},
     )

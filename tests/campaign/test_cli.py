@@ -139,6 +139,32 @@ def test_spec_file_missing_a_required_field_is_rejected(tmp_path, field):
         main(["run", "--spec", str(path), "--store", str(tmp_path / "s")])
 
 
+@pytest.mark.parametrize("payload, message", [
+    (None, "No such file"),
+    ([1, 2], "a campaign spec is a JSON object, not list"),
+    ({"name": "ints", "kind": "simulate", "grid": [1]},
+     "grid must be a list of objects"),
+    ({"name": "mapping", "kind": "simulate", "grid": {}},
+     "grid must be a list of objects"),
+    ({"name": "bogus", "kind": "bogus", "grid": [{"x": 1}]},
+     "unknown campaign kind 'bogus'"),
+], ids=["missing", "list", "grid-of-ints", "grid-mapping", "unknown-kind"])
+def test_malformed_spec_file_is_rejected_before_running(
+    tmp_path, payload, message
+):
+    """A spec file that is missing or not an object, whose grid is not
+    a list of objects, or whose kind no executor runs gets the ``spec
+    file …`` error and exit 1 before any case runs."""
+    path = tmp_path / "malformed.json"
+    if payload is not None:
+        path.write_text(json.dumps(payload))
+    store = tmp_path / "s"
+    with pytest.raises(SystemExit, match=f"spec file .*{message}") as exc:
+        main(["run", "--spec", str(path), "--store", str(store)])
+    assert isinstance(exc.value.code, str)  # printed, exit status 1
+    assert not store.exists()
+
+
 def test_compact_subcommand_folds_pending_shards(
     mini_spec_file, tmp_path, capsys
 ):

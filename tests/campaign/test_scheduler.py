@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from repro.campaign import presets
 from repro.campaign.runner import run_campaign
 from repro.campaign.scheduler import HeartbeatWriter, resolve_jobs
 from repro.campaign.spec import CampaignSpec
@@ -67,6 +68,23 @@ def test_raising_progress_callback_leaves_no_pool_workers(tmp_path):
         run_campaign(_tiny_spec(4), CampaignStore(tmp_path), jobs=2,
                      progress=progress)
     assert multiprocessing.active_children() == []
+
+
+def test_abandoned_batch_cancels_its_queued_cases(tmp_path):
+    """A run the caller abandons stops: cases still queued for the pool
+    are cancelled rather than run.  The pool hands ``jobs + 1`` cases to
+    its workers ahead of time and those still finish, so of 12 cases
+    only some are written."""
+    spec = presets.explorer_spec(seeds=1, protocols=("directory",))
+    assert len(spec) == 12
+
+    def progress(done, total, case, ok, error):
+        raise BrokenPipeError("reader went away")
+
+    with pytest.raises(BrokenPipeError):
+        run_campaign(spec, CampaignStore(tmp_path), jobs=2,
+                     progress=progress)
+    assert 0 < len(CampaignStore(tmp_path)) < 12
 
 
 def test_concurrent_heartbeats_on_one_path_do_not_collide(

@@ -24,9 +24,9 @@ from repro.testing.explore import (
 
 def _recorded_run(scenario):
     """The explorer's run of ``scenario`` and the recorder it armed."""
-    system, expected_ops = _armed_system(scenario)
+    system = _armed_system(scenario)
     system.start()
-    return _finish_scenario(scenario, system, expected_ops), system.lineage
+    return _finish_scenario(scenario, system), system.lineage
 
 
 def _token_system(protocol="tokenb", seed=0):

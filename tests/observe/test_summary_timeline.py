@@ -58,26 +58,24 @@ CASES["torus/seed0/tracing/unlimited"] = dataclasses.replace(
 )
 
 
-def _finish(scenario, armed):
-    system, expected_ops = armed
+def _finish(scenario, system):
     system.start()
-    return _finish_scenario(scenario, system, expected_ops)
+    return _finish_scenario(scenario, system)
 
 
 def _summary_run(scenario):
     """The explorer's own run: summary tracing, installed last."""
-    armed = _armed_system(scenario)
-    return _finish(scenario, armed), armed[0]
+    system = _armed_system(scenario)
+    return _finish(scenario, system), system
 
 
 def _timeline_run(scenario):
     """The same run with a timeline recorder; also whether the other
     overlays hooked any link before tracing armed."""
-    armed = _armed_system(dataclasses.replace(scenario, observe=False))
-    system = armed[0]
+    system = _armed_system(dataclasses.replace(scenario, observe=False))
     others_hook_links = system.network._hooked
     install_tracing(system, recorder=TimelineRecorder())
-    return _finish(scenario, armed), system.observe, others_hook_links
+    return _finish(scenario, system), system.observe, others_hook_links
 
 
 @pytest.mark.parametrize("label", sorted(CASES))

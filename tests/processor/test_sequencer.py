@@ -139,13 +139,3 @@ def test_empty_stream_finishes_immediately():
     result = system.run()
     assert result.total_ops == 0
     assert result.runtime_ns == 0.0
-
-
-def test_op_latency_tracked():
-    streams = {0: [MemoryOp(0x1000, False), MemoryOp(0x1000, False)]}
-    system = make_system(streams)
-    system.run()
-    seq = system.sequencers[0]
-    assert seq.op_latency.count == 2
-    # The hit is near the L1 latency; the miss is much larger.
-    assert seq.op_latency.max > 50.0

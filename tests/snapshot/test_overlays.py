@@ -39,12 +39,12 @@ def _forked_outcome(scenario: Scenario, pause_events: int):
     counters, pause-gate buffers and lineage included) is judged by the
     same oracle path as :func:`run_scenario`.
     """
-    system, expected_ops = _armed_system(scenario)
+    system = _armed_system(scenario)
     system.start()
     while system.sim.events_fired < pause_events and system.sim.step():
         pass
     restored = SimulatorSnapshot.capture(system).restore()
-    return _finish_scenario(scenario, restored, expected_ops)
+    return _finish_scenario(scenario, restored)
 
 
 def _assert_fork_transparent(scenario: Scenario) -> None:
@@ -206,7 +206,7 @@ def test_restored_nodes_dispatch_to_their_own_methods(scenario):
     """Each entry of a restored node's table is bound to the restored
     node and resolves as an attribute lookup on it does: through its
     hooked class, or to an instance patch."""
-    system = _armed_system(scenario)[0]
+    system = _armed_system(scenario)
     system.start()
     while system.sim.events_fired < 200 and system.sim.step():
         pass
@@ -240,7 +240,7 @@ def test_restored_nodes_dispatch_to_their_own_methods(scenario):
 def test_unpicklable_patch_is_refused_by_the_pickler():
     """A closure patched onto a node is not pre-checked: the pickler
     fails on it, and capture says so in its own error."""
-    system = _armed_system(_bare())[0]
+    system = _armed_system(_bare())
     system.nodes[1].probe = lambda block, for_write: None
     with pytest.raises(SnapshotUnsupportedError, match="failed to pickle"):
         SimulatorSnapshot.capture(system)

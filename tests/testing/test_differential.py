@@ -5,11 +5,14 @@ protocol-independent observables."""
 import pytest
 
 from repro.system.grid import ALL_PROTOCOLS
+from repro.system.invariants import OracleError
 from repro.testing.differential import (
     Observation,
     compare,
+    observe,
     run_differential,
 )
+from repro.testing.explore import Scenario
 from repro.workloads.adversarial import ADVERSARIAL_WORKLOADS
 
 
@@ -106,3 +109,14 @@ def test_recording_checker_logs_observed_versions():
     # observation's store trajectories are fully protocol-independent.
     assert report["agreed"]  # trivially: single protocol
     assert report["final_versions"]
+
+
+def test_a_differential_case_is_judged_for_drainage():
+    """Each case is an explorer scenario finished by ``System.finish``,
+    so a leaked writeback fails the case itself."""
+    scenario = Scenario(
+        seed=0, protocol="directory", interconnect="torus",
+        workload="writeback_churn", mutant="writeback-leak",
+    )
+    with pytest.raises(OracleError, match="writeback buffer still holds"):
+        observe(scenario)

@@ -95,7 +95,7 @@ def test_dropped_dangle_hook_is_innermost():
     plan = FaultPlan(events=(
         FaultEvent("node_pause", start_ns=100.0, duration_ns=50.0, target=1),
     ))
-    system = _armed_system(_mutant_scenario(mutant, faults=plan))[0]
+    system = _armed_system(_mutant_scenario(mutant, faults=plan))
     gate = system.network._handlers[1].__self__
     assert isinstance(gate, PauseGate)
     hook = gate.inner.__self__
