@@ -1,8 +1,8 @@
 """Campaign orchestration: sharded, resumable, content-addressed sweeps.
 
 The single execution path for every scenario sweep in the repo — the
-figure-bench prewarm, the adversarial schedule explorer, and the
-differential conformance harness all declare
+figure-bench prewarm, the adversarial schedule explorer and its
+un-perturbed ``differential`` preset, and the fork families all declare
 :class:`~repro.campaign.spec.CampaignSpec` objects and run them through
 :func:`~repro.campaign.runner.run_campaign` against a
 :class:`~repro.campaign.store.CampaignStore`.

@@ -14,11 +14,11 @@
 ``report`` renders every export from one column table per executor
 kind (:data:`TABLES`): ``--format csv|markdown|json`` gives one row per
 scenario (simulate: runtime/traffic per configuration; explore: oracle
-outcomes; differential: agreement) or per forked tail (fork_family:
-warmup and tail event counts).  Plain ``report`` renders the figures
-for figure presets, the explorer's summaries for explore specs (the
-faults and lineage presets group theirs by protocol), and the same
-table as an aligned listing otherwise.
+outcomes) or per forked tail (fork_family: warmup and tail event
+counts).  Plain ``report`` renders the figures for figure presets, the
+explorer's summaries for explore specs (the faults and lineage presets
+group theirs by protocol), and the same table as an aligned listing
+otherwise.
 
 ``status --watch`` tails the heartbeat file ``run`` rewrites after
 every completed scenario (per-shard throughput, completion counts, ETA)
@@ -86,8 +86,8 @@ def resolve_store(spec: CampaignSpec, args) -> CampaignStore:
 
 
 def _scan_violations(kind: str, cases, store: CampaignStore) -> list[tuple]:
-    """Oracle violations / conformance mismatches recorded in results,
-    as ``(case, description)`` pairs in spec order."""
+    """Oracle violations recorded in explore results, as ``(case,
+    description)`` pairs in spec order."""
     violations = []
     for case in cases:
         record = store.get(case.key)
@@ -99,15 +99,6 @@ def _scan_violations(kind: str, cases, store: CampaignStore) -> list[tuple]:
                 case,
                 f"{case.key[:12]} {result.get('violation_type')}: "
                 f"{result.get('violation_message')}",
-            ))
-        elif kind == "differential" and not result.get("agreed", True):
-            bad = {
-                k: v for k, v in result.get("mismatches", {}).items() if v
-            }
-            violations.append((
-                case,
-                f"{case.key[:12]} workload={result.get('workload')} "
-                f"seed={result.get('seed')}: {bad}",
             ))
     return violations
 
@@ -352,14 +343,6 @@ def _recovery(row: Row):
     return round(result.get("recovery_ns", 0.0), 1)
 
 
-def _mismatches(row: Row) -> str:
-    return "; ".join(
-        f"{protocol}: {', '.join(diffs)}"
-        for protocol, diffs in row.result.get("mismatches", {}).items()
-        if diffs
-    )
-
-
 #: Every executor kind's report columns, in order: ``(header, value of
 #: one Row)``.  csv, markdown, json and the plain-text listing all
 #: render from these.
@@ -392,13 +375,6 @@ TABLES = {
         ("fault_fired",
          lambda row: any(row.result.get("fault_stats", {}).values())),
         ("recovery_ns", _recovery),
-    ],
-    "differential": [
-        ("workload", _stat("workload")),
-        ("seed", _stat("seed")),
-        ("reference", _stat("reference")),
-        ("agreed", _stat("agreed")),
-        ("mismatches", _mismatches),
     ],
     "fork_family": [
         ("family", _stat("family", "")),
@@ -454,13 +430,7 @@ def _text_report(spec: CampaignSpec, cases, store: CampaignStore) -> str:
         summary = {"faults": _resilience_report, "lineage": _lineage_report}
         return summary.get(spec.name, _explore_report)(cases, store)
     headers, rows = _report_table(spec.kind, cases, store)
-    if spec.kind == "differential":
-        agreed = headers.index("agreed")
-        disagreed = sum(not row[agreed] for row in rows)
-        footer = f"{len(rows)} comparisons, {disagreed} disagreements"
-    else:
-        footer = f"{len(rows)} rows"
-    return f"{_format_text(headers, rows)}\n{footer}"
+    return f"{_format_text(headers, rows)}\n{len(rows)} rows"
 
 
 def _format_text(headers, rows) -> str:

@@ -22,9 +22,6 @@ Registered kinds:
     ``asdict(ScenarioOutcome)`` — oracle violations are *data* here, not
     exceptions, so a violating scenario still produces a cacheable
     record.
-``differential``
-    One cross-protocol conformance comparison.  Params:
-    ``run_differential`` keyword arguments.  Result: its report dict.
 ``fork_family``
     One warmup-once/fork-many scenario family
     (:mod:`repro.snapshot.fork`).  Params: ``{"family":
@@ -99,12 +96,6 @@ def _run_explore(params: dict) -> dict:
     return dataclasses.asdict(outcome)
 
 
-def _run_differential(params: dict) -> dict:
-    from repro.testing.differential import run_differential
-
-    return run_differential(**params)
-
-
 def _run_fork_family(params: dict) -> dict:
     from repro.config import SystemConfig
     from repro.snapshot.fork import ProgramFamily, fork_family
@@ -129,7 +120,6 @@ def _run_fork_family(params: dict) -> dict:
 EXECUTORS = {
     "simulate": _run_simulate,
     "explore": _run_explore,
-    "differential": _run_differential,
     "fork_family": _run_fork_family,
 }
 

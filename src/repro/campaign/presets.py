@@ -14,10 +14,10 @@ and the shape everything downstream reads:
 :func:`figures_spec` is the union of the figure-suite series (what the
 bench prewarm and the CI store cache cover).  The other kinds are
 builders: the explorer (seeds × canonical protocol/topology grid ×
-adversarial workloads), faults, lineage, differential and snapshots
-presets.  :data:`SPEC_BUILDERS` names every preset, and
-:func:`build_spec` hands each builder the CLI options its signature
-takes.
+adversarial workloads), faults, lineage, differential (un-perturbed
+explorer scenarios) and snapshots presets.  :data:`SPEC_BUILDERS`
+names every preset, and :func:`build_spec` hands each builder the CLI
+options its signature takes.
 """
 
 from __future__ import annotations
@@ -618,21 +618,30 @@ def lineage_spec(
     return _explore_spec("lineage", scenarios_for, seeds, seed_base, smoke)
 
 
-def differential_spec(seeds: int = 4, seed_base: int = 0, workloads=None) -> CampaignSpec:
-    """Cross-protocol conformance: workloads × seeds (flat + phased)."""
-    from repro.testing.explore import EXPLORER_WORKLOADS
+def differential_spec(seeds: int = 4, seed_base: int = 0) -> CampaignSpec:
+    """Every protocol on the same streams, un-perturbed.
 
-    names = workloads if workloads is not None else tuple(EXPLORER_WORKLOADS)
-    return CampaignSpec(
-        name="differential",
-        kind="differential",
-        grid=[
-            {"n_procs": 4, "ops_per_proc": 40, "workload": workload,
-             "seed": seed}
-            for workload in names
-            for seed in range(seed_base, seed_base + seeds)
-        ],
-        default_store=_default_store("campaigns/differential"),
+    For each adversarial workload × seed, one explorer scenario per
+    protocol on its canonical interconnect (4 procs × 40 ops).
+    :meth:`System.finish` checks that every dispatched operation
+    completed exactly once, so each case's stream-determined results
+    are checked without a reference protocol.  These plain schedules
+    are kept beside the explorer's armed ones: they found Directory's
+    eviction-storm deadlock and Hammer's stale memory data.
+    """
+    from repro.system.grid import ALL_PROTOCOLS, interconnect_for
+    from repro.testing.explore import EXPLORER_WORKLOADS, Scenario
+
+    def scenarios_for(seed_range):
+        return [
+            Scenario(seed, protocol, interconnect_for(protocol), workload)
+            for workload in EXPLORER_WORKLOADS
+            for seed in seed_range
+            for protocol in ALL_PROTOCOLS
+        ]
+
+    return _explore_spec(
+        "differential", scenarios_for, seeds, seed_base, smoke=False
     )
 
 

@@ -3,10 +3,9 @@
 :class:`~repro.campaign.scheduler.CampaignScheduler` does the store
 diffing, retries, resume and heartbeats;
 :func:`~repro.campaign.transports.execute` runs cases in-process or over
-a local process pool.  Every call site — the benches, the explorer's
-``--jobs`` mode, the differential harness, ``fork_family`` campaigns,
-and the CLI — calls :func:`run_campaign`, which sizes ``jobs`` and
-delegates.
+a local process pool.  Every call site — the benches, the explore
+presets, ``fork_family`` campaigns, and the CLI — calls
+:func:`run_campaign`, which sizes ``jobs`` and delegates.
 """
 
 from __future__ import annotations

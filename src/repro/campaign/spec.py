@@ -118,11 +118,11 @@ class CampaignSpec:
     #: Where the CLI keeps this campaign's store unless told otherwise.
     default_store: str | None = None
 
-    def cases(self, fingerprint: str | None = None) -> list[ScenarioCase]:
+    def cases(self) -> list[ScenarioCase]:
         """Deduplicated :class:`ScenarioCase` list (first occurrence wins)."""
         seen: dict[str, ScenarioCase] = {}
         for params in self.grid:
-            case = ScenarioCase(self.kind, params, fingerprint=fingerprint)
+            case = ScenarioCase(self.kind, params)
             seen.setdefault(case.key, case)
         return list(seen.values())
 

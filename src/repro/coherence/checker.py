@@ -27,6 +27,7 @@ produced) can be validated with ``strict=True``.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 
@@ -64,6 +65,11 @@ class CoherenceChecker:
         self._per_proc_seen: dict[tuple[int, int], int] = {}
         self.loads_checked = 0
         self.stores_checked = 0
+        #: (proc, block) -> loads / stores dispatched and not yet
+        #: validated (negative: validated more often than dispatched);
+        #: settled keys are deleted, so these hold only what is in flight.
+        self.pending_loads = collections.defaultdict(int)
+        self.pending_stores = collections.defaultdict(int)
 
     def _state(self, block: int) -> _BlockState:
         state = self._blocks.get(block)
@@ -74,6 +80,14 @@ class CoherenceChecker:
 
     def current_version(self, block: int) -> int:
         """Authoritative version right now (0 if never written)."""
+        return self._state(block).version
+
+    def issue(self, block: int, proc: int, is_write: bool) -> int:
+        """A processor dispatched an operation: count it pending until it
+        is validated, and return the block's version now (rule 1's lower
+        bound for a load)."""
+        pending = self.pending_stores if is_write else self.pending_loads
+        pending[(proc, block)] += 1
         return self._state(block).version
 
     def record_store(
@@ -95,8 +109,14 @@ class CoherenceChecker:
         state.version += 1
         state.last_writer = proc
         state.last_write_time = now
-        self._per_proc_seen[(proc, block)] = state.version
+        key = (proc, block)
+        self._per_proc_seen[key] = state.version
         self.stores_checked += 1
+        left = self.pending_stores[key] - 1
+        if left:
+            self.pending_stores[key] = left
+        else:
+            del self.pending_stores[key]
         return state.version
 
     def check_load(
@@ -115,7 +135,13 @@ class CoherenceChecker:
                 operation was issued (rule 1's lower bound).
         """
         state = self._state(block)
+        seen_key = (proc, block)
         self.loads_checked += 1
+        left = self.pending_loads[seen_key] - 1
+        if left:
+            self.pending_loads[seen_key] = left
+        else:
+            del self.pending_loads[seen_key]
         if observed_version > state.version:
             raise CoherenceViolation(
                 f"load by P{proc} of block {block:#x} at t={now} observed "
@@ -128,7 +154,6 @@ class CoherenceChecker:
                 f"stale v{observed_version}; v{issue_version} had already "
                 "completed before the load was issued"
             )
-        seen_key = (proc, block)
         previously_seen = self._per_proc_seen.get(seen_key, 0)
         if observed_version < previously_seen:
             raise CoherenceViolation(

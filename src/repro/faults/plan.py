@@ -42,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from repro.interconnect.tree import FANOUT as TREE_FANOUT
 from repro.sim.rng import derive_rng
 from repro.system.grid import is_token_protocol
 
@@ -58,7 +59,7 @@ LOSS_FAULT_KINDS = ("corrupt",)
 _LINK_KINDS = ("link_flap", "link_degrade")
 
 
-def link_count(interconnect: str, n_nodes: int, fanout: int = 4) -> int:
+def link_count(interconnect: str, n_nodes: int) -> int:
     """Directed links a built ``interconnect`` of ``n_nodes`` will have.
 
     Mirrors the constructors: the torus has four links per node; the
@@ -68,7 +69,7 @@ def link_count(interconnect: str, n_nodes: int, fanout: int = 4) -> int:
     if interconnect == "torus":
         return 4 * n_nodes
     if interconnect == "tree":
-        return 2 * n_nodes + 2 * math.ceil(n_nodes / fanout)
+        return 2 * n_nodes + 2 * math.ceil(n_nodes / TREE_FANOUT)
     raise ValueError(f"unknown interconnect {interconnect!r}")
 
 

@@ -38,6 +38,10 @@ from repro.sim.stats import TrafficMeter
 #: root-assigned total order.
 ORDERED_VNET = "ordered"
 
+#: Nodes per leaf switch: each incoming and outgoing switch serves
+#: ``FANOUT`` consecutive nodes.
+FANOUT = 4
+
 
 class OrderedTreeInterconnect(Interconnect):
     """Two-level indirect tree with a sequencing root switch."""
@@ -51,13 +55,9 @@ class OrderedTreeInterconnect(Interconnect):
         link_latency: float,
         link_bandwidth: float | None,
         traffic: TrafficMeter | None = None,
-        fanout: int = 4,
     ) -> None:
         super().__init__(sim, n_nodes, link_latency, link_bandwidth, traffic)
-        if fanout < 2:
-            raise ValueError("fanout must be >= 2")
-        self.fanout = fanout
-        self.n_groups = math.ceil(n_nodes / fanout)
+        self.n_groups = math.ceil(n_nodes / FANOUT)
 
         def link(name: str) -> Link:
             return Link(sim, name, link_latency, link_bandwidth, self.traffic)
@@ -77,8 +77,8 @@ class OrderedTreeInterconnect(Interconnect):
         self._reorder: list[dict[int, Message]] = [{} for _ in range(n_nodes)]
 
     def _group_members(self, group: int) -> list[int]:
-        lo = group * self.fanout
-        return list(range(lo, min(lo + self.fanout, self.n_nodes)))
+        lo = group * FANOUT
+        return list(range(lo, min(lo + FANOUT, self.n_nodes)))
 
     # ------------------------------------------------------------------
     # Unicast
@@ -98,12 +98,12 @@ class OrderedTreeInterconnect(Interconnect):
         self._up[msg.src].cross(msg, self._unicast_at_in_switch, (msg,))
 
     def _unicast_at_in_switch(self, msg: Message) -> None:
-        self._in_root[msg.src // self.fanout].cross(
+        self._in_root[msg.src // FANOUT].cross(
             msg, self._unicast_at_root, (msg,)
         )
 
     def _unicast_at_root(self, msg: Message) -> None:
-        self._root_out[msg.dst // self.fanout].cross(
+        self._root_out[msg.dst // FANOUT].cross(
             msg, self._unicast_at_out_switch, (msg,)
         )
 
@@ -130,7 +130,7 @@ class OrderedTreeInterconnect(Interconnect):
         )
 
     def _broadcast_at_in_switch(self, msg: Message, include_self: bool) -> None:
-        self._in_root[msg.src // self.fanout].cross(
+        self._in_root[msg.src // FANOUT].cross(
             msg, self._broadcast_at_root, (msg, include_self)
         )
 

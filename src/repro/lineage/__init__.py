@@ -18,7 +18,7 @@ block and time.
 """
 
 from .contract import LineageContractError, check_outcome_contract
-from .hooks import install_recorder, is_installed
+from .hooks import install_recorder
 from .record import EVENT_FIELDS, TERMINAL_KINDS, LineageRecorder
 from .store import LineageStore
 
@@ -29,6 +29,5 @@ __all__ = [
     "LineageContractError",
     "check_outcome_contract",
     "install_recorder",
-    "is_installed",
     "LineageStore",
 ]

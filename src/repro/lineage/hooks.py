@@ -16,11 +16,11 @@ from repro.overlay import arm_object
 from .record import LineageRecorder
 
 
-def install_recorder(system, recorder: LineageRecorder | None = None):
+def install_recorder(system) -> LineageRecorder:
     """Arm every node of ``system`` with the custody hooks.
 
-    Returns the shared recorder (created if not supplied) and publishes
-    it as ``system.lineage``.  Token protocols only — custody chains are
+    Returns the new shared recorder and publishes it as
+    ``system.lineage``.  Token protocols only — custody chains are
     a token-counting notion; the non-token baselines have no tokens to
     trace.
     """
@@ -29,19 +29,14 @@ def install_recorder(system, recorder: LineageRecorder | None = None):
             f"lineage recorder requires a token protocol, not "
             f"{system.config.protocol!r}"
         )
-    if recorder is None:
-        recorder = LineageRecorder(
-            total_tokens=system.config.total_tokens,
-            n_nodes=system.config.n_procs,
-        )
+    recorder = LineageRecorder(
+        total_tokens=system.config.total_tokens,
+        n_nodes=system.config.n_procs,
+    )
     for node in system.nodes:
         arm_object(node, _lineage=recorder)
     system.lineage = recorder
     return recorder
 
 
-def is_installed(system) -> bool:
-    return isinstance(getattr(system, "lineage", None), LineageRecorder)
-
-
-__all__ = ["install_recorder", "is_installed"]
+__all__ = ["install_recorder"]

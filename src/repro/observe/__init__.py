@@ -33,14 +33,13 @@ from repro.observe.export import (
     text_timeline,
     validate_chrome_trace,
 )
-from repro.observe.hooks import install_tracing, is_installed
+from repro.observe.hooks import install_tracing
 from repro.observe.trace import TimelineRecorder, TraceRecorder
 
 __all__ = [
     "TimelineRecorder",
     "TraceRecorder",
     "install_tracing",
-    "is_installed",
     "chrome_trace",
     "validate_chrome_trace",
     "text_timeline",

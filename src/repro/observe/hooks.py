@@ -95,8 +95,4 @@ def install_tracing(
     return recorder
 
 
-def is_installed(system) -> bool:
-    return isinstance(getattr(system, "observe", None), TraceRecorder)
-
-
-__all__ = ["install_tracing", "is_installed"]
+__all__ = ["install_tracing"]

@@ -142,7 +142,7 @@ class Sequencer:
         self.issued_ops += 1
         self.outstanding += 1
         block = op.address >> self._offset_bits  # AddressMap.block_of
-        issue_version = self.checker.current_version(block)
+        issue_version = self.checker.issue(block, self.proc_id, op.is_write)
         started = self.sim._now
         self.sim.post(
             self._l1_latency, self._after_l1, op, block, issue_version,

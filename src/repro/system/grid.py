@@ -1,11 +1,11 @@
 """The canonical protocol × topology grid.
 
 Every harness that sweeps "all protocols on their legal interconnects" —
-the stress tests, the adversarial schedule explorer, the differential
-conformance harness, the benchmarks — used to restate the same facts ad
-hoc: which protocols exist, that traditional snooping only runs on the
-totally-ordered tree, which protocols are token-based, and which can be
-validated with the strict data-value checker.  This module is the single
+the stress tests, the adversarial schedule explorer and its presets, the
+benchmarks — used to restate the same facts ad hoc: which protocols
+exist, that traditional snooping only runs on the totally-ordered tree,
+which protocols are token-based, and which can be validated with the
+strict data-value checker.  This module is the single
 statement of those facts.
 
 ``ALL_PROTOCOLS`` lists the seven protocols the conformance grid
@@ -14,7 +14,7 @@ stresses the correctness substrate alone, and the two Section 7
 extension protocols (TokenD's soft-state directory and TokenM's
 predictive multicast, both first-class citizens of
 :mod:`repro.predict`) — every one swept by the adversarial schedule
-explorer and the differential conformance harness.
+explorer, perturbed and (the ``differential`` preset) un-perturbed.
 """
 
 from __future__ import annotations

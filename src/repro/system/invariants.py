@@ -2,16 +2,64 @@
 
 :func:`check_finished` is the one definition of a finished run, and
 :meth:`System.finish <repro.system.builder.System.finish>` calls it: a
-plain ``System.run()``, an explorer scenario, a differential case and a
-forked tail are all judged by the same checks in the same order.  A new
-end-of-run check belongs here, not in a harness.
+plain ``System.run()``, an explorer scenario (the ``differential``
+preset's un-perturbed ones included) and a forked tail are all judged
+by the same checks in the same order.  A new end-of-run check belongs
+here, not in a harness.
 """
 
 from __future__ import annotations
 
 
 class OracleError(AssertionError):
-    """An end-of-run oracle failed (drainage or fault recovery)."""
+    """An end-of-run oracle failed (accounting, drainage or fault
+    recovery)."""
+
+
+def check_accounting(system) -> None:
+    """Every dispatched operation was validated exactly once, as itself.
+
+    Section 4.1: whatever the performance protocol does, what the input
+    streams fix comes out the same: each block's final version, each
+    processor's load and store counts per block, and the versions a
+    private block's stores produce.  All three are read off the data
+    checker's validations (``record_store`` raises a block's version by
+    one per store), so once the checker has validated, per processor
+    and block, exactly the loads and stores dispatched there, the
+    streams fix them and a cross-protocol comparison has nothing left
+    to find.  The checker counts each operation pending from
+    ``Sequencer._dispatch`` until it validates it, per (processor,
+    block) and kind; a finished run must leave nothing pending and
+    nothing validated twice, and each sequencer must have completed
+    what it dispatched.  Totals would not do: a store completed twice
+    on one block and lost on another balances every one of them.
+    """
+    for sequencer in system.sequencers:
+        if sequencer.completed_ops != sequencer.issued_ops:
+            raise OracleError(
+                f"accounting: P{sequencer.proc_id} completed "
+                f"{sequencer.completed_ops} operations but dispatched "
+                f"{sequencer.issued_ops}"
+            )
+    checker = system.checker
+    for kind, pending in (
+        ("store", checker.pending_stores),
+        ("load", checker.pending_loads),
+    ):
+        unsettled = sorted(item for item in pending.items() if item[1])
+        if not unsettled:
+            continue
+        (proc, block), count = unsettled[0]
+        noun = kind if abs(count) == 1 else f"{kind}s"
+        if count > 0:
+            raise OracleError(
+                f"accounting: P{proc} dispatched {count} {noun} to block "
+                f"{block:#x} that the checker never validated"
+            )
+        raise OracleError(
+            f"accounting: the checker validated {-count} {noun} by "
+            f"P{proc} to block {block:#x} beyond those dispatched"
+        )
 
 
 def check_drained(system) -> None:
@@ -75,11 +123,13 @@ def check_recovered(system) -> None:
 def check_finished(system) -> None:
     """Judge a drained run; raise on the first invariant it breaks.
 
-    Liveness (:class:`~repro.system.simulator.DeadlockError`), Invariant
-    #1' over every touched block, drainage, recovery from an armed
-    fault plan, then an armed custody recorder's outcome contract.
+    Liveness (:class:`~repro.system.simulator.DeadlockError`), operation
+    accounting, Invariant #1' over every touched block, drainage,
+    recovery from an armed fault plan, then an armed custody recorder's
+    outcome contract.
     """
     system.check_complete()
+    check_accounting(system)
     if system.ledger is not None:
         # The audit retires quiesced blocks, so the count of blocks it
         # covered lives on the system rather than in ledger state.

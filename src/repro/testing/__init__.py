@@ -13,13 +13,12 @@ package proves it mechanically:
   oracle armed (strict data-value checking for token protocols, the
   custody recorder, fault windows).  ``System.finish`` judges every
   run, the explorer's included, by the end-of-run invariants of
-  :mod:`repro.system.invariants` (liveness, token conservation,
-  drainage, fault recovery, the custody contract).  Its grids sweep as
-  campaigns (``python -m repro.campaign run --spec explorer``);
-  ``python -m repro.testing.explore --repro FILE`` replays a repro.
-* :mod:`repro.testing.differential` — differential conformance: the
-  same workload through every protocol, each run an explorer scenario,
-  comparing protocol-independent observables.
+  :mod:`repro.system.invariants` (liveness, operation accounting, token
+  conservation, drainage, fault recovery, the custody contract).  Its
+  grids sweep as campaigns (``python -m repro.campaign run --spec
+  explorer``; the ``differential`` preset runs every protocol
+  un-perturbed on the same streams); ``python -m repro.testing.explore
+  --repro FILE`` replays a repro.
 * :mod:`repro.testing.shrink` — failure minimization to a deterministic,
   replayable repro file (``campaign run`` writes one on a violation).
 * :mod:`repro.testing.mutants` — deliberately broken protocol variants

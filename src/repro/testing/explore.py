@@ -8,9 +8,9 @@ its overlays, runs it, and folds the verdict and every overlay's stats
 into a :class:`ScenarioOutcome`.  The oracles are the data-value
 checker (``strict=True`` wherever the builder allows — all token
 protocols) and the end-of-run invariants that :meth:`System.finish`
-checks on every run (:mod:`repro.system.invariants`): liveness, token
-conservation, drainage, fault recovery and, with the custody recorder
-armed, the token outcome contract.
+checks on every run (:mod:`repro.system.invariants`): liveness,
+operation accounting, token conservation, drainage, fault recovery and,
+with the custody recorder armed, the token outcome contract.
 
 :func:`scenario_grid` sweeps seeds × the canonical protocol/topology
 grid × the adversarial workloads, with each protocol perturbed as hard
@@ -18,7 +18,8 @@ as its legality bounds allow (token protocols get the full adversarial
 treatment; baselines get FIFO-preserving link jitter), and
 :func:`fault_scenario_grid` crosses the same grid with the fault
 classes.  The sweeps run as campaigns (the ``explorer``, ``faults`` and
-``lineage`` presets)::
+``lineage`` presets, and ``differential``, every protocol un-perturbed
+on the same streams)::
 
     python -m repro.campaign run --spec explorer --seeds 32 --jobs 2
     python -m repro.campaign report --spec explorer --seeds 32
@@ -61,8 +62,7 @@ EXPLORER_WORKLOADS = {**ADVERSARIAL_WORKLOADS, **ADVERSARIAL_PROGRAMS}
 
 
 #: Default small-system geometry: tiny caches maximize evictions, races,
-#: and writeback windows (mirrors the stress suite).  Differential cases
-#: are scenarios too, so they run the same machine.
+#: and writeback windows (mirrors the stress suite).
 BASE_GEOMETRY = dict(
     l2_bytes=16 * 64,
     l2_assoc=4,
@@ -564,7 +564,8 @@ def summarize(scenarios, outcomes) -> dict:
 
 
 def main(argv=None) -> int:
-    """Replay a repro file; exit 0 if it reproduces its violation."""
+    """Replay a repro file; exit 0 if it reproduces its violation, 1 if
+    it does not, and 2 on a file that cannot be replayed."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.testing.explore",
         description="Replay a shrunk explorer repro.  Sweeps run through "
@@ -575,9 +576,13 @@ def main(argv=None) -> int:
                         help="repro file to replay, e.g. "
                              "<store>/repro_failure.json")
     args = parser.parse_args(argv)
-    from repro.testing.shrink import replay
+    from repro.testing.shrink import ReproFileError, replay
 
-    reproduced, scenario, outcome = replay(args.repro)
+    try:
+        reproduced, scenario, outcome = replay(args.repro)
+    except ReproFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"repro: {scenario.label()}")
     print(f"  expected -> observed: {outcome.violation_type} "
           f"({outcome.violation_message})")

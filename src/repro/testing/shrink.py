@@ -34,7 +34,13 @@ from typing import Iterator
 
 from repro.campaign.store import write_atomic
 from repro.faults import link_count
-from repro.testing.explore import Scenario, ScenarioOutcome, run_scenario
+from repro.testing.explore import (
+    Scenario,
+    ScenarioOutcome,
+    _armed_system,
+    _finish_scenario,
+    run_scenario,
+)
 
 REPRO_FORMAT = "repro.testing/repro-v1"
 
@@ -138,23 +144,54 @@ def write_repro(path, scenario: Scenario, outcome: ScenarioOutcome) -> None:
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+class ReproFileError(ValueError):
+    """A repro file that cannot be replayed: unreadable, not a repro, or
+    holding a scenario that cannot be built."""
+
+
 def load_repro(path) -> tuple[Scenario, dict]:
-    """Read a repro file; returns (scenario, expected-violation dict)."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != REPRO_FORMAT:
-        raise ValueError(f"{path}: not a {REPRO_FORMAT} file")
-    return Scenario.from_dict(payload["scenario"]), payload["violation"]
+    """Read a repro file; returns (scenario, expected-violation dict).
+
+    Raises :class:`ReproFileError` naming the file when it cannot be
+    read, is not JSON, is not a repro file, lacks its violation type, or
+    its scenario has missing or unknown fields.
+    """
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise ReproFileError(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ReproFileError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(payload, dict) or payload.get("format") != REPRO_FORMAT:
+        raise ReproFileError(f"{path}: not a {REPRO_FORMAT} file")
+    violation = payload.get("violation")
+    if not isinstance(violation, dict) or "type" not in violation:
+        raise ReproFileError(f"{path}: malformed repro: no violation type")
+    try:
+        return Scenario.from_dict(payload["scenario"]), violation
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReproFileError(f"{path}: malformed repro: {exc!r}") from None
 
 
 def replay(path) -> tuple[bool, Scenario, ScenarioOutcome]:
     """Re-run a repro file's scenario.
 
     Returns ``(reproduced, scenario, outcome)`` where ``reproduced``
-    means the run failed with the recorded violation type.
+    means the run failed with the recorded violation type.  Raises
+    :class:`ReproFileError` as :func:`load_repro` does, and when the
+    scenario cannot be built (an unknown protocol, workload or mutant,
+    or an illegal config); an error while it runs propagates.
     """
     scenario, expected = load_repro(path)
-    outcome = run_scenario(scenario)
+    try:
+        system = _armed_system(scenario)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReproFileError(
+            f"{path}: scenario cannot be built: {exc}"
+        ) from None
+    system.start()
+    outcome = _finish_scenario(scenario, system)
     reproduced = (
         not outcome.ok and outcome.violation_type == expected["type"]
     )

@@ -69,25 +69,40 @@ def test_report_formats_csv_and_markdown(mini_spec_file, tmp_path, capsys):
     assert "| tokenb |" in out and "| directory |" in out
 
 
-def test_report_format_csv_covers_explore_and_differential(tmp_path, capsys):
-    specs = {
-        "explore": [{"seed": 0, "protocol": "tokenm",
-                     "interconnect": "torus",
-                     "workload": "false_sharing", "ops_per_proc": 8}],
-        "differential": [{"workload": "false_sharing", "seed": 0,
-                          "n_procs": 2, "ops_per_proc": 8}],
-    }
-    for kind, grid in specs.items():
-        spec = tmp_path / f"{kind}.json"
-        spec.write_text(json.dumps({"name": kind, "kind": kind, "grid": grid}))
-        store = str(tmp_path / f"store-{kind}")
-        assert main(["run", "--spec", str(spec), "--store", store,
-                     "--jobs", "1", "-q"]) == 0
+@pytest.fixture(scope="module")
+def differential_store(tmp_path_factory):
+    """The differential preset at ``--seeds 1`` (42 explore cases), run
+    once for every report test that reads it."""
+    store = str(tmp_path_factory.mktemp("differential") / "store")
+    assert main(["run", "--spec", "differential", "--seeds", "1",
+                 "--store", store, "--jobs", "1", "-q"]) == 0
+    return store
+
+
+def test_report_format_csv_covers_explore_and_differential(
+    tmp_path, capsys, differential_store
+):
+    """The differential preset is explore-kind: its csv is the explore
+    table, one row per protocol's scenario."""
+    grid = [{"seed": 0, "protocol": "tokenm", "interconnect": "torus",
+             "workload": "false_sharing", "ops_per_proc": 8}]
+    spec = tmp_path / "explore.json"
+    spec.write_text(json.dumps({"name": "explore", "kind": "explore",
+                                "grid": grid}))
+    explore_store = str(tmp_path / "store")
+    assert main(["run", "--spec", str(spec), "--store", explore_store,
+                 "--jobs", "1", "-q"]) == 0
+    for spec_args, store, rows in (
+        ([str(spec)], explore_store, 1),
+        (["differential", "--seeds", "1"], differential_store, 42),
+    ):
         capsys.readouterr()
-        assert main(["report", "--spec", str(spec), "--store", store,
+        assert main(["report", "--spec", *spec_args, "--store", store,
                      "--format", "csv"]) == 0
-        header, row = capsys.readouterr().out.strip().splitlines()[:2]
-        assert "workload" in header and "false_sharing" in row
+        header, *lines = capsys.readouterr().out.strip().splitlines()
+        assert header.startswith("protocol,interconnect,workload,seed,ok,")
+        assert len(lines) == rows
+        assert "false_sharing" in lines[0]
 
 
 def test_expect_cached_asserts_full_store_hit(mini_spec_file, tmp_path, capsys):
@@ -456,20 +471,15 @@ def test_explore_csv_blanks_recovery_for_unfired_faults(tmp_path):
     assert by_seed[1][recovery_col] == ""
 
 
-def test_differential_report_renders_agreement(tmp_path, capsys):
-    grid = [{"workload": "false_sharing", "seed": 0,
-             "n_procs": 2, "ops_per_proc": 8}]
-    spec = tmp_path / "diff.json"
-    spec.write_text(json.dumps(
-        {"name": "diff", "kind": "differential", "grid": grid}
-    ))
-    store = str(tmp_path / "store")
-    assert main(["run", "--spec", str(spec), "--store", store,
-                 "--jobs", "1", "-q"]) == 0
+def test_differential_report_renders_agreement(capsys, differential_store):
+    """The differential preset reports like the explorer: every
+    protocol's run of every stream set, and no violation."""
     capsys.readouterr()
-    assert main(["report", "--spec", str(spec), "--store", store]) == 0
-    out = capsys.readouterr().out
-    assert "agreed" in out and "0 disagreements" in out
+    assert main(["report", "--spec", "differential", "--seeds", "1",
+                 "--store", differential_store]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["scenarios"], report["violation_count"]) == (42, 0)
+    assert report["by_protocol"]["snooping/tree"] == 6
 
 
 def test_report_format_json_stable_key_order(mini_spec_file, tmp_path, capsys):

@@ -77,7 +77,9 @@ def test_presets_declare_expected_scales():
     assert len(presets.workloads_spec().cases()) == 66
     assert len(presets.workloads_spec(smoke=True).cases()) == 15
     differential = presets.differential_spec(seeds=3)
-    assert len(differential.cases()) == 18
+    # 3 seeds x 6 adversarial workloads x 7 protocols, one case each.
+    assert differential.kind == "explore"
+    assert len(differential.cases()) == 126
     assert len(presets.smoke_spec().cases()) == 10
     # The predict tradeoff grid: 3 workloads x (7 full-bandwidth + 3
     # constrained-bandwidth variants).

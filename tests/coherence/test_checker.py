@@ -80,3 +80,18 @@ def test_blocks_are_independent():
     checker.record_store(1, 0, 1.0, 0)
     assert checker.current_version(2) == 0
     checker.check_load(2, 1, observed_version=0, issue_version=0, now=2.0)
+
+
+def test_pending_operations_settle_on_validation():
+    """Each dispatched operation stays pending until the checker
+    validates it; a settled (proc, block) leaves no entry behind."""
+    checker = CoherenceChecker()
+    assert checker.issue(1, 0, True) == 0
+    assert checker.issue(1, 2, False) == 0
+    assert checker.pending_stores == {(0, 1): 1}
+    assert checker.pending_loads == {(2, 1): 1}
+    checker.record_store(1, 0, 1.0, 0)
+    checker.check_load(1, 2, 1, 0, 2.0)
+    assert not checker.pending_stores and not checker.pending_loads
+    checker.record_store(1, 0, 3.0, 1)  # never dispatched
+    assert checker.pending_stores == {(0, 1): -1}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.interconnect.message import Message
-from repro.interconnect.tree import ORDERED_VNET, OrderedTreeInterconnect
+from repro.interconnect.tree import FANOUT, ORDERED_VNET, OrderedTreeInterconnect
 from repro.sim import Simulator
 
 
@@ -19,7 +19,7 @@ def build_tree(n_nodes=16, bandwidth=None, latency=15.0):
 def test_sixteen_node_tree_has_nine_switches_worth_of_links():
     _, tree, _ = build_tree(16)
     assert tree.n_groups == 4
-    assert tree.fanout == 4
+    assert FANOUT == 4
 
 
 def test_unicast_crosses_four_links():

@@ -8,7 +8,7 @@ observes without perturbing the simulation.
 import pytest
 
 from repro.core.tokenb import TokenBNode
-from repro.lineage import install_recorder, is_installed
+from repro.lineage import install_recorder
 from repro.observe import install_tracing
 from repro.overlay import _hook_namespace, hooked_class
 from repro.system.builder import build_system
@@ -41,9 +41,8 @@ def _token_system(protocol="tokenb", seed=0):
 
 def test_install_swaps_classes_and_sets_recorder():
     system = _token_system()
-    assert not is_installed(system)
+    assert system.lineage is None
     recorder = install_recorder(system)
-    assert is_installed(system)
     assert system.lineage is recorder
     for node in system.nodes:
         assert type(node).__name__.startswith("Hooked")

@@ -14,7 +14,6 @@ from repro.observe import (
     TimelineRecorder,
     TraceRecorder,
     install_tracing,
-    is_installed,
 )
 from repro.system.builder import build_system
 from repro.testing.explore import (
@@ -81,8 +80,8 @@ def test_armed_unlimited_bandwidth_fast_path_identical():
 def test_double_install_rejected():
     scenario = Scenario(seed=0, protocol="tokenb", interconnect="torus",
                         workload="false_sharing", n_procs=4, ops_per_proc=10)
-    system, _recorder = _armed_system(scenario)
-    assert is_installed(system)
+    system, recorder = _armed_system(scenario)
+    assert system.observe is recorder
     with pytest.raises(ValueError):
         install_tracing(system)
 

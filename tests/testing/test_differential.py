@@ -1,38 +1,68 @@
-"""Differential conformance tests: the full protocol grid (including
-the promoted TokenD/TokenM extensions), one workload, same
-protocol-independent observables."""
+"""The ``differential`` preset: every protocol on the same streams.
+
+Each case is one un-perturbed explorer scenario, judged by
+``System.finish`` like any run; its accounting check pins every
+stream-determined result (final memory image, per-processor operation
+counts) to the run's own dispatches.  These tests also compare the final
+image with the streams themselves, so the claim does not rest on the
+check alone.
+"""
+
+import collections
 
 import pytest
 
-from repro.system.grid import ALL_PROTOCOLS
-from repro.system.invariants import OracleError
-from repro.testing.differential import (
-    Observation,
-    compare,
-    observe,
-    run_differential,
+from repro.campaign.presets import differential_spec
+from repro.system.grid import ALL_PROTOCOLS, interconnect_for
+from repro.testing.explore import (
+    EXPLORER_WORKLOADS,
+    Scenario,
+    _armed_system,
+    _build_config,
+    _generate_streams,
+    run_scenario,
 )
-from repro.testing.explore import Scenario
-from repro.workloads.adversarial import ADVERSARIAL_WORKLOADS
 
 
-@pytest.mark.parametrize(
-    "workload", sorted(ADVERSARIAL_WORKLOADS) + ["phase_shift"]
-)
+def _plain(protocol, workload, seed, **fields):
+    """One differential case: un-perturbed, on the canonical interconnect."""
+    return Scenario(seed, protocol, interconnect_for(protocol), workload,
+                    **fields)
+
+
+def _stored_versions(scenario):
+    """Each touched block's final version as the streams fix it: the
+    number of stores to it."""
+    config = _build_config(scenario)
+    stores = collections.Counter()
+    for ops in _generate_streams(scenario, config).values():
+        for op in ops:
+            stores[op.address // config.block_bytes] += op.is_write
+    return dict(stores)
+
+
+@pytest.mark.parametrize("workload", list(EXPLORER_WORKLOADS))
 def test_all_protocols_agree_on_adversarial_workloads(workload):
-    report = run_differential(workload, seed=0, ops_per_proc=24)
-    assert report["agreed"], report["mismatches"]
-    # The comparison covered every non-reference protocol.
-    assert len(report["mismatches"]) == len(ALL_PROTOCOLS) - 1
-    # And the runs actually wrote something comparable.
-    assert any(v > 0 for v in report["final_versions"].values())
+    for protocol in ALL_PROTOCOLS:
+        scenario = _plain(protocol, workload, 0, ops_per_proc=24)
+        system = _armed_system(scenario)
+        result = system.run(max_events=scenario.max_events)
+        assert result.total_ops == 4 * 24
+        expected = _stored_versions(scenario)
+        image = {block: system.checker.current_version(block)
+                 for block in expected}
+        assert image == expected, protocol
+        # The runs actually wrote something comparable.
+        assert any(image.values())
 
 
 def test_agreement_holds_across_seeds():
     for seed in range(3):
-        report = run_differential("false_sharing", seed=seed,
-                                  ops_per_proc=20)
-        assert report["agreed"], (seed, report["mismatches"])
+        for protocol in ALL_PROTOCOLS:
+            outcome = run_scenario(
+                _plain(protocol, "false_sharing", seed, ops_per_proc=20)
+            )
+            assert outcome.ok, (seed, protocol, outcome.violation_message)
 
 
 @pytest.mark.parametrize("protocol", ["directory", "hammer"])
@@ -47,68 +77,23 @@ def test_blocking_homes_complete_the_eviction_storm(protocol):
     checker raises a CoherenceViolation (Hammer, seed 8).
     """
     for seed in range(32):
-        # Raises if any processor's stream is left incomplete, or on
-        # any coherence violation.
-        run_differential("eviction_storm", seed=seed, protocols=(protocol,))
+        outcome = run_scenario(_plain(protocol, "eviction_storm", seed))
+        assert outcome.ok, (seed, outcome.violation_type,
+                            outcome.violation_message)
 
 
-def test_compare_flags_final_image_divergence():
-    base = Observation(
-        protocol="tokenb", interconnect="torus",
-        final_versions={0x200: 5, 0x201: 3},
-        op_counts={(0, 0x200): (2, 1)},
-        private_store_sequences={},
-    )
-    diverged = Observation(
-        protocol="directory", interconnect="torus",
-        final_versions={0x200: 4, 0x201: 3},
-        op_counts={(0, 0x200): (2, 1)},
-        private_store_sequences={},
-    )
-    mismatches = compare(base, diverged)
-    assert len(mismatches) == 1
-    assert "final memory image" in mismatches[0]
-    assert "0x200" in mismatches[0]
-
-
-def test_compare_flags_accounting_and_private_sequence_divergence():
-    base = Observation(
-        protocol="tokenb", interconnect="torus",
-        final_versions={0x200: 1},
-        op_counts={(0, 0x200): (1, 1)},
-        private_store_sequences={(0, 0x200): (1,)},
-    )
-    diverged = Observation(
-        protocol="hammer", interconnect="torus",
-        final_versions={0x200: 1},
-        op_counts={(0, 0x200): (2, 1)},
-        private_store_sequences={(0, 0x200): (1, 2)},
-    )
-    mismatches = compare(base, diverged)
-    assert "per-processor operation accounting differs" in mismatches
-    assert "private-block store version sequences differ" in mismatches
-
-
-def test_compare_is_clean_on_identical_observations():
-    obs = Observation(
-        protocol="tokenb", interconnect="torus",
-        final_versions={0x200: 2},
-        op_counts={(1, 0x200): (3, 2)},
-        private_store_sequences={(1, 0x200): (1, 2)},
-    )
-    assert compare(obs, obs) == []
-
-
-def test_recording_checker_logs_observed_versions():
-    """The recorder is the production checker plus a log: private-block
-    store sequences come out dense (1..k) and loads observe real
-    versions."""
-    report = run_differential("writeback_churn", seed=1, ops_per_proc=16,
-                              protocols=("tokenb",))
-    # writeback_churn touches only private blocks, so the reference
-    # observation's store trajectories are fully protocol-independent.
-    assert report["agreed"]  # trivially: single protocol
-    assert report["final_versions"]
+def test_preset_holds_one_plain_scenario_per_protocol():
+    spec = differential_spec(seeds=1, seed_base=5)
+    scenarios = [Scenario.from_dict(params) for params in spec.grid]
+    assert [(s.workload, s.protocol) for s in scenarios] == [
+        (workload, protocol)
+        for workload in EXPLORER_WORKLOADS
+        for protocol in ALL_PROTOCOLS
+    ]
+    for scenario in scenarios:
+        assert scenario == _plain(scenario.protocol, scenario.workload, 5)
+        assert not scenario.perturb.active_fields()
+        assert not scenario.faults.any_active()
 
 
 def test_a_differential_case_is_judged_for_drainage():
@@ -118,5 +103,6 @@ def test_a_differential_case_is_judged_for_drainage():
         seed=0, protocol="directory", interconnect="torus",
         workload="writeback_churn", mutant="writeback-leak",
     )
-    with pytest.raises(OracleError, match="writeback buffer still holds"):
-        observe(scenario)
+    outcome = run_scenario(scenario)
+    assert outcome.violation_type == "OracleError"
+    assert "writeback buffer still holds" in outcome.violation_message

@@ -163,3 +163,52 @@ def test_cli_repro_replay_detects_non_reproduction(tmp_path):
     payload["violation"] = {"type": "DeadlockError", "message": "forged"}
     path.write_text(json.dumps(payload))
     assert main(["--repro", str(path)]) == 1
+
+
+_REPRO = {"format": "repro.testing/repro-v1",
+          "violation": {"type": "DeadlockError", "message": ""}}
+_SCENARIO = {"seed": 0, "protocol": "tokenb", "interconnect": "torus",
+             "workload": "false_sharing", "ops_per_proc": 8}
+
+
+@pytest.mark.parametrize("text, reason", [
+    pytest.param(None, "No such file", id="missing"),
+    pytest.param("{not json", "not JSON", id="not-json"),
+    pytest.param(json.dumps({**_REPRO, "format": "other",
+                             "scenario": _SCENARIO}),
+                 "not a repro", id="wrong-format"),
+    pytest.param(json.dumps({**_REPRO, "scenario": {**_SCENARIO,
+                                                    "protocol": "bogus"}}),
+                 "cannot be built: protocol must be one of",
+                 id="unknown-protocol"),
+    pytest.param(json.dumps({**_REPRO, "scenario": {"seed": 0}}),
+                 "malformed repro", id="missing-fields"),
+    pytest.param(json.dumps({**_REPRO, "violation": {},
+                             "scenario": _SCENARIO}),
+                 "no violation type", id="no-violation-type"),
+])
+def test_cli_repro_rejects_a_bad_file(tmp_path, capsys, text, reason):
+    """A file that cannot be replayed is a usage error (exit 2), not a
+    non-reproduction (exit 1)."""
+    path = tmp_path / "repro.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["--repro", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+
+
+def test_cli_repro_lets_an_error_in_the_run_escape(tmp_path, monkeypatch):
+    """Only a file that cannot be loaded or built exits 2: a ValueError
+    raised while the scenario runs is a simulator bug and propagates."""
+    from repro.processor.sequencer import Sequencer
+
+    path = tmp_path / "repro.json"
+    path.write_text(json.dumps({**_REPRO, "scenario": _SCENARIO}))
+
+    def dispatch(sequencer):
+        raise ValueError("simulator bug")
+
+    monkeypatch.setattr(Sequencer, "_dispatch", dispatch)
+    with pytest.raises(ValueError, match="simulator bug"):
+        main(["--repro", str(path)])
