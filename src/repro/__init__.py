@@ -49,7 +49,6 @@ from repro.workloads import (
     WorkloadSpec,
     contended_sharing_spec,
     generate_streams,
-    memory_pressure_spec,
 )
 
 __version__ = "1.0.0"
@@ -79,7 +78,6 @@ __all__ = [
     "prediction_rates",
     "generate_streams",
     "interconnect_for",
-    "memory_pressure_spec",
     "protocol_grid",
     "simulate",
     "simulate_program",

@@ -5,7 +5,6 @@ from repro.analysis.report import (
     format_table2,
     format_traffic_bars,
     speedup,
-    traffic_ratio,
 )
 
 __all__ = [
@@ -13,5 +12,4 @@ __all__ = [
     "format_table2",
     "format_traffic_bars",
     "speedup",
-    "traffic_ratio",
 ]

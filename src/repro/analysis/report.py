@@ -103,13 +103,6 @@ def speedup(slower: SimulationResult, faster: SimulationResult) -> float:
     ) * 100.0
 
 
-def traffic_ratio(a: SimulationResult, b: SimulationResult) -> float:
-    """Traffic of ``a`` relative to ``b`` (bytes/miss ratio)."""
-    if b.bytes_per_miss == 0:
-        return 0.0
-    return a.bytes_per_miss / b.bytes_per_miss
-
-
 # ----------------------------------------------------------------------
 # Campaign-store aggregation
 # ----------------------------------------------------------------------

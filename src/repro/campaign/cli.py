@@ -637,8 +637,10 @@ def _parse_args(argv):
                          help="preset name or spec JSON file")
         cmd.add_argument("--store", default=None,
                          help="store directory (default: the spec's)")
-        cmd.add_argument("--seeds", type=int, default=8,
-                         help="seed count for explorer/differential specs")
+        cmd.add_argument("--seeds", type=int, default=presets.DEFAULT_SEEDS,
+                         help="seed count for the explorer, faults, "
+                              "lineage and differential specs "
+                              "(default: %(default)s)")
         cmd.add_argument("--seed-base", type=int, default=0)
         cmd.add_argument("--smoke", action="store_true",
                          help="reduced-scale explorer/workloads scenarios")

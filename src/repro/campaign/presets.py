@@ -512,6 +512,11 @@ def snapshots_spec(smoke: bool = False) -> CampaignSpec:
     )
 
 
+#: Seed count of every explore preset (explorer, faults, lineage,
+#: differential) unless a caller or ``--seeds`` says otherwise.
+DEFAULT_SEEDS = 8
+
+
 def _explore_spec(
     name: str, scenarios_for, seeds: int, seed_base: int, smoke: bool
 ) -> CampaignSpec:
@@ -536,7 +541,7 @@ def _explore_spec(
 
 
 def explorer_spec(
-    seeds: int = 8,
+    seeds: int = DEFAULT_SEEDS,
     seed_base: int = 0,
     protocols=None,
     workloads=None,
@@ -569,7 +574,7 @@ FAULTS_INTENSITIES = (1.0, 2.0)
 
 
 def faults_spec(
-    seeds: int = 8, seed_base: int = 0, smoke: bool = False
+    seeds: int = DEFAULT_SEEDS, seed_base: int = 0, smoke: bool = False
 ) -> CampaignSpec:
     """The resilience campaign: fault intensity x protocol x topology.
 
@@ -593,7 +598,7 @@ def faults_spec(
 
 
 def lineage_spec(
-    seeds: int = 4, seed_base: int = 0, smoke: bool = False
+    seeds: int = DEFAULT_SEEDS, seed_base: int = 0, smoke: bool = False
 ) -> CampaignSpec:
     """The custody-audit campaign: token protocols, recorder armed.
 
@@ -618,7 +623,9 @@ def lineage_spec(
     return _explore_spec("lineage", scenarios_for, seeds, seed_base, smoke)
 
 
-def differential_spec(seeds: int = 4, seed_base: int = 0) -> CampaignSpec:
+def differential_spec(
+    seeds: int = DEFAULT_SEEDS, seed_base: int = 0
+) -> CampaignSpec:
     """Every protocol on the same streams, un-perturbed.
 
     For each adversarial workload × seed, one explorer scenario per
@@ -662,7 +669,7 @@ SPEC_BUILDERS = {
 
 def build_spec(
     name: str,
-    seeds: int = 8,
+    seeds: int = DEFAULT_SEEDS,
     seed_base: int = 0,
     smoke: bool = False,
 ) -> CampaignSpec:

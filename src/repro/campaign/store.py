@@ -2,9 +2,8 @@
 
 Layout under one store root::
 
-    shard-00.jsonl .. shard-NN.jsonl   canonical shards (compacted)
+    shard-00.jsonl .. shard-15.jsonl   canonical shards (compacted)
     pending-<stream>.jsonl             in-flight appends (one per writer)
-    meta.json                          {"n_shards": N, "version": 1}
 
 One record per line::
 
@@ -39,9 +38,8 @@ from repro.campaign.spec import ScenarioCase, canonical_json, code_fingerprint
 #: Fields every well-formed record carries.
 RECORD_FIELDS = ("key", "kind", "fingerprint", "params", "result")
 
-STORE_VERSION = 1
-
-DEFAULT_SHARDS = 16
+#: Canonical shard files; a record's shard is its key prefix mod this.
+N_SHARDS = 16
 
 
 class StoreBusyError(RuntimeError):
@@ -122,17 +120,8 @@ def make_record(case: ScenarioCase, result) -> dict:
 class CampaignStore:
     """A directory of content-addressed campaign results."""
 
-    def __init__(self, root, n_shards: int | None = None):
+    def __init__(self, root):
         self.root = Path(root)
-        if n_shards is None:
-            # Reopening an existing store adopts its shard count, so a
-            # non-default layout stays byte-stable across compactions.
-            try:
-                meta = json.loads((self.root / "meta.json").read_text())
-                n_shards = int(meta["n_shards"])
-            except (OSError, ValueError, KeyError, TypeError):
-                n_shards = DEFAULT_SHARDS
-        self.n_shards = n_shards
         self._index: dict[str, dict] = {}
         self._loaded = False
         self._streams: dict[str, IO[str]] = {}
@@ -150,7 +139,7 @@ class CampaignStore:
     # ------------------------------------------------------------------
 
     def shard_index(self, key: str) -> int:
-        return int(key[:8], 16) % self.n_shards
+        return int(key[:8], 16) % N_SHARDS
 
     def shard_path(self, index: int) -> Path:
         return self.root / f"shard-{index:02d}.jsonl"
@@ -386,7 +375,7 @@ class CampaignStore:
         for record in records:
             by_shard.setdefault(self.shard_index(record["key"]), []).append(record)
         self.root.mkdir(parents=True, exist_ok=True)
-        for index in range(self.n_shards):
+        for index in range(N_SHARDS):
             shard_records = by_shard.get(index, [])
             target = self.shard_path(index)
             if not shard_records:
@@ -399,8 +388,6 @@ class CampaignStore:
             if _is_live(pending):
                 continue
             pending.unlink(missing_ok=True)
-        meta = {"n_shards": self.n_shards, "version": STORE_VERSION}
-        write_atomic(self.root / "meta.json", canonical_json(meta) + "\n")
         self._dirty = False
 
     @property

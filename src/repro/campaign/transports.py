@@ -42,7 +42,7 @@ _worker_store: CampaignStore | None = None
 _worker_stream: str = "serial"
 
 
-def _worker_init(root: str, n_shards: int) -> None:
+def _worker_init(root: str) -> None:
     """Bootstrap one pool worker: bind its private store stream.
 
     Runs once per worker process.  The executor registry (and thus the
@@ -52,7 +52,7 @@ def _worker_init(root: str, n_shards: int) -> None:
     in every worker.
     """
     global _worker_store, _worker_stream
-    _worker_store = CampaignStore(root, n_shards=n_shards)
+    _worker_store = CampaignStore(root)
     _worker_stream = f"worker-{os.getpid()}"
 
 
@@ -103,7 +103,7 @@ def execute(
     pool = ProcessPoolExecutor(
         max_workers=jobs,
         initializer=_worker_init,
-        initargs=(str(store.root), store.n_shards),
+        initargs=(str(store.root),),
     )
     try:
         # Submission in spec order; workers pull from the shared queue,

@@ -4,8 +4,9 @@ Each glueless node (Figure 1) integrates the processor-side sequencer,
 the L2 coherence cache, the coherence controller, and the memory
 controller for its slice of shared memory.  :class:`ProtocolNode` holds
 everything protocol-independent: the L2 array, MSHRs with operation
-coalescing, DRAM, message construction/routing helpers, eviction
-plumbing, the statistics hooks, and the one message dispatch.  Two
+coalescing, the DRAM slice's data versions, message
+construction/routing helpers, eviction plumbing, the statistics hooks,
+and the one message dispatch.  Two
 family bases subclass it: :class:`~repro.core.substrate.TokenNodeBase`
 under the four token protocols and :class:`~repro.protocols.mosi.MosiNode`
 under the three MOSI baselines.  Each names its per-miss record
@@ -25,8 +26,6 @@ from repro.coherence.checker import CoherenceChecker
 from repro.coherence.messages import CoherenceMessage
 from repro.interconnect.message import DATA_MESSAGE_BYTES
 from repro.interconnect.topology import Interconnect
-from repro.memory.address import AddressMap
-from repro.memory.dram import Dram
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Counter
 from repro.config import SystemConfig
@@ -63,15 +62,17 @@ class ProtocolNode(abc.ABC):
         self.config = config
         self.checker = checker
         self.counters = counters
-        self.addr_map = AddressMap(config.n_procs, config.block_bytes)
-        # Hot-path constants, hoisted so per-message code avoids chained
-        # attribute lookups (home mapping is block % n_nodes).
-        self._home_mod = self.addr_map.n_nodes
+        # Memory is block-interleaved across the nodes' controllers:
+        # home(block) = block % n_procs, hoisted for the per-message path.
+        self._home_mod = config.n_procs
         self.l2 = SetAssociativeCache.from_geometry(
             config.l2_bytes, config.l2_assoc, config.block_bytes
         )
         self.mshrs = MshrTable(config.mshr_capacity, self.miss_record)
-        self.dram = Dram(sim, config.dram_latency_ns)
+        #: This node's DRAM slice: block -> stored data version (0 =
+        #: never written back).  The protocols time the access themselves
+        #: from ``config.dram_latency_ns``.
+        self.dram: dict[int, int] = {}
         #: Evicted-but-unacknowledged lines still owned by this node
         #: (filled by the MOSI baselines only).
         self.writeback_buffer: dict[int, Writeback] = {}

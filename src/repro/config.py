@@ -87,9 +87,6 @@ class SystemConfig:
     #: larger tables multicast more and save more bandwidth at a
     #: reissue-latency cost (see BENCH_predict.json).
     predictor_table_entries: int = 128
-    #: Indexing granularity: consecutive blocks sharing one table entry
-    #: (power of two; 1 = per-block).
-    predictor_macroblock_blocks: int = 1
     #: Group-predictor decay period (trainings per entry between decays).
     predictor_history_depth: int = 4
     #: Reissue-timer multiplier for a *predicted* first attempt: silence
@@ -122,6 +119,10 @@ class SystemConfig:
             )
         if self.n_procs < 2:
             raise ValueError("need at least 2 processors")
+        if self.block_bytes < 1 or self.block_bytes & (self.block_bytes - 1):
+            raise ValueError("block_bytes must be a positive power of two")
+        if self.dram_latency_ns < 0:
+            raise ValueError("dram_latency_ns must be >= 0")
         if self.tokens_per_block is not None and self.tokens_per_block < self.n_procs:
             raise ValueError(
                 "T must be at least the number of processors (Section 3.1)"
@@ -134,11 +135,6 @@ class SystemConfig:
             raise ValueError(f"predictor must be one of {PREDICTORS}")
         if self.predictor_table_entries < 1:
             raise ValueError("predictor table needs at least one entry")
-        macro = self.predictor_macroblock_blocks
-        if macro < 1 or macro & (macro - 1):
-            raise ValueError(
-                "predictor_macroblock_blocks must be a power of two"
-            )
         if self.predictor_history_depth < 1:
             raise ValueError("predictor_history_depth must be >= 1")
         if self.predicted_reissue_timeout_multiplier <= 0:

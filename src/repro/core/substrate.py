@@ -374,11 +374,11 @@ class TokenNodeBase(ProtocolNode):
                 )
             mem.owner = True
         if msg.carries_data():
-            if mem.valid and self.dram.version_of(msg.block) != msg.data_version:
+            if mem.valid and self.dram.get(msg.block, 0) != msg.data_version:
                 raise TokenInvariantError(
                     f"block {msg.block:#x}: memory valid copy disagrees"
                 )
-            self.dram.store_version(msg.block, msg.data_version)
+            self.dram[msg.block] = msg.data_version
             mem.valid = True
 
     def _after_token_gain(self, block: int) -> None:
@@ -561,7 +561,7 @@ class TokenNodeBase(ProtocolNode):
             raise TokenInvariantError(
                 f"memory owns block {block:#x} without valid data"
             )
-        version = self.dram.version_of(block) if mem.owner else None
+        version = self.dram.get(block, 0) if mem.owner else None
         self.send_tokens(
             dst,
             block,

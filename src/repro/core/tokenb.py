@@ -178,7 +178,7 @@ class TokenBNode(TokenNodeBase):
         if msg.mtype == "GETS":
             if not mem.owner or not mem.valid:
                 return
-            version = self.dram.version_of(block)
+            version = self.dram.get(block, 0)
             if mem.tokens >= 2:
                 mem.tokens -= 1
                 self.send_tokens(

@@ -42,7 +42,6 @@ class Link:
         "traffic",
         "_free_at",
         "_crossings",
-        "_record",
         # The overlay layer's hook chain (repro.overlay).  Never touched
         # by this class: arming a hook fills the slot and moves the link
         # onto ``HookedLink`` (``__slots__ = ()``, identical layout).
@@ -68,9 +67,6 @@ class Link:
         self.traffic = traffic
         self._free_at = 0.0
         self._crossings = 0
-        # Pre-bound recording method keeps the per-message path free of
-        # attribute lookups and None checks.
-        self._record = traffic.record_crossing if traffic is not None else None
 
     @property
     def crossings(self) -> int:
@@ -82,21 +78,6 @@ class Link:
         """Time at which the link's serialization slot frees up."""
         return self._free_at
 
-    def send(
-        self,
-        size_bytes: int,
-        category: str,
-        deliver: Callable[..., None],
-        *args: Any,
-    ) -> float:
-        """Transmit a message; invoke ``deliver(*args)`` on arrival.
-
-        Returns the arrival time (useful for tests).
-        """
-        arrival = self.occupy(size_bytes, category)
-        self.sim.post_at(arrival, deliver, *args)
-        return arrival
-
     def occupy(self, size_bytes: int, category: str) -> float:
         """Claim the serialization slot and account one crossing.
 
@@ -104,8 +85,7 @@ class Link:
         job.  :meth:`cross` repeats these float ops inline, so the two
         give bit-identical arrival times.
         """
-        sim = self.sim
-        now = sim._now
+        now = self.sim._now
         free = self._free_at
         start = now if now >= free else free
         if self.bandwidth is not None:
@@ -115,9 +95,10 @@ class Link:
         busy_until = start + serialization
         self._free_at = busy_until
         self._crossings += 1
-        record = self._record
-        if record is not None:
-            record(category, size_bytes)
+        traffic = self.traffic
+        if traffic is not None:
+            traffic._bytes[category] += size_bytes
+            traffic._messages[category] += 1
         return busy_until + self.latency
 
     def cross(

@@ -63,6 +63,10 @@ def _scenario(args, protocol: str):
             )
         except ValueError as exc:  # a fault kind illegal on the protocol
             _usage_error(str(exc))
+        if args.n_procs != scenario.n_procs:
+            _usage_error(f"--faults runs the fault scenario's "
+                         f"{scenario.n_procs} processors; --n-procs "
+                         f"{args.n_procs} is not supported with it")
         return dataclasses.replace(
             scenario, ops_per_proc=args.ops, lineage=False
         )
@@ -156,7 +160,9 @@ def _add_scenario_args(parser, with_protocol: bool = True) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--ops", type=int, default=40,
                         help="operations per processor")
-    parser.add_argument("--n-procs", type=int, default=4)
+    parser.add_argument("--n-procs", type=int, default=4,
+                        help="processors (with --faults: the fault "
+                             "scenario's count only)")
     parser.add_argument("--faults", default=None, choices=FAULT_KINDS,
                         help="schedule one fault class so its windows "
                              "render on the trace")

@@ -23,8 +23,8 @@ classes and fast paths unchanged.
 * **Nodes and sequencers.**  :func:`arm_object` moves an object onto
   ``Hooked<Class>`` (one cached class per base, :func:`hooked_class`)
   and sets the recorders its hook methods consult.  The classes are
-  published here under their names and rebuilt by name on demand, so
-  pickle finds them in any process.
+  published here under their names, so pickle finds them in the
+  process that built them.
 * **Delivery.**  :func:`arm_delivery` puts a :class:`DeliveryHook` into a
   node's delivery chain at its place in :data:`DELIVERY_ORDER`, whatever
   the order hooks were armed in.
@@ -323,26 +323,6 @@ def hooked_class(cls: type) -> type:
         _HOOKED[cls] = sub
         globals()[name] = sub
     return sub
-
-
-def _hookable_classes() -> dict[str, type]:
-    """Every class :func:`hooked_class` may derive from, by name."""
-    from repro.processor.sequencer import Sequencer
-    from repro.system.builder import _node_factory
-    from repro.system.grid import ALL_PROTOCOLS
-
-    classes = [_node_factory(protocol) for protocol in ALL_PROTOCOLS]
-    return {cls.__name__: cls for cls in (*classes, Sequencer)}
-
-
-def __getattr__(name: str):
-    # Unpickling in a fresh process looks a hooked class up by name
-    # before anything has built it: build it now.
-    if name.startswith("Hooked"):
-        base = _hookable_classes().get(name[len("Hooked"):])
-        if base is not None:
-            return hooked_class(base)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def arm_object(obj, **recorders) -> None:

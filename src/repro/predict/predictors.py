@@ -64,11 +64,7 @@ class Predictor:
         self.node_id = node_id
         self.counters = counters
         self.history_depth = config.predictor_history_depth
-        self.table = PredictionTable(
-            config.predictor_table_entries,
-            config.predictor_macroblock_blocks,
-            counters,
-        )
+        self.table = PredictionTable(config.predictor_table_entries, counters)
 
     # -- training ------------------------------------------------------
 
@@ -387,9 +383,7 @@ def prediction_rates(counters: dict[str, int]) -> dict[str, float]:
       contained;
     * ``overshoot`` — predicted-but-silent nodes per multicast (wasted
       request bandwidth);
-    * ``table_evictions`` / ``table_drops`` — capacity-driven vs
-      invalidation-driven table turnover (drops were previously
-      uncounted, hiding protocol-requested churn).
+    * ``table_evictions`` — capacity-driven table turnover.
     """
     multicasts = counters.get("predict_hit", 0) + counters.get("predict_miss", 0)
     return {
@@ -403,5 +397,4 @@ def prediction_rates(counters: dict[str, int]) -> dict[str, float]:
             counters.get("predict_overshoot_nodes", 0), multicasts
         ),
         "table_evictions": float(counters.get("predict_table_eviction", 0)),
-        "table_drops": float(counters.get("predict_table_drop", 0)),
     }

@@ -1,15 +1,9 @@
 """The bounded prediction table every destination-set predictor uses.
 
 Real predictor hardware is a small tagged SRAM, not an unbounded map, so
-the table models the two knobs that matter for such a structure:
-
-* **capacity** — at most ``capacity`` entries live at once; inserting
-  into a full table evicts the least-recently-touched entry (a lost
-  prediction, never a correctness event);
-* **indexing granularity** — entries are indexed by *macroblock*
-  (``macroblock_blocks`` consecutive cache blocks share one entry, the
-  spatial-predictor variant of the destination-set prediction papers).
-  ``macroblock_blocks=1`` is plain per-block indexing.
+the table holds at most ``capacity`` entries, one per cache block;
+inserting into a full table evicts the least-recently-touched entry (a
+lost prediction, never a correctness event).
 
 Evictions are reported through the shared statistics
 :class:`~repro.sim.stats.Counter` so sweeps can see when a predictor is
@@ -25,53 +19,40 @@ from repro.sim.stats import Counter
 
 
 class PredictionTable:
-    """Fixed-capacity, LRU-evicted map from macroblock index to entry."""
+    """Fixed-capacity, LRU-evicted map from block number to entry."""
 
-    __slots__ = ("capacity", "_shift", "_entries", "evictions", "drops",
-                 "_counters", "_eviction_counter", "_drop_counter")
+    __slots__ = ("capacity", "_entries", "evictions", "_counters",
+                 "_eviction_counter")
 
     def __init__(
         self,
         capacity: int,
-        macroblock_blocks: int = 1,
         counters: Counter | None = None,
         eviction_counter: str = "predict_table_eviction",
-        drop_counter: str = "predict_table_drop",
     ) -> None:
         if capacity < 1:
             raise ValueError("prediction table needs at least one entry")
-        if macroblock_blocks < 1 or macroblock_blocks & (macroblock_blocks - 1):
-            raise ValueError("macroblock_blocks must be a power of two")
         self.capacity = capacity
-        self._shift = macroblock_blocks.bit_length() - 1
         self._entries: OrderedDict[int, object] = OrderedDict()
         self.evictions = 0
-        self.drops = 0
         self._counters = counters
         self._eviction_counter = eviction_counter
-        self._drop_counter = drop_counter
-
-    def index_of(self, block: int) -> int:
-        """The table index ``block`` maps to (its macroblock number)."""
-        return block >> self._shift
 
     def get(self, block: int):
-        """The entry covering ``block`` (refreshed as most recent), or None."""
+        """The entry for ``block`` (refreshed as most recent), or None."""
         entries = self._entries
-        index = block >> self._shift
-        entry = entries.get(index)
+        entry = entries.get(block)
         if entry is not None:
-            entries.move_to_end(index)
+            entries.move_to_end(block)
         return entry
 
     def get_or_create(self, block: int, factory: Callable[[], object]):
-        """The entry covering ``block``, allocating (and possibly
-        evicting the LRU victim) if absent."""
+        """The entry for ``block``, allocating (and possibly evicting the
+        LRU victim) if absent."""
         entries = self._entries
-        index = block >> self._shift
-        entry = entries.get(index)
+        entry = entries.get(block)
         if entry is not None:
-            entries.move_to_end(index)
+            entries.move_to_end(block)
             return entry
         if len(entries) >= self.capacity:
             entries.popitem(last=False)
@@ -79,25 +60,11 @@ class PredictionTable:
             if self._counters is not None:
                 self._counters.add(self._eviction_counter)
         entry = factory()
-        entries[index] = entry
+        entries[block] = entry
         return entry
-
-    def drop(self, block: int) -> None:
-        """Forget the entry covering ``block`` (if any).
-
-        Distinct from capacity eviction: a drop is invalidation-driven
-        turnover requested by the protocol, not the LRU policy — and it
-        was previously invisible in the stats, which made tables look
-        healthier than they were.  Counted under ``predict_table_drop``
-        (only when an entry was actually removed).
-        """
-        if self._entries.pop(block >> self._shift, None) is not None:
-            self.drops += 1
-            if self._counters is not None:
-                self._counters.add(self._drop_counter)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, block: int) -> bool:
-        return (block >> self._shift) in self._entries
+        return block in self._entries

@@ -49,7 +49,6 @@ class TokenDNode(TokenBNode):
         super().__init__(*args, **kwargs)
         self._soft_dir = PredictionTable(
             self.config.predictor_table_entries,
-            self.config.predictor_macroblock_blocks,
             self.counters,
             eviction_counter="softdir_eviction",
         )

@@ -83,7 +83,7 @@ class Sequencer:
         # Hot-path constants hoisted out of the per-op handlers.
         self._l1_latency = config.l1_latency_ns
         self._l2_latency = config.l2_latency_ns
-        self._offset_bits = node.addr_map.offset_bits
+        self._offset_bits = config.block_bytes.bit_length() - 1
 
     # ------------------------------------------------------------------
     # Issue engine
@@ -141,7 +141,7 @@ class Sequencer:
         self._current_op = None
         self.issued_ops += 1
         self.outstanding += 1
-        block = op.address >> self._offset_bits  # AddressMap.block_of
+        block = op.address >> self._offset_bits
         issue_version = self.checker.issue(block, self.proc_id, op.is_write)
         started = self.sim._now
         self.sim.post(

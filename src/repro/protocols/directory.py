@@ -127,7 +127,7 @@ class DirectoryNode(BlockingHomeNode):
             mtype="DATA",
             block=block,
             requester=requester,
-            data_version=self.dram.version_of(block),
+            data_version=self.dram.get(block, 0),
             acks_expected=ack_count,
             category="data",
             vnet="response",

@@ -91,7 +91,7 @@ class HammerNode(BlockingHomeNode):
         # (version monotonicity stands in for Hammer's real ordered-
         # link race handling).
         del home, requester
-        return version >= self.dram.version_of(block)
+        return version >= self.dram.get(block, 0)
 
     def _home_memory_data(self, block: int, requester: int, tx: int) -> None:
         data = self.make_data(
@@ -99,7 +99,7 @@ class HammerNode(BlockingHomeNode):
             mtype="MEM_DATA",
             block=block,
             requester=requester,
-            data_version=self.dram.version_of(block),
+            data_version=self.dram.get(block, 0),
             category="data",
             vnet="response",
             tag=1,

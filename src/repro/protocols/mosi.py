@@ -308,7 +308,7 @@ class BlockingHomeNode(MosiNode):
             raise ProtocolError("PUT without data")
         stale = not self._home_accept_put(home, block, requester, version)
         if not stale:
-            self.dram.store_version(block, version)
+            self.dram[block] = version
         ack = self.make_control(
             dst=requester,
             mtype="PUT_ACK",

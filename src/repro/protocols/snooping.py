@@ -234,7 +234,7 @@ class SnoopingNode(MosiNode):
             mtype="DATA",
             block=block,
             requester=requester,
-            data_version=self.dram.version_of(block),
+            data_version=self.dram.get(block, 0),
             category="data",
             vnet="response",
             tag=1,
@@ -244,7 +244,7 @@ class SnoopingNode(MosiNode):
 
     def _handle_wb_data(self, msg: CoherenceMessage) -> None:
         home = self._home_state(msg.block)
-        self.dram.store_version(msg.block, msg.data_version)
+        self.dram[msg.block] = msg.data_version
         home.data_pending = False
         deferred, home.deferred = home.deferred, []
         for requester, tx in deferred:

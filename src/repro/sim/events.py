@@ -53,10 +53,6 @@ class Event:
             if self._sim is not None:
                 self._sim._note_cancelled()
 
-    def fire(self) -> None:
-        """Invoke the callback (kernel-internal)."""
-        self.callback(*self.args)
-
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else ""
         return f"Event(t={self.time}, seq={self.seq}{state})"

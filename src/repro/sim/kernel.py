@@ -13,9 +13,9 @@ Two scheduling paths share one heap and one ``seq`` counter:
   so ordering is a C-level float/int comparison (``seq`` is unique, so the
   comparison never reaches the callback) and no handle object is built.
   This is what the interconnect and protocol hot paths use.
-* :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` — the
-  cancellable path.  It returns an :class:`~repro.sim.events.Event` handle
-  (used for protocol timeout timers) carried as ``(time, seq, event)``.
+* :meth:`Simulator.schedule` — the cancellable path.  It returns an
+  :class:`~repro.sim.events.Event` handle (used for protocol timeout
+  timers) carried as ``(time, seq, event, None)``.
 
 Cancelled events stay in the heap until popped; when the cancelled
 fraction grows large the kernel compacts the heap in place.  Compaction
@@ -139,8 +139,8 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        # ``now + delay`` (not ``time``) preserves the exact float the
-        # historical schedule_at -> schedule dispatch produced.
+        # ``now + delay`` (not ``time``): the float every relative post
+        # lands on, so absolute and relative posts agree bit for bit.
         heappush(self._heap, (now + delay, seq, callback, args))
 
     def schedule(
@@ -158,12 +158,6 @@ class Simulator:
         event = Event(self._now + delay, seq, callback, args, False, self)
         heappush(self._heap, (event.time, seq, event, None))
         return event
-
-    def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> Event:
-        """Schedule ``callback(*args)`` at absolute time ``time``."""
-        return self.schedule(time - self._now, callback, *args)
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping
@@ -203,14 +197,10 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> None:
+    def run(self, max_events: int | None = None) -> None:
         """Execute events until the queue drains.
 
         Args:
-            until: If given, stop once the next event would fire after this
-                time (the clock is advanced to ``until``).  A time before
-                ``now`` raises :class:`SimulationError` and leaves the
-                clock and the queue untouched.
             max_events: Safety valve for tests; raise if exceeded.
 
         An installed profiler (:func:`install_profiler`) runs on the
@@ -219,18 +209,13 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
-        if until is not None and until < self._now:
-            raise SimulationError(
-                f"cannot run until t={until}: the clock is already at "
-                f"t={self._now}"
-            )
         self._running = True
         heap = self._heap
         fired = self._events_fired
         profile = self._profile
         run_started = perf_counter() if profile is not None else 0.0
         try:
-            if until is None and max_events is None and profile is None:
+            if max_events is None and profile is None:
                 # Hot loop: no bound checks, locals only.
                 while heap:
                     time, _seq, callback, args = heappop(heap)
@@ -253,9 +238,6 @@ class Simulator:
                 categories = profile.categories
                 sample_depth = profile.heap_depth.record
             while heap:
-                if until is not None and heap[0][0] > until:
-                    self._now = until
-                    return
                 entry = heappop(heap)
                 args = entry[3]
                 if args is not None:
@@ -286,8 +268,6 @@ class Simulator:
                 callback(*args)
                 cell[1] += perf_counter() - started
                 cell[0] += 1
-            if until is not None and until > self._now:
-                self._now = until
         finally:
             self._events_fired = fired
             self._running = False

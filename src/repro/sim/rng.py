@@ -45,7 +45,6 @@ class ExponentialBackoff:
         if initial_window <= 0 or max_window < initial_window:
             raise ValueError("need 0 < initial_window <= max_window")
         self._rng = rng
-        self._initial = initial_window
         self._max = max_window
         self._window = initial_window
 
@@ -54,7 +53,3 @@ class ExponentialBackoff:
         delay = self._rng.random() * self._window
         self._window = min(self._window * 2.0, self._max)
         return delay
-
-    def reset(self) -> None:
-        """Return the window to its initial size (request succeeded)."""
-        self._window = self._initial

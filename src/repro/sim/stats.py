@@ -79,21 +79,12 @@ class TrafficMeter:
         self._bytes: defaultdict[str, int] = defaultdict(int)
         self._messages: defaultdict[str, int] = defaultdict(int)
 
-    def record_crossing(self, category: str, size_bytes: int) -> None:
-        """Record one link crossing of a message of the given category.
-
-        Two defaultdict increments, no allocation.  ``Link.occupy`` calls
-        it; ``Link.cross`` and the torus's batched fan-out make the same
-        increments inline.
-        """
-        self._bytes[category] += size_bytes
-        self._messages[category] += 1
-
     def record_crossings(self, category: str, size_bytes: int, count: int) -> None:
-        """Record ``count`` crossings of same-sized messages in one shot.
+        """Record ``count`` link crossings of same-sized messages.
 
-        Batched-multicast accounting: equivalent to ``count`` calls to
-        :meth:`record_crossing` at the cost of one.
+        The torus's up-front (unlimited-bandwidth) broadcast calls it
+        once per broadcast; ``Link.cross``, ``Link.occupy`` and the
+        batched multicast fan-out make the same increments inline.
         """
         self._bytes[category] += size_bytes * count
         self._messages[category] += count
@@ -106,36 +97,6 @@ class TrafficMeter:
 
     def crossings_by_category(self) -> dict[str, int]:
         return dict(self._messages)
-
-    def merged(self, groups: dict[str, list[str]]) -> dict[str, int]:
-        """Regroup byte counts, e.g. into the four figure-legend buckets.
-
-        Categories not named in ``groups`` are summed under ``"other"``.
-        A category claimed by more than one group is a caller bug — the
-        bytes would be silently credited to whichever group happened to
-        iterate first — so it raises instead.
-        """
-        owner: dict[str, str] = {}
-        for name, cats in groups.items():
-            for category in cats:
-                if category in owner:
-                    raise ValueError(
-                        f"category {category!r} appears in both "
-                        f"{owner[category]!r} and {name!r}; merge groups "
-                        "must partition the categories"
-                    )
-                owner[category] = name
-        result = {name: 0 for name in groups}
-        other = 0
-        for category, nbytes in self._bytes.items():
-            name = owner.get(category)
-            if name is not None:
-                result[name] += nbytes
-            else:
-                other += nbytes
-        if other:
-            result["other"] = other
-        return result
 
 
 class Histogram:

@@ -15,15 +15,11 @@ from repro.workloads.commercial import (
     OLTP,
     SPECJBB,
 )
-from repro.workloads.microbench import (
-    contended_sharing_spec,
-    memory_pressure_spec,
-)
+from repro.workloads.microbench import contended_sharing_spec
 from repro.workloads.patterns import (
     PATTERN_KINDS,
     PatternSpec,
     pattern_ops,
-    pattern_stats,
 )
 from repro.workloads.programs import (
     ADVERSARIAL_PROGRAMS,
@@ -68,9 +64,7 @@ __all__ = [
     "generate_streams",
     "load_streams",
     "loads_streams",
-    "memory_pressure_spec",
     "pattern_ops",
-    "pattern_stats",
     "phase_stream",
     "stream_ops",
     "stream_stats",

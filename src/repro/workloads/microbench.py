@@ -30,15 +30,3 @@ def contended_sharing_spec(
         think_max_ns=40.0,
     )
 
-
-def memory_pressure_spec(ops_per_proc: int = 300) -> WorkloadSpec:
-    """All-streaming workload: every miss goes to memory (no sharing)."""
-    return WorkloadSpec(
-        name="microbench-streaming",
-        ops_per_proc=ops_per_proc,
-        migratory_weight=0.0,
-        producer_consumer_weight=0.0,
-        read_mostly_weight=0.0,
-        private_weight=0.0,
-        streaming_weight=1.0,
-    )

@@ -171,17 +171,3 @@ def pattern_ops(
             ) % spec.n_blocks
             yield MemoryOp(address(base + offset), proc == producer, think())
 
-
-def pattern_stats(spec: PatternSpec, n_procs: int, seed: int) -> dict:
-    """Quick characterization (mirrors ``stream_stats`` for mixes)."""
-    total = writes = dependent = 0
-    for proc in range(n_procs):
-        for op in pattern_ops(spec, proc, n_procs, seed):
-            total += 1
-            writes += op.is_write
-            dependent += op.depends_on_prev
-    return {
-        "total_ops": float(total),
-        "write_fraction": writes / total if total else 0.0,
-        "dependent_fraction": dependent / total if total else 0.0,
-    }

@@ -7,7 +7,6 @@ from repro.analysis.report import (
     format_table2,
     format_traffic_bars,
     speedup,
-    traffic_ratio,
 )
 from repro.config import SystemConfig
 from repro.system.simulator import SimulationResult
@@ -65,12 +64,6 @@ def test_speedup_convention():
     faster = make_result(cpt=1000.0)
     assert speedup(slower, faster) == pytest.approx(20.0)
     assert speedup(faster, slower) == pytest.approx(-1000.0 / 1200.0 * 20.0, abs=1)
-
-
-def test_traffic_ratio():
-    a = make_result(bpm_bytes={"data": 7200})
-    b = make_result(bpm_bytes={"data": 3600})
-    assert traffic_ratio(a, b) == pytest.approx(2.0)
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ def _tiny_spec(n: int = 4) -> CampaignSpec:
 def _store_bytes(root):
     return {
         p.name: p.read_bytes()
-        for p in sorted(root.glob("*.jsonl")) + [root / "meta.json"]
+        for p in sorted(root.glob("*.jsonl"))
     }
 
 

@@ -84,3 +84,20 @@ def test_presets_declare_expected_scales():
     # The predict tradeoff grid: 3 workloads x (7 full-bandwidth + 3
     # constrained-bandwidth variants).
     assert len(presets.build_spec("predict").cases()) == 30
+
+
+@pytest.mark.parametrize(
+    "name", ["explorer", "faults", "lineage", "differential"]
+)
+def test_explore_presets_share_one_default_seed_count(name):
+    """An explore preset built directly and built by name through the
+    CLI's path (``build_spec``, ``--seeds`` left at its default) has the
+    same cases: one default seed count, whoever builds it."""
+    from repro.campaign import cli, presets
+
+    direct = presets.SPEC_BUILDERS[name]()
+    by_name = presets.build_spec(name)
+    assert [c.key for c in direct.cases()] == [c.key for c in by_name.cases()]
+    assert cli._parse_args(["run", "--spec", name]).seeds == (
+        presets.DEFAULT_SEEDS
+    )

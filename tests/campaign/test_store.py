@@ -1,6 +1,5 @@
 """Store durability: shards, torn-line recovery, compaction, staleness."""
 
-import json
 import os
 from pathlib import Path
 
@@ -79,8 +78,6 @@ def test_compacted_store_bytes_are_history_independent(tmp_path):
     files_b = {p.name: p.read_bytes() for p in (tmp_path / "b").glob("*.jsonl")}
     assert files_a == files_b
     assert not list((tmp_path / "a").glob("pending-*.jsonl"))
-    meta = json.loads((tmp_path / "a" / "meta.json").read_text())
-    assert meta["n_shards"] == a.n_shards
 
 
 def test_compact_merges_pending_from_other_writers(tmp_path):
@@ -134,19 +131,19 @@ def test_compact_allowed_after_own_streams_only(tmp_path):
     assert not list(Path(tmp_path).glob("pending-*.jsonl"))
 
 
-def test_failed_meta_replace_leaves_no_temp_file(tmp_path, monkeypatch):
-    """Every atomic write cleans up its temp file on failure — the
-    ``meta.json`` write of a compaction included."""
+def test_failed_shard_replace_leaves_no_temp_file(tmp_path, monkeypatch):
+    """Every atomic write cleans up its temp file on failure — a
+    compaction's shard write included."""
     store = CampaignStore(tmp_path)
     store.append(_record(_case(0)))
     real_replace = os.replace
 
-    def replace_failing_for_meta(src, dst):
-        if Path(dst).name == "meta.json":
+    def replace_failing_for_shards(src, dst):
+        if Path(dst).name.startswith("shard-"):
             raise OSError("disk full")
         real_replace(src, dst)
 
-    monkeypatch.setattr(os, "replace", replace_failing_for_meta)
+    monkeypatch.setattr(os, "replace", replace_failing_for_shards)
     with pytest.raises(OSError, match="disk full"):
         store.compact()
     assert not list(Path(tmp_path).glob("*.tmp"))
@@ -194,28 +191,6 @@ def test_compact_prune_stale_drops_old_fingerprints(tmp_path, monkeypatch):
     fresh = CampaignStore(tmp_path)
     assert len(fresh) == 1
     assert fresh.records()[0]["fingerprint"] == "fp-new"
-
-
-def test_reopen_adopts_stored_shard_count(tmp_path):
-    """meta.json's n_shards survives default reopens, keeping a
-    non-default layout byte-stable across compactions."""
-    store = CampaignStore(tmp_path, n_shards=4)
-    for i in range(6):
-        store.append(_record(_case(i)))
-    store.compact()
-    shards_before = sorted(p.name for p in tmp_path.glob("shard-*.jsonl"))
-
-    reopened = CampaignStore(tmp_path)  # no explicit n_shards
-    assert reopened.n_shards == 4
-    reopened.append(_record(_case(6)))
-    reopened.compact()
-    assert sorted(
-        p.name for p in tmp_path.glob("shard-*.jsonl")
-    ) >= shards_before  # same 4-shard namespace, never re-sharded to 16
-    assert all(
-        int(p.name[len("shard-"):len("shard-") + 2]) < 4
-        for p in tmp_path.glob("shard-*.jsonl")
-    )
 
 
 def test_dirty_tracks_uncompacted_data(tmp_path):

@@ -27,6 +27,20 @@ def make_system(**overrides):
     return build_system(SystemConfig(**defaults), {})
 
 
+def test_home_interleaving():
+    """Memory is block-interleaved: block b's home is node b mod n, and
+    exactly that node answers ``is_home``."""
+    system = make_system(n_procs=16)
+    node = system.nodes[3]
+    homes = [node.home_of(block) for block in range(32)]
+    assert homes[:16] == list(range(16))
+    assert homes[16:] == list(range(16))
+    for block in range(32):
+        assert [n.node_id for n in system.nodes if n.is_home(block)] == [
+            block % 16
+        ]
+
+
 def test_probe_miss_returns_none():
     system = make_system()
     assert system.nodes[0].probe(5, for_write=False) is None

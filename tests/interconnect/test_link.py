@@ -14,11 +14,17 @@ def make_link(sim, latency=15.0, bandwidth=3.2, traffic=None):
     return Link(sim, "test", latency, bandwidth, traffic)
 
 
+def send(link, size_bytes, category, callback, *args):
+    """Carry one message of ``size_bytes`` over ``link`` by ``cross``."""
+    msg = Message(src=0, dst=1, size_bytes=size_bytes, category=category)
+    link.cross(msg, callback, args)
+
+
 def test_latency_only_delivery_time():
     sim = Simulator()
     link = make_link(sim, latency=15.0, bandwidth=None)
     arrivals = []
-    link.send(8, "request", lambda: arrivals.append(sim.now))
+    send(link, 8, "request", lambda: arrivals.append(sim.now))
     sim.run()
     assert arrivals == [15.0]
 
@@ -27,7 +33,7 @@ def test_serialization_adds_size_over_bandwidth():
     sim = Simulator()
     link = make_link(sim, latency=15.0, bandwidth=3.2)
     arrivals = []
-    link.send(72, "data", lambda: arrivals.append(sim.now))
+    send(link, 72, "data", lambda: arrivals.append(sim.now))
     sim.run()
     # 72 / 3.2 = 22.5 ns serialization + 15 ns latency
     assert arrivals == [pytest.approx(37.5)]
@@ -37,8 +43,8 @@ def test_back_to_back_messages_queue_for_bandwidth():
     sim = Simulator()
     link = make_link(sim, latency=15.0, bandwidth=3.2)
     arrivals = []
-    link.send(72, "data", lambda: arrivals.append(("a", sim.now)))
-    link.send(72, "data", lambda: arrivals.append(("b", sim.now)))
+    send(link, 72, "data", lambda: arrivals.append(("a", sim.now)))
+    send(link, 72, "data", lambda: arrivals.append(("b", sim.now)))
     sim.run()
     assert arrivals[0] == ("a", pytest.approx(22.5 + 15.0))
     assert arrivals[1] == ("b", pytest.approx(45.0 + 15.0))
@@ -48,8 +54,8 @@ def test_unlimited_bandwidth_messages_do_not_queue():
     sim = Simulator()
     link = make_link(sim, latency=15.0, bandwidth=None)
     arrivals = []
-    link.send(72, "data", lambda: arrivals.append(sim.now))
-    link.send(72, "data", lambda: arrivals.append(sim.now))
+    send(link, 72, "data", lambda: arrivals.append(sim.now))
+    send(link, 72, "data", lambda: arrivals.append(sim.now))
     sim.run()
     assert arrivals == [15.0, 15.0]
 
@@ -59,7 +65,7 @@ def test_link_is_fifo():
     link = make_link(sim)
     order = []
     for label in range(5):
-        link.send(8, "request", order.append, label)
+        send(link, 8, "request", order.append, label)
     sim.run()
     assert order == list(range(5))
 
@@ -68,10 +74,10 @@ def test_link_frees_up_after_idle():
     sim = Simulator()
     link = make_link(sim, latency=10.0, bandwidth=8.0)
     arrivals = []
-    link.send(8, "request", lambda: arrivals.append(sim.now))
+    send(link, 8, "request", lambda: arrivals.append(sim.now))
     sim.run()
     # Send again well after the link went idle: no queueing delay.
-    sim.schedule(0.0, lambda: link.send(8, "request", lambda: arrivals.append(sim.now)))
+    sim.schedule(0.0, lambda: send(link, 8, "request", lambda: arrivals.append(sim.now)))
     sim.run()
     assert arrivals[0] == pytest.approx(11.0)
     assert arrivals[1] == pytest.approx(arrivals[0] + 11.0)
@@ -81,8 +87,8 @@ def test_traffic_meter_integration():
     sim = Simulator()
     meter = TrafficMeter()
     link = make_link(sim, traffic=meter)
-    link.send(8, "request", lambda: None)
-    link.send(72, "data", lambda: None)
+    send(link, 8, "request", lambda: None)
+    send(link, 72, "data", lambda: None)
     sim.run()
     assert meter.bytes_by_category() == {"request": 8, "data": 72}
     assert link.crossings == 2

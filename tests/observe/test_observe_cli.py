@@ -68,6 +68,24 @@ def test_bad_fault_kind_exits_2_with_an_error(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["export"], ["timeline"], ["diff", "tokenb", "directory"], ["profile"],
+])
+def test_faults_refuse_a_processor_count_they_do_not_run(
+    command, tmp_path, capsys
+):
+    """A fault scenario runs at its own geometry; asking for another
+    processor count is refused, not silently ignored."""
+    if command == ["export"]:
+        command = ["export", "--out", str(tmp_path / "trace.json")]
+    with pytest.raises(SystemExit) as exited:
+        main([*command, "--faults", "link_flap", "--n-procs", "8"])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: --faults runs the fault scenario's 4 processors" in err
+    assert "--n-procs 8" in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["timeline", "--protocol", "bogus"],
      "argument --protocol: invalid choice: 'bogus'"),

@@ -154,7 +154,7 @@ def test_prediction_rates_empty_counters():
     rates = prediction_rates({})
     assert rates == {"multicasts": 0.0, "hit_rate": 0.0,
                      "coverage": 0.0, "overshoot": 0.0,
-                     "table_evictions": 0.0, "table_drops": 0.0}
+                     "table_evictions": 0.0}
 
 
 def test_unknown_predictor_rejected_by_config():

@@ -1,4 +1,4 @@
-"""PredictionTable: capacity, LRU order, macroblock indexing."""
+"""PredictionTable: capacity and LRU order."""
 
 import pytest
 from hypothesis import given, settings
@@ -35,111 +35,50 @@ def test_get_or_create_returns_same_entry():
     assert len(table) == 1
 
 
-def test_macroblock_indexing_shares_entries():
-    table = PredictionTable(8, macroblock_blocks=4)
-    entry = table.get_or_create(16, list)
-    # Blocks 16..19 share one macroblock entry; 20 starts the next.
-    assert table.get(19) is entry
-    assert table.get(20) is None
-    assert table.index_of(19) == 4 and table.index_of(20) == 5
-
-
-def test_drop_forgets_entry():
-    table = PredictionTable(4)
-    table.get_or_create(3, list)
-    table.drop(3)
-    assert table.get(3) is None
-
-
 def test_rejects_bad_geometry():
     with pytest.raises(ValueError, match="at least one entry"):
         PredictionTable(0)
-    with pytest.raises(ValueError, match="power of two"):
-        PredictionTable(4, macroblock_blocks=3)
-
-
-def test_drop_counts_separately_from_eviction():
-    """Regression: drop() removed the entry but bypassed all counting,
-    so invalidation-driven turnover was invisible in the stats."""
-    counters = Counter()
-    table = PredictionTable(2, counters=counters)
-    table.get_or_create(1, list)
-    table.drop(1)
-    assert table.drops == 1 and table.evictions == 0
-    assert counters.get("predict_table_drop") == 1
-    assert counters.get("predict_table_eviction") == 0
-
-
-def test_drop_of_absent_entry_is_not_counted():
-    table = PredictionTable(2)
-    table.drop(9)  # never inserted: no turnover happened
-    table.get_or_create(1, list)
-    table.drop(1)
-    table.drop(1)  # second drop is a no-op
-    assert table.drops == 1
-
-
-def test_drop_counter_name_is_configurable():
-    counters = Counter()
-    table = PredictionTable(2, counters=counters,
-                            drop_counter="softdir_drop")
-    table.get_or_create(1, list)
-    table.drop(1)
-    assert counters.get("softdir_drop") == 1
-    assert counters.get("predict_table_drop") == 0
 
 
 # ----------------------------------------------------------------------
 # Property: against any op sequence, the table behaves exactly like an
-# LRU-ordered dict of macroblock indices — same membership, same victim
-# choice, same eviction/drop tallies (macroblock aliasing included).
+# LRU-ordered dict of blocks — same membership, same victim choice, same
+# eviction tally.
 # ----------------------------------------------------------------------
 
 _ops = st.lists(
     st.tuples(
-        st.sampled_from(["get", "create", "drop"]),
+        st.sampled_from(["get", "create"]),
         st.integers(min_value=0, max_value=63),
     ),
     max_size=80,
 )
 
 
-@given(
-    ops=_ops,
-    capacity=st.integers(min_value=1, max_value=8),
-    macroblock=st.sampled_from([1, 2, 4, 8]),
-)
+@given(ops=_ops, capacity=st.integers(min_value=1, max_value=8))
 @settings(max_examples=120, deadline=None)
-def test_table_matches_lru_reference_model(ops, capacity, macroblock):
-    table = PredictionTable(capacity, macroblock_blocks=macroblock)
+def test_table_matches_lru_reference_model(ops, capacity):
+    table = PredictionTable(capacity)
     model: dict[int, object] = {}  # insertion-ordered = LRU order
-    evictions = drops = 0
-    shift = macroblock.bit_length() - 1
+    evictions = 0
     for op, block in ops:
-        index = block >> shift
         if op == "get":
             got = table.get(block)
-            assert got is model.get(index), (op, block)
-            if index in model:
-                model[index] = model.pop(index)  # refresh to MRU
-        elif op == "create":
+            assert got is model.get(block), (op, block)
+            if block in model:
+                model[block] = model.pop(block)  # refresh to MRU
+        else:
             entry = table.get_or_create(block, object)
-            if index in model:
-                assert entry is model[index]
-                model[index] = model.pop(index)
+            if block in model:
+                assert entry is model[block]
+                model[block] = model.pop(block)
             else:
                 if len(model) >= capacity:
                     victim = next(iter(model))  # least recently used
                     del model[victim]
                     evictions += 1
-                model[index] = entry
-        else:
-            table.drop(block)
-            if index in model:
-                del model[index]
-                drops += 1
+                model[block] = entry
         assert len(table) == len(model) <= capacity
     for block in range(64):
-        assert (block in table) == ((block >> shift) in model)
+        assert (block in table) == (block in model)
     assert table.evictions == evictions
-    assert table.drops == drops

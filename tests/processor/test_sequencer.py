@@ -31,6 +31,34 @@ def test_l1_hit_costs_l1_latency_only():
     del result
 
 
+def test_block_of_uses_block_size():
+    # Byte addresses 0, 63 and 64 in sequence: with 64-byte blocks the
+    # second load hits the first's block in the L1 and the third misses
+    # into the next block; with 128-byte blocks all three share block 0.
+    streams = {0: [
+        MemoryOp(0, False),
+        MemoryOp(63, False, depends_on_prev=True),
+        MemoryOp(64, False, depends_on_prev=True),
+    ]}
+    for block_bytes, misses in ((64, 2), (128, 1)):
+        system = make_system(streams, block_bytes=block_bytes)
+        system.run()
+        seq = system.sequencers[0]
+        assert (seq.misses, seq.l1_hits) == (misses, 3 - misses)
+
+
+def test_offset_bits():
+    # The sequencer drops log2(block_bytes) offset bits, so byte
+    # 100 * B + 5 lands in block 100 for 64- and 128-byte blocks alike.
+    for block_bytes in (64, 128):
+        streams = {0: [MemoryOp(100 * block_bytes + 5, False)]}
+        system = make_system(streams, block_bytes=block_bytes)
+        system.run()
+        l1 = system.sequencers[0].l1
+        assert l1.contains(100)
+        assert not l1.contains(50) and not l1.contains(200)
+
+
 def test_feed_refuses_a_sequencer_with_work_in_flight():
     # A raise, not an assert: under ``python -O`` the replaced stream
     # would silently drop every op not yet fetched.

@@ -8,7 +8,6 @@ from repro.cache.cache import SetAssociativeCache
 from repro.coherence.states import Moesi, state_from_tokens
 from repro.core.tokens import TokenLedger
 from repro.interconnect.torus import TorusInterconnect, torus_dims
-from repro.memory.address import AddressMap
 from repro.sim.kernel import Simulator
 from repro.sim.rng import ExponentialBackoff, derive_rng
 from repro.workloads.trace import dumps_streams, loads_streams
@@ -196,15 +195,26 @@ def test_torus_spanning_tree_reaches_every_node_once(n, src):
 
 @given(
     st.integers(min_value=0, max_value=2**40),
-    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=2, max_value=64),
     st.sampled_from([32, 64, 128]),
 )
-@settings(max_examples=100)
-def test_address_map_properties(address, n_nodes, block_bytes):
-    amap = AddressMap(n_nodes, block_bytes)
-    block = amap.block_of(address)
-    assert amap.address_of(block) <= address < amap.address_of(block + 1)
-    assert 0 <= amap.home_of(block) < n_nodes
+@settings(max_examples=100, deadline=None)
+def test_address_map_properties(address, n_procs, block_bytes):
+    """A store lands on the block holding its byte address, and exactly
+    one node, ``block % n_procs``, is that block's home."""
+    from repro.config import SystemConfig
+    from repro.system.builder import build_system
+
+    config = SystemConfig(
+        n_procs=n_procs, block_bytes=block_bytes, l1_bytes=4 * block_bytes,
+        l1_assoc=2, l2_bytes=8 * block_bytes, l2_assoc=2,
+    )
+    system = build_system(config, {0: [MemoryOp(address, True)]})
+    system.run()
+    block = address // block_bytes
+    assert system.checker.current_version(block) == 1
+    homes = [node.node_id for node in system.nodes if node.is_home(block)]
+    assert homes == [system.nodes[0].home_of(block)] == [block % n_procs]
 
 
 # ----------------------------------------------------------------------

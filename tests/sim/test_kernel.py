@@ -74,43 +74,6 @@ def test_cancelled_event_does_not_fire():
     assert fired == ["y"]
 
 
-def test_run_until_stops_clock_at_bound():
-    sim = Simulator()
-    fired = []
-    sim.schedule(10.0, fired.append, "early")
-    sim.schedule(100.0, fired.append, "late")
-    sim.run(until=50.0)
-    assert fired == ["early"]
-    assert sim.now == 50.0
-    sim.run()
-    assert fired == ["early", "late"]
-    assert sim.now == 100.0
-
-
-def test_run_until_advances_clock_on_empty_queue():
-    sim = Simulator()
-    sim.run(until=42.0)
-    assert sim.now == 42.0
-
-
-def test_run_until_before_now_raises_and_keeps_the_clock():
-    """``now`` never moves backwards: an ``until`` in the past is refused
-    like a post into the past, with the clock and the queue untouched."""
-    sim = Simulator()
-    fired = []
-    sim.post(10.0, fired.append, "a")
-    sim.post(20.0, fired.append, "b")
-    sim.run(until=12.0)
-    with pytest.raises(SimulationError, match="already at t=12"):
-        sim.run(until=5.0)
-    assert sim.now == 12.0
-    assert sim.pending_events == 1
-    sim.post(1.0, fired.append, "c")
-    sim.run()
-    assert fired == ["a", "c", "b"]
-    assert sim.now == 20.0
-
-
 def test_step_fires_exactly_one_event():
     sim = Simulator()
     fired = []
@@ -121,14 +84,6 @@ def test_step_fires_exactly_one_event():
     assert sim.step()
     assert fired == ["a", "b"]
     assert not sim.step()
-
-
-def test_schedule_at_absolute_time():
-    sim = Simulator()
-    fired = []
-    sim.schedule_at(25.0, lambda: fired.append(sim.now))
-    sim.run()
-    assert fired == [25.0]
 
 
 def test_max_events_safety_valve():
@@ -224,9 +179,9 @@ def test_compaction_preserves_firing_order():
 
 
 def test_post_at_ties_with_post_in_insertion_order():
-    """post_at(T) and post(T - now) land in the same (time, seq) domain:
-    ties fire in exact insertion order regardless of which entry point
-    scheduled them."""
+    """post_at(T), post(T - now) and schedule(T - now) land in the same
+    (time, seq) domain: ties fire in exact insertion order regardless of
+    which entry point scheduled them."""
     sim = Simulator()
     fired = []
 
@@ -235,7 +190,7 @@ def test_post_at_ties_with_post_in_insertion_order():
         sim.post(15.0, fired.append, "rel1")
         sim.post_at(25.0, fired.append, "at2")
         sim.post(15.0, fired.append, "rel2")
-        sim.schedule_at(25.0, fired.append, "sched")
+        sim.schedule(15.0, fired.append, "sched")
 
     sim.schedule(10.0, submit)
     sim.run()

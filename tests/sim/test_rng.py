@@ -75,14 +75,6 @@ def test_backoff_window_doubles_and_caps():
     assert all(0 <= d < 35.0 for d in delays)
 
 
-def test_backoff_reset_restores_initial_window():
-    backoff = ExponentialBackoff(derive_rng(1, "bk"), 10.0, 1000.0)
-    for _ in range(5):
-        backoff.next_delay()
-    backoff.reset()
-    assert backoff.next_delay() < 10.0
-
-
 def test_backoff_rejects_bad_windows():
     rng = derive_rng(1, "bk")
     with pytest.raises(ValueError):

@@ -17,25 +17,11 @@ def test_counter_accumulates():
 
 def test_traffic_meter_records_bytes_and_crossings():
     meter = TrafficMeter()
-    meter.record_crossing("request", 8)
-    meter.record_crossing("request", 8)
-    meter.record_crossing("data", 72)
+    meter.record_crossings("request", 8, 2)
+    meter.record_crossings("data", 72, 1)
     assert meter.bytes_by_category() == {"request": 16, "data": 72}
     assert meter.crossings_by_category() == {"request": 2, "data": 1}
     assert meter.total_bytes() == 88
-
-
-def test_traffic_meter_merged_grouping():
-    meter = TrafficMeter()
-    meter.record_crossing("request", 8)
-    meter.record_crossing("reissue", 8)
-    meter.record_crossing("data", 72)
-    meter.record_crossing("writeback", 72)
-    meter.record_crossing("mystery", 5)
-    merged = meter.merged(
-        {"requests": ["request", "reissue"], "data": ["data", "writeback"]}
-    )
-    assert merged == {"requests": 16, "data": 144, "other": 5}
 
 
 def test_latency_tracker_mean_and_max():
@@ -58,21 +44,6 @@ def test_latency_tracker_initial_ewma_used_before_samples():
     tracker = LatencyTracker(initial=200.0)
     assert tracker.ewma == 200.0
     assert tracker.mean == 0.0
-
-
-def test_traffic_meter_merged_rejects_duplicate_category():
-    """A category listed under two groups would be double-counted; the
-    grouping is a partition, and merged() enforces it."""
-    import pytest
-
-    meter = TrafficMeter()
-    meter.record_crossing("request", 8)
-    with pytest.raises(ValueError) as excinfo:
-        meter.merged({"a": ["request", "data"], "b": ["data"]})
-    assert "data" in str(excinfo.value)
-    # Duplicates within one group are equally wrong.
-    with pytest.raises(ValueError):
-        meter.merged({"a": ["request", "request"]})
 
 
 # ----------------------------------------------------------------------

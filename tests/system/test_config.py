@@ -38,6 +38,20 @@ def test_tokens_below_processor_count_rejected():
         SystemConfig(n_procs=16, tokens_per_block=8)
 
 
+def test_block_bytes_must_be_power_of_two():
+    # The sequencer maps an address to its block with a shift.
+    for block_bytes in (0, 48, 60):
+        with pytest.raises(ValueError, match="power of two"):
+            SystemConfig(block_bytes=block_bytes)
+    assert SystemConfig(block_bytes=128).block_bytes == 128
+
+
+def test_negative_dram_latency_rejected():
+    with pytest.raises(ValueError, match="dram_latency_ns"):
+        SystemConfig(dram_latency_ns=-1.0)
+    assert SystemConfig(dram_latency_ns=0.0).dram_latency_ns == 0.0
+
+
 def test_unknown_protocol_rejected():
     with pytest.raises(ValueError):
         SystemConfig(protocol="mesi")

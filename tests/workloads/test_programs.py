@@ -11,14 +11,13 @@ from repro.workloads.patterns import (
     PATTERN_KINDS,
     PatternSpec,
     pattern_ops,
-    pattern_stats,
 )
 from repro.workloads.programs import (
     ADVERSARIAL_PROGRAMS,
     CAMPAIGN_PROGRAMS,
     WorkloadProgram,
 )
-from repro.workloads.synthetic import WorkloadSpec
+from repro.workloads.synthetic import WorkloadSpec, stream_stats
 from repro.workloads.trace import dumps_streams, loads_streams
 
 
@@ -115,7 +114,10 @@ def test_producer_group_handoff_rotates_the_writer():
 
 
 def test_pattern_stats_characterizes():
-    stats = pattern_stats(pattern("false_sharing_stride"), n_procs=2, seed=1)
+    spec = pattern("false_sharing_stride")
+    stats = stream_stats(
+        {proc: list(pattern_ops(spec, proc, 2, seed=1)) for proc in range(2)}
+    )
     assert stats["total_ops"] == 96.0
     assert stats["write_fraction"] == pytest.approx(0.5)
     assert stats["dependent_fraction"] == pytest.approx(0.5)

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.workloads.commercial import APACHE, COMMERCIAL_WORKLOADS, OLTP, SPECJBB
-from repro.workloads.microbench import contended_sharing_spec, memory_pressure_spec
+from repro.workloads.microbench import contended_sharing_spec
 from repro.workloads.synthetic import (
     WorkloadSpec,
     generate_stream,
@@ -91,7 +91,15 @@ def test_stream_ops_generator_matches_list_form():
 
 
 def test_streaming_spec_never_repeats_blocks():
-    spec = memory_pressure_spec(ops_per_proc=100)
+    spec = WorkloadSpec(
+        name="streaming",
+        ops_per_proc=100,
+        migratory_weight=0.0,
+        producer_consumer_weight=0.0,
+        read_mostly_weight=0.0,
+        private_weight=0.0,
+        streaming_weight=1.0,
+    )
     stream = generate_stream(spec, 1, 4, seed=5)
     addresses = [op.address for op in stream]
     assert len(set(addresses)) == len(addresses)
