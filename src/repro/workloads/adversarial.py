@@ -41,18 +41,27 @@ def false_sharing_streams(
     block_bytes: int = 64,
     n_blocks: int = 4,
 ) -> dict[int, list[MemoryOp]]:
-    """Per-processor offsets within one shared pool of hot blocks."""
+    """Per-processor offsets within one shared pool of hot blocks.
+
+    Per load/store pair: the block, ``getrandbits`` redrawn until below
+    ``n_blocks`` (CPython's ``randrange``), then ``random()`` for the
+    load's think time, ``20.0 * draw`` (``uniform(0, 20)``).
+    """
+    k = n_blocks.bit_length()
     streams: dict[int, list[MemoryOp]] = {}
     for proc in range(n_procs):
         rng = derive_rng(seed, "adversarial", "false_sharing", proc)
+        random, getrandbits = rng.random, rng.getrandbits
         offset = proc % block_bytes  # "private" byte inside a shared block
         ops: list[MemoryOp] = []
-        while len(ops) < ops_per_proc:
-            block = _BASE_BLOCK + rng.randrange(n_blocks)
-            addr = block * block_bytes + offset
+        for _ in range((ops_per_proc + 1) // 2):
+            r = getrandbits(k)
+            while r >= n_blocks:
+                r = getrandbits(k)
+            addr = (_BASE_BLOCK + r) * block_bytes + offset
             # Lock-style RMW on the proc's own byte of the shared block.
-            ops.append(MemoryOp(addr, False, rng.uniform(0.0, 20.0)))
-            ops.append(MemoryOp(addr, True, 2.0, depends_on_prev=True))
+            ops.append(MemoryOp(addr, False, 20.0 * random()))
+            ops.append(MemoryOp(addr, True, 2.0, True))
         streams[proc] = ops[:ops_per_proc]
     return streams
 
@@ -70,21 +79,27 @@ def eviction_storm_streams(
     ``ways_pressure`` conflicting blocks per set (vs. the explorer's
     4-way L2) guarantees every access is one eviction away from pushing
     someone else's tokens back into flight.
+
+    Per op: the pool index, ``getrandbits`` redrawn until below
+    ``ways_pressure`` (CPython's ``choice``), ``random() < 0.5`` for a
+    write, then ``random()`` for the think time, ``10.0 * draw``.
     """
     target_set = 1 % n_sets
     pool = [
-        _BASE_BLOCK + target_set + i * n_sets for i in range(ways_pressure)
+        (_BASE_BLOCK + target_set + i * n_sets) * block_bytes
+        for i in range(ways_pressure)
     ]
+    k = ways_pressure.bit_length()
     streams: dict[int, list[MemoryOp]] = {}
     for proc in range(n_procs):
         rng = derive_rng(seed, "adversarial", "eviction_storm", proc)
+        random, getrandbits = rng.random, rng.getrandbits
         ops: list[MemoryOp] = []
         for _ in range(ops_per_proc):
-            block = rng.choice(pool)
-            write = rng.random() < 0.5
-            ops.append(
-                MemoryOp(block * block_bytes, write, rng.uniform(0.0, 10.0))
-            )
+            r = getrandbits(k)
+            while r >= ways_pressure:
+                r = getrandbits(k)
+            ops.append(MemoryOp(pool[r], random() < 0.5, 10.0 * random()))
         streams[proc] = ops
     return streams
 
@@ -106,19 +121,25 @@ def writeback_churn_streams(
     concentrate unevictable (mid-transaction or persistent-pinned) lines
     in a single set, or capacity itself becomes the bottleneck the
     simulator declares as a misconfiguration.
+
+    Per op: the block, ``getrandbits`` redrawn until below
+    ``pool_blocks`` (CPython's ``choice``), ``random() < 0.7`` for a
+    write, then ``random()`` for the think time, ``10.0 * draw``.
     """
+    k = pool_blocks.bit_length()
     streams: dict[int, list[MemoryOp]] = {}
     for proc in range(n_procs):
         rng = derive_rng(seed, "adversarial", "writeback_churn", proc)
+        random, getrandbits = rng.random, rng.getrandbits
         base = _BASE_BLOCK + (proc + 1) * 4096
-        pool = [base + i for i in range(pool_blocks)]
         ops: list[MemoryOp] = []
         for _ in range(ops_per_proc):
-            block = rng.choice(pool)
-            write = rng.random() < 0.7
-            ops.append(
-                MemoryOp(block * block_bytes, write, rng.uniform(0.0, 10.0))
-            )
+            r = getrandbits(k)
+            while r >= pool_blocks:
+                r = getrandbits(k)
+            ops.append(MemoryOp(
+                (base + r) * block_bytes, random() < 0.7, 10.0 * random()
+            ))
         streams[proc] = ops
     return streams
 
@@ -130,18 +151,30 @@ def arbiter_contention_streams(
     block_bytes: int = 64,
     n_blocks: int = 3,
 ) -> dict[int, list[MemoryOp]]:
-    """Write-heavy RMW traffic on blocks all homed at node 0."""
+    """Write-heavy RMW traffic on blocks all homed at node 0.
+
+    Per load/store pair: the pool index, ``getrandbits`` redrawn until
+    below ``n_blocks`` (CPython's ``choice``), then ``random()`` for the
+    load's think time, ``8.0 * draw``.
+    """
     # Home mapping is block % n_procs: multiples of n_procs live at 0.
-    pool = [_BASE_BLOCK * n_procs + i * n_procs for i in range(n_blocks)]
+    pool = [
+        (_BASE_BLOCK * n_procs + i * n_procs) * block_bytes
+        for i in range(n_blocks)
+    ]
+    k = n_blocks.bit_length()
     streams: dict[int, list[MemoryOp]] = {}
     for proc in range(n_procs):
         rng = derive_rng(seed, "adversarial", "arbiter_contention", proc)
+        random, getrandbits = rng.random, rng.getrandbits
         ops: list[MemoryOp] = []
-        while len(ops) < ops_per_proc:
-            block = rng.choice(pool)
-            addr = block * block_bytes
-            ops.append(MemoryOp(addr, False, rng.uniform(0.0, 8.0)))
-            ops.append(MemoryOp(addr, True, 1.0, depends_on_prev=True))
+        for _ in range((ops_per_proc + 1) // 2):
+            r = getrandbits(k)
+            while r >= n_blocks:
+                r = getrandbits(k)
+            addr = pool[r]
+            ops.append(MemoryOp(addr, False, 8.0 * random()))
+            ops.append(MemoryOp(addr, True, 1.0, True))
         streams[proc] = ops[:ops_per_proc]
     return streams
 

@@ -93,6 +93,10 @@ class PatternSpec:
             raise ValueError("group_size must be >= 1")
         if self.rotation_period < 1:
             raise ValueError("rotation_period must be >= 1")
+        if not 0.0 <= self.write_prob <= 1.0:
+            raise ValueError("write_prob must be in [0, 1]")
+        if not 0.0 <= self.think_min_ns <= self.think_max_ns:
+            raise ValueError("need 0 <= think_min_ns <= think_max_ns")
 
     def scaled(self, ops_per_proc: int) -> "PatternSpec":
         """Copy of this pattern with a different stream length."""
@@ -107,67 +111,85 @@ def pattern_ops(
     block_bytes: int = 64,
     salt: tuple = (),
 ) -> Iterator[MemoryOp]:
-    """Yield processor ``proc``'s stream for one pattern, lazily."""
+    """Yield processor ``proc``'s stream for one pattern, lazily.
+
+    Each op draws from the stream's ``random.Random``, in this order
+    (the contract ``tests/golden/streams_golden.json`` pins):
+
+    1. ``rotating_hotspot`` and ``producer_group_handoff``: the block's
+       offset in its hot group or slice, ``r = getrandbits(k)`` with
+       ``k`` the group or slice size's bit length, redrawn while ``r``
+       is not below the size (CPython's ``randrange``);
+    2. ``rotating_hotspot``: ``random()`` against ``write_prob``;
+    3. ``random()`` for the think time, ``min + (max - min) * draw``
+       (``uniform``'s arithmetic).  The dependent store of a
+       ``false_sharing_stride`` pair thinks 2 ns and draws nothing.
+    """
     rng = derive_rng(
         seed, "pattern", spec.kind, spec.name, n_procs, proc, *salt
     )
+    random, getrandbits = rng.random, rng.getrandbits
     base = _region_base(_PATTERN_REGION)
-
-    def think() -> float:
-        return rng.uniform(spec.think_min_ns, spec.think_max_ns)
-
-    def address(block: int) -> int:
-        return block * block_bytes
-
+    lo = spec.think_min_ns
+    span = spec.think_max_ns - lo
     n_ops = spec.ops_per_proc
+    n_blocks = spec.n_blocks
+    period = spec.rotation_period
     if spec.kind == "barrier_all_touch":
         for i in range(n_ops):
-            epoch, position = divmod(i, spec.n_blocks)
-            block = base + (proc + position) % spec.n_blocks
-            writer = epoch % n_procs == proc
-            yield MemoryOp(address(block), writer, think())
+            block = base + (proc + i % n_blocks) % n_blocks
+            writer = (i // n_blocks) % n_procs == proc
+            yield MemoryOp(block * block_bytes, writer, lo + span * random())
     elif spec.kind == "rotating_hotspot":
-        n_groups = max(1, spec.n_blocks // spec.hot_blocks)
+        n_groups = max(1, n_blocks // spec.hot_blocks)
+        size = spec.hot_blocks
+        k = size.bit_length()
+        write_prob = spec.write_prob
         for i in range(n_ops):
-            group = (i // spec.rotation_period) % n_groups
-            block = base + group * spec.hot_blocks + rng.randrange(
-                spec.hot_blocks
+            r = getrandbits(k)
+            while r >= size:
+                r = getrandbits(k)
+            group = (i // period) % n_groups
+            block = base + group * size + r
+            yield MemoryOp(
+                block * block_bytes, random() < write_prob,
+                lo + span * random(),
             )
-            is_write = rng.random() < spec.write_prob
-            yield MemoryOp(address(block), is_write, think())
     elif spec.kind == "false_sharing_stride":
         offset = proc % block_bytes
         emitted = 0
         index = 0
         while emitted < n_ops:
-            block = base + (index * spec.stride_blocks) % spec.n_blocks
+            block = base + (index * spec.stride_blocks) % n_blocks
             index += 1
-            addr = address(block) + offset
-            if n_ops - emitted >= 2:
-                # RMW on this proc's own byte of the shared block.
-                yield MemoryOp(addr, False, think())
-                yield MemoryOp(addr, True, 2.0, depends_on_prev=True)
-                emitted += 2
-            else:
-                # One slot left: a lone read probe, never a half-pair.
-                yield MemoryOp(addr, False, think())
+            address = block * block_bytes + offset
+            # RMW on this proc's own byte of the shared block; with one
+            # slot left, a lone read probe, never a half-pair.
+            yield MemoryOp(address, False, lo + span * random())
+            emitted += 1
+            if emitted < n_ops:
+                yield MemoryOp(address, True, 2.0, True)
                 emitted += 1
     else:  # producer_group_handoff
         group = proc // spec.group_size
         members = [
             p for p in range(n_procs) if p // spec.group_size == group
         ]
-        blocks_per_group = max(1, spec.n_blocks // max(
+        size = max(1, n_blocks // max(
             1, (n_procs + spec.group_size - 1) // spec.group_size
         ))
+        k = size.bit_length()
+        n_members = len(members)
         for i in range(n_ops):
-            producer = members[(i // spec.rotation_period) % len(members)]
+            producer = members[(i // period) % n_members]
+            r = getrandbits(k)
+            while r >= size:
+                r = getrandbits(k)
             # Slices stay inside the declared pool: when there are more
             # groups than the pool can give disjoint slices, far groups
             # wrap around and share blocks rather than silently growing
             # the footprint past n_blocks.
-            offset = (
-                group * blocks_per_group + rng.randrange(blocks_per_group)
-            ) % spec.n_blocks
-            yield MemoryOp(address(base + offset), proc == producer, think())
-
+            block = base + (group * size + r) % n_blocks
+            yield MemoryOp(
+                block * block_bytes, proc == producer, lo + span * random()
+            )

@@ -25,6 +25,8 @@ deterministic per-processor operation streams:
 from __future__ import annotations
 
 import dataclasses
+import itertools
+from bisect import bisect_left
 from typing import Iterator
 
 from repro.processor.sequencer import MemoryOp
@@ -74,6 +76,19 @@ class WorkloadSpec:
             raise ValueError("at least one category weight must be positive")
         if self.ops_per_proc < 1:
             raise ValueError("ops_per_proc must be >= 1")
+        for category, size in self.pool_sizes().items():
+            if size < 0:
+                raise ValueError(f"n_{category}_blocks must be >= 0")
+            if size == 0 and weights[category] > 0:
+                raise ValueError(
+                    f"{category}_weight is {weights[category]} but "
+                    f"n_{category}_blocks is 0: nothing to draw from"
+                )
+        for name in ("read_mostly_write_prob", "private_write_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if not 0.0 <= self.think_min_ns <= self.think_max_ns:
+            raise ValueError("need 0 <= think_min_ns <= think_max_ns")
 
     def category_weights(self) -> dict[str, float]:
         return {
@@ -84,36 +99,33 @@ class WorkloadSpec:
             "streaming": self.streaming_weight,
         }
 
+    def pool_sizes(self) -> dict[str, int]:
+        """Blocks per pooled category (streaming walks a region)."""
+        return {
+            "migratory": self.n_migratory_blocks,
+            "producer_consumer": self.n_producer_consumer_blocks,
+            "read_mostly": self.n_read_mostly_blocks,
+            "private": self.n_private_blocks,
+        }
+
     def scaled(self, ops_per_proc: int) -> "WorkloadSpec":
         """Copy of this spec with a different stream length."""
         return dataclasses.replace(self, ops_per_proc=ops_per_proc)
 
 
-class _Pools:
-    """Block-address pools for one (spec, n_procs) instantiation."""
+#: Category indices, in :meth:`WorkloadSpec.category_weights` order.
+_MIGRATORY, _PRODUCER_CONSUMER, _READ_MOSTLY, _PRIVATE, _STREAMING = range(5)
 
-    def __init__(self, spec: WorkloadSpec, n_procs: int) -> None:
-        self.migratory = [
-            _region_base(0) + i for i in range(spec.n_migratory_blocks)
-        ]
-        self.producer_consumer = [
-            _region_base(1) + i for i in range(spec.n_producer_consumer_blocks)
-        ]
-        self.read_mostly = [
-            _region_base(2) + i for i in range(spec.n_read_mostly_blocks)
-        ]
-        # Private and streaming regions are per processor.
-        self.private = {
-            proc: [
-                _region_base(3) + proc * spec.n_private_blocks + i
-                for i in range(spec.n_private_blocks)
-            ]
-            for proc in range(n_procs)
-        }
-        self.streaming_base = {
-            proc: _region_base(4) + proc * (_REGION_BLOCKS // max(n_procs, 1))
-            for proc in range(n_procs)
-        }
+
+def _bounds(weights: list[float]) -> list[float]:
+    """Cumulative normalized weights, for ``bisect_left`` over a roll in
+    [0, 1): the first bound at or above the roll names the category.
+    The last bound is 1.0, so a roll past a sum that rounds short of one
+    falls to the last category."""
+    total = sum(weights)
+    bounds = list(itertools.accumulate(weight / total for weight in weights))
+    bounds[-1] = 1.0
+    return bounds
 
 
 def stream_ops(
@@ -142,86 +154,79 @@ def stream_ops(
     pair — truncation used to drop the ``depends_on_prev=True`` store,
     leaving a lock acquire with no release and skewing the write
     fraction.
+
+    Each category pick draws from the stream's ``random.Random``, in
+    this order (the contract ``tests/golden/streams_golden.json`` pins):
+
+    1. ``random()``, the category roll;
+    2. a migratory pick with one slot left, when another category has
+       weight: ``random()`` again, over the rest of the mix;
+    3. a pooled category's block, ``base + r``: ``r = getrandbits(k)``
+       with ``k`` the pool size's bit length, redrawn while ``r`` is not
+       below the size (CPython's ``choice``); streaming draws nothing
+       and walks its region;
+    4. read-mostly and private: ``random()`` against the write
+       probability (producer-consumer writes the blocks it produces);
+    5. ``random()`` for the think time, ``min + (max - min) * draw``
+       (``uniform``'s arithmetic).  A migratory store thinks 2 ns and
+       draws nothing.
     """
     rng = derive_rng(seed, "workload", spec.name, n_procs, proc, *salt)
-    pools = _Pools(spec, n_procs)
-    weights = spec.category_weights()
-    categories = list(weights)
-    cumulative: list[float] = []
-    total = sum(weights.values())
-    acc = 0.0
-    for category in categories:
-        acc += weights[category] / total
-        cumulative.append(acc)
-
-    # Renormalized mix over the non-migratory categories, used only for
-    # the final slot when a load/store pair no longer fits.
-    other_categories = [c for c in categories if c != "migratory"]
-    other_total = sum(weights[c] for c in other_categories)
-    other_cumulative: list[float] = []
-    acc = 0.0
-    if other_total > 0:
-        for category in other_categories:
-            acc += weights[category] / other_total
-            other_cumulative.append(acc)
-
-    def pick_category() -> str:
-        roll = rng.random()
-        for category, bound in zip(categories, cumulative):
-            if roll <= bound:
-                return category
-        return categories[-1]
-
-    def pick_other_category() -> str:
-        roll = rng.random()
-        for category, bound in zip(other_categories, other_cumulative):
-            if roll <= bound:
-                return category
-        return other_categories[-1]
-
-    def think() -> float:
-        return rng.uniform(spec.think_min_ns, spec.think_max_ns)
-
-    def address(block: int) -> int:
-        return block * block_bytes
-
-    emitted = 0
+    random, getrandbits = rng.random, rng.getrandbits
+    weights = list(spec.category_weights().values())
+    bounds = _bounds(weights)
+    # The mix without migratory, rolled only for the final slot when a
+    # load/store pair no longer fits.
+    rest = _bounds(weights[1:]) if sum(weights[1:]) > 0 else None
+    # (base, size, size's bit length) per pooled category.  Private
+    # pools and streaming regions are per processor.
+    bases = [_region_base(0), _region_base(1), _region_base(2),
+             _region_base(3) + proc * spec.n_private_blocks]
+    pools = [
+        (base, size, size.bit_length())
+        for base, size in zip(bases, spec.pool_sizes().values())
+    ]
+    write_prob = {
+        _READ_MOSTLY: spec.read_mostly_write_prob,
+        _PRIVATE: spec.private_write_prob,
+    }
+    streaming_next = _region_base(4) + proc * (
+        _REGION_BLOCKS // max(n_procs, 1)
+    )
+    lo = spec.think_min_ns
+    span = spec.think_max_ns - lo
     n_ops = spec.ops_per_proc
-    streaming_next = pools.streaming_base[proc]
+    emitted = 0
     while emitted < n_ops:
-        category = pick_category()
-        if category == "migratory":
-            if n_ops - emitted >= 2:
-                block = rng.choice(pools.migratory)
-                # Lock-style read-modify-write: store depends on load.
-                yield MemoryOp(address(block), False, think())
-                yield MemoryOp(address(block), True, 2.0, depends_on_prev=True)
-                emitted += 2
-                continue
-            if not other_cumulative:
-                # All-migratory spec with one slot left: a standalone
-                # read probe of a hot block (no dangling dependent store).
-                block = rng.choice(pools.migratory)
-                yield MemoryOp(address(block), False, think())
-                emitted += 1
-                continue
-            category = pick_other_category()
-        if category == "producer_consumer":
-            block = rng.choice(pools.producer_consumer)
-            producer = block % n_procs
-            yield MemoryOp(address(block), proc == producer, think())
-        elif category == "read_mostly":
-            block = rng.choice(pools.read_mostly)
-            is_write = rng.random() < spec.read_mostly_write_prob
-            yield MemoryOp(address(block), is_write, think())
-        elif category == "private":
-            block = rng.choice(pools.private[proc])
-            is_write = rng.random() < spec.private_write_prob
-            yield MemoryOp(address(block), is_write, think())
-        else:  # streaming
+        category = bisect_left(bounds, random())
+        if category == _MIGRATORY and emitted == n_ops - 1 and rest:
+            category = 1 + bisect_left(rest, random())
+        if category == _STREAMING:
             block = streaming_next
             streaming_next += 1
-            yield MemoryOp(address(block), False, think())
+        else:
+            base, size, k = pools[category]
+            r = getrandbits(k)
+            while r >= size:
+                r = getrandbits(k)
+            block = base + r
+        address = block * block_bytes
+        if category == _MIGRATORY:
+            # Lock-style read-modify-write: the store depends on the
+            # load.  With one slot left it is a lone read probe.
+            yield MemoryOp(address, False, lo + span * random())
+            emitted += 1
+            if emitted < n_ops:
+                yield MemoryOp(address, True, 2.0, True)
+                emitted += 1
+            continue
+        if category == _PRODUCER_CONSUMER:
+            is_write = proc == block % n_procs
+        elif category == _STREAMING:
+            is_write = False
+        else:
+            is_write = random() < write_prob[category]
+        yield MemoryOp(address, is_write, lo + span * random())
         emitted += 1
 
 

@@ -12,8 +12,9 @@ the stock path, and on the armed path of two explorer scenarios
 (perturbation, lineage and summary tracing, as every campaign arms
 them).  The count is deterministic for one Python version (CI pins
 3.11), so it catches a hot-path change that adds calls without timing
-anything.  It sums the profiler's raw entries: ``pstats`` keys
-functions by file, line and name and keeps one per key, and every
+anything.  A third guard counts calls per generated op for four
+stream generators.  Each sums the profiler's raw entries: ``pstats``
+keys functions by file, line and name and keeps one per key, and every
 dataclass ``__init__`` is ``<string>:2:__init__``, so its total drops
 all but one of them, and which one depends on the process.
 """
@@ -22,13 +23,19 @@ import cProfile
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import COMMERCIAL_WORKLOADS, SystemConfig
 from repro.overlay import arm_link
+from repro.sim.kernel import Simulator
+from repro.snapshot.fork import demo_family
 from repro.system.builder import build_system
+from repro.system.grid import protocol_grid
 from repro.testing.explore import make_scenario, run_scenario
 from repro.testing.signature import result_signature
-from repro.workloads import generate_streams
+from repro.workloads import eviction_storm_streams, generate_streams
+from tests.workloads.test_stream_golden import CACHE_HOT
 
 #: The six figure-grid configs: label -> (workload, SystemConfig kwargs).
 FIGURE_GRID = {
@@ -66,6 +73,29 @@ CALLS_PER_EVENT = {
 ARMED_CALLS_PER_EVENT = {
     "tokenb": 21.51,
     "directory": 20.91,
+}
+
+#: Calls per generated op on Python 3.11, recorded when every generator
+#: came to draw straight from bound ``random``/``getrandbits`` methods
+#: into a slotted ``MemoryOp`` (19.62, 16.11, 14.01 and 11.74 before).
+#: Generating streams is most of a cache-hot run's set-up.
+CALLS_PER_OP = {
+    "apache/16x400": 5.91,
+    "cache-hot/16x1000": 7.52,
+    "demo-warmup/8x1600": 7.01,
+    "eviction-storm/4x40": 5.74,
+}
+
+_DEMO_WARMUP = demo_family(1600, 40, 4).warmup
+
+#: label -> the streams whose generation CALLS_PER_OP counts.
+STREAMS = {
+    "apache/16x400": lambda: generate_streams(
+        COMMERCIAL_WORKLOADS["apache"].scaled(400), 16, 42
+    ),
+    "cache-hot/16x1000": lambda: generate_streams(CACHE_HOT, 16, 42),
+    "demo-warmup/8x1600": lambda: _DEMO_WARMUP.materialize(8, 42),
+    "eviction-storm/4x40": lambda: eviction_storm_streams(42, 4, 40),
 }
 
 _CPYTHON_311 = pytest.mark.skipif(
@@ -107,6 +137,42 @@ def test_stock_path_matches_the_per_hop_reference_path(label):
     assert len(hops) == sum(stock.traffic.crossings_by_category().values())
 
 
+class _SubclassKernel(Simulator):
+    """A kernel that is not the stock class: every inline push checks
+    ``type(sim) is Simulator`` and posts through the kernel instead."""
+
+    __slots__ = ()
+
+
+@given(
+    grid_point=st.sampled_from(list(protocol_grid())),
+    n_procs=st.integers(2, 16),
+    bandwidth=st.sampled_from((None, 0.8, 1.6, 3.2, 12.8)),
+    workload=st.sampled_from(sorted(COMMERCIAL_WORKLOADS)),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=20, deadline=None)
+def test_stock_kernel_matches_a_kernel_subclass_on_drawn_configs(
+    grid_point, n_procs, bandwidth, workload, seed
+):
+    """The inline fast paths equal their ``post``/``post_at`` twins on
+    whole systems nobody chose, not only on the fixed configs above."""
+    protocol, interconnect = grid_point
+    config = SystemConfig(
+        n_procs=n_procs, protocol=protocol, interconnect=interconnect,
+        link_bandwidth_bytes_per_ns=bandwidth, seed=seed,
+    )
+    spec = COMMERCIAL_WORKLOADS[workload].scaled(60)
+
+    def run(kernel):
+        streams = generate_streams(spec, n_procs, seed, config.block_bytes)
+        system = build_system(config, streams, workload_name=spec.name)
+        system.sim.__class__ = kernel
+        return result_signature(system.run())
+
+    assert run(Simulator) == run(_SubclassKernel)
+
+
 @_CPYTHON_311
 @pytest.mark.parametrize("label", sorted(CALLS_PER_EVENT))
 def test_calls_per_event_stay_at_the_recorded_figure(label):
@@ -132,4 +198,17 @@ def test_armed_calls_per_event_stay_at_the_recorded_figure(protocol):
         f"armed {protocol}: {calls:.2f} calls per event, recorded "
         f"{expected}; re-record ARMED_CALLS_PER_EVENT only for an "
         "intended change to the armed path"
+    )
+
+
+@_CPYTHON_311
+@pytest.mark.parametrize("label", sorted(CALLS_PER_OP))
+def test_calls_per_generated_op_stay_at_the_recorded_figure(label):
+    streams, calls = _profiled(STREAMS[label])
+    calls /= sum(len(ops) for ops in streams.values())
+    expected = CALLS_PER_OP[label]
+    assert abs(calls - expected) <= 0.10 * expected, (
+        f"{label}: {calls:.2f} calls per generated op, recorded "
+        f"{expected}; re-record CALLS_PER_OP only for an intended "
+        "generator change"
     )

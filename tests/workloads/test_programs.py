@@ -69,6 +69,31 @@ def test_unknown_pattern_kind_rejected():
         PatternSpec("bad", "nope")
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(write_prob=2.0), "write_prob"),
+        (dict(think_min_ns=-1.0), "think_min_ns"),
+        (dict(think_min_ns=20.0, think_max_ns=2.0), "think_min_ns"),
+    ],
+    ids=["write-prob", "negative-think", "inverted-think"],
+)
+def test_pattern_rejects_what_no_generator_can_draw(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        PatternSpec("bad", "rotating_hotspot", **kwargs)
+
+
+def test_spec_files_reach_the_checks_through_from_dict():
+    """A campaign spec file names its phases as plain documents."""
+    for phase in (
+        {"workload": {"name": "bad", "n_private_blocks": 0}},
+        {"pattern": {"name": "bad", "kind": "rotating_hotspot",
+                     "write_prob": 2.0}},
+    ):
+        with pytest.raises(ValueError):
+            WorkloadProgram.from_dict({"name": "p", "phases": [phase]})
+
+
 def test_barrier_all_touch_walks_whole_pool_with_one_writer():
     spec = pattern("barrier_all_touch", ops_per_proc=16, n_blocks=8)
     ops = list(pattern_ops(spec, 0, 4, seed=2))

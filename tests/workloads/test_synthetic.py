@@ -138,6 +138,36 @@ def test_category_weights_validated():
         )
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(n_read_mostly_blocks=-1), "n_read_mostly_blocks must be >= 0"),
+        # The default private weight is 0.4: its first pick used to raise
+        # IndexError mid-stream (mid-run, for a program phase).
+        (dict(n_private_blocks=0), "n_private_blocks is 0"),
+        (dict(read_mostly_write_prob=1.5), "read_mostly_write_prob"),
+        (dict(private_write_prob=-0.1), "private_write_prob"),
+        (dict(think_min_ns=-1.0), "think_min_ns"),
+        (dict(think_min_ns=30.0, think_max_ns=2.0), "think_min_ns"),
+    ],
+    ids=[
+        "negative-pool", "weighted-empty-pool", "read-mostly-write-prob",
+        "private-write-prob", "negative-think", "inverted-think",
+    ],
+)
+def test_spec_rejects_what_no_generator_can_draw(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        WorkloadSpec(name="bad", **kwargs)
+
+
+def test_an_unweighted_category_may_have_an_empty_pool():
+    spec = WorkloadSpec(
+        name="no-private", ops_per_proc=50, private_weight=0.0,
+        n_private_blocks=0, think_min_ns=0.0, think_max_ns=0.0,
+    )
+    assert len(generate_stream(spec, 0, 4, seed=1)) == 50
+
+
 def test_scaled_returns_copy():
     scaled = OLTP.scaled(10)
     assert scaled.ops_per_proc == 10
