@@ -46,6 +46,7 @@ import sys
 from pathlib import Path
 
 from repro.faults import FAULT_KINDS, FaultPlan
+from repro.system.grid import TOKEN_PROTOCOLS
 from repro.testing.explore import (
     fault_classes_for,
     has_recovery,
@@ -53,16 +54,14 @@ from repro.testing.explore import (
     run_scenario,
 )
 
-#: Token protocols only: the fault classes that matter (loss faults)
-#: are illegal on the ordered baselines by construction.
-TOKEN_PROTOCOLS = ("tokenb", "null-token", "tokend", "tokenm")
-
 
 def _smoke() -> bool:
     return os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 
 
 def _protocols() -> tuple[str, ...]:
+    # Token protocols only: the fault classes that matter (loss faults)
+    # are illegal on the ordered baselines by construction.
     return ("tokenb",) if _smoke() else TOKEN_PROTOCOLS
 
 

@@ -623,6 +623,19 @@ def _lineage_report(cases, store: CampaignStore) -> str:
 # ----------------------------------------------------------------------
 
 
+def _positive(convert):
+    """An argparse ``type``: ``convert`` the text, refusing values <= 0."""
+
+    def parse(text: str):
+        value = convert(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # "invalid int value: 'x'"
+    return parse
+
+
 def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="python -m repro.campaign",
@@ -637,7 +650,8 @@ def _parse_args(argv):
                          help="preset name or spec JSON file")
         cmd.add_argument("--store", default=None,
                          help="store directory (default: the spec's)")
-        cmd.add_argument("--seeds", type=int, default=presets.DEFAULT_SEEDS,
+        cmd.add_argument("--seeds", type=_positive(int),
+                         default=presets.DEFAULT_SEEDS,
                          help="seed count for the explorer, faults, "
                               "lineage and differential specs "
                               "(default: %(default)s)")
@@ -645,7 +659,7 @@ def _parse_args(argv):
         cmd.add_argument("--smoke", action="store_true",
                          help="reduced-scale explorer/workloads scenarios")
         if name == "run":
-            cmd.add_argument("--jobs", type=int, default=None,
+            cmd.add_argument("--jobs", type=_positive(int), default=None,
                              help="worker processes (default: all cores; "
                                   "1 = serial in-process)")
             cmd.add_argument("--expect-cached", action="store_true",
@@ -657,7 +671,7 @@ def _parse_args(argv):
         if name == "status":
             cmd.add_argument("--watch", action="store_true",
                              help="tail the runner's heartbeat file")
-            cmd.add_argument("--interval", type=float, default=1.0,
+            cmd.add_argument("--interval", type=_positive(float), default=1.0,
                              help="--watch poll interval in seconds")
         if name == "report":
             cmd.add_argument("--out", default=None,

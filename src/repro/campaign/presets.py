@@ -541,11 +541,7 @@ def _explore_spec(
 
 
 def explorer_spec(
-    seeds: int = DEFAULT_SEEDS,
-    seed_base: int = 0,
-    protocols=None,
-    workloads=None,
-    smoke: bool = False,
+    seeds: int = DEFAULT_SEEDS, seed_base: int = 0, smoke: bool = False
 ) -> CampaignSpec:
     """The adversarial schedule explorer's sweep as a campaign.
 
@@ -553,18 +549,9 @@ def explorer_spec(
     its order: ``campaign run --spec explorer`` is the explorer's sweep,
     and a recorded violation shrinks to ``<store>/repro_failure.json``.
     """
-    from repro.system.grid import ALL_PROTOCOLS
     from repro.testing.explore import scenario_grid
 
-    return _explore_spec(
-        "explorer",
-        functools.partial(
-            scenario_grid,
-            protocols=protocols if protocols is not None else ALL_PROTOCOLS,
-            workloads=workloads,
-        ),
-        seeds, seed_base, smoke,
-    )
+    return _explore_spec("explorer", scenario_grid, seeds, seed_base, smoke)
 
 
 #: Fault intensities the full resilience campaign sweeps: 1.0 keeps

@@ -28,18 +28,10 @@ produced) can be validated with ``strict=True``.
 from __future__ import annotations
 
 import collections
-import dataclasses
 
 
 class CoherenceViolation(AssertionError):
     """A protocol returned provably incoherent data."""
-
-
-@dataclasses.dataclass
-class _BlockState:
-    version: int = 0
-    last_writer: int = -1
-    last_write_time: float = 0.0
 
 
 class CoherenceChecker:
@@ -61,7 +53,8 @@ class CoherenceChecker:
     ) -> None:
         self.strict = strict
         self.allow_inflight_invalidation = allow_inflight_invalidation
-        self._blocks: dict[int, _BlockState] = {}
+        #: block -> authoritative version (absent: 0, never written).
+        self._versions: dict[int, int] = {}
         self._per_proc_seen: dict[tuple[int, int], int] = {}
         self.loads_checked = 0
         self.stores_checked = 0
@@ -71,16 +64,9 @@ class CoherenceChecker:
         self.pending_loads = collections.defaultdict(int)
         self.pending_stores = collections.defaultdict(int)
 
-    def _state(self, block: int) -> _BlockState:
-        state = self._blocks.get(block)
-        if state is None:
-            state = _BlockState()
-            self._blocks[block] = state
-        return state
-
     def current_version(self, block: int) -> int:
         """Authoritative version right now (0 if never written)."""
-        return self._state(block).version
+        return self._versions.get(block, 0)
 
     def issue(self, block: int, proc: int, is_write: bool) -> int:
         """A processor dispatched an operation: count it pending until it
@@ -88,7 +74,7 @@ class CoherenceChecker:
         bound for a load)."""
         pending = self.pending_stores if is_write else self.pending_loads
         pending[(proc, block)] += 1
-        return self._state(block).version
+        return self._versions.get(block, 0)
 
     def record_store(
         self, block: int, proc: int, now: float, based_on_version: int
@@ -99,25 +85,24 @@ class CoherenceChecker:
         with a single writer at a time it must equal the authoritative
         version, so any lost-update bug surfaces here.
         """
-        state = self._state(block)
-        if based_on_version != state.version:
+        version = self._versions.get(block, 0)
+        if based_on_version != version:
             raise CoherenceViolation(
                 f"store by P{proc} to block {block:#x} at t={now} built on "
-                f"v{based_on_version} but authoritative is v{state.version} "
+                f"v{based_on_version} but authoritative is v{version} "
                 "(lost update / concurrent writers)"
             )
-        state.version += 1
-        state.last_writer = proc
-        state.last_write_time = now
+        version += 1
+        self._versions[block] = version
         key = (proc, block)
-        self._per_proc_seen[key] = state.version
+        self._per_proc_seen[key] = version
         self.stores_checked += 1
         left = self.pending_stores[key] - 1
         if left:
             self.pending_stores[key] = left
         else:
             del self.pending_stores[key]
-        return state.version
+        return version
 
     def check_load(
         self,
@@ -134,7 +119,7 @@ class CoherenceChecker:
             issue_version: ``current_version(block)`` sampled when the
                 operation was issued (rule 1's lower bound).
         """
-        state = self._state(block)
+        version = self._versions.get(block, 0)
         seen_key = (proc, block)
         self.loads_checked += 1
         left = self.pending_loads[seen_key] - 1
@@ -142,11 +127,11 @@ class CoherenceChecker:
             self.pending_loads[seen_key] = left
         else:
             del self.pending_loads[seen_key]
-        if observed_version > state.version:
+        if observed_version > version:
             raise CoherenceViolation(
                 f"load by P{proc} of block {block:#x} at t={now} observed "
                 f"future version v{observed_version} > authoritative "
-                f"v{state.version}"
+                f"v{version}"
             )
         if observed_version < issue_version and not self.allow_inflight_invalidation:
             raise CoherenceViolation(
@@ -161,10 +146,10 @@ class CoherenceChecker:
                 f"v{observed_version} after having seen v{previously_seen} "
                 "(per-processor coherence order violated)"
             )
-        if self.strict and observed_version != state.version:
+        if self.strict and observed_version != version:
             raise CoherenceViolation(
                 f"[strict] load by P{proc} of block {block:#x} at t={now} "
                 f"observed v{observed_version} != authoritative "
-                f"v{state.version}"
+                f"v{version}"
             )
         self._per_proc_seen[seen_key] = observed_version

@@ -22,16 +22,12 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.cache.cache import CacheLine, SetAssociativeCache
 from repro.cache.mshr import MshrEntry, MshrTable
-from repro.coherence.checker import CoherenceChecker
 from repro.coherence.messages import CoherenceMessage
 from repro.interconnect.message import DATA_MESSAGE_BYTES
-from repro.interconnect.topology import Interconnect
-from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter
-from repro.config import SystemConfig
 
 if TYPE_CHECKING:
     from repro.protocols.mosi import Writeback
+    from repro.system.builder import System
 
 
 class ProtocolError(RuntimeError):
@@ -47,21 +43,17 @@ class ProtocolNode(abc.ABC):
     #: Message type -> the name of the method that handles it.
     handlers: dict[str, str] = {}
 
-    def __init__(
-        self,
-        node_id: int,
-        sim: Simulator,
-        network: Interconnect,
-        config: SystemConfig,
-        checker: CoherenceChecker,
-        counters: Counter,
-    ) -> None:
+    def __init__(self, node_id: int, system: System) -> None:
+        """Node ``node_id`` of ``system``: its simulator, network, config,
+        checker and counters are the system's; no reference to the
+        system itself is kept."""
+        config = system.config
         self.node_id = node_id
-        self.sim = sim
-        self.network = network
+        self.sim = system.sim
+        self.network = system.network
         self.config = config
-        self.checker = checker
-        self.counters = counters
+        self.checker = system.checker
+        self.counters = system.counters
         # Memory is block-interleaved across the nodes' controllers:
         # home(block) = block % n_procs, hoisted for the per-message path.
         self._home_mod = config.n_procs
@@ -78,7 +70,7 @@ class ProtocolNode(abc.ABC):
         self.writeback_buffer: dict[int, Writeback] = {}
         self._lose_block_hook: Callable[[int], None] | None = None
         self._bind_handlers()
-        network.attach(node_id, self.handle_message)
+        self.network.attach(node_id, self.handle_message)
 
     def _bind_handlers(self) -> None:
         """Bind :attr:`handlers` to this node's methods as they resolve now.

@@ -6,26 +6,31 @@ cycle), 128 kB split L1s (2 ns), a 4 MB unified L2 (6 ns), 64-byte blocks,
 80 ns DRAM, 6 ns memory/directory controllers, and 3.2 GB/s (= 3.2
 bytes/ns), 15 ns point-to-point links.
 
-Protocol and interconnect are orthogonal axes: ``protocol`` is one of
-``"tokenb"``, ``"snooping"``, ``"directory"``, ``"hammer"``;
-``interconnect`` is ``"torus"`` or ``"tree"``.  Traditional snooping
-requires the totally-ordered tree (Section 2) — the builder rejects
-snooping-on-torus just as the paper's Figure 4 marks it "not applicable".
+Protocol and interconnect are orthogonal axes, with one exception that
+:data:`PROTOCOLS` states: traditional snooping requires the
+totally-ordered tree (Section 2), so the config rejects snooping on the
+torus just as the paper's Figure 4 marks it "not applicable".
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-PROTOCOLS = (
-    "tokenb",
-    "snooping",
-    "directory",
-    "hammer",
-    "null-token",
-    "tokend",
-    "tokenm",
-)
+#: Every protocol -> the interconnects it runs on, its default first.
+#: The default is the torus (the paper's preferred glueless topology)
+#: wherever it is legal; traditional snooping needs the tree's total
+#: order, which the torus does not provide (Section 2).  The four paper
+#: protocols, the null performance protocol (Section 4.1), and the
+#: Section 7 extensions TokenD and TokenM (:mod:`repro.predict`).
+PROTOCOLS: dict[str, tuple[str, ...]] = {
+    "tokenb": ("torus", "tree"),
+    "snooping": ("tree",),
+    "directory": ("torus", "tree"),
+    "hammer": ("torus", "tree"),
+    "null-token": ("torus", "tree"),
+    "tokend": ("torus", "tree"),
+    "tokenm": ("torus", "tree"),
+}
 INTERCONNECTS = ("torus", "tree")
 
 #: Destination-set predictors TokenM can run (repro.predict.predictors).
@@ -109,13 +114,15 @@ class SystemConfig:
 
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
-            raise ValueError(f"protocol must be one of {PROTOCOLS}")
+            raise ValueError(f"protocol must be one of {tuple(PROTOCOLS)}")
         if self.interconnect not in INTERCONNECTS:
             raise ValueError(f"interconnect must be one of {INTERCONNECTS}")
-        if self.protocol == "snooping" and self.interconnect != "tree":
+        legal = PROTOCOLS[self.protocol]
+        if self.interconnect not in legal:
             raise ValueError(
-                "traditional snooping requires the totally-ordered tree "
-                "interconnect (Section 2); the torus provides no total order"
+                f"{self.protocol} cannot run on the {self.interconnect} "
+                f"interconnect (legal: {', '.join(legal)}): traditional "
+                "snooping requires the totally-ordered tree (Section 2)"
             )
         if self.n_procs < 2:
             raise ValueError("need at least 2 processors")

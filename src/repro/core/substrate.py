@@ -32,21 +32,21 @@ from __future__ import annotations
 
 import dataclasses
 from heapq import heappush
+from typing import TYPE_CHECKING
 
 from repro.cache.cache import CacheLine
 from repro.cache.mshr import MshrEntry
-from repro.coherence.checker import CoherenceChecker
 from repro.coherence.controller import ProtocolError, ProtocolNode
 from repro.coherence.messages import CoherenceMessage
 from repro.core.persistent import PersistentArbiter
-from repro.core.tokens import TokenInvariantError, TokenLedger
+from repro.core.tokens import TokenInvariantError
 from repro.interconnect.message import CONTROL_MESSAGE_BYTES, DATA_MESSAGE_BYTES
-from repro.interconnect.topology import Interconnect
 from repro.sim.events import Event
-from repro.sim.kernel import Simulator
 from repro.sim.rng import ExponentialBackoff
-from repro.sim.stats import Counter, LatencyTracker
-from repro.config import SystemConfig
+from repro.sim.stats import LatencyTracker
+
+if TYPE_CHECKING:
+    from repro.system.builder import System
 
 
 class TokenMiss(MshrEntry):
@@ -133,20 +133,12 @@ class TokenNodeBase(ProtocolNode):
         "PDEACT_ACK": "_handle_pdeact_ack",
     }
 
-    def __init__(
-        self,
-        node_id: int,
-        sim: Simulator,
-        network: Interconnect,
-        config: SystemConfig,
-        checker: CoherenceChecker,
-        counters: Counter,
-        ledger: TokenLedger,
-    ) -> None:
-        super().__init__(node_id, sim, network, config, checker, counters)
+    def __init__(self, node_id: int, system: System) -> None:
+        super().__init__(node_id, system)
+        config = system.config
         self.total_tokens = config.total_tokens
-        self.ledger = ledger
-        ledger.register_holder(self)
+        self.ledger = system.ledger
+        self.ledger.register_holder(self)
         self.arbiter = PersistentArbiter(self)
         #: Persistent-request table: one entry per arbiter (Section 3.2).
         self._table_by_arbiter: dict[int, _TableEntry] = {}

@@ -24,33 +24,25 @@ cover every such case (Sections 3 and 4.1).
 
 from __future__ import annotations
 
-from repro.coherence.checker import CoherenceChecker
+from typing import TYPE_CHECKING
+
 from repro.coherence.messages import CoherenceMessage
 from repro.core.substrate import TokenMiss, TokenNodeBase
-from repro.core.tokens import TokenLedger
 from repro.interconnect.message import BROADCAST
-from repro.interconnect.topology import Interconnect
-from repro.sim.kernel import Simulator
 from repro.sim.rng import ExponentialBackoff, derive_rng
-from repro.sim.stats import Counter
-from repro.config import SystemConfig
+
+if TYPE_CHECKING:
+    from repro.system.builder import System
 
 
 class TokenBNode(TokenNodeBase):
     """A node running the TokenB performance protocol."""
 
-    def __init__(
-        self,
-        node_id: int,
-        sim: Simulator,
-        network: Interconnect,
-        config: SystemConfig,
-        checker: CoherenceChecker,
-        counters: Counter,
-        ledger: TokenLedger,
-    ) -> None:
-        super().__init__(node_id, sim, network, config, checker, counters, ledger)
-        self._backoff_rng = derive_rng(config.seed, "tokenb-backoff", node_id)
+    def __init__(self, node_id: int, system: System) -> None:
+        super().__init__(node_id, system)
+        self._backoff_rng = derive_rng(
+            system.config.seed, "tokenb-backoff", node_id
+        )
         #: Subclasses may disable the owner-side migratory handoff
         #: (TokenD replaces it with requester-side prediction).
         self.owner_side_migratory = True

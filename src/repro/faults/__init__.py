@@ -17,7 +17,6 @@ from repro.faults.plan import (
     FaultEvent,
     FaultPlan,
     generate_plan,
-    link_count,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "FaultInjector",
     "PauseGate",
     "generate_plan",
-    "link_count",
 ]

@@ -33,16 +33,14 @@ deterministically from a seed via ``derive_rng`` — the same seed always
 breaks the same links at the same times.
 
 Link targets are positions in ``Interconnect.all_links()`` (a stable,
-documented order per topology); :func:`link_count` computes the valid
-range without building a network.
+documented order per topology); each network class's ``link_count``
+gives the valid range without building a network.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
-from repro.interconnect.tree import FANOUT as TREE_FANOUT
 from repro.sim.rng import derive_rng
 from repro.system.grid import is_token_protocol
 
@@ -57,20 +55,6 @@ LOSS_FAULT_KINDS = ("corrupt",)
 
 #: Kinds whose ``target`` addresses a link (index into ``all_links()``).
 _LINK_KINDS = ("link_flap", "link_degrade")
-
-
-def link_count(interconnect: str, n_nodes: int) -> int:
-    """Directed links a built ``interconnect`` of ``n_nodes`` will have.
-
-    Mirrors the constructors: the torus has four links per node; the
-    tree has one up and one down link per node plus one in-root and one
-    root-out link per leaf-switch group.
-    """
-    if interconnect == "torus":
-        return 4 * n_nodes
-    if interconnect == "tree":
-        return 2 * n_nodes + 2 * math.ceil(n_nodes / TREE_FANOUT)
-    raise ValueError(f"unknown interconnect {interconnect!r}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -20,12 +20,21 @@ __all__ = [
     "Interconnect",
     "Link",
     "Message",
+    "NETWORKS",
     "ORDERED_VNET",
     "OrderedTreeInterconnect",
     "TorusInterconnect",
     "build_interconnect",
     "torus_dims",
 ]
+
+
+#: Interconnect name -> network class (the names of
+#: :data:`repro.config.INTERCONNECTS`).
+NETWORKS: dict[str, type[Interconnect]] = {
+    "torus": TorusInterconnect,
+    "tree": OrderedTreeInterconnect,
+}
 
 
 def build_interconnect(
@@ -36,11 +45,5 @@ def build_interconnect(
     link_bandwidth: float | None,
     traffic=None,
 ):
-    """Factory: ``kind`` is ``"tree"`` or ``"torus"``."""
-    if kind == "tree":
-        return OrderedTreeInterconnect(
-            sim, n_nodes, link_latency, link_bandwidth, traffic
-        )
-    if kind == "torus":
-        return TorusInterconnect(sim, n_nodes, link_latency, link_bandwidth, traffic)
-    raise ValueError(f"unknown interconnect kind {kind!r}")
+    """The ``kind`` network (a :data:`NETWORKS` name) of ``n_nodes``."""
+    return NETWORKS[kind](sim, n_nodes, link_latency, link_bandwidth, traffic)

@@ -34,11 +34,6 @@ def _unattached(node_id: int, msg: Message) -> None:
 class Interconnect(abc.ABC):
     """Abstract N-node interconnection network."""
 
-    #: True if the network delivers ordered-vnet broadcasts in a single
-    #: global total order observed identically by every node (required by
-    #: traditional snooping; the tree provides it, the torus does not).
-    provides_total_order: bool = False
-
     def __init__(
         self,
         sim: Simulator,

@@ -61,8 +61,6 @@ def torus_dims(n_nodes: int) -> tuple[int, int]:
 class TorusInterconnect(Interconnect):
     """2-D bidirectional torus with dimension-ordered routing."""
 
-    provides_total_order = False
-
     #: Deterministic neighbour exploration order for routing/multicast.
     _DIRECTIONS = ("x+", "x-", "y+", "y-")
 
@@ -152,6 +150,11 @@ class TorusInterconnect(Interconnect):
     def all_links(self) -> list[Link]:
         """All 4N directed links, in (node, direction) creation order."""
         return list(self._links.values())
+
+    @staticmethod
+    def link_count(n_nodes: int) -> int:
+        """``len(all_links())`` of an ``n_nodes`` torus, without building it."""
+        return 4 * n_nodes
 
     # ------------------------------------------------------------------
     # Unicast

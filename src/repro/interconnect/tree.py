@@ -46,8 +46,6 @@ FANOUT = 4
 class OrderedTreeInterconnect(Interconnect):
     """Two-level indirect tree with a sequencing root switch."""
 
-    provides_total_order = True
-
     def __init__(
         self,
         sim: Simulator,
@@ -187,6 +185,11 @@ class OrderedTreeInterconnect(Interconnect):
     def all_links(self) -> list[Link]:
         """All links: N up, G in-root, G root-out, N down (stage order)."""
         return [*self._up, *self._in_root, *self._root_out, *self._down]
+
+    @staticmethod
+    def link_count(n_nodes: int) -> int:
+        """``len(all_links())`` of an ``n_nodes`` tree, without building it."""
+        return 2 * n_nodes + 2 * math.ceil(n_nodes / FANOUT)
 
     def broadcast_crossings(self) -> int:
         """Link crossings per full broadcast: 2 up + groups + N down."""

@@ -23,7 +23,7 @@ import dataclasses
 import json
 import sys
 
-from repro.config import INTERCONNECTS
+from repro.config import INTERCONNECTS, SystemConfig
 from repro.faults import FAULT_KINDS
 from repro.observe.export import (
     chrome_trace,
@@ -33,7 +33,7 @@ from repro.observe.export import (
 )
 from repro.observe.hooks import install_tracing
 from repro.observe.trace import TimelineRecorder
-from repro.system.grid import ALL_PROTOCOLS, interconnect_for, interconnects_for
+from repro.system.grid import ALL_PROTOCOLS, interconnect_for
 from repro.testing.explore import (
     EXPLORER_WORKLOADS,
     Scenario,
@@ -47,12 +47,29 @@ def _usage_error(message: str):
     raise SystemExit(2)
 
 
+def _at_least(low, convert=int):
+    """An argparse ``type``: ``convert`` the text, refusing values < ``low``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}"
+            )
+        return value
+
+    parse.__name__ = convert.__name__  # "invalid int value: 'x'"
+    return parse
+
+
 def _scenario(args, protocol: str):
     interconnect = args.interconnect or interconnect_for(protocol)
-    legal = interconnects_for(protocol)
-    if interconnect not in legal:
-        _usage_error(f"{protocol} cannot run on the {interconnect} "
-                     f"interconnect (legal: {', '.join(legal)})")
+    try:  # the config is the one gate on a protocol, topology and size
+        SystemConfig(protocol=protocol, interconnect=interconnect,
+                     n_procs=args.n_procs)
+    except ValueError as exc:
+        _usage_error(f"{exc} (--interconnect {interconnect}, "
+                     f"--n-procs {args.n_procs})")
     if args.faults:
         # The generated plan's link/node targets assume the fault
         # scenario's own geometry, so only the stream length is adjustable.
@@ -158,7 +175,7 @@ def _add_scenario_args(parser, with_protocol: bool = True) -> None:
                         choices=EXPLORER_WORKLOADS, metavar="WORKLOAD",
                         help="an adversarial workload or phased program")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--ops", type=int, default=40,
+    parser.add_argument("--ops", type=_at_least(1), default=40,
                         help="operations per processor")
     parser.add_argument("--n-procs", type=int, default=4,
                         help="processors (with --faults: the fault "
@@ -179,15 +196,17 @@ def main(argv=None) -> int:
                                              "trace-event JSON")
     _add_scenario_args(p_export)
     p_export.add_argument("--out", default="trace.json")
-    p_export.add_argument("--epoch-ns", type=float, default=100.0,
+    p_export.add_argument("--epoch-ns", type=_at_least(0, float),
+                          default=100.0,
                           help="time-series sampling epoch (0 disables)")
     p_export.set_defaults(func=cmd_export)
 
     p_timeline = sub.add_parser("timeline", help="record a run, print a "
                                                  "text timeline")
     _add_scenario_args(p_timeline)
-    p_timeline.add_argument("--limit", type=int, default=60)
-    p_timeline.add_argument("--epoch-ns", type=float, default=None)
+    p_timeline.add_argument("--limit", type=_at_least(0), default=60)
+    p_timeline.add_argument("--epoch-ns", type=_at_least(0, float),
+                            default=None)
     p_timeline.set_defaults(func=cmd_timeline)
 
     p_diff = sub.add_parser("diff", help="trace two protocols on the same "

@@ -365,14 +365,7 @@ def build_predictor(
     config: SystemConfig, node_id: int, counters: Counter
 ) -> Predictor:
     """The predictor ``config`` asks for, wired to the shared counters."""
-    try:
-        cls = PREDICTORS[config.predictor]
-    except KeyError:
-        raise ValueError(
-            f"unknown predictor {config.predictor!r} "
-            f"(known: {sorted(PREDICTORS)})"
-        ) from None
-    return cls(config, node_id, counters)
+    return PREDICTORS[config.predictor](config, node_id, counters)
 
 
 def prediction_rates(counters: dict[str, int]) -> dict[str, float]:

@@ -16,12 +16,16 @@ normal reissue/persistent machinery recovers.  No substrate changes.
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 from repro.coherence.messages import CoherenceMessage
 from repro.coherence.migratory import MigratoryPredictor
 from repro.core.substrate import TokenMiss
 from repro.core.tokenb import TokenBNode
 from repro.predict.table import PredictionTable
+
+if TYPE_CHECKING:
+    from repro.system.builder import System
 
 #: ``tag`` value marking a request copy redirected by a TokenD home (so
 #: it is not redirected again).
@@ -45,8 +49,8 @@ class TokenDNode(TokenBNode):
     cost a reissue, never correctness.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, node_id: int, system: System) -> None:
+        super().__init__(node_id, system)
         self._soft_dir = PredictionTable(
             self.config.predictor_table_entries,
             self.counters,

@@ -22,18 +22,23 @@ threshold.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.coherence.messages import CoherenceMessage
 from repro.core.substrate import TokenMiss
 from repro.core.tokenb import TokenBNode
 from repro.predict.hybrid import BandwidthAdaptivePolicy
 from repro.predict.predictors import build_predictor
 
+if TYPE_CHECKING:
+    from repro.system.builder import System
+
 
 class TokenMNode(TokenBNode):
     """Destination-set-predicting Token Coherence protocol (Section 7)."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, node_id: int, system: System) -> None:
+        super().__init__(node_id, system)
         self.predictor = build_predictor(
             self.config, self.node_id, self.counters
         )

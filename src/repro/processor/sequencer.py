@@ -22,11 +22,8 @@ import functools
 from typing import Iterator
 
 from repro.cache.cache import SetAssociativeCache
-from repro.coherence.checker import CoherenceChecker
 from repro.coherence.controller import ProtocolNode
-from repro.sim.kernel import Simulator
 from repro.sim.stats import LatencyTracker
-from repro.config import SystemConfig
 
 
 @dataclasses.dataclass(slots=True)
@@ -49,18 +46,14 @@ class MemoryOp:
 class Sequencer:
     """Drives one processor's operation stream through its node."""
 
-    def __init__(
-        self,
-        node: ProtocolNode,
-        config: SystemConfig,
-        sim: Simulator,
-        checker: CoherenceChecker,
-        stream: Iterator[MemoryOp],
-    ) -> None:
+    def __init__(self, node: ProtocolNode, stream: Iterator[MemoryOp]) -> None:
+        """Drive ``stream`` through ``node``, on the node's simulator,
+        config and checker."""
+        config = node.config
         self.node = node
         self.config = config
-        self.sim = sim
-        self.checker = checker
+        self.sim = node.sim
+        self.checker = node.checker
         self.proc_id = node.node_id
         self._stream = iter(stream)
         self.l1 = SetAssociativeCache.from_geometry(

@@ -18,17 +18,16 @@ messages; each protocol module adds only its own messages.
 from __future__ import annotations
 
 import abc
+from typing import TYPE_CHECKING
 
 from repro.cache.cache import CacheLine
 from repro.cache.mshr import MshrEntry
-from repro.coherence.checker import CoherenceChecker
 from repro.coherence.controller import ProtocolError, ProtocolNode
 from repro.coherence.messages import CoherenceMessage
 from repro.coherence.migratory import MigratoryPredictor
-from repro.config import SystemConfig
-from repro.interconnect.topology import Interconnect
-from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter
+
+if TYPE_CHECKING:
+    from repro.system.builder import System
 
 #: Memory (the home node) as an owner id.
 MEMORY = -1
@@ -108,17 +107,9 @@ class MosiNode(ProtocolNode):
 
     miss_record = MosiMiss
 
-    def __init__(
-        self,
-        node_id: int,
-        sim: Simulator,
-        network: Interconnect,
-        config: SystemConfig,
-        checker: CoherenceChecker,
-        counters: Counter,
-    ) -> None:
-        super().__init__(node_id, sim, network, config, checker, counters)
-        self.predictor = MigratoryPredictor(config.migratory_optimization)
+    def __init__(self, node_id: int, system: System) -> None:
+        super().__init__(node_id, system)
+        self.predictor = MigratoryPredictor(system.config.migratory_optimization)
         self._tx_counter = 0
 
     # ------------------------------------------------------------------
@@ -204,16 +195,8 @@ class BlockingHomeNode(MosiNode):
         "PUT_ACK": "_handle_put_ack",
     }
 
-    def __init__(
-        self,
-        node_id: int,
-        sim: Simulator,
-        network: Interconnect,
-        config: SystemConfig,
-        checker: CoherenceChecker,
-        counters: Counter,
-    ) -> None:
-        super().__init__(node_id, sim, network, config, checker, counters)
+    def __init__(self, node_id: int, system: System) -> None:
+        super().__init__(node_id, system)
         self._homes: dict[int, HomeBlock] = {}
 
     # ------------------------------------------------------------------

@@ -20,23 +20,24 @@ is broadcast; the buffer answers snoops ordered before the PUT, and when
 the node observes its own PUT it ships the data to the home memory —
 unless an intervening GETM superseded the eviction.
 
-Requires the totally-ordered tree; the builder rejects snooping on the
-torus, as does the paper (Figure 4: "not applicable").
+Requires the totally-ordered tree; :data:`repro.config.PROTOCOLS` lists
+only the tree for snooping, so the config rejects snooping on the torus,
+as does the paper (Figure 4: "not applicable").
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.cache.cache import CacheLine
-from repro.coherence.checker import CoherenceChecker
 from repro.coherence.controller import ProtocolError
 from repro.coherence.messages import CoherenceMessage
-from repro.config import SystemConfig
 from repro.interconnect.message import BROADCAST
-from repro.interconnect.topology import Interconnect
 from repro.interconnect.tree import ORDERED_VNET
 from repro.protocols.mosi import MEMORY, MosiMiss, MosiNode
-from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter
+
+if TYPE_CHECKING:
+    from repro.system.builder import System
 
 
 class _HomeState:
@@ -62,20 +63,8 @@ class SnoopingNode(MosiNode):
         "WB_DATA": "_handle_wb_data",
     }
 
-    def __init__(
-        self,
-        node_id: int,
-        sim: Simulator,
-        network: Interconnect,
-        config: SystemConfig,
-        checker: CoherenceChecker,
-        counters: Counter,
-    ) -> None:
-        if not network.provides_total_order:
-            raise ProtocolError(
-                "traditional snooping requires a totally-ordered interconnect"
-            )
-        super().__init__(node_id, sim, network, config, checker, counters)
+    def __init__(self, node_id: int, system: System) -> None:
+        super().__init__(node_id, system)
         self._home: dict[int, _HomeState] = {}
 
     def _home_state(self, block: int) -> _HomeState:

@@ -16,7 +16,12 @@ from repro.core.null_protocol import NullTokenNode
 from repro.core.tokenb import TokenBNode
 from repro.core.tokens import TokenLedger
 from repro.interconnect import build_interconnect
+from repro.predict.tokend import TokenDNode
+from repro.predict.tokenm import TokenMNode
 from repro.processor.sequencer import MemoryOp, Sequencer
+from repro.protocols.directory import DirectoryNode
+from repro.protocols.hammer import HammerNode
+from repro.protocols.snooping import SnoopingNode
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Counter, TrafficMeter
 from repro.config import SystemConfig
@@ -25,33 +30,16 @@ from repro.system.invariants import check_finished
 from repro.system.simulator import DeadlockError, SimulationResult
 from repro.workloads.synthetic import WorkloadSpec, generate_streams
 
-
-def _node_factory(protocol: str):
-    if protocol == "tokenb":
-        return TokenBNode
-    if protocol == "null-token":
-        return NullTokenNode
-    if protocol == "tokend":
-        from repro.predict.tokend import TokenDNode
-
-        return TokenDNode
-    if protocol == "tokenm":
-        from repro.predict.tokenm import TokenMNode
-
-        return TokenMNode
-    if protocol == "snooping":
-        from repro.protocols.snooping import SnoopingNode
-
-        return SnoopingNode
-    if protocol == "directory":
-        from repro.protocols.directory import DirectoryNode
-
-        return DirectoryNode
-    if protocol == "hammer":
-        from repro.protocols.hammer import HammerNode
-
-        return HammerNode
-    raise ValueError(f"unknown protocol {protocol!r}")
+#: Protocol name -> node class (the names of :data:`repro.config.PROTOCOLS`).
+NODE_CLASSES: dict[str, type[ProtocolNode]] = {
+    "tokenb": TokenBNode,
+    "snooping": SnoopingNode,
+    "directory": DirectoryNode,
+    "hammer": HammerNode,
+    "null-token": NullTokenNode,
+    "tokend": TokenDNode,
+    "tokenm": TokenMNode,
+}
 
 
 class System:
@@ -83,9 +71,10 @@ class System:
             config.link_bandwidth_bytes_per_ns,
             self.traffic,
         )
-        self.ledger: TokenLedger | None = None
-        if is_token_protocol(config.protocol):
-            self.ledger = TokenLedger(config.total_tokens)
+        self.ledger: TokenLedger | None = (
+            TokenLedger(config.total_tokens)
+            if is_token_protocol(config.protocol) else None
+        )
         #: Token-custody recorder, when installed (repro.lineage).
         self.lineage = None
         #: Trace recorder, when installed (repro.observe).
@@ -97,36 +86,13 @@ class System:
         #: Blocks covered by the end-of-run conservation audit.
         self.audited_blocks = 0
 
-        factory = _node_factory(config.protocol)
-        self.nodes: list[ProtocolNode] = []
-        for node_id in range(config.n_procs):
-            if self.ledger is not None:
-                node = factory(
-                    node_id,
-                    self.sim,
-                    self.network,
-                    config,
-                    self.checker,
-                    self.counters,
-                    self.ledger,
-                )
-            else:
-                node = factory(
-                    node_id,
-                    self.sim,
-                    self.network,
-                    config,
-                    self.checker,
-                    self.counters,
-                )
-            self.nodes.append(node)
-
-        self.sequencers: list[Sequencer] = []
-        for node_id, node in enumerate(self.nodes):
-            stream = streams.get(node_id, [])
-            self.sequencers.append(
-                Sequencer(node, config, self.sim, self.checker, iter(stream))
-            )
+        node_class = NODE_CLASSES[config.protocol]
+        self.nodes: list[ProtocolNode] = [
+            node_class(node_id, self) for node_id in range(config.n_procs)
+        ]
+        self.sequencers: list[Sequencer] = [
+            Sequencer(node, streams.get(node.node_id, [])) for node in self.nodes
+        ]
 
     def run(self, max_events: int | None = None) -> SimulationResult:
         """Run to completion; raises on deadlock or invariant violation."""

@@ -45,8 +45,8 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     generate_plan,
-    link_count,
 )
+from repro.interconnect import NETWORKS
 from repro.system.builder import build_system
 from repro.system.grid import ALL_PROTOCOLS, is_token_protocol, protocol_grid
 from repro.testing.mutants import MUTANTS
@@ -420,7 +420,7 @@ def make_fault_scenario(
     plan = generate_plan(
         seed,
         (fault_class,),
-        n_links=link_count(interconnect, n_procs),
+        n_links=NETWORKS[interconnect].link_count(n_procs),
         n_nodes=n_procs,
         horizon_ns=FAULT_HORIZON_NS,
         events_per_kind=FAULT_EVENTS_PER_KIND,

@@ -33,7 +33,7 @@ import json
 from typing import Iterator
 
 from repro.campaign.store import write_atomic
-from repro.faults import link_count
+from repro.interconnect import NETWORKS
 from repro.testing.explore import (
     Scenario,
     ScenarioOutcome,
@@ -49,7 +49,7 @@ def _faults_fit(scenario: Scenario, n_procs: int) -> bool:
     """Whether every link and node the fault plan targets exists on an
     ``n_procs`` machine (fault installation rejects the plan otherwise)."""
     plan = scenario.faults
-    n_links = link_count(scenario.interconnect, n_procs)
+    n_links = NETWORKS[scenario.interconnect].link_count(n_procs)
     return all(event.target < n_links for event in plan.link_events()) and all(
         event.target < n_procs for event in plan.events_of("node_pause")
     )

@@ -180,6 +180,27 @@ def test_malformed_spec_file_is_rejected_before_running(
     assert not store.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--jobs", "0"], "argument --jobs: must be positive, got 0"),
+    (["run", "--jobs", "-2"], "argument --jobs: must be positive, got -2"),
+    (["run", "--seeds", "0"], "argument --seeds: must be positive, got 0"),
+    (["run", "--seeds", "-2"], "argument --seeds: must be positive, got -2"),
+    (["status", "--watch", "--interval", "-1"],
+     "argument --interval: must be positive, got -1.0"),
+    (["status", "--watch", "--interval", "0"],
+     "argument --interval: must be positive, got 0.0"),
+], ids=["zero-jobs", "negative-jobs", "zero-seeds", "negative-seeds",
+        "negative-interval", "zero-interval"])
+def test_bad_arguments_exit_2_with_an_error(argv, message, capsys):
+    """A value the command cannot run is refused before anything runs:
+    no serial fallback, empty campaign or busy poll."""
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--spec", "explorer", *flags])
+    assert exited.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_compact_subcommand_folds_pending_shards(
     mini_spec_file, tmp_path, capsys
 ):

@@ -9,6 +9,7 @@ from repro.campaign.runner import run_campaign
 from repro.campaign.scheduler import resolve_jobs
 from repro.campaign.spec import CampaignSpec, ScenarioCase
 from repro.campaign.store import CampaignStore, make_record
+from repro.system.grid import interconnect_for
 from repro.workloads import COMMERCIAL_WORKLOADS
 
 #: A tiny but real simulate case: 2 processors, short streams.
@@ -18,7 +19,7 @@ def _sim_params(protocol: str, seed_ops: int = 20) -> dict:
         "ops_per_proc": seed_ops,
         "config": {
             "protocol": protocol,
-            "interconnect": "torus" if protocol != "snooping" else "tree",
+            "interconnect": interconnect_for(protocol),
             "n_procs": 2,
         },
     }

@@ -7,11 +7,11 @@ import os
 
 import pytest
 
-from repro.campaign import presets
 from repro.campaign.runner import run_campaign
 from repro.campaign.scheduler import HeartbeatWriter, resolve_jobs
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore
+from repro.testing.explore import scenario_grid
 from repro.workloads import COMMERCIAL_WORKLOADS
 
 
@@ -75,7 +75,10 @@ def test_abandoned_batch_cancels_its_queued_cases(tmp_path):
     are cancelled rather than run.  The pool hands ``jobs + 1`` cases to
     its workers ahead of time and those still finish, so of 12 cases
     only some are written."""
-    spec = presets.explorer_spec(seeds=1, protocols=("directory",))
+    spec = CampaignSpec(
+        name="explorer", kind="explore",
+        grid=[s.to_dict() for s in scenario_grid(range(1), ("directory",))],
+    )
     assert len(spec) == 12
 
     def progress(done, total, case, ok, error):

@@ -121,7 +121,6 @@ def test_torus_does_not_provide_total_order():
     order_near_15 = [m.msg_id for m in inboxes[14]]
     assert set(order_near_0) == {a.msg_id, b.msg_id}
     assert order_near_0 != order_near_15
-    assert not torus.provides_total_order
 
 
 def test_bandwidth_contention_on_shared_link():

@@ -97,7 +97,18 @@ def test_faults_refuse_a_processor_count_they_do_not_run(
      "error: snooping cannot run on the torus interconnect"),
     (["diff", "tokenb", "bogus"],
      "argument protocol_b: invalid choice: 'bogus'"),
-], ids=["protocol", "workload", "interconnect", "illegal-pair", "diff"])
+    (["timeline", "--n-procs", "1"],
+     "error: need at least 2 processors (--interconnect torus, --n-procs 1)"),
+    (["timeline", "--ops", "0"], "argument --ops: must be at least 1, got 0"),
+    (["timeline", "--ops", "-5"],
+     "argument --ops: must be at least 1, got -5"),
+    (["timeline", "--limit", "-2"],
+     "argument --limit: must be at least 0, got -2"),
+    (["timeline", "--epoch-ns", "-5"],
+     "argument --epoch-ns: must be at least 0, got -5.0"),
+], ids=["protocol", "workload", "interconnect", "illegal-pair", "diff",
+        "one-processor", "zero-ops", "negative-ops", "negative-limit",
+        "negative-epoch"])
 def test_bad_scenario_arguments_exit_2_with_an_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exited:
         main(argv)

@@ -15,7 +15,8 @@ import dataclasses
 
 import pytest
 
-from repro.faults import FAULT_KINDS, generate_plan, link_count
+from repro.faults import FAULT_KINDS, generate_plan
+from repro.interconnect import NETWORKS
 from repro.snapshot import SimulatorSnapshot, SnapshotUnsupportedError
 from repro.testing.explore import (
     FAULT_EVENTS_PER_KIND,
@@ -165,8 +166,9 @@ def test_every_overlay_composes_in_one_scenario(interconnect, seed):
     oracles hold, every layer visibly acts, the observers change
     nothing, and the run forks transparently."""
     plan = generate_plan(
-        seed, FAULT_KINDS, n_links=link_count(interconnect, 4), n_nodes=4,
-        horizon_ns=FAULT_HORIZON_NS, events_per_kind=FAULT_EVENTS_PER_KIND,
+        seed, FAULT_KINDS, n_links=NETWORKS[interconnect].link_count(4),
+        n_nodes=4, horizon_ns=FAULT_HORIZON_NS,
+        events_per_kind=FAULT_EVENTS_PER_KIND,
     )
     scenario = dataclasses.replace(
         make_scenario(seed, "tokenb", interconnect, "false_sharing"),

@@ -4,10 +4,12 @@ import gc
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import INTERCONNECTS, PREDICTORS, PROTOCOLS, SystemConfig
+from repro.interconnect import NETWORKS
+from repro.predict.predictors import PREDICTORS as PREDICTOR_CLASSES
 from repro.processor.sequencer import MemoryOp
-from repro.system.builder import build_system, simulate
-from repro.system.grid import ALL_PROTOCOLS, interconnect_for
+from repro.system.builder import NODE_CLASSES, build_system, simulate
+from repro.system.grid import ALL_PROTOCOLS, interconnect_for, protocol_grid
 from repro.workloads.commercial import OLTP
 
 
@@ -26,6 +28,37 @@ def test_all_protocols_buildable():
         )
         system = build_system(config, {})
         assert len(system.nodes) == 4
+
+
+def test_the_protocol_table_is_the_only_gate():
+    """``config.PROTOCOLS`` says where each protocol runs: the config
+    accepts exactly its pairs, the grid yields exactly them, and every
+    name table covers exactly the config's names."""
+    legal = [
+        (protocol, interconnect)
+        for protocol in PROTOCOLS
+        for interconnect in INTERCONNECTS
+        if interconnect in PROTOCOLS[protocol]
+    ]
+    for protocol in PROTOCOLS:
+        for interconnect in INTERCONNECTS:
+            if (protocol, interconnect) in legal:
+                SystemConfig(protocol=protocol, interconnect=interconnect)
+            else:
+                with pytest.raises(ValueError, match="total"):
+                    SystemConfig(protocol=protocol, interconnect=interconnect)
+    assert len(legal) == 13
+    assert list(protocol_grid()) == legal
+    assert set(NODE_CLASSES) == set(PROTOCOLS)
+    assert set(NETWORKS) == set(INTERCONNECTS)
+    assert set(PREDICTOR_CLASSES) == set(PREDICTORS)
+    for protocol, interconnect in legal:
+        system = build_system(SystemConfig(
+            n_procs=2, protocol=protocol, interconnect=interconnect
+        ), {})
+        node_class = NODE_CLASSES[protocol]
+        assert all(type(node) is node_class for node in system.nodes)
+        assert type(system.network) is NETWORKS[interconnect]
 
 
 def test_token_ledger_only_for_token_protocols():

@@ -17,14 +17,14 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     generate_plan,
-    link_count,
 )
 from repro.faults.inject import LinkFaultState, _merge_windows
+from repro.interconnect import NETWORKS
 from repro.interconnect.link import Link
 from repro.interconnect.torus import TorusInterconnect
-from repro.interconnect.tree import OrderedTreeInterconnect
 from repro.sim.kernel import Simulator
 from repro.system.builder import build_system
+from repro.system.grid import interconnect_for
 from repro.testing.explore import (
     FAULT_HORIZON_NS,
     Scenario,
@@ -123,13 +123,10 @@ def test_adding_a_kind_never_shifts_another_kinds_schedule():
 
 
 def test_link_count_matches_built_networks():
-    sim = Simulator()
-    torus = TorusInterconnect(sim, 16, 15.0, 3.2)
-    assert link_count("torus", 16) == len(torus.all_links())
-    tree = OrderedTreeInterconnect(Simulator(), 16, 15.0, 3.2)
-    assert link_count("tree", 16) == len(tree.all_links())
-    with pytest.raises(ValueError, match="unknown interconnect"):
-        link_count("hypercube", 16)
+    for network in NETWORKS.values():
+        for n_nodes in (4, 6, 16):
+            built = network(Simulator(), n_nodes, 15.0, 3.2)
+            assert network.link_count(n_nodes) == len(built.all_links())
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +143,7 @@ def test_loss_faults_rejected_on_baselines(protocol):
     ))
     with pytest.raises(ValueError, match="only legal on token"):
         plan.validate_for_protocol(protocol)
-    system = _build(protocol, "tree" if protocol == "snooping" else "torus")
+    system = _build(protocol, interconnect_for(protocol))
     with pytest.raises(ValueError, match="only legal on token"):
         FaultInjector(plan).install(system)
 
@@ -156,7 +153,7 @@ def test_loss_faults_rejected_on_baselines(protocol):
 def test_structural_faults_legal_on_baselines(protocol, kind):
     """Flap (backpressure), degrade, and pause never lose messages, so
     every protocol must survive them with all ops completed."""
-    interconnect = "tree" if protocol == "snooping" else "torus"
+    interconnect = interconnect_for(protocol)
     event = dict(
         link_flap=_flap(target=1, start=50.0, duration=300.0),
         link_degrade=FaultEvent("link_degrade", 50.0, 300.0, target=1,

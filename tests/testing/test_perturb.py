@@ -8,6 +8,7 @@ from repro.config import SystemConfig
 from repro.interconnect.link import Link
 from repro.sim.kernel import Simulator
 from repro.system.builder import build_system
+from repro.system.grid import interconnect_for
 from repro.testing.explore import Scenario, run_scenario
 from repro.overlay import HookedLink
 from repro.testing.perturb import (
@@ -70,7 +71,7 @@ def test_token_only_perturbations_rejected_on_baselines(protocol, field):
     token-only perturbation on them must raise, not silently corrupt —
     each field individually, on each baseline.  (Only FIFO link jitter
     is ordering-safe; see test_fifo_link_jitter_legal_on_baselines.)"""
-    system = _build(protocol, "tree" if protocol == "snooping" else "torus")
+    system = _build(protocol, interconnect_for(protocol))
     perturber = Perturber(PerturbSpec(**{field: 0.1}))
     with pytest.raises(ValueError, match="only legal on token"):
         perturber.install(system)

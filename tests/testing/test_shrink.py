@@ -5,7 +5,8 @@ import dataclasses
 
 import pytest
 
-from repro.faults import FAULT_KINDS, link_count
+from repro.faults import FAULT_KINDS
+from repro.interconnect import NETWORKS
 from repro.testing.explore import Scenario, make_fault_scenario, run_scenario
 from repro.testing.perturb import PerturbSpec
 from repro.testing.shrink import load_repro, replay, shrink, write_repro
@@ -133,7 +134,7 @@ def test_faulty_fabric_violation_shrinks(fault_class, interconnect):
     assert outcome.violation_type == original.violation_type
     # The mutant alone breaks coherence, so every fault window goes.
     assert scenario.faults.events and shrunk.faults.events == ()
-    n_links = link_count(interconnect, shrunk.n_procs)
+    n_links = NETWORKS[interconnect].link_count(shrunk.n_procs)
     assert all(e.target < n_links for e in shrunk.faults.link_events())
     assert all(
         e.target < shrunk.n_procs for e in shrunk.faults.events_of("node_pause")
